@@ -13,7 +13,6 @@ from .actions import (
     generate_group,
     lattice_action,
     orbit_ball,
-    quotient_action,
     word_action,
 )
 from .errors import (

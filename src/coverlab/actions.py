@@ -74,11 +74,6 @@ class GroupAction:
         return self.decode_fn(text)
 
 
-def act(action: GroupAction, g: int, point: Any) -> Any:
-    """Apply one signed generator to a point."""
-    return action.apply(g, point)
-
-
 @dataclass(frozen=True)
 class OrbitGraph:
     """A radius-limited portion of the Cayley graph of an action.
@@ -98,9 +93,6 @@ class OrbitGraph:
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)
-
-    def boundary(self) -> frozenset:
-        return frozenset(x for (x, _g, _y) in self.exterior_edges)
 
 
 def orbit_ball(
@@ -268,39 +260,6 @@ def finite_permutation_action(perms: Iterable[tuple], degree: int) -> GroupActio
         sort_key=lambda x: x,
         encode_fn=str,
         decode_fn=int,
-    )
-
-
-def quotient_action(
-    parent: GroupAction,
-    project: Callable[[Any], Any],
-    section: Callable[[Any], Any],
-    name: str,
-    sort_key: Callable[[Any], Any] | None = None,
-    encode_fn: Callable[[Any], str] | None = None,
-    decode_fn: Callable[[str], Any] | None = None,
-) -> GroupAction:
-    """Push an action through a surjection of point sets.
-
-    project must be equivariant and section must pick a preimage for each
-    quotient point; only the origin consistency is checked here, the rest
-    is the caller's contract.
-    """
-    origin = project(parent.origin)
-    if project(section(origin)) != origin:
-        raise InputError("section is not a right inverse of project at the origin")
-
-    def apply_fn(g: int, y: Any) -> Any:
-        return project(parent.apply_fn(g, section(y)))
-
-    return GroupAction(
-        name=name,
-        generator_count=parent.generator_count,
-        origin=origin,
-        apply_fn=apply_fn,
-        sort_key=sort_key or parent.sort_key,
-        encode_fn=encode_fn or parent.encode_fn,
-        decode_fn=decode_fn or parent.decode_fn,
     )
 
 

@@ -185,13 +185,23 @@ def _parse_voltages(node: Any, path: str) -> dict:
     return voltages
 
 
+# smallest accepted value of each budget field; a zero radius or zero
+# doublings is a real (if tiny) search, zero points or subsets is none
+_BUDGET_MINIMA = {
+    "max_points": 1, "max_radius": 0, "subset_size_cap": 1, "max_subsets": 1,
+    "max_box_doublings": 0,
+}
+
+
 def _parse_budget(node: Any, path: str) -> SearchBudget:
     obj = _expect_dict(node, path)
-    _check_keys(obj, path, (), (
-        "max_points", "max_radius", "subset_size_cap", "max_subsets",
-        "max_box_doublings",
-    ))
+    _check_keys(obj, path, (), tuple(_BUDGET_MINIMA))
     kwargs = {key: _expect_int(obj[key], f"{path}.{key}") for key in obj}
+    for key, value in kwargs.items():
+        if value < _BUDGET_MINIMA[key]:
+            raise InputError(
+                f"{path}.{key}: must be at least {_BUDGET_MINIMA[key]}, got {value}"
+            )
     return SearchBudget(**kwargs)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import fsum
 from typing import Iterable, Optional, Sequence
 
@@ -54,11 +55,13 @@ def _boundary_ball(action: GroupAction, members: Sequence, alpha: int) -> int:
     """Size of the radius-alpha ball around the boundary of the member set."""
     frontier = list(boundary(action, members))
     seen = set(frontier)
+    gens = action.generators()
+    apply_fn = action.apply_fn
     for _ in range(alpha):
         nxt = []
         for x in frontier:
-            for g in action.generators():
-                y = action.apply(g, x)
+            for g in gens:
+                y = apply_fn(g, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -82,7 +85,7 @@ class WitnessReport:
     epsilon_used: Optional[Fraction]
     members: tuple
     collar_tiles: tuple
-    collar_ball_bound: int
+    fiber_action: GroupAction = field(repr=False, compare=False)
     base_f2: float
     base_df2: float
     base_Vf2: float
@@ -99,6 +102,16 @@ class WitnessReport:
     @property
     def collar_ratio(self) -> Fraction:
         return Fraction(self.b, self.c)
+
+    @cached_property
+    def collar_ball_bound(self) -> int:
+        """Size of the radius-alpha ball around the members' inner boundary.
+
+        Computed on first read: only verify() and the transfer report
+        need it, and on a large diagnostic set it costs more than the
+        rest of the witness together.
+        """
+        return _boundary_ball(self.fiber_action, self.members, self.alpha)
 
     def verify(self) -> "WitnessReport":
         """Re-check every inequality in the chain; raise on any breach."""
@@ -202,7 +215,6 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
     q_base = s_df2 + a * s_vf2
     c = len(members)
     b = len(xi.collar_tiles)
-    collar_ball = _boundary_ball(cover.fiber_action, members, alpha)
     bound_grad = (
         (b / alpha**2) * s_f2
         + (2.0 * b / alpha) * math.sqrt(s_f2 * s_df2)
@@ -219,7 +231,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         epsilon_used=epsilon_used,
         members=members,
         collar_tiles=tuple(sorted(xi.collar_tiles, key=cover.carrier.sort_key)),
-        collar_ball_bound=collar_ball,
+        fiber_action=cover.fiber_action,
         base_f2=s_f2,
         base_df2=s_df2,
         base_Vf2=s_vf2,

@@ -118,7 +118,21 @@ def test_run_inconclusive_exit_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "inconclusive"
     assert report["outcome"]["status"] == "inconclusive"
-    assert report["outcome"]["report"]["verified"] is False
+    witness = report["outcome"]["report"]
+    assert witness["verified"] is False
+    # the lazily computed bound still serializes the exact ball size
+    assert (witness["c"], witness["b"]) == (187, 937)
+    assert witness["collar_ball_bound"] == 117187
+
+
+def test_run_bad_budget_field_exit_1(tmp_path, capsys):
+    obj = json.loads(tree_transfer_scenario(tmp_path).read_text())
+    obj["params"]["budget"]["max_points"] = -5
+    path = write_json(tmp_path / "negative_budget.json", obj)
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "params.budget.max_points" in err
 
 
 def test_run_deterministic_bytes(tmp_path):

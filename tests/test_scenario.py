@@ -235,6 +235,27 @@ def test_budget_parsing():
     assert budget.subset_size_cap == 9
 
 
+@pytest.mark.parametrize("key, value, ok", [
+    ("max_points", 1, True),
+    ("max_points", 0, False),
+    ("max_points", -5, False),
+    ("subset_size_cap", 0, False),
+    ("max_subsets", 0, False),
+    ("max_radius", 0, True),
+    ("max_radius", -1, False),
+    ("max_box_doublings", 0, True),
+    ("max_box_doublings", -1, False),
+])
+def test_budget_limits(key, value, ok):
+    obj = minimal_transfer()
+    obj["params"]["budget"] = {key: value}
+    if ok:
+        assert getattr(parse_scenario(obj).params["budget"], key) == value
+    else:
+        with pytest.raises(InputError, match=rf"params\.budget\.{key}"):
+            parse_scenario(obj)
+
+
 def test_bundled_scenarios_parse():
     import pathlib
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coverlab import transfer
 from coverlab import (
     InequalityViolation,
     InputError,
@@ -87,6 +88,32 @@ def test_witness_collar_overflow_on_tree(tree_cover):
     assert not report.verified
     assert (report.b, report.c) == (7, 1)
     assert report.collar_ratio == Fraction(7, 1)
+
+
+def test_diagnostic_witness_defers_collar_ball(tree_cover, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("collar ball enumerated on the diagnostic path")
+
+    members = [tree_cover.carrier.origin]
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "_boundary_ball", refuse)
+        _witness, report = build_witness(
+            tree_cover, (1.0,) * 4, members, 1, FLAT_V4, 1.0, verify=False
+        )
+    assert (report.b, report.c) == (7, 1)
+    assert not report.verified
+    # the first read computes the exact value the eager version reported
+    assert report.collar_ball_bound == 7
+
+
+def test_verify_checks_collar_ball_bound(triangle_cover, monkeypatch):
+    # the tree overflow above trips b <= c first; this reaches b <= ball
+    search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
+    monkeypatch.setattr(transfer, "_boundary_ball", lambda *_args: 0)
+    with pytest.raises(InequalityViolation, match="boundary ball bound 0"):
+        build_witness(
+            triangle_cover, (1.0, 1.0, 1.0), search.certificate, 2, FLAT_V3, 1.0
+        )
 
 
 def test_trivial_cover_witness_identity(trivial_cover):
