@@ -76,20 +76,12 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class OrbitGraph:
-    """A radius-limited portion of the Cayley graph of an action.
-
-    points are sorted by the action's canonical key.  edges hold
-    (x, i, apply(i, x)) triples for positive generators i with both
-    endpoints inside the ball; exterior_edges hold the signed triples
-    that leave the ball, so boundary information is never lost.
-    """
+    """The points within a hop radius of a center, sorted by the action's key."""
 
     action: GroupAction
     center: Any
     radius: int
     points: tuple
-    edges: tuple
-    exterior_edges: tuple
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)
@@ -126,29 +118,11 @@ def orbit_ball(
                         partial_count=len(seen),
                     )
                 queue.append(y)
-    ball = frozenset(seen)
-    interior = []
-    exterior = []
-    for x in seen:
-        for i in range(1, action.generator_count + 1):
-            y = action.apply_fn(i, x)
-            if y in ball:
-                interior.append((x, i, y))
-            else:
-                exterior.append((x, i, y))
-            z = action.apply_fn(-i, x)
-            if z not in ball:
-                exterior.append((x, -i, z))
-    key = action.sort_key
-    points = tuple(sorted(ball, key=key))
-    edge_key = lambda t: (key(t[0]), t[1])
     return OrbitGraph(
         action=action,
         center=center,
         radius=radius,
-        points=points,
-        edges=tuple(sorted(interior, key=edge_key)),
-        exterior_edges=tuple(sorted(exterior, key=edge_key)),
+        points=tuple(sorted(seen, key=action.sort_key)),
     )
 
 

@@ -450,9 +450,18 @@ def _env_budget() -> Optional[int]:
     return value
 
 
+def _budget_override(flag: Optional[int]) -> Optional[int]:
+    """The --budget value when given (it must be positive), else COVERLAB_BUDGET."""
+    if flag is None:
+        return _env_budget()
+    if flag <= 0:
+        raise InputError(f"--budget must be positive, got {flag}")
+    return flag
+
+
 def _cmd_run(args) -> int:
     scn = load_scenario(args.path)
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = _budget_override(args.budget)
     started = time.perf_counter()
     report, columns, rows, status, headline = execute_scenario(
         scn, args.seed, budget, args.radius,
@@ -498,7 +507,7 @@ def _cmd_batch(args) -> int:
         seen[scn.name] = path
         scenarios.append((path, scn))
 
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = _budget_override(args.budget)
     out_dir = Path(args.out) if args.out else directory / "_reports"
     out_dir.mkdir(parents=True, exist_ok=True)
 

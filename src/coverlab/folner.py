@@ -7,6 +7,12 @@ verdict.  The searcher tries, in order, a closed-form box (translation
 actions only), orbit balls of growing radius, and finally a truncated
 enumeration of connected subsets, reporting the best ratio seen when no
 certificate exists within budget.
+
+The enumeration runs on an explicit stack and carries each subset's
+per-generator overlap counts as it grows, so a subset is scored in
+integers from O(#generators) probes.  Whatever set the search returns
+as a certificate is re-checked from scratch by verify_certificate,
+independently of those counts.
 """
 
 from __future__ import annotations
@@ -192,37 +198,72 @@ def _search_box(action: GroupAction, eps: Fraction, budget: SearchBudget) -> Fol
 def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: int):
     """Yield connected subsets of the Cayley graph containing the root.
 
-    Each qualifying subset is produced exactly once (standard extension
-    scheme with a forbidden set); enumeration stops after max_subsets.
+    Redelmeier's extension scheme with a forbidden set, run depth first
+    on an explicit stack, so size_cap is not bounded by the interpreter's
+    recursion limit.  Each qualifying subset is produced exactly once;
+    enumeration stops after max_subsets.
+
+    Each item is (members, overlap), where overlap[i - 1] is
+    |E intersect g_i^{-1} E| for the positive generator g_i; the signed
+    generator -g_i has the same overlap, and |E symdiff gE| is
+    2 (|E| - overlap).  The counts are updated in O(#generators) probes
+    per added point instead of rescored per subset.  Both objects are
+    the enumerator's live state: read them before resuming it.
     """
     gens = action.generators()
+    n = action.generator_count
+    apply_fn = action.apply_fn
     key = action.sort_key
+    if max_subsets < 1:
+        return
+    members: set = set()
+    # members, forbidden and frontier points of the current branch
+    seen = {root}
+    # the frontier of a stack frame is frontier[next:end]; a child's is
+    # the rest of its parent's followed by the points the child added
+    frontier: list = []
 
-    def neighbors(x):
-        return sorted({action.apply_fn(g, x) for g in gens} - {x}, key=key)
+    def add(v, overlap: tuple) -> tuple[tuple, list]:
+        img = [apply_fn(g, v) for g in gens]
+        # the pairs (v, g v) and (g^{-1} v, v); g v == v counts once
+        overlap = tuple(
+            ov + (img[i] in members or img[i] == v) + (img[n + i] in members)
+            for i, ov in enumerate(overlap)
+        )
+        members.add(v)
+        fresh = []
+        if len(members) < size_cap:
+            fresh = sorted({u for u in img if u not in seen}, key=key)
+            seen.update(fresh)
+            frontier.extend(fresh)
+        return overlap, fresh
 
-    emitted = 0
+    def remove(v, fresh: list) -> None:
+        members.remove(v)
+        seen.difference_update(fresh)
+        del frontier[len(frontier) - len(fresh):]
 
-    def extend(current: frozenset, frontier: tuple, forbidden: frozenset):
-        nonlocal emitted
-        if emitted >= max_subsets:
-            return
+    overlap, fresh = add(root, (0,) * n)
+    yield members, overlap
+    emitted = 1
+    # frame: [next frontier index, frontier end, overlap, point, its fresh points]
+    stack = [[0, len(frontier), overlap, root, fresh]]
+    while stack and emitted < max_subsets:
+        frame = stack[-1]
+        i, end = frame[0], frame[1]
+        if i == end:
+            stack.pop()
+            remove(frame[3], frame[4])
+            continue
+        frame[0] = i + 1
+        v = frontier[i]
+        overlap, fresh = add(v, frame[2])
+        yield members, overlap
         emitted += 1
-        yield current
-        if len(current) >= size_cap:
-            return
-        banned = set(forbidden)
-        for i, v in enumerate(frontier):
-            rest = frontier[i + 1 :]
-            fresh = tuple(
-                u
-                for u in neighbors(v)
-                if u not in current and u not in banned and u not in rest
-            )
-            yield from extend(current | {v}, rest + fresh, frozenset(banned))
-            banned.add(v)
-
-    yield from extend(frozenset([root]), tuple(neighbors(root)), frozenset())
+        if len(members) < size_cap:
+            stack.append([i + 1, len(frontier), overlap, v, fresh])
+        else:
+            remove(v, fresh)
 
 
 def search_folner(
@@ -287,11 +328,18 @@ def search_folner(
         if len(ball.points) >= budget.max_points:
             break
 
-    for subset in _connected_subsets(
+    # the same scores in integers: worst ratio 2 (|E| - min overlap) / |E|
+    for members, overlap in _connected_subsets(
         action, action.origin, budget.subset_size_cap, budget.max_subsets
     ):
-        cert = consider(subset)
-        if cert is not None:
+        examined += 1
+        size = len(members)
+        excess = 2 * (size - min(overlap))
+        if best_ratio is None or excess * best_ratio.denominator < best_ratio.numerator * size:
+            best_ratio = Fraction(excess, size)
+            best_set = tuple(sorted(members, key=action.sort_key))
+        if excess * eps.denominator <= eps.numerator * size:
+            cert = verify_certificate(action, members, eps)
             return SearchReport("found", cert, cert.max_ratio, cert.members, examined, radius_reached)
 
     return SearchReport("exhausted", None, best_ratio, best_set, examined, radius_reached)

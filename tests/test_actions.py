@@ -91,15 +91,6 @@ def test_orbit_ball_budget():
     assert err.value.partial_count > 30
 
 
-def test_orbit_ball_edges_are_sorted_and_within():
-    ball = orbit_ball(lattice_action(1), (0,), 2)
-    inside = set(ball.points)
-    for x, g, y in ball.edges:
-        assert x in inside and y in inside and g > 0
-    for x, g, y in ball.exterior_edges:
-        assert x in inside and y not in inside
-
-
 def test_boundary_of_interval():
     act = lattice_action(1)
     members = [(i,) for i in range(10)]

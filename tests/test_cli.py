@@ -266,3 +266,45 @@ def test_batch_empty_dir(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
     assert main(["batch", str(src)]) == 1
+
+
+def test_run_deep_enumeration_exit_3(tmp_path, capsys):
+    # a subset size cap far beyond the interpreter's recursion limit
+    obj = {
+        "name": "deep_f1",
+        "task": "folner",
+        "seed": 0,
+        "fiber": {"kind": "free_group", "rank": 1},
+        "params": {
+            "epsilon": "0.001",
+            "budget": {"max_radius": 0, "subset_size_cap": 1500, "max_subsets": 3000},
+        },
+    }
+    code = main(["run", str(write_json(tmp_path / "deep_f1.json", obj))])
+    out = capsys.readouterr().out
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "inconclusive"
+    run = report["outcome"]["runs"][0]
+    assert run["sets_examined"] == 3001
+    assert run["best_ratio"] == {"numerator": 1, "denominator": 750}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_run_rejects_nonpositive_budget_flag(value, capsys):
+    code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--budget must be positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_batch_rejects_nonpositive_budget_flag(value, tmp_path, capsys):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    shutil.copy(SCENARIOS / "z_folner.json", src / "z_folner.json")
+    code = main(["batch", str(src), "--budget", value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--budget must be positive" in err
+    assert not (src / "_reports").exists()

@@ -18,6 +18,7 @@ from coverlab import (
     search_folner,
     verify_certificate,
 )
+from coverlab.folner import _connected_subsets, set_ratios
 
 
 def test_exact_fraction_decimal_and_float():
@@ -137,3 +138,61 @@ def test_box_doubling_beats_pessimistic_side():
     cert = rep.certificate
     again = verify_certificate(cert.action, cert.members, cert.epsilon)
     assert again.per_generator_ratios == cert.per_generator_ratios
+
+
+@pytest.mark.parametrize("action, size_cap", [
+    (lattice_action(1), 9),
+    (lattice_action(2), 6),
+    (lattice_action(3), 5),
+    (free_group_action(2), 6),
+    # the zero vector makes generator 2 fix every point
+    (free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)]), 6),
+    # generator 2 fixes 0, 1 and 2; generator 3 is the identity
+    (finite_permutation_action([(1, 2, 3, 4, 0), (0, 1, 2, 4, 3), (0, 1, 2, 3, 4)], 5), 5),
+], ids=lambda p: p.name if hasattr(p, "name") else str(p))
+def test_carried_overlaps_match_set_ratios(action, size_cap):
+    seen = set()
+    for members, overlap in _connected_subsets(action, action.origin, size_cap, 3000):
+        E = frozenset(members)
+        assert E not in seen and action.origin in E and len(E) <= size_cap
+        seen.add(E)
+        assert len(overlap) == action.generator_count
+        ratios = set_ratios(action, E)
+        for g in action.generators():
+            assert ratios[g] == Fraction(2 * (len(E) - overlap[abs(g) - 1]), len(E))
+    assert seen
+
+
+def test_subset_search_pins_f2():
+    # values recorded before the enumeration carried its overlap counts
+    budget = SearchBudget(max_radius=1, subset_size_cap=9, max_subsets=6000)
+    rep = search_folner(free_group_action(2), Fraction(3, 10), budget)
+    assert rep.outcome == "exhausted"
+    assert rep.sets_examined == 6002
+    assert rep.best_ratio == Fraction(10, 9)
+    assert rep.best_set == ((), (-2,), (-1,), (1,), (2,), (-2, -2), (-2, -1),
+                            (-1, -2), (1, -2))
+
+
+def test_subset_search_pins_z3():
+    # the first box overruns max_points, so the subsets decide
+    budget = SearchBudget(max_points=500, max_radius=1, subset_size_cap=10,
+                          max_subsets=4000)
+    rep = search_folner(lattice_action(3), Fraction(1, 20), budget)
+    assert rep.outcome == "exhausted"
+    assert rep.sets_examined == 4002
+    assert rep.best_ratio == Fraction(6, 5)
+    assert rep.best_set == ((-1, -1, 0), (-1, 0, -1), (-1, 0, 0), (0, -1, -1),
+                            (0, -1, 0), (0, 0, -1), (0, 0, 0), (0, 0, 1),
+                            (0, 1, 0), (1, 0, 0))
+
+
+def test_subset_search_certificate_is_verified():
+    # a 6-cycle: the radius-0 ball scores 2, the first two-point arc scores 1
+    act = finite_permutation_action([(1, 2, 3, 4, 5, 0)], 6)
+    budget = SearchBudget(max_radius=0, subset_size_cap=6, max_subsets=100)
+    rep = search_folner(act, Fraction(1), budget)
+    assert rep.outcome == "found"
+    assert rep.sets_examined == 3
+    assert rep.certificate.members == (0, 1)
+    assert rep.certificate.max_ratio == Fraction(1)
