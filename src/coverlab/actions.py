@@ -269,6 +269,16 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     )
 
 
+def net_displacement(carrier: GroupAction, word: Iterable[int]) -> tuple[int, ...]:
+    """Net translation vector of a word in a translation action's generators."""
+    net = [0] * len(carrier.origin)
+    for letter in word:
+        v = carrier.translation_vectors[abs(letter) - 1]
+        sign = 1 if letter > 0 else -1
+        net = [c + sign * d for c, d in zip(net, v)]
+    return tuple(net)
+
+
 def word_action(
     carrier: GroupAction,
     words: Iterable[tuple[int, ...]],
@@ -296,16 +306,7 @@ def word_action(
 
     vectors = None
     if carrier.translation_vectors is not None:
-        base_vecs = carrier.translation_vectors
-        nets = []
-        for w in word_list:
-            net = [0] * len(carrier.origin)
-            for letter in w:
-                v = base_vecs[abs(letter) - 1]
-                sign = 1 if letter > 0 else -1
-                net = [c + sign * d for c, d in zip(net, v)]
-            nets.append(tuple(net))
-        vectors = tuple(nets)
+        vectors = tuple(net_displacement(carrier, w) for w in word_list)
 
     return GroupAction(
         name=name or f"words({len(word_list)} over {carrier.name})",

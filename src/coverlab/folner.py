@@ -143,6 +143,19 @@ def _translate(point: tuple, vector: tuple[int, ...], times: int = 1) -> tuple:
     return tuple(c + times * d for c, d in zip(point, vector))
 
 
+def _rank(vectors: list[tuple[int, ...]]) -> int:
+    """Exact rank over the rationals, by Gaussian elimination."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, c in enumerate(pivot) if c), None)
+        if col is not None:
+            rank += 1
+            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)] for r in rows]
+    return rank
+
+
 def translation_box(action: GroupAction, side: int,
                     max_points: int | None = None) -> frozenset:
     """Image of the coordinate box [0, side)^n under the translation map.
@@ -150,16 +163,23 @@ def translation_box(action: GroupAction, side: int,
     Built incrementally one generator direction at a time so degenerate
     vector families (repeated or zero vectors) cost only the size of the
     true image, never side**n.  Aborts with BudgetExceededError as soon
-    as the partial image outgrows max_points.
+    as the partial image outgrows max_points.  When the nonzero vectors
+    are linearly independent the image has exactly side**m points, so
+    an oversized box is refused before any point is built.
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     if side < 1:
         raise InputError(f"box side must be >= 1, got {side}")
+    moving = [v for v in action.translation_vectors if any(v)]
+    if (max_points is not None and side ** len(moving) > max_points
+            and _rank(moving) == len(moving)):
+        raise BudgetExceededError(
+            f"translation box of side {side} exceeds {max_points} points",
+            partial_count=0,
+        )
     points: set = {action.origin}
-    for vector in action.translation_vectors:
-        if all(c == 0 for c in vector):
-            continue
+    for vector in moving:
         layer = set(points)
         acc = set(points)
         for _ in range(side - 1):

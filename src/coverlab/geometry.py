@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import fsum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .actions import GroupAction, word_action
+from .actions import GroupAction, net_displacement, word_action
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_WINDOW_BUDGET = 10**6
@@ -229,11 +229,12 @@ class VoltageCover:
         self.base = base
         self.carrier = carrier
         self.voltages = dict(voltages)
-        # oriented[(u, v)] maps the u-side fiber point to the v-side one
+        # oriented[(u, v)] maps the u-side fiber point to the v-side one;
+        # its letters are listed in the order they act, rightmost first
         oriented: dict[tuple[int, int], tuple[int, ...]] = {}
         for (u, v), word in self.voltages.items():
-            oriented[(u, v)] = word
-            oriented[(v, u)] = tuple(-g for g in reversed(word))
+            oriented[(u, v)] = word[::-1]
+            oriented[(v, u)] = tuple(-g for g in word)
         per_vertex: list[list[tuple[int, float, tuple[int, ...]]]] = [
             [] for _ in range(base.vertex_count)
         ]
@@ -268,11 +269,12 @@ class VoltageCover:
 
     def neighbors(self, p) -> list[tuple[tuple, float]]:
         v, x = p
+        apply_fn = self.carrier.apply_fn
         out = []
-        for u, w, word in self._stencil[v]:
+        for u, w, letters in self._stencil[v]:
             y = x
-            for letter in reversed(word):
-                y = self.carrier.apply_fn(letter, y)
+            for letter in letters:
+                y = apply_fn(letter, y)
             out.append(((u, y), w))
         return out
 
@@ -303,15 +305,9 @@ class VoltageCover:
         return self._fiber_action
 
     def _word_marker(self, word: tuple[int, ...]):
-        vectors = self.carrier.translation_vectors
-        if vectors is None:
+        if self.carrier.translation_vectors is None:
             return word
-        net = [0] * len(self.carrier.origin)
-        for letter in word:
-            v = vectors[abs(letter) - 1]
-            sign = 1 if letter > 0 else -1
-            net = [c + sign * d for c, d in zip(net, v)]
-        return tuple(net)
+        return net_displacement(self.carrier, word)
 
     def ball(self, roots: Iterable, radius: int, max_points: int = DEFAULT_WINDOW_BUDGET) -> tuple:
         """Cover vertices within hop-radius of the root set, sorted.
@@ -455,7 +451,10 @@ class CutoffFunction:
 
 
 def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction:
-    """Cutoff xi(p) = min(1, hop_dist(p, complement of Omega)/alpha)."""
+    """Cutoff xi(p) = min(1, hop_dist(p, complement of Omega)/alpha).
+
+    Omega is swept unsorted: hop distances do not depend on queue order.
+    """
     member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
@@ -467,11 +466,13 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
 
     # multi-source BFS inward from the rim: vertices with a neighbor outside
     distance: dict = {}
-    queue: deque = deque()
-    for p in sorted(omega, key=cover.sort_key):
-        if any(q not in omega for q, _w in cover.neighbors(p)):
+    collar = set()
+    for p in omega:
+        outside = [cover.tile_of(q) for q, _w in cover.neighbors(p) if q not in omega]
+        if outside:
             distance[p] = 1
-            queue.append(p)
+            collar.update(outside)
+    queue = deque(distance)
     while queue:
         p = queue.popleft()
         d = distance[p]
@@ -482,23 +483,15 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
                 distance[q] = d + 1
                 queue.append(q)
 
-    ordered = sorted(omega, key=cover.sort_key)
-    values = {}
-    for p in ordered:
-        d = distance.get(p)
-        values[p] = Fraction(1) if d is None else Fraction(min(d, alpha), alpha)
-
-    collar = set()
-    for p, value in values.items():
-        if 0 < value < 1:
-            collar.add(cover.tile_of(p))
-    for p in ordered:
-        xp = values[p]
-        for q, _w in cover.neighbors(p):
-            xq = values.get(q, Fraction(0))
-            if xp != xq:
-                collar.add(cover.tile_of(p))
-                collar.add(cover.tile_of(q))
+    # The ramp changes across an edge exactly when it leaves Omega from the
+    # rim or joins reached vertices on different levels (an unreached vertex
+    # and its reached neighbors, stopped at depth alpha, all read 1).  Every
+    # reached vertex has such an edge: to the outside at depth 1, to the
+    # vertex that reached it at depth d > 1.  So the collar is the reached
+    # tiles plus the outside tiles along the rim.
+    collar.update(cover.tile_of(p) for p in distance)
+    levels = [Fraction(k, alpha) for k in range(alpha + 1)]
+    values = {p: levels[distance.get(p, alpha)] for p in omega}
 
     return CutoffFunction(
         cover=cover,
@@ -513,23 +506,23 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
 def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) -> tuple[float, float]:
     """(gradient part, signed potential part including a) of the cover form.
 
-    Sums run over edges touching the support and over the support itself,
-    in canonical order, each accumulated with exact fsum.
+    Sums run over edges touching the support, each edge once, and over
+    the support itself.  The order of the terms does not matter: fsum
+    is correctly rounded, and (f(p) - f(q))^2 == (f(q) - f(p))^2 exactly.
     """
     pot = as_potential(V, cover.base)
-    support = sorted(func.support, key=cover.sort_key)
-    grad_terms = []
-    for p in support:
-        fp = func(p)
-        kp = cover.sort_key(p)
-        for q, w in cover.neighbors(p):
-            if q in func.support and cover.sort_key(q) < kp:
-                continue  # counted from the other endpoint
-            grad_terms.append(w * (fp - func(q)) ** 2)
-    grad = fsum(grad_terms)
-    pot_term = fsum(
-        pot[p[0]] * func(p) ** 2 * cover.measure(p) for p in support
-    )
+    values = func.values
+    done = set()
+
+    def grad_terms():
+        for p, fp in values.items():
+            for q, w in cover.neighbors(p):
+                if q not in done:  # otherwise counted from the other endpoint
+                    yield w * (fp - values.get(q, 0.0)) ** 2
+            done.add(p)
+
+    grad = fsum(grad_terms())
+    pot_term = fsum(pot[p[0]] * fp ** 2 * cover.measure(p) for p, fp in values.items())
     return grad, a * pot_term
 
 

@@ -205,9 +205,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         raise InputError("cannot build a witness from the zero function")
 
     xi = cutoff(cover, members, alpha)
-    witness = CompactFunction(
-        {p: float(xi(p)) * func(p[0]) for p in sorted(xi.omega, key=cover.sort_key)}
-    )
+    witness = CompactFunction({p: float(x) * func(p[0]) for p, x in xi.values.items()})
     term_grad, term_pot = cover_form_parts(cover, V, a, witness)
     q_cover = term_grad + term_pot
 

@@ -1,14 +1,19 @@
 """Command line interface: exit codes, determinism, batch runs."""
 
+import hashlib
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from coverlab.cli import main
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_json(path, obj):
@@ -308,3 +313,30 @@ def test_batch_rejects_nonpositive_budget_flag(value, tmp_path, capsys):
     assert code == 1
     assert "--budget must be positive" in err
     assert not (src / "_reports").exists()
+
+
+def reference_digests():
+    # bench/reference.json holds the sha256 of `coverlab run` on every
+    # scenario the benchmark runs, grouped by workload; it is read only
+    table = json.loads((ROOT / "bench" / "reference.json").read_text())
+    return {
+        name: entry
+        for entries in table["workloads"].values()
+        for name, entry in entries.items()
+    }
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_report_matches_reference_digest(path):
+    entry = reference_digests()[path.stem]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["input_sha256"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverlab.cli", "run", str(path)],
+        capture_output=True, env=env, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == entry["exit"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == entry["report_sha256"]

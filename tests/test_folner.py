@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coverlab import (
+    BudgetExceededError,
     FolnerVerificationError,
     InputError,
     SearchBudget,
@@ -18,7 +19,8 @@ from coverlab import (
     search_folner,
     verify_certificate,
 )
-from coverlab.folner import _connected_subsets, set_ratios
+from coverlab import folner
+from coverlab.folner import _connected_subsets, set_ratios, translation_box
 
 
 def test_exact_fraction_decimal_and_float():
@@ -196,3 +198,29 @@ def test_subset_search_certificate_is_verified():
     assert rep.sets_examined == 3
     assert rep.certificate.members == (0, 1)
     assert rep.certificate.max_ratio == Fraction(1)
+
+
+def test_independent_box_refused_before_it_is_built(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("an oversized box must not be built")
+
+    monkeypatch.setattr(folner, "_translate", no_points)
+    with pytest.raises(BudgetExceededError) as info:
+        translation_box(lattice_action(3), 120, 10**6)
+    assert str(info.value) == "translation box of side 120 exceeds 1000000 points"
+    monkeypatch.undo()
+    # side**3 == max_points is within budget and still built
+    assert len(translation_box(lattice_action(3), 10, 1000)) == 1000
+
+
+def test_degenerate_box_keeps_its_true_image():
+    action = free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)])
+    side = 10
+    image = {
+        (a + c, b + c)
+        for a in range(side) for b in range(side) for c in range(side)
+    }
+    assert len(image) < side**3
+    assert translation_box(action, side, len(image)) == image
+    with pytest.raises(BudgetExceededError):
+        translation_box(action, side, len(image) - 1)

@@ -17,9 +17,11 @@ from coverlab import (
     cover_quadratic_form,
     cutoff,
     cycle_graph,
+    finite_permutation_action,
     grid_torus,
     lattice_action,
     lift_function,
+    orbit_ball,
     path_graph,
     quadratic_form,
 )
@@ -247,3 +249,117 @@ def test_trivial_cover_form_matches_base(trivial_cover):
     assert cover_quadratic_form(trivial_cover, V, 1.3, lifted) == quadratic_form(
         trivial_cover.base, V, 1.3, f
     )
+
+
+def sorted_sweep_cutoff(cover, members, alpha):
+    # the three sorted sweeps with one Fraction per vertex, kept as an oracle
+    member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
+    omega = set()
+    for x in member_list:
+        omega.update(cover.tile(x))
+    distance = {}
+    queue = deque()
+    for p in sorted(omega, key=cover.sort_key):
+        if any(q not in omega for q, _w in cover.neighbors(p)):
+            distance[p] = 1
+            queue.append(p)
+    while queue:
+        p = queue.popleft()
+        d = distance[p]
+        if d >= alpha:
+            continue
+        for q, _w in cover.neighbors(p):
+            if q in omega and q not in distance:
+                distance[q] = d + 1
+                queue.append(q)
+    ordered = sorted(omega, key=cover.sort_key)
+    values = {}
+    for p in ordered:
+        d = distance.get(p)
+        values[p] = Fraction(1) if d is None else Fraction(min(d, alpha), alpha)
+    collar = set()
+    for p, value in values.items():
+        if 0 < value < 1:
+            collar.add(cover.tile_of(p))
+    for p in ordered:
+        xp = values[p]
+        for q, _w in cover.neighbors(p):
+            if xp != values.get(q, Fraction(0)):
+                collar.add(cover.tile_of(p))
+                collar.add(cover.tile_of(q))
+    return member_list, values, frozenset(omega), frozenset(collar)
+
+
+@pytest.fixture
+def k4_z2_cover(k4):
+    return build_cover(k4, lattice_action(2), {(1, 2): (1,), (1, 3): (2,), (2, 3): (1, 2)})
+
+
+@pytest.fixture
+def fixed_tile_cover(triangle):
+    """Voltage (0 1) on three tiles: tile 2 is joined to itself across it."""
+    return build_cover(triangle, finite_permutation_action([(1, 0, 2)], 3), {(0, 1): (1,)})
+
+
+def cutoff_cases(triangle_cover, k4_z2_cover, tree_cover, fixed_tile_cover):
+    cases = [
+        (fixed_tile_cover, [2]),
+        (fixed_tile_cover, [0]),
+        (fixed_tile_cover, [0, 1, 2]),
+        # tiles 0 and 1 touch across the voltage edge
+        (triangle_cover, [(0,), (1,)]),
+        (triangle_cover, [(x,) for x in range(-6, 7)]),
+        (triangle_cover, [(-3,), (0,), (1,), (5,)]),
+    ]
+    for cover in (triangle_cover, k4_z2_cover, tree_cover):
+        fiber = cover.fiber_action
+        cases.append((cover, [fiber.origin]))
+        for radius in (1, 3):
+            cases.append((cover, orbit_ball(fiber, fiber.origin, radius).points))
+    far = orbit_ball(tree_cover.fiber_action, (), 3).points[-1]
+    cases.append((tree_cover, [(), (1,), far]))
+    cases.append((k4_z2_cover, [(0, 0), (0, 1), (4, 4)]))
+    return cases
+
+
+def test_cutoff_matches_sorted_sweep_oracle(triangle_cover, k4_z2_cover, tree_cover,
+                                            fixed_tile_cover):
+    for cover, members in cutoff_cases(triangle_cover, k4_z2_cover, tree_cover,
+                                       fixed_tile_cover):
+        for alpha in range(1, 5):
+            xi = cutoff(cover, members, alpha)
+            member_list, values, omega, collar = sorted_sweep_cutoff(cover, members, alpha)
+            assert xi.members == member_list
+            assert xi.values == values
+            assert xi.omega == omega
+            assert xi.collar_tiles == collar
+
+
+def test_cutoff_without_rim_is_flat(fixed_tile_cover):
+    # tile 2 is a whole component of the cover, so nothing ramps
+    xi = cutoff(fixed_tile_cover, [2], 3)
+    assert set(xi.values.values()) == {1}
+    assert xi.collar_tiles == frozenset()
+
+
+def brute_form_parts(cover, V, a, func):
+    edges = {}
+    for p in func.support:
+        for q, w in cover.neighbors(p):
+            edges[frozenset((p, q))] = (p, q, w)
+    grad = math.fsum(w * (func(p) - func(q)) ** 2 for p, q, w in edges.values())
+    pot = math.fsum(V[p[0]] * func(p) ** 2 * cover.measure(p) for p in func.support)
+    return grad, a * pot
+
+
+def test_form_parts_match_unique_edge_sum(triangle_cover, k4_z2_cover, tree_cover,
+                                          fixed_tile_cover):
+    for cover, members in cutoff_cases(triangle_cover, k4_z2_cover, tree_cover,
+                                       fixed_tile_cover):
+        n = cover.base.vertex_count
+        f = [1.0 - 0.37 * v for v in range(n)]
+        V = [(-1) ** v * 0.1 * (v + 1) for v in range(n)]
+        xi = cutoff(cover, members, 2)
+        witness = CompactFunction({p: float(x) * f[p[0]] for p, x in xi.values.items()})
+        for func in (witness, lift_function(cover, f, members)):
+            assert cover_form_parts(cover, V, 0.7, func) == brute_form_parts(cover, V, 0.7, func)
