@@ -38,7 +38,6 @@ class GroupAction:
     apply_fn: Callable[[int, Any], Any] = field(repr=False)
     sort_key: Callable[[Any], Any] = field(repr=False)
     encode_fn: Callable[[Any], str] = field(repr=False)
-    decode_fn: Callable[[str], Any] = field(repr=False)
     translation_vectors: tuple[tuple[int, ...], ...] | None = None
 
     def generators(self) -> tuple[int, ...]:
@@ -57,21 +56,8 @@ class GroupAction:
         self.check_generator(g)
         return self.apply_fn(g, point)
 
-    def apply_word(self, word: Iterable[int], point: Any) -> Any:
-        """Apply a word of generators, leftmost letter acting last."""
-        letters = tuple(word)
-        for g in reversed(letters):
-            point = self.apply(g, point)
-        return point
-
-    def inverse_word(self, word: Iterable[int]) -> tuple[int, ...]:
-        return tuple(-g for g in reversed(tuple(word)))
-
     def encode(self, point: Any) -> str:
         return self.encode_fn(point)
-
-    def decode(self, text: str) -> Any:
-        return self.decode_fn(text)
 
 
 @dataclass(frozen=True)
@@ -145,12 +131,6 @@ def _tuple_encode(point: tuple) -> str:
     return ",".join(str(c) for c in point)
 
 
-def _tuple_decode(text: str) -> tuple:
-    if text == "":
-        return ()
-    return tuple(int(c) for c in text.split(","))
-
-
 def lattice_action(dimension: int) -> GroupAction:
     """Z^n acting on itself; generator i translates coordinate i by one."""
     if dimension < 1:
@@ -172,7 +152,6 @@ def lattice_action(dimension: int) -> GroupAction:
         apply_fn=apply_fn,
         sort_key=lambda x: x,
         encode_fn=_tuple_encode,
-        decode_fn=_tuple_decode,
         translation_vectors=basis,
     )
 
@@ -197,7 +176,6 @@ def free_group_action(rank: int) -> GroupAction:
         apply_fn=apply_fn,
         sort_key=lambda w: (len(w), w),
         encode_fn=_tuple_encode,
-        decode_fn=_tuple_decode,
     )
 
 
@@ -233,7 +211,6 @@ def finite_permutation_action(perms: Iterable[tuple], degree: int) -> GroupActio
         apply_fn=apply_fn,
         sort_key=lambda x: x,
         encode_fn=str,
-        decode_fn=int,
     )
 
 
@@ -264,7 +241,6 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
         apply_fn=apply_fn,
         sort_key=lambda x: x,
         encode_fn=_tuple_encode,
-        decode_fn=_tuple_decode,
         translation_vectors=vecs,
     )
 
@@ -315,7 +291,6 @@ def word_action(
         apply_fn=apply_fn,
         sort_key=carrier.sort_key,
         encode_fn=carrier.encode_fn,
-        decode_fn=carrier.decode_fn,
         translation_vectors=vectors,
     )
 

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -86,8 +85,6 @@ def _cell(x: Any) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return _num(x)
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -256,7 +253,8 @@ def _witness_payload(cover, rep) -> dict:
         "collar_ratio": rep.collar_ratio,
         "collar_ball_bound": rep.collar_ball_bound,
         "members": [cover.carrier.encode(x) for x in rep.members],
-        "collar_tiles": [cover.carrier.encode(x) for x in rep.collar_tiles],
+        "collar_tiles": [cover.carrier.encode(x) for x in
+                         sorted(rep.collar_tiles, key=cover.carrier.sort_key)],
         "base_f2": rep.base_f2,
         "base_df2": rep.base_df2,
         "base_Vf2": rep.base_Vf2,
@@ -495,7 +493,7 @@ def _cmd_batch(args) -> int:
     if not paths:
         raise InputError(f"no scenario files (*.json) in {directory}")
 
-    scenarios: list[tuple[Path, Scenario]] = []
+    scenarios: list[Scenario] = []
     seen: dict[str, Path] = {}
     for path in paths:
         scn = load_scenario(path)
@@ -505,34 +503,23 @@ def _cmd_batch(args) -> int:
                 f"and {path.name}"
             )
         seen[scn.name] = path
-        scenarios.append((path, scn))
+        scenarios.append(scn)
 
     budget = _budget_override(args.budget)
     out_dir = Path(args.out) if args.out else directory / "_reports"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(item):
-        path, scn = item
+    summary_rows = []
+    codes = set()
+    for scn in sorted(scenarios, key=lambda s: s.name):
         started = time.perf_counter()
         try:
             report, _cols, _rows, status, headline = execute_scenario(
                 scn, args.seed, budget, args.radius,
             )
         except InputError as exc:
-            return scn, None, "input-error", str(exc), 0.0
+            report, status, headline = None, "input-error", str(exc)
         elapsed = time.perf_counter() - started
-        return scn, report, status, headline, elapsed
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, scenarios))
-    else:
-        results = [run_one(item) for item in scenarios]
-
-    results.sort(key=lambda item: item[0].name)
-    summary_rows = []
-    codes = set()
-    for scn, report, status, headline, elapsed in results:
         exit_code = EXIT_INPUT if status == "input-error" else STATUS_EXIT[status]
         codes.add(exit_code)
         if report is not None:
@@ -570,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser("batch", help="run every scenario in a directory")
     batch.add_argument("dir", help="directory of scenario JSON files")
-    batch.add_argument("--jobs", type=int, default=1)
     batch.add_argument("--out", help="report directory (default <dir>/_reports)")
     batch.add_argument("--seed", type=int, default=None)
     batch.add_argument("--budget", type=int, default=None)

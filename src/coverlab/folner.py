@@ -10,9 +10,9 @@ certificate exists within budget.
 
 The enumeration runs on an explicit stack and carries each subset's
 per-generator overlap counts as it grows, so a subset is scored in
-integers from O(#generators) probes.  Whatever set the search returns
-as a certificate is re-checked from scratch by verify_certificate,
-independently of those counts.
+integers from O(#generators) probes; orbit balls are scored by the
+same counts.  Whatever set the search returns as a certificate is
+re-checked from scratch by verify_certificate, independently of them.
 """
 
 from __future__ import annotations
@@ -323,35 +323,29 @@ def search_folner(
                 radius_reached=0,
             )
 
-    def consider(members: frozenset) -> FolnerCertificate | None:
-        nonlocal examined, best_ratio, best_set
-        examined += 1
-        ratios = set_ratios(action, members)
-        worst = max(ratios.values())
-        if best_ratio is None or worst < best_ratio:
-            best_ratio = worst
-            best_set = tuple(sorted(members, key=action.sort_key))
-        if worst <= eps:
-            return verify_certificate(action, members, eps)
-        return None
-
     radius_reached = 0
-    for radius in range(budget.max_radius + 1):
-        try:
-            ball = orbit_ball(action, action.origin, radius, max_points=budget.max_points)
-        except BudgetExceededError:
-            break
-        radius_reached = radius
-        cert = consider(ball.point_set())
-        if cert is not None:
-            return SearchReport("found", cert, cert.max_ratio, cert.members, examined, radius_reached)
-        if len(ball.points) >= budget.max_points:
-            break
 
-    # the same scores in integers: worst ratio 2 (|E| - min overlap) / |E|
-    for members, overlap in _connected_subsets(
-        action, action.origin, budget.subset_size_cap, budget.max_subsets
-    ):
+    def candidates():
+        # orbit balls of growing radius, then connected subsets, each with
+        # overlap[i - 1] = |E intersect g_i^{-1} E| as _connected_subsets
+        nonlocal radius_reached
+        for radius in range(budget.max_radius + 1):
+            try:
+                ball = orbit_ball(action, action.origin, radius, max_points=budget.max_points)
+            except BudgetExceededError:
+                break
+            radius_reached = radius
+            E = ball.point_set()
+            yield E, [sum(1 for y in E if action.apply_fn(g, y) in E)
+                      for g in range(1, action.generator_count + 1)]
+            if len(ball.points) >= budget.max_points:
+                break
+        yield from _connected_subsets(
+            action, action.origin, budget.subset_size_cap, budget.max_subsets
+        )
+
+    # the worst ratio over all signed generators is 2 (|E| - min overlap) / |E|
+    for members, overlap in candidates():
         examined += 1
         size = len(members)
         excess = 2 * (size - min(overlap))

@@ -14,12 +14,11 @@ cover is enumerated lazily around a root tile, never materialized.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .actions import GroupAction, net_displacement, word_action
 from .errors import BudgetExceededError, InputError
@@ -243,7 +242,6 @@ class VoltageCover:
             per_vertex[v].append((u, w, oriented.get((v, u), ())))
         self._stencil = tuple(tuple(sorted(row)) for row in per_vertex)
         self._ball_cache: dict = {}
-        self._ball_lock = threading.Lock()
         self._fiber_action: GroupAction | None = None
 
     # -- canonical ordering ------------------------------------------------
@@ -312,8 +310,7 @@ class VoltageCover:
     def ball(self, roots: Iterable, radius: int, max_points: int = DEFAULT_WINDOW_BUDGET) -> tuple:
         """Cover vertices within hop-radius of the root set, sorted.
 
-        Results are memoized; the cache is synchronized and keyed by the
-        exact query, so concurrent readers always observe equal tuples.
+        Results are memoized, keyed by the exact query.
         """
         root_set = frozenset(roots)
         if not root_set:
@@ -321,8 +318,7 @@ class VoltageCover:
         if radius < 0:
             raise InputError(f"radius must be nonnegative, got {radius}")
         key = (root_set, radius, max_points)
-        with self._ball_lock:
-            hit = self._ball_cache.get(key)
+        hit = self._ball_cache.get(key)
         if hit is not None:
             return hit
         seen = dict.fromkeys(sorted(root_set, key=self.sort_key), 0)
@@ -342,8 +338,7 @@ class VoltageCover:
                         )
                     queue.append(q)
         result = tuple(sorted(seen, key=self.sort_key))
-        with self._ball_lock:
-            self._ball_cache[key] = result
+        self._ball_cache[key] = result
         return result
 
 

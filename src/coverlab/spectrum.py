@@ -18,6 +18,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from .actions import finite_permutation_action
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import (
     DEFAULT_WINDOW_BUDGET,
@@ -45,17 +46,38 @@ class SpectralResult:
     residual: float
 
 
-def _smallest_pair(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   weights: np.ndarray, mu: np.ndarray, seed: int) -> tuple[float, np.ndarray, float]:
-    """Smallest eigenpair of D (diag + off) D with D = diag(mu^-1/2).
+def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
+                   seed: int) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenpair of L + a V on the listed cover vertices.
 
-    rows/cols/weights give every off-diagonal entry once per direction.
+    Functions vanish off the list, so every edge keeps its conductance
+    in the diagonal, which each vertex reads from its base vertex: a
+    cover vertex carries exactly its base vertex's edge weights.  The
+    pencil is symmetrized as D (diag + off) D with D = diag(mu^-1/2).
     Returns (lambda, eigenvector in original coordinates, residual).
     """
-    n = len(diag)
+    base = cover.base
+    pot = as_potential(V, base)
+    base_diag = [base.weighted_degree(v) + a * pot[v] * base.mu[v]
+                 for v in range(base.vertex_count)]
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    mu = np.array([base.mu[v] for v, _x in points])
+    diag = np.array([base_diag[v] for v, _x in points])
+    # a neighbour always lies over another base vertex, so never on p itself
+    rows, cols, weights = [], [], []
+    for i, p in enumerate(points):
+        for q, w in cover.neighbors(p):
+            j = index.get(q)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                weights.append(-w)
     d = 1.0 / np.sqrt(mu)
     diag_s = diag * d * d
-    off_s = weights * d[rows] * d[cols]
+    rows = np.array(rows, dtype=int)
+    cols = np.array(cols, dtype=int)
+    off_s = np.array(weights, dtype=float) * d[rows] * d[cols]
     A = csc_matrix((np.concatenate([off_s, diag_s]),
                     (np.concatenate([rows, np.arange(n)]),
                      np.concatenate([cols, np.arange(n)]))), shape=(n, n))
@@ -89,8 +111,9 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float,
                    size_limit: int = DEFAULT_SIZE_LIMIT, seed: int = 0) -> SpectralResult:
     """Bottom of the mu-weighted spectrum of L + a V on a finite graph.
 
-    Connectivity is enforced by WeightedGraph itself; this only guards
-    the size budget and the solver tolerance.
+    The graph is solved as its own trivial cover, one tile with no
+    boundary.  Connectivity is enforced by WeightedGraph itself; this
+    only guards the size budget and the solver tolerance.
     """
     n = graph.vertex_count
     if n > size_limit:
@@ -98,18 +121,8 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float,
             f"graph has {n} vertices, above the eigensolve budget {size_limit}",
             partial_count=n,
         )
-    pot = as_potential(V, graph)
-    mu = np.array(graph.mu)
-    diag = np.array([graph.weighted_degree(v) + a * pot[v] * graph.mu[v] for v in range(n)])
-    rows, cols, weights = [], [], []
-    for u, v, w in graph.edges:
-        rows.extend((u, v))
-        cols.extend((v, u))
-        weights.extend((-w, -w))
-    lam, f, residual = _smallest_pair(
-        diag, np.array(rows, dtype=int), np.array(cols, dtype=int),
-        np.array(weights, dtype=float), mu, seed,
-    )
+    trivial = VoltageCover(graph, finite_permutation_action((), 1), {})
+    lam, f, residual = _smallest_pair(trivial, trivial.tile(0), V, a, seed)
     return SpectralResult(lam, tuple(float(x) for x in f), residual)
 
 
@@ -138,29 +151,9 @@ def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
     the radius and never certifies positivity of the infinite cover,
     only refutes it when negative.
     """
-    pot = as_potential(V, cover.base)
     window = cover.ball(cover.tile(root_tile), radius, max_points=max_points)
-    index = {p: i for i, p in enumerate(window)}
-    n = len(window)
-    mu = np.array([cover.measure(p) for p in window])
-    diag = np.zeros(n)
-    rows, cols, weights = [], [], []
-    for p in window:
-        i = index[p]
-        acc = []
-        for q, w in cover.neighbors(p):
-            acc.append(w)
-            j = index.get(q)
-            if j is not None and j != i:
-                rows.append(i)
-                cols.append(j)
-                weights.append(-w)
-        diag[i] = fsum(acc) + a * pot[p[0]] * cover.measure(p)
-    lam, _f, _residual = _smallest_pair(
-        diag, np.array(rows, dtype=int), np.array(cols, dtype=int),
-        np.array(weights, dtype=float), mu, seed,
-    )
-    return WindowValue(radius=radius, value=lam, size=n)
+    lam, _f, _residual = _smallest_pair(cover, window, V, a, seed)
+    return WindowValue(radius=radius, value=lam, size=len(window))
 
 
 def dirichlet_lambda0(cover: VoltageCover, root_tile, radius: int, V, a: float,

@@ -84,7 +84,7 @@ class WitnessReport:
     alpha: int
     epsilon_used: Optional[Fraction]
     members: tuple
-    collar_tiles: tuple
+    collar_tiles: frozenset
     fiber_action: GroupAction = field(repr=False, compare=False)
     base_f2: float
     base_df2: float
@@ -228,7 +228,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         alpha=alpha,
         epsilon_used=epsilon_used,
         members=members,
-        collar_tiles=tuple(sorted(xi.collar_tiles, key=cover.carrier.sort_key)),
+        collar_tiles=xi.collar_tiles,
         fiber_action=cover.fiber_action,
         base_f2=s_f2,
         base_df2=s_df2,

@@ -36,17 +36,18 @@ def test_lattice_round_trips():
     p = (4, -7, 2)
     for g in act.generators():
         assert act.apply(-g, act.apply(g, p)) == p
-    assert act.decode(act.encode(p)) == p
-    assert act.apply_word((1, 2, -1), p) == (4, -6, 2)
+    assert act.encode(p) == "4,-7,2"
+    assert word_action(act, [(1, 2, -1)]).apply(1, p) == (4, -6, 2)
 
 
 def test_free_group_reduction():
     act = free_group_action(2)
     # leftmost letter acts last: word (1, 2) maps w to g1 g2 w
-    w = act.apply_word((1, 2), act.origin)
+    words = word_action(act, [(1, 2)])
+    w = words.apply(1, act.origin)
     assert w == (1, 2)
     assert act.apply(-1, w) == (2,)
-    assert act.apply_word(act.inverse_word((1, 2)), w) == act.origin
+    assert words.apply(-1, w) == act.origin
     # cancellation happens at the prepend site
     assert act.apply(1, (-1, 2)) == (2,)
 

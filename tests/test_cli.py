@@ -230,9 +230,9 @@ def test_batch_directory(tmp_path, capsys):
 
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    code_a = main(["batch", str(src), "--out", str(out_a), "--jobs", "1"])
+    code_a = main(["batch", str(src), "--out", str(out_a)])
     summary_a = capsys.readouterr().out
-    code_b = main(["batch", str(src), "--out", str(out_b), "--jobs", "2"])
+    code_b = main(["batch", str(src), "--out", str(out_b)])
     summary_b = capsys.readouterr().out
 
     # worst severity wins: tree_transfer is inconclusive
@@ -246,6 +246,14 @@ def test_batch_directory(tmp_path, capsys):
     summary = (out_a / "summary.csv").read_text().splitlines()
     assert summary[0] == "scenario,task,status,exit,detail"
     assert len(summary) == 4
+
+
+def test_batch_has_no_jobs_option(tmp_path, capsys):
+    # batch runs one scenario at a time; --jobs is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_batch_duplicate_names(tmp_path, capsys):

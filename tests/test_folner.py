@@ -16,6 +16,7 @@ from coverlab import (
     free_group_action,
     free_quotient_lattice_action,
     lattice_action,
+    orbit_ball,
     search_folner,
     verify_certificate,
 )
@@ -111,6 +112,33 @@ def test_f2_exhausts_with_large_best_ratio():
     rep = search_folner(free_group_action(2), Fraction(3, 10), budget)
     assert rep.outcome == "exhausted"
     assert rep.best_ratio >= Fraction(1, 2)
+
+
+def test_ball_scores_pinned_on_f2():
+    # subset_size_cap=1 leaves only the root after the balls of radius 0..4;
+    # the values were recorded when balls were scored one Fraction per
+    # signed generator, before balls and subsets shared one overlap score
+    act = free_group_action(2)
+    budget = SearchBudget(max_radius=4, subset_size_cap=1, max_subsets=1)
+    rep = search_folner(act, Fraction(1, 2), budget)
+    assert rep.outcome == "exhausted"
+    assert rep.sets_examined == 6
+    assert rep.best_ratio == Fraction(162, 161)
+    assert rep.best_set == orbit_ball(act, act.origin, 4).points
+    assert rep.radius_reached == 4
+
+
+def test_ball_found_permutation_certificate_pinned():
+    # on the 7-cycle the radius-2 ball {5, 6, 0, 1, 2} is the first set
+    # within 1/2; recorded under the same per-generator scoring
+    act = finite_permutation_action([(1, 2, 3, 4, 5, 6, 0)], 7)
+    rep = search_folner(act, Fraction(1, 2))
+    assert rep.outcome == "found"
+    assert rep.sets_examined == 3
+    assert rep.best_ratio == Fraction(2, 5)
+    assert rep.best_set == rep.certificate.members == (0, 1, 2, 5, 6)
+    assert rep.radius_reached == 2
+    assert rep.certificate.per_generator_ratios == {1: Fraction(2, 5), -1: Fraction(2, 5)}
 
 
 def test_folner_sequence_stops_at_first_miss():

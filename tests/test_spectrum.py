@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csc_matrix
 
 from coverlab import (
     BudgetExceededError,
     InequalityViolation,
     InputError,
     WeightedGraph,
+    build_cover,
     corollary_check,
     cycle_graph,
     dirichlet_lambda0,
     dirichlet_profile,
     dirichlet_window,
+    free_group_action,
     grid_torus,
+    lattice_action,
     min_eigenvalue,
     path_graph,
     rayleigh,
@@ -53,6 +57,62 @@ def dense_oracle(graph, V, a):
     return scipy.linalg.eigh(A, M, eigvals_only=True)[0]
 
 
+# The two assemblies min_eigenvalue and dirichlet_window kept before they
+# shared one path, dense branch only (every matrix here is small).  The
+# shared path must reproduce them bit for bit.
+
+
+def edge_list_pair(diag, rows, cols, weights, mu):
+    n = len(diag)
+    d = 1.0 / np.sqrt(mu)
+    diag_s = diag * d * d
+    off_s = weights * d[rows] * d[cols]
+    A = csc_matrix((np.concatenate([off_s, diag_s]),
+                    (np.concatenate([rows, np.arange(n)]),
+                     np.concatenate([cols, np.arange(n)]))), shape=(n, n))
+    vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=[0, 0])
+    y = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    f = d * y
+    if f[int(np.argmax(np.abs(f)))] < 0:
+        f = -f
+    return float(vals[0]), tuple(float(x) for x in f)
+
+
+def edge_list_min_eigenvalue(graph, V, a):
+    n = graph.vertex_count
+    degree = [math.fsum(w for u, v, w in graph.edges if x in (u, v)) for x in range(n)]
+    diag = np.array([degree[v] + a * V[v] * graph.mu[v] for v in range(n)])
+    rows, cols, weights = [], [], []
+    for u, v, w in graph.edges:
+        rows.extend((u, v))
+        cols.extend((v, u))
+        weights.extend((-w, -w))
+    return edge_list_pair(diag, np.array(rows, dtype=int), np.array(cols, dtype=int),
+                          np.array(weights, dtype=float), np.array(graph.mu))
+
+
+def per_point_window(cover, radius, V, a):
+    window = cover.ball(cover.tile(cover.carrier.origin), radius)
+    index = {p: i for i, p in enumerate(window)}
+    diag = np.zeros(len(window))
+    rows, cols, weights = [], [], []
+    for p in window:
+        i = index[p]
+        acc = []
+        for q, w in cover.neighbors(p):
+            acc.append(w)
+            j = index.get(q)
+            if j is not None and j != i:
+                rows.append(i)
+                cols.append(j)
+                weights.append(-w)
+        diag[i] = math.fsum(acc) + a * V[p[0]] * cover.measure(p)
+    mu = np.array([cover.measure(p) for p in window])
+    lam, _f = edge_list_pair(diag, np.array(rows, dtype=int), np.array(cols, dtype=int),
+                             np.array(weights, dtype=float), mu)
+    return lam
+
+
 def test_min_eigenvalue_against_dense_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -63,6 +123,9 @@ def test_min_eigenvalue_against_dense_oracle():
         result = min_eigenvalue(graph, V, a)
         assert result.lambda_min == pytest.approx(dense_oracle(graph, V, a), abs=1e-10)
         assert result.residual <= 1e-9
+        lam, f = edge_list_min_eigenvalue(graph, V, a)
+        assert result.lambda_min == lam
+        assert result.eigenvector == f
 
 
 def test_eigenvector_normalized_and_canonical(triangle):
@@ -102,7 +165,27 @@ def test_trivial_cover_window_is_base_spectrum(trivial_cover):
     window = dirichlet_lambda0(
         trivial_cover, trivial_cover.carrier.origin, 0, V, 1.1
     )
-    assert window == pytest.approx(base, abs=1e-12)
+    assert window == base
+
+
+def test_window_matches_per_point_assembly():
+    # vertex 0 carries 0.1, 0.2 and 0.3, whose plain sum rounds away from
+    # the correctly rounded one, so the diagonal must come from fsum
+    assert 0.1 + 0.2 + 0.3 != math.fsum((0.1, 0.2, 0.3))
+    graph = WeightedGraph(
+        [0.3, 1.7, 0.9, 1.1],
+        [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3), (1, 2, 0.7), (1, 3, 1.1), (2, 3, 1.3)],
+    )
+    V = (0.3, -0.7, 0.1, 0.45)
+    for carrier, voltages in (
+        (lattice_action(1), {(0, 1): (1,), (2, 3): (1,)}),
+        (free_group_action(3), {(1, 2): (1,), (1, 3): (2,), (2, 3): (3,)}),
+    ):
+        cover = build_cover(graph, carrier, voltages)
+        for radius in (0, 2, 5):
+            assert dirichlet_lambda0(cover, carrier.origin, radius, V, 1.3) == (
+                per_point_window(cover, radius, V, 1.3)
+            )
 
 
 def test_window_profile_monotone(triangle_cover):
