@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Iterable
 
 from .actions import GroupAction, boundary, orbit_ball
 from .errors import BudgetExceededError, FolnerVerificationError, InputError
@@ -62,11 +62,15 @@ class FolnerCertificate:
     members: tuple
     epsilon: Fraction
     per_generator_ratios: dict[int, Fraction]
-    boundary_ratio: Fraction
+    boundary_size: int
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def boundary_ratio(self) -> Fraction:
+        return Fraction(self.boundary_size, self.size)
 
     @property
     def max_ratio(self) -> Fraction:
@@ -98,13 +102,12 @@ def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> Folne
     for g in action.generators():
         if ratios[g] > eps:
             raise FolnerVerificationError(g, ratios[g], eps)
-    bdry = boundary(action, E)
     return FolnerCertificate(
         action=action,
         members=tuple(sorted(E, key=action.sort_key)),
         epsilon=eps,
         per_generator_ratios=ratios,
-        boundary_ratio=Fraction(len(bdry), len(E)),
+        boundary_size=len(boundary(action, E)),
     )
 
 

@@ -95,9 +95,6 @@ class WeightedGraph:
     def weighted_degree(self, v: int) -> float:
         return fsum(w for _u, w in self._adjacency[v])
 
-    def total_measure(self) -> float:
-        return fsum(self.mu)
-
 
 def path_graph(n: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:
     if n < 1:
@@ -133,12 +130,10 @@ def grid_torus(rows: int, cols: int, w: float = 1.0, mu: float = 1.0) -> Weighte
 
 
 class Potential:
-    """Vertex potential with its positive/negative part split."""
+    """Vertex potential: one checked finite real per base vertex."""
 
     def __init__(self, values: Sequence):
         self.values = tuple(_check_real(v, f"V[{i}]") for i, v in enumerate(values))
-        self.plus = tuple(max(v, 0.0) for v in self.values)
-        self.minus = tuple(max(-v, 0.0) for v in self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -343,8 +338,7 @@ class VoltageCover:
 
 
 def build_cover(base: WeightedGraph, carrier: GroupAction,
-                voltages: Mapping[tuple[int, int], Iterable[int]],
-                check_connectivity: bool = True) -> VoltageCover:
+                voltages: Mapping[tuple[int, int], Iterable[int]]) -> VoltageCover:
     """Assemble a voltage cover and sanity-check it on a small window.
 
     Voltages are given per base edge (either orientation; the reversed
@@ -376,8 +370,7 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
         if cword:
             canon[(cu, cv)] = cword
     cover = VoltageCover(base, carrier, canon)
-    if check_connectivity:
-        _check_window_connectivity(cover)
+    _check_window_connectivity(cover)
     return cover
 
 

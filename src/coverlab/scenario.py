@@ -27,8 +27,6 @@ from .errors import InputError
 from .folner import SearchBudget, exact_fraction
 from .geometry import VoltageCover, WeightedGraph, build_cover
 
-TASKS = ("folner", "spectrum", "interval", "transfer", "counterexample", "corollary")
-
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
@@ -69,12 +67,6 @@ def _expect_list(node: Any, path: str) -> list:
 def _expect_int(node: Any, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise InputError(f"{path}: expected an integer, got {node!r}")
-    return node
-
-
-def _expect_bool(node: Any, path: str) -> bool:
-    if not isinstance(node, bool):
-        raise InputError(f"{path}: expected true or false, got {node!r}")
     return node
 
 
@@ -205,19 +197,31 @@ def _parse_budget(node: Any, path: str) -> SearchBudget:
     return SearchBudget(**kwargs)
 
 
-def _real_list(node: Any, path: str) -> tuple[float, ...]:
-    items = _expect_list(node, path)
-    if not items:
-        raise InputError(f"{path}: list must be nonempty")
-    return tuple(_expect_real(x, f"{path}[{i}]") for i, x in enumerate(items))
+def _nonempty_list(parse):
+    """Parser for a nonempty list whose items all parse with `parse`."""
+    def parse_list(node: Any, path: str) -> tuple:
+        items = _expect_list(node, path)
+        if not items:
+            raise InputError(f"{path}: list must be nonempty")
+        return tuple(parse(x, f"{path}[{i}]") for i, x in enumerate(items))
+    return parse_list
 
 
-def _int_list(node: Any, path: str) -> tuple[int, ...]:
-    items = _expect_list(node, path)
-    if not items:
-        raise InputError(f"{path}: list must be nonempty")
-    return tuple(_expect_int(x, f"{path}[{i}]") for i, x in enumerate(items))
-
+# every params field with its one parser, shared by all tasks that take
+# it; fields are parsed in this order.  'epsilon' is the one-item form of
+# 'epsilons' and is stored under that key.
+_PARAM_PARSERS = {
+    "epsilon": lambda node, path: (_expect_fraction(node, path),),
+    "epsilons": _nonempty_list(_expect_fraction),
+    "a": _expect_real,
+    "a_samples": _nonempty_list(_expect_real),
+    "alpha": _expect_int,
+    "radius": _expect_int,
+    "radii": _nonempty_list(_expect_int),
+    "max_halvings": _expect_int,
+    "tolerance": _expect_real,
+    "budget": _parse_budget,
+}
 
 _PARAM_FIELDS = {
     "folner": ((), ("epsilon", "epsilons", "budget")),
@@ -227,53 +231,39 @@ _PARAM_FIELDS = {
     "counterexample": (("a", "alpha", "radii"), ("budget",)),
     "corollary": ((), ("a_samples", "tolerance")),
 }
+TASKS = tuple(_PARAM_FIELDS)
 
 
 def _parse_params(task: str, node: Any, path: str) -> dict:
     obj = _expect_dict(node, path) if node is not None else {}
     required, optional = _PARAM_FIELDS[task]
     _check_keys(obj, path, required, optional)
-    out: dict[str, Any] = {}
-    if task == "folner":
-        if ("epsilon" in obj) == ("epsilons" in obj):
-            raise InputError(f"{path}: give exactly one of 'epsilon' or 'epsilons'")
-        if "epsilon" in obj:
-            out["epsilons"] = (_expect_fraction(obj["epsilon"], f"{path}.epsilon"),)
-        else:
-            items = _expect_list(obj["epsilons"], f"{path}.epsilons")
-            if not items:
-                raise InputError(f"{path}.epsilons: list must be nonempty")
-            out["epsilons"] = tuple(
-                _expect_fraction(x, f"{path}.epsilons[{i}]")
-                for i, x in enumerate(items)
-            )
-    if task == "spectrum":
-        out["a_samples"] = _real_list(obj["a_samples"], f"{path}.a_samples")
-        out["radii"] = _int_list(obj["radii"], f"{path}.radii")
-    if task == "interval":
-        out["a_samples"] = _real_list(obj["a_samples"], f"{path}.a_samples")
-        out["radius"] = _expect_int(obj["radius"], f"{path}.radius")
-        if "alpha" in obj:
-            out["alpha"] = _expect_int(obj["alpha"], f"{path}.alpha")
-    if task == "transfer":
-        out["a"] = _expect_real(obj["a"], f"{path}.a")
-        out["alpha"] = _expect_int(obj["alpha"], f"{path}.alpha")
-        if "radius" in obj:
-            out["radius"] = _expect_int(obj["radius"], f"{path}.radius")
-        if "max_halvings" in obj:
-            out["max_halvings"] = _expect_int(obj["max_halvings"], f"{path}.max_halvings")
-    if task == "counterexample":
-        out["a"] = _expect_real(obj["a"], f"{path}.a")
-        out["alpha"] = _expect_int(obj["alpha"], f"{path}.alpha")
-        out["radii"] = _int_list(obj["radii"], f"{path}.radii")
-    if task == "corollary":
-        if "a_samples" in obj:
-            out["a_samples"] = _real_list(obj["a_samples"], f"{path}.a_samples")
-    if "tolerance" in obj:
-        out["tolerance"] = _expect_real(obj["tolerance"], f"{path}.tolerance")
-    if "budget" in obj:
-        out["budget"] = _parse_budget(obj["budget"], f"{path}.budget")
-    return out
+    if task == "folner" and ("epsilon" in obj) == ("epsilons" in obj):
+        raise InputError(f"{path}: give exactly one of 'epsilon' or 'epsilons'")
+    return {
+        "epsilons" if key == "epsilon" else key: parse(obj[key], f"{path}.{key}")
+        for key, parse in _PARAM_PARSERS.items() if key in obj
+    }
+
+
+# every top-level section with its parser, in parse order, and the
+# sections each task reads; a task refuses every other section
+_SECTION_PARSERS = {
+    "base": _parse_base,
+    "potential": _nonempty_list(_expect_real),
+    "fiber": _parse_fiber,
+    "voltages": _parse_voltages,
+}
+
+_COVER_SECTIONS = tuple(_SECTION_PARSERS)
+_TASK_SECTIONS = {
+    "folner": ("fiber",),
+    "spectrum": _COVER_SECTIONS,
+    "interval": _COVER_SECTIONS,
+    "transfer": _COVER_SECTIONS,
+    "counterexample": _COVER_SECTIONS,
+    "corollary": ("base", "potential"),
+}
 
 
 @dataclass
@@ -289,14 +279,10 @@ class Scenario:
     source: str
 
 
-_NEEDS_COVER = ("spectrum", "interval", "transfer", "counterexample")
-
-
 def parse_scenario(obj: Any, source: str = "<memory>") -> Scenario:
     root = _expect_dict(obj, "scenario")
     _reject_raw_floats(root, "scenario")
-    _check_keys(root, "scenario", ("name", "task"),
-                ("seed", "base", "potential", "fiber", "voltages", "params"))
+    _check_keys(root, "scenario", ("name", "task"), ("seed", *_SECTION_PARSERS, "params"))
     name = root["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise InputError(f"scenario.name: {name!r} is not a valid identifier")
@@ -307,38 +293,26 @@ def parse_scenario(obj: Any, source: str = "<memory>") -> Scenario:
     if seed < 0:
         raise InputError(f"scenario.seed: must be nonnegative, got {seed}")
 
-    base = potential = fiber = cover = None
-    if task == "folner":
-        for key in ("base", "potential", "voltages"):
-            if key in root:
-                raise InputError(f"scenario.{key}: not used by the folner task")
-        if "fiber" not in root:
-            raise InputError("scenario.fiber: required for the folner task")
-        fiber = _parse_fiber(root["fiber"], "scenario.fiber")
-    elif task == "corollary":
-        for key in ("fiber", "voltages"):
-            if key in root:
-                raise InputError(f"scenario.{key}: not used by the corollary task")
-        if "base" not in root:
-            raise InputError("scenario.base: required for the corollary task")
-        if "potential" not in root:
-            raise InputError("scenario.potential: required for the corollary task")
-        base = _parse_base(root["base"], "scenario.base")
-        potential = _real_list(root["potential"], "scenario.potential")
-    else:
-        for key in ("base", "potential", "fiber", "voltages"):
-            if key not in root:
-                raise InputError(f"scenario.{key}: required for the {task} task")
-        base = _parse_base(root["base"], "scenario.base")
-        potential = _real_list(root["potential"], "scenario.potential")
-        fiber = _parse_fiber(root["fiber"], "scenario.fiber")
-        voltages = _parse_voltages(root["voltages"], "scenario.voltages")
+    sections = _TASK_SECTIONS[task]
+    for key in _SECTION_PARSERS:
+        if key in root and key not in sections:
+            raise InputError(f"scenario.{key}: not used by the {task} task")
+    for key in sections:
+        if key not in root:
+            raise InputError(f"scenario.{key}: required for the {task} task")
+    parsed = {key: parse(root[key], f"scenario.{key}")
+              for key, parse in _SECTION_PARSERS.items() if key in sections}
+    base = parsed.get("base")
+    potential = parsed.get("potential")
+    fiber = parsed.get("fiber")
+    cover = None
+    if "voltages" in parsed:
         try:
-            cover = build_cover(base, fiber, voltages)
+            cover = build_cover(base, fiber, parsed["voltages"])
         except InputError as exc:
             raise InputError(f"scenario.voltages: {exc}") from None
 
-    if potential is not None and base is not None and len(potential) != base.vertex_count:
+    if potential is not None and len(potential) != base.vertex_count:
         raise InputError(
             f"scenario.potential: length {len(potential)} does not match the "
             f"{base.vertex_count}-vertex base"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import fsum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .actions import GroupAction, boundary
 from .errors import InequalityViolation, InputError
@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .spectrum import (
     SIGN_FLOOR,
-    SpectralResult,
     StabilityInterval,
     WindowValue,
     dirichlet_profile,
@@ -151,14 +150,17 @@ class WitnessReport:
         return self
 
 
-def _base_sums(graph: WeightedGraph, func: CompactFunction, V, a: float):
+def _base_sums(graph: WeightedGraph, func: CompactFunction, V, a: float, alpha: int):
+    """The base sums S_f2, S_df2, S_Vf2, S_neg, then Q_base and the r* bracket."""
     pot = as_potential(V, graph)
     support = sorted(func.support)
     s_f2 = fsum(func(v) ** 2 * graph.mu[v] for v in support)
     s_df2 = fsum(w * (func(u) - func(v)) ** 2 for u, v, w in graph.edges)
     s_vf2 = fsum(pot[v] * func(v) ** 2 * graph.mu[v] for v in support)
     s_neg = fsum(max(0.0, -a * pot[v]) * func(v) ** 2 * graph.mu[v] for v in support)
-    return s_f2, s_df2, s_vf2, s_neg
+    q_base = s_df2 + a * s_vf2
+    bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
+    return s_f2, s_df2, s_vf2, s_neg, q_base, bracket
 
 
 def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
@@ -173,14 +175,12 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     func = base_function(f, graph)
     if func.is_zero():
         raise InputError("required ratio needs a nonzero base function")
-    s_f2, s_df2, s_vf2, s_neg = _base_sums(graph, func, V, a)
-    q_base = s_df2 + a * s_vf2
+    *_, q_base, bracket = _base_sums(graph, func, V, a, alpha)
     if q_base >= 0.0:
         raise InputError(
             f"base energy {q_base!r} is nonnegative; there is no negativity "
             "to transfer"
         )
-    bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
     return -q_base / bracket
 
 
@@ -209,8 +209,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
     term_grad, term_pot = cover_form_parts(cover, V, a, witness)
     q_cover = term_grad + term_pot
 
-    s_f2, s_df2, s_vf2, s_neg = _base_sums(cover.base, func, V, a)
-    q_base = s_df2 + a * s_vf2
+    s_f2, s_df2, s_vf2, s_neg, q_base, bracket = _base_sums(cover.base, func, V, a, alpha)
     c = len(members)
     b = len(xi.collar_tiles)
     bound_grad = (
@@ -219,7 +218,6 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         + c * s_df2
     )
     bound_pot = c * (a * s_vf2) + b * s_neg
-    bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
     final_bound = c * (q_base + (b / c) * bracket)
 
     report = WitnessReport(
@@ -354,6 +352,15 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     )
 
 
+def _check_inclusion(a: float, lam: float, window: WindowValue) -> None:
+    """The easy direction: over a nonnegative base no window may go negative."""
+    if window.value < REFUTE_FLOOR:
+        raise InequalityViolation(
+            f"a={a}: base lambda_min={lam!r} is nonnegative but the "
+            f"radius-{window.radius} window is {window.value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class EasyDirectionRow:
     a: float
@@ -385,11 +392,7 @@ def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
         windows = dirichlet_profile(cover, origin, radii, V, a, seed, max_points)
         if nonneg:
             for win in windows:
-                if win.value < REFUTE_FLOOR:
-                    raise InequalityViolation(
-                        f"a={a}: base lambda_min={lam!r} is nonnegative but "
-                        f"the radius-{win.radius} window is {win.value!r}"
-                    )
+                _check_inclusion(a, lam, win)
         rows.append(EasyDirectionRow(float(a), lam, nonneg, windows))
     return EasyDirectionReport(tuple(rows))
 
@@ -409,7 +412,6 @@ class IntervalSampleRow:
 class IntervalComparisonReport:
     interval: StabilityInterval
     rows: tuple[IntervalSampleRow, ...]
-    inclusion_ok: bool
     equality_evidence: bool
 
 
@@ -430,7 +432,6 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
     interval = stability_interval(cover.base, V, tol=tol, seed=seed)
     origin = cover.carrier.origin
     rows = []
-    inclusion_ok = True
     equality_evidence = True
     for a in a_samples:
         lam = min_eigenvalue(cover.base, V, a, seed=seed).lambda_min
@@ -439,24 +440,20 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
         refuted = window.value < REFUTE_FLOOR
         status = None
         ratio = None
-        if nonneg and refuted:
-            raise InequalityViolation(
-                f"a={a}: base lambda_min={lam!r} is nonnegative but the "
-                f"radius-{window.radius} window is {window.value!r}"
-            )
-        if not nonneg:
-            if alpha is not None:
-                outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
-                status = outcome.status
-                ratio = outcome.best_collar_ratio
-                if not (refuted or outcome.status == "transferred"):
-                    equality_evidence = False
-            elif not refuted:
+        if nonneg:
+            _check_inclusion(a, lam, window)
+        elif alpha is not None:
+            outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
+            status = outcome.status
+            ratio = outcome.best_collar_ratio
+            if not (refuted or outcome.status == "transferred"):
                 equality_evidence = False
+        elif not refuted:
+            equality_evidence = False
         rows.append(IntervalSampleRow(
             float(a), lam, nonneg, window, refuted, status, ratio,
         ))
-    return IntervalComparisonReport(interval, tuple(rows), inclusion_ok, equality_evidence)
+    return IntervalComparisonReport(interval, tuple(rows), equality_evidence)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,25 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from coverlab.cli import main
+from coverlab import (
+    finite_permutation_action,
+    folner_boundary_bound,
+    folner_sequence,
+    free_group_action,
+    free_quotient_lattice_action,
+    lattice_action,
+    orbit_ball,
+    verify_certificate,
+)
+from coverlab.cli import _certificate_payload, main
+from coverlab.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -348,3 +360,50 @@ def test_bundled_report_matches_reference_digest(path):
     )
     assert proc.returncode == entry["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == entry["report_sha256"]
+
+
+def _payload_counts(action, members):
+    cert = verify_certificate(action, members, 2)  # every ratio is at most 2
+    payload = _certificate_payload(cert)
+    return payload["boundary_size"], payload["signed_exit_sum"]
+
+
+def test_bundled_certificate_counts_match_boundary_bound():
+    # the payload reads its counts off the verified certificate; recount
+    # them independently on every certificate the bundled folner runs find
+    checked = 0
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scn = load_scenario(path)
+        if scn.task != "folner":
+            continue
+        result = folner_sequence(scn.fiber, scn.params["epsilons"], scn.params.get("budget"))
+        for cert in result.certificates:
+            payload = _certificate_payload(cert)
+            assert (payload["boundary_size"], payload["signed_exit_sum"]) == \
+                folner_boundary_bound(scn.fiber, cert.members)
+            checked += 1
+    assert checked == 3
+
+
+CERTIFICATE_FAMILIES = {
+    "Z1": lattice_action(1),
+    "Z2": lattice_action(2),
+    "Z3": lattice_action(3),
+    "quotient-repeated": free_quotient_lattice_action([(1, 0), (1, 0), (0, 1)]),
+    "quotient-zero": free_quotient_lattice_action([(1,), (0,)]),
+    "permutation-fixed-points": finite_permutation_action(
+        [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)], 6),
+    "F2": free_group_action(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_FAMILIES))
+def test_certificate_counts_match_boundary_bound(name):
+    action = CERTIFICATE_FAMILIES[name]
+    rng = random.Random(5)
+    sets = [orbit_ball(action, action.origin, r).points for r in range(4)]
+    pool = sets[-1]
+    for _ in range(10):
+        sets.append(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
+    for members in sets:
+        assert _payload_counts(action, members) == folner_boundary_bound(action, members)

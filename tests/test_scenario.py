@@ -264,3 +264,143 @@ def test_bundled_scenarios_parse():
     for path in bundled:
         scn = load_scenario(path)
         assert scn.name == path.stem
+
+
+DROP = object()
+TRIANGLE = minimal_transfer()["base"]
+DEFAULT_PARAMS = {
+    "folner": {"epsilon": "0.1", "budget": {"max_points": 10}},
+    "spectrum": {"a_samples": ["1"], "radii": [1]},
+    "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2,
+                 "tolerance": "1e-6", "budget": {"max_points": 10}},
+    "transfer": {"a": "1", "alpha": 2, "radius": 1,
+                 "budget": {"max_points": 10}, "max_halvings": 1},
+    "counterexample": {"a": "1", "alpha": 2, "radii": [1],
+                       "budget": {"max_points": 10}},
+    "corollary": {"a_samples": ["1"], "tolerance": "1e-6"},
+}
+
+
+def valid_scenario(task):
+    """A scenario of the task with every section and params field it takes."""
+    obj = {"name": "s", "task": task}
+    if task != "folner":
+        obj["base"] = TRIANGLE
+        obj["potential"] = ["-0.05", "-0.05", "-0.05"]
+    if task != "corollary":
+        obj["fiber"] = {"kind": "lattice", "dimension": 1}
+    if task not in ("folner", "corollary"):
+        obj["voltages"] = [[0, 1, [1]]]
+    obj["params"] = json.loads(json.dumps(DEFAULT_PARAMS[task]))
+    return obj
+
+
+@pytest.mark.parametrize("task", sorted(DEFAULT_PARAMS))
+def test_valid_scenario_parses(task):
+    assert parse_scenario(valid_scenario(task)).task == task
+
+
+# (task, params field, bad value, exact message); messages recorded on the
+# per-task parser that the field table replaced
+PARAM_FAULTS = [
+    ("folner", "epsilon", "1/0", "scenario.params.epsilon: '1/0' is not a decimal number"),
+    ("folner", "epsilon", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
+    ("folner", "epsilons", ["0.1"], "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
+    ("folner", "budget", {"max_points": 0},
+     "scenario.params.budget.max_points: must be at least 1, got 0"),
+    ("spectrum", "a_samples", [], "scenario.params.a_samples: list must be nonempty"),
+    ("spectrum", "radii", ["1"], "scenario.params.radii[0]: expected an integer, got '1'"),
+    ("spectrum", "radii", DROP, "scenario.params: missing required field 'radii'"),
+    ("interval", "a_samples", ["1", 2],
+     'scenario.params.a_samples[1]: reals must be decimal strings like "2", got 2'),
+    ("interval", "radius", "1", "scenario.params.radius: expected an integer, got '1'"),
+    ("interval", "alpha", True, "scenario.params.alpha: expected an integer, got True"),
+    ("interval", "tolerance", 1,
+     'scenario.params.tolerance: reals must be decimal strings like "1", got 1'),
+    ("interval", "budget", [], "scenario.params.budget: expected an object, got list"),
+    ("transfer", "a", 1, 'scenario.params.a: reals must be decimal strings like "1", got 1'),
+    ("transfer", "a", DROP, "scenario.params: missing required field 'a'"),
+    ("transfer", "alpha", "2", "scenario.params.alpha: expected an integer, got '2'"),
+    ("transfer", "radius", 1.5, "scenario.params.radius: expected an integer, got 1.5"),
+    ("transfer", "max_halvings", "1",
+     "scenario.params.max_halvings: expected an integer, got '1'"),
+    ("transfer", "budget", {"max_subsets": "3"},
+     "scenario.params.budget.max_subsets: expected an integer, got '3'"),
+    ("counterexample", "a", "one", "scenario.params.a: 'one' is not a decimal number"),
+    ("counterexample", "alpha", None, "scenario.params.alpha: expected an integer, got None"),
+    ("counterexample", "radii", 3, "scenario.params.radii: expected a list, got int"),
+    ("counterexample", "budget", {"depth": 1}, "scenario.params.budget: unknown field 'depth'"),
+    ("corollary", "a_samples", "1", "scenario.params.a_samples: expected a list, got str"),
+    ("corollary", "tolerance", [1],
+     "scenario.params.tolerance: expected a decimal string, got [1]"),
+    ("corollary", "radius", 1, "scenario.params: unknown field 'radius'"),
+]
+
+# the folner epsilon list, given on its own
+EPSILONS_FAULTS = [
+    ([], "scenario.params.epsilons: list must be nonempty"),
+    (["0.1", 1], 'scenario.params.epsilons[1]: reals must be decimal strings like "1", got 1'),
+    (["0.1", "x"], "scenario.params.epsilons[1]: 'x' is not a decimal number"),
+    ("0.1", "scenario.params.epsilons: expected a list, got str"),
+]
+
+# (task, top-level section, bad value, exact message)
+SECTION_FAULTS = [
+    ("spectrum", "base", {"mu": ["1"]}, "scenario.base: missing required field 'edges'"),
+    ("spectrum", "potential", ["1", "x", "1"],
+     "scenario.potential[1]: 'x' is not a decimal number"),
+    ("spectrum", "fiber", {"kind": "torus"},
+     "scenario.fiber.kind: expected one of lattice, free_group, finite_permutation, "
+     "quotient; got 'torus'"),
+    ("spectrum", "voltages", {"0": 1}, "scenario.voltages: expected a list, got dict"),
+    ("interval", "voltages", DROP, "scenario.voltages: required for the interval task"),
+    ("transfer", "fiber", DROP, "scenario.fiber: required for the transfer task"),
+    ("counterexample", "base", DROP, "scenario.base: required for the counterexample task"),
+    ("counterexample", "potential", DROP,
+     "scenario.potential: required for the counterexample task"),
+    ("corollary", "potential", [], "scenario.potential: list must be nonempty"),
+    ("corollary", "base", DROP, "scenario.base: required for the corollary task"),
+    ("corollary", "potential", DROP, "scenario.potential: required for the corollary task"),
+    ("corollary", "fiber", {"kind": "lattice", "dimension": 1},
+     "scenario.fiber: not used by the corollary task"),
+    ("corollary", "voltages", [], "scenario.voltages: not used by the corollary task"),
+    ("folner", "fiber", DROP, "scenario.fiber: required for the folner task"),
+    ("folner", "base", TRIANGLE, "scenario.base: not used by the folner task"),
+    ("folner", "potential", ["1"], "scenario.potential: not used by the folner task"),
+    ("folner", "voltages", [], "scenario.voltages: not used by the folner task"),
+    ("folner", "params", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
+]
+
+
+def _set(node, key, value):
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+
+
+def _message(obj):
+    with pytest.raises(InputError) as info:
+        parse_scenario(obj)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("task, key, value, message", PARAM_FAULTS)
+def test_param_fault_message(task, key, value, message):
+    obj = valid_scenario(task)
+    _set(obj["params"], key, value)
+    assert _message(obj) == message
+
+
+@pytest.mark.parametrize("value, message", EPSILONS_FAULTS)
+def test_epsilons_fault_message(value, message):
+    obj = valid_scenario("folner")
+    obj["params"] = {"epsilons": value}
+    assert _message(obj) == message
+
+
+@pytest.mark.parametrize("task, key, value, message", SECTION_FAULTS)
+def test_section_fault_message(task, key, value, message):
+    obj = valid_scenario(task)
+    _set(obj, key, value)
+    assert _message(obj) == message

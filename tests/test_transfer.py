@@ -1,6 +1,9 @@
 """Witness construction and two-sided transfer checks."""
 
+import dataclasses
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from coverlab import (
     search_folner,
     transfer_negativity,
 )
+from coverlab.cli import main
 
 FLAT_V3 = (-0.05, -0.05, -0.05)
 FLAT_V4 = (-0.1, -0.1, -0.1, -0.1)
@@ -200,9 +204,53 @@ def test_interval_comparison_balanced(triangle_cover):
     )
     assert abs(report.interval.lower) <= 1e-6
     assert abs(report.interval.upper) <= 1e-6
-    assert report.inclusion_ok
     assert report.equality_evidence
     by_a = {row.a: row for row in report.rows}
     assert by_a[0.0].base_nonnegative
     assert by_a[1.0].transfer_status == "transferred"
     assert by_a[-1.0].transfer_status == "transferred"
+
+
+def sink_windows(monkeypatch):
+    """Make every Dirichlet window the transfer checks read come back -1e-6."""
+    def sunk(win):
+        return dataclasses.replace(win, value=-1e-6)
+
+    window, profile = transfer.dirichlet_window, transfer.dirichlet_profile
+    monkeypatch.setattr(transfer, "dirichlet_window",
+                        lambda *args, **kwargs: sunk(window(*args, **kwargs)))
+    monkeypatch.setattr(transfer, "dirichlet_profile",
+                        lambda *args, **kwargs: tuple(sunk(w) for w in profile(*args, **kwargs)))
+
+
+INCLUSION_BREACH = r"^a=1\.0: base lambda_min=\S+ is nonnegative but the radius-{} window is -1e-06$"
+
+
+def test_easy_direction_raises_on_negative_window(triangle_cover, monkeypatch):
+    sink_windows(monkeypatch)
+    with pytest.raises(InequalityViolation, match=INCLUSION_BREACH.format(0)):
+        easy_direction_check(triangle_cover, (0.1, 0.1, 0.1), a_samples=(1.0,), radii=(0, 3))
+
+
+def test_interval_comparison_raises_on_negative_window(triangle_cover, monkeypatch):
+    sink_windows(monkeypatch)
+    with pytest.raises(InequalityViolation, match=INCLUSION_BREACH.format(3)):
+        interval_comparison(triangle_cover, (0.1, 0.1, 0.1), a_samples=(1.0,), radius=3)
+
+
+def test_counterexample_raises_on_negative_window(tree_cover, monkeypatch):
+    sink_windows(monkeypatch)
+    budget = SearchBudget(max_radius=2, subset_size_cap=6, max_subsets=200)
+    with pytest.raises(InequalityViolation,
+                       match=r"^radius-0 window is -1e-06 < 0; the cover is negative after all$"):
+        counterexample_check(tree_cover, FLAT_V4, 1.0, alpha=4, radii=(0, 2), budget=budget)
+
+
+def test_cli_spectrum_negative_window_exit_2(monkeypatch, capsys):
+    sink_windows(monkeypatch)
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "k4_tree_spectrum.json"
+    code = main(["run", str(path), "--radius", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "violation"
+    assert "is nonnegative but the radius-1 window is -1e-06" in report["outcome"]["error"]
