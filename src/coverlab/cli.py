@@ -389,13 +389,16 @@ _HANDLERS = {
 }
 
 
-def _apply_radius(scn: Scenario, radius: Optional[int]) -> None:
+def _apply_radius(scn: Scenario, radius: Optional[int]) -> Scenario:
+    """The scenario with its radius or radii replaced; scn is left as it is."""
     if radius is None:
-        return
-    if "radius" in scn.params:
-        scn.params["radius"] = radius
-    if "radii" in scn.params:
-        scn.params["radii"] = (radius,)
+        return scn
+    params = dict(scn.params)
+    if "radius" in params:
+        params["radius"] = radius
+    if "radii" in params:
+        params["radii"] = (radius,)
+    return replace(scn, params=params)
 
 
 def execute_scenario(scn: Scenario, seed_override: Optional[int] = None,
@@ -408,7 +411,7 @@ def execute_scenario(scn: Scenario, seed_override: Optional[int] = None,
     """
     seed = scn.seed if seed_override is None else seed_override
     budget = _scenario_budget(scn, budget_override)
-    _apply_radius(scn, radius_override)
+    scn = _apply_radius(scn, radius_override)
     handler = _HANDLERS[scn.task]
     columns: list[str] = []
     rows: list[list] = []

@@ -8,11 +8,15 @@ actions only), orbit balls of growing radius, and finally a truncated
 enumeration of connected subsets, reporting the best ratio seen when no
 certificate exists within budget.
 
-The enumeration runs on an explicit stack and carries each subset's
-per-generator overlap counts as it grows, so a subset is scored in
-integers from O(#generators) probes; orbit balls are scored by the
-same counts.  Whatever set the search returns as a certificate is
-re-checked from scratch by verify_certificate, independently of them.
+The box is built one generator line at a time: each layer's points are
+grouped by their coset of Z v and every point of the swept lines is
+built once, so its cost is the size of its image.  The enumeration
+runs on an explicit stack and carries each subset's per-generator
+overlap counts as it grows, so a subset is scored in integers from
+O(#generators) probes; orbit balls are scored by the same counts.
+Whatever set the search returns as a certificate is re-checked from
+scratch by verify_certificate, independently of them, in one pass that
+moves each point by each signed generator once.
 """
 
 from __future__ import annotations
@@ -77,37 +81,45 @@ class FolnerCertificate:
         return max(self.per_generator_ratios.values(), default=Fraction(0))
 
 
-def generator_ratio(action: GroupAction, members: frozenset, g: int) -> Fraction:
-    """Exact |E symdiff gE| / |E| for one signed generator."""
-    if not members:
-        raise InputError("ratios of the empty set are undefined")
-    # y lies in E intersect gE iff y in E and g^{-1} y in E
-    overlap = sum(1 for y in members if action.apply_fn(-g, y) in members)
-    return Fraction(2 * (len(members) - overlap), len(members))
-
-
 def set_ratios(action: GroupAction, members: Iterable) -> dict[int, Fraction]:
-    """Exact ratios for every signed generator, computed independently."""
+    """Exact |E symdiff gE| / |E| for every signed generator, computed independently."""
     E = frozenset(members)
-    return {g: generator_ratio(action, E, g) for g in action.generators()}
+    if not E:
+        raise InputError("ratios of the empty set are undefined")
+    ratios = {}
+    for g in action.generators():
+        # y lies in E intersect gE iff y in E and g^{-1} y in E
+        overlap = sum(1 for y in E if action.apply_fn(-g, y) in E)
+        ratios[g] = Fraction(2 * (len(E) - overlap), len(E))
+    return ratios
 
 
 def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> FolnerCertificate:
-    """Check the Folner condition exactly, or raise on the worst violation."""
+    """Check the Folner condition exactly, or raise on the first violation.
+
+    One probe pass, independent of anything the search carried: every
+    point of E is moved by every signed generator exactly once.  The
+    points that -g moves out of E number |E \\ gE| = |E symdiff gE| / 2,
+    and a point is on the boundary when some generator moves it out.
+    Generators are checked in order, so the error names the first one
+    over epsilon.
+    """
     eps = exact_fraction(epsilon)
     E = frozenset(members)
     if not E:
         raise InputError("a Folner set must be nonempty")
-    ratios = set_ratios(action, E)
-    for g in action.generators():
-        if ratios[g] > eps:
-            raise FolnerVerificationError(g, ratios[g], eps)
+    apply_fn = action.apply_fn
+    exits = {g: {x for x in E if apply_fn(g, x) not in E} for g in action.generators()}
+    ratios = {g: Fraction(2 * len(exits[-g]), len(E)) for g in exits}
+    for g, ratio in ratios.items():
+        if ratio > eps:
+            raise FolnerVerificationError(g, ratio, eps)
     return FolnerCertificate(
         action=action,
         members=tuple(sorted(E, key=action.sort_key)),
         epsilon=eps,
         per_generator_ratios=ratios,
-        boundary_size=len(boundary(action, E)),
+        boundary_size=len(set().union(*exits.values())),
     )
 
 
@@ -142,7 +154,7 @@ class SearchReport:
 # strategy 1: boxes for translation actions
 
 
-def _translate(point: tuple, vector: tuple[int, ...], times: int = 1) -> tuple:
+def _translate(point: tuple, vector: tuple[int, ...], times: int) -> tuple:
     return tuple(c + times * d for c, d in zip(point, vector))
 
 
@@ -163,37 +175,53 @@ def translation_box(action: GroupAction, side: int,
                     max_points: int | None = None) -> frozenset:
     """Image of the coordinate box [0, side)^n under the translation map.
 
-    Built incrementally one generator direction at a time so degenerate
-    vector families (repeated or zero vectors) cost only the size of the
-    true image, never side**n.  Aborts with BudgetExceededError as soon
-    as the partial image outgrows max_points.  When the nonzero vectors
-    are linearly independent the image has exactly side**m points, so
-    an oversized box is refused before any point is built.
+    Built one layer per nonzero vector v: the layer is the previous one
+    swept by 0..side-1 steps of v.  Its points are grouped into lines,
+    the cosets of Z v, each keyed by its point x - q v with
+    q = x[i] // v[i] at the first nonzero entry v[i].  On a line the
+    runs [q, q + side) are merged and every point of their union is
+    built once, so degenerate families (repeated, zero or non-primitive
+    vectors) cost the size of the true image, never side**n.
+
+    A layer whose merged runs exceed max_points is refused with
+    BudgetExceededError before it is built; partial_count is its size.
+    When the nonzero vectors are linearly independent the image has
+    exactly side**m points, so an oversized box is refused before any
+    point is built.
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     if side < 1:
         raise InputError(f"box side must be >= 1, got {side}")
     moving = [v for v in action.translation_vectors if any(v)]
+    refusal = f"translation box of side {side} exceeds {max_points} points"
     if (max_points is not None and side ** len(moving) > max_points
             and _rank(moving) == len(moving)):
-        raise BudgetExceededError(
-            f"translation box of side {side} exceeds {max_points} points",
-            partial_count=0,
-        )
-    points: set = {action.origin}
+        raise BudgetExceededError(refusal, partial_count=0)
+    points = [action.origin]
+    if side == 1:
+        # nothing is swept, so no layer can outgrow the budget
+        return frozenset(points)
     for vector in moving:
-        layer = set(points)
-        acc = set(points)
-        for _ in range(side - 1):
-            layer = {_translate(x, vector) for x in layer}
-            acc |= layer
-            if max_points is not None and len(acc) > max_points:
-                raise BudgetExceededError(
-                    f"translation box of side {side} exceeds {max_points} points",
-                    partial_count=len(acc),
-                )
-        points = acc
+        i = next(j for j, c in enumerate(vector) if c)
+        lines: dict = {}
+        for x in points:
+            q = x[i] // vector[i]
+            lines.setdefault(_translate(x, vector, -q), []).append(q)
+        runs = []
+        for anchor, qs in lines.items():
+            qs.sort()
+            lo, hi = qs[0], qs[0] + side
+            for q in qs:
+                if q > hi:
+                    runs.append((anchor, lo, hi))
+                    lo = q
+                hi = q + side
+            runs.append((anchor, lo, hi))
+        size = sum(hi - lo for _anchor, lo, hi in runs)
+        if max_points is not None and size > max_points:
+            raise BudgetExceededError(refusal, partial_count=size)
+        points = [_translate(anchor, vector, t) for anchor, lo, hi in runs for t in range(lo, hi)]
     return frozenset(points)
 
 

@@ -17,10 +17,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
-from .actions import GroupAction, net_displacement, word_action
+from .actions import GroupAction, finite_permutation_action, net_displacement, word_action
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_WINDOW_BUDGET = 10**6
@@ -94,6 +95,15 @@ class WeightedGraph:
 
     def weighted_degree(self, v: int) -> float:
         return fsum(w for _u, w in self._adjacency[v])
+
+    @cached_property
+    def trivial_cover(self) -> VoltageCover:
+        """The graph as its own cover: one tile over a one-point fiber.
+
+        Built on first read and kept, so every solve on this graph (a
+        stability-interval bisection makes about forty) shares it.
+        """
+        return VoltageCover(self, finite_permutation_action((), 1), {})
 
 
 def path_graph(n: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:

@@ -18,7 +18,6 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
-from .actions import finite_permutation_action
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import (
     DEFAULT_WINDOW_BUDGET,
@@ -121,7 +120,7 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float,
             f"graph has {n} vertices, above the eigensolve budget {size_limit}",
             partial_count=n,
         )
-    trivial = VoltageCover(graph, finite_permutation_action((), 1), {})
+    trivial = graph.trivial_cover
     lam, f, residual = _smallest_pair(trivial, trivial.tile(0), V, a, seed)
     return SpectralResult(lam, tuple(float(x) for x in f), residual)
 

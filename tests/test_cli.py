@@ -21,7 +21,7 @@ from coverlab import (
     orbit_ball,
     verify_certificate,
 )
-from coverlab.cli import _certificate_payload, main
+from coverlab.cli import _certificate_payload, execute_scenario, main
 from coverlab.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -231,6 +231,19 @@ def test_radius_override_collapses_profile(capsys):
     rows = report["outcome"]["rows"]
     for row in rows:
         assert [w["radius"] for w in row["windows"]] == [1]
+
+
+def test_radius_override_leaves_scenario_unchanged():
+    scn = load_scenario(SCENARIOS / "k4_tree_spectrum.json")
+    params = dict(scn.params)
+    overridden = execute_scenario(scn, radius_override=1)[0]
+    plain = execute_scenario(scn)[0]
+    assert scn.params == params
+    assert len(overridden["outcome"]["rows"]) == len(plain["outcome"]["rows"]) == 4
+    for row in overridden["outcome"]["rows"]:
+        assert [w["radius"] for w in row["windows"]] == [1]
+    for row in plain["outcome"]["rows"]:
+        assert [w["radius"] for w in row["windows"]] == [0, 1, 2, 3, 4]
 
 
 def test_batch_directory(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Folner machinery: exact ratios, searches, budgets, sequences."""
 
+import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from coverlab import (
     FolnerVerificationError,
     InputError,
     SearchBudget,
+    boundary,
     exact_fraction,
     finite_permutation_action,
     folner_boundary_bound,
@@ -252,3 +256,122 @@ def test_degenerate_box_keeps_its_true_image():
     assert translation_box(action, side, len(image)) == image
     with pytest.raises(BudgetExceededError):
         translation_box(action, side, len(image) - 1)
+
+
+def layered_box(action, side, max_points):
+    # the box as it was first built: each layer swept one step at a time,
+    # translating the whole partial image per step
+    moving = [v for v in action.translation_vectors if any(v)]
+    if side ** len(moving) > max_points and folner._rank(moving) == len(moving):
+        raise BudgetExceededError("refused before it is built", partial_count=0)
+    points = {action.origin}
+    for vector in moving:
+        layer = set(points)
+        acc = set(points)
+        for _ in range(side - 1):
+            layer = {tuple(c + d for c, d in zip(x, vector)) for x in layer}
+            acc |= layer
+            if len(acc) > max_points:
+                raise BudgetExceededError("over budget", partial_count=len(acc))
+        points = acc
+    return frozenset(points)
+
+
+def box_families():
+    # zero, repeated, negative and non-primitive vectors in Z^1..Z^3
+    families = [
+        [(2,)], [(-3,), (2,), (0,)], [(2, 0)], [(2, 0), (2, 4), (-3, 3)],
+        [(1, 0), (1, 0), (0, 0), (-1, 2)], [(1, 1, 0), (0, 2, -2), (1, 3, -2), (0, 0, 0)],
+    ]
+    rng = random.Random(20)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        vectors = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if vectors and roll < 0.2:
+                vectors.append(rng.choice(vectors))
+            elif roll < 0.3:
+                vectors.append((0,) * dim)
+            elif vectors and roll < 0.45:
+                k = rng.choice((-3, -2, -1, 2, 3))
+                vectors.append(tuple(k * c for c in rng.choice(vectors)))
+            else:
+                vectors.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+        families.append(vectors)
+    return families
+
+
+def test_box_matches_layered_construction():
+    for vectors in box_families():
+        action = free_quotient_lattice_action(vectors)
+        moving = [v for v in vectors if any(v)]
+        independent = folner._rank(moving) == len(moving)
+        for side in range(1, 8):
+            image = layered_box(action, side, 10**9)
+            assert translation_box(action, side) == image, (vectors, side)
+            assert translation_box(action, side, len(image)) == image
+            try:
+                layered_box(action, side, len(image) - 1)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError) as info:
+                    translation_box(action, side, len(image) - 1)
+                # every layer outgrows the last, so only the full one is refused
+                assert info.value.partial_count == (0 if independent else len(image))
+            else:
+                assert translation_box(action, side, len(image) - 1) == image
+
+
+def verifier_sets():
+    rng = random.Random(5)
+    sets = []
+    for dim in (1, 2, 3):
+        act = lattice_action(dim)
+        sets.append((act, translation_box(act, 4)))
+        sets.append((act, orbit_ball(act, act.origin, 3).point_set()))
+        for _ in range(6):
+            sets.append((act, {tuple(rng.randrange(-3, 4) for _ in range(dim))
+                               for _ in range(rng.randrange(1, 30))}))
+    # the zero vector makes generator 2 fix every point
+    quotient = free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)])
+    sets.append((quotient, translation_box(quotient, 5)))
+    sets.append((quotient, orbit_ball(quotient, quotient.origin, 2).point_set()))
+    sets.append((quotient, {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(20)}))
+    # generator 2 fixes 0, 1 and 2; generator 3 is the identity
+    perm = finite_permutation_action([(1, 2, 3, 4, 0), (0, 1, 2, 4, 3), (0, 1, 2, 3, 4)], 5)
+    sets += [(perm, {0}), (perm, {0, 1, 3}), (perm, {3, 4}), (perm, set(range(5)))]
+    f2 = free_group_action(2)
+    ball = orbit_ball(f2, f2.origin, 3).points
+    sets += [(f2, orbit_ball(f2, f2.origin, r).point_set()) for r in range(4)]
+    sets += [(f2, set(rng.sample(ball, rng.randrange(1, 20)))) for _ in range(5)]
+    return sets
+
+
+def test_verifier_matches_independent_oracles():
+    for action, members in verifier_sets():
+        E = frozenset(members)
+        probes = Counter()
+
+        def counting(g, x, apply_fn=action.apply_fn):
+            probes[g] += 1
+            return apply_fn(g, x)
+
+        cert = verify_certificate(dataclasses.replace(action, apply_fn=counting), E, 2)
+        # one pass: every signed generator moves every point exactly once
+        assert probes == {g: len(E) for g in action.generators()}
+        assert cert.per_generator_ratios == set_ratios(action, E)
+        assert cert.boundary_size == len(boundary(action, E))
+
+
+@pytest.mark.parametrize("dim, epsilon, generator, ratio", [
+    (2, Fraction(1, 2), 1, Fraction(2, 3)),
+    (3, Fraction(1), 2, Fraction(2)),
+])
+def test_verifier_names_first_failing_generator(dim, epsilon, generator, ratio):
+    # a segment along the first axis fails two generators at epsilon 1/2
+    # (1, then the worse 2) and two at epsilon 1 (2 and 3); the first in
+    # generator order is named, as before verification took one pass
+    segment = [(k,) + (0,) * (dim - 1) for k in range(3)]
+    with pytest.raises(FolnerVerificationError) as err:
+        verify_certificate(lattice_action(dim), segment, epsilon)
+    assert (err.value.generator, err.value.ratio) == (generator, ratio)
