@@ -199,9 +199,6 @@ def translation_box(action: GroupAction, side: int,
             and _rank(moving) == len(moving)):
         raise BudgetExceededError(refusal, partial_count=0)
     points = [action.origin]
-    if side == 1:
-        # nothing is swept, so no layer can outgrow the budget
-        return frozenset(points)
     for vector in moving:
         i = next(j for j, c in enumerate(vector) if c)
         lines: dict = {}

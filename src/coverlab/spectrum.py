@@ -31,11 +31,18 @@ from .geometry import (
 
 DENSE_LIMIT = 2000
 DEFAULT_SIZE_LIMIT = 5000
-RESIDUAL_TOLERANCE = 1e-9
 
+# Tolerances, all in one place (docs/schema.md lists them).
+# largest entry of the normalized residual A y - lambda y an eigensolve
+# may leave before its pair is rejected as unconverged
+RESIDUAL_TOLERANCE = 1e-9
 # sign threshold for classifying an eigenvalue as nonnegative: well above
 # solver noise, far below any honest spectral quantity in these scenarios
 SIGN_FLOOR = 1e-12
+# mixed absolute and relative slack of each witness audit inequality
+AUDIT_TOLERANCE = 1e-12
+# a Dirichlet window refutes cover positivity only below this noise floor
+REFUTE_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ is trusted from the derivation alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import fsum
 from typing import Optional, Sequence
 
@@ -32,6 +31,8 @@ from .geometry import (
     cutoff,
 )
 from .spectrum import (
+    AUDIT_TOLERANCE,
+    REFUTE_FLOOR,
     SIGN_FLOOR,
     StabilityInterval,
     WindowValue,
@@ -40,9 +41,6 @@ from .spectrum import (
     min_eigenvalue,
     stability_interval,
 )
-
-AUDIT_TOLERANCE = 1e-12
-REFUTE_FLOOR = -1e-9
 
 
 def _leq(x: float, y: float) -> bool:
@@ -68,14 +66,15 @@ def _boundary_ball(action: GroupAction, members: Sequence, alpha: int) -> int:
     return len(seen)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessReport:
     """Audit trail for one tapered lift xi * f.
 
     c counts member tiles, b counts collar tiles (both sides of the
-    taper).  Every term_* is recomputed from the witness function
-    itself; every bound_* comes from the base sums alone, so verify()
-    confronts the two derivations at each step.
+    taper), and collar_ball_bound is the size of the radius-alpha ball
+    around the members' inner boundary.  Every term_* is recomputed from
+    the witness function itself; every bound_* comes from the base sums
+    alone, so verify() confronts the two derivations at each step.
     """
 
     c: int
@@ -84,7 +83,7 @@ class WitnessReport:
     epsilon_used: Optional[Fraction]
     members: tuple
     collar_tiles: frozenset
-    fiber_action: GroupAction = field(repr=False, compare=False)
+    collar_ball_bound: int
     base_f2: float
     base_df2: float
     base_Vf2: float
@@ -96,21 +95,10 @@ class WitnessReport:
     term_pot: float
     bound_pot: float
     final_bound: float
-    verified: bool = field(default=False)
 
     @property
     def collar_ratio(self) -> Fraction:
         return Fraction(self.b, self.c)
-
-    @cached_property
-    def collar_ball_bound(self) -> int:
-        """Size of the radius-alpha ball around the members' inner boundary.
-
-        Computed on first read: only verify() and the transfer report
-        need it, and on a large diagnostic set it costs more than the
-        rest of the witness together.
-        """
-        return _boundary_ball(self.fiber_action, self.members, self.alpha)
 
     def verify(self) -> "WitnessReport":
         """Re-check every inequality in the chain; raise on any breach."""
@@ -146,7 +134,6 @@ class WitnessReport:
                 f"final bound {self.final_bound!r} disagrees with the split "
                 f"form {split!r}"
             )
-        self.verified = True
         return self
 
 
@@ -184,15 +171,14 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     return -q_base / bracket
 
 
-def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
-                  verify: bool = True) -> tuple[CompactFunction, WitnessReport]:
-    """Tapered lift of f over a Folner set, with its full audit report.
+def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V,
+                  a: float) -> tuple[CompactFunction, WitnessReport]:
+    """Tapered lift of f over a Folner set, with its verified audit report.
 
     folner_set is a FolnerCertificate or a bare iterable of fiber
-    points.  With verify=True (the default on the transfer path) the
-    report's inequality chain is checked immediately; verify=False is
-    for diagnostic witnesses over sets that never certified, where the
-    chain has no reason to hold.
+    points.  The report's inequality chain is checked before it is
+    returned, so every report that leaves here is verified; a breach
+    raises InequalityViolation.
     """
     if isinstance(folner_set, FolnerCertificate):
         members = folner_set.members
@@ -227,7 +213,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         epsilon_used=epsilon_used,
         members=members,
         collar_tiles=xi.collar_tiles,
-        fiber_action=cover.fiber_action,
+        collar_ball_bound=_boundary_ball(cover.fiber_action, members, alpha),
         base_f2=s_f2,
         base_df2=s_df2,
         base_Vf2=s_vf2,
@@ -240,9 +226,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V, a: float,
         bound_pot=bound_pot,
         final_bound=final_bound,
     )
-    if verify:
-        report.verify()
-    return witness, report
+    return witness, report.verify()
 
 
 @dataclass(frozen=True)
@@ -272,6 +256,10 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     collar ratio still lands at or above r*.  Success requires the
     audited witness energy to be strictly negative; anything else on a
     sub-r* ratio is raised as a violation, not smoothed over.
+
+    Witnesses are built only over certificates.  When the search
+    exhausts before any certificate, the best set's collar ratio b/c is
+    counted from its cutoff alone and report is None.
     """
     base = cover.base
     sr = min_eigenvalue(base, V, a, seed=seed)
@@ -320,15 +308,11 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
             )
         eps = eps / 2
 
-    diagnostic: Optional[WitnessReport] = None
-    if not attempts and exhausted is not None and exhausted.best_set:
-        _w, diagnostic = build_witness(
-            cover, f, exhausted.best_set, alpha, V, a, verify=False
-        )
-    candidates = [w.collar_ratio for w in attempts]
-    if diagnostic is not None:
-        candidates.append(diagnostic.collar_ratio)
-    best = min(candidates) if candidates else None
+    best = min((w.collar_ratio for w in attempts), default=None)
+    if best is None and exhausted is not None and exhausted.best_set:
+        # no certificate to build a witness over: count b/c from the cutoff
+        xi = cutoff(cover, exhausted.best_set, alpha)
+        best = Fraction(len(xi.collar_tiles), len(xi.members))
     if exhausted is not None:
         detail = "the Folner search exhausted its budget"
     else:
@@ -341,7 +325,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
         epsilon_first=epsilon_first,
         epsilon_used=None,
         witness=None,
-        report=attempts[-1] if attempts else diagnostic,
+        report=attempts[-1] if attempts else None,
         attempts=tuple(attempts),
         best_collar_ratio=best,
         search_exhausted=exhausted,

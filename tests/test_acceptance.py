@@ -121,7 +121,7 @@ def test_criterion_1_randomized_witness_audit():
     failures = []
     for i in range(100):
         cover, f, cert, alpha, V, a = random_small_cover(rng)
-        _witness, rep = build_witness(cover, f, cert, alpha, V, a, verify=False)
+        _witness, rep = build_witness(cover, f, cert, alpha, V, a)
         checks = (
             ("grad", rep.term_grad, rep.bound_grad),
             ("pot", rep.term_pot, rep.bound_pot),

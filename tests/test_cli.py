@@ -135,11 +135,10 @@ def test_run_inconclusive_exit_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "inconclusive"
     assert report["outcome"]["status"] == "inconclusive"
-    witness = report["outcome"]["report"]
-    assert witness["verified"] is False
-    # the lazily computed bound still serializes the exact ball size
-    assert (witness["c"], witness["b"]) == (187, 937)
-    assert witness["collar_ball_bound"] == 117187
+    # no certificate, so no witness: only the best set's collar ratio
+    assert report["outcome"]["report"] is None
+    ratio = report["outcome"]["best_collar_ratio"]
+    assert (ratio["numerator"], ratio["denominator"]) == (937, 187)
 
 
 def test_run_bad_budget_field_exit_1(tmp_path, capsys):

@@ -319,7 +319,22 @@ def test_box_matches_layered_construction():
                 # every layer outgrows the last, so only the full one is refused
                 assert info.value.partial_count == (0 if independent else len(image))
             else:
-                assert translation_box(action, side, len(image) - 1) == image
+                # the oracle sweeps nothing for a dependent family at side 1;
+                # the box still refuses its one point under a zero budget
+                assert (side, independent) == (1, False)
+                with pytest.raises(BudgetExceededError) as info:
+                    translation_box(action, 1, 0)
+                assert info.value.partial_count == 1
+
+
+def test_one_point_box_needs_one_point_of_budget():
+    origin = (0, 0)
+    for vectors, partial in (([(1, 0), (2, 0)], 1), ([(1, 0), (0, 1)], 0), ([(0, 0)], 0)):
+        action = free_quotient_lattice_action(vectors)
+        with pytest.raises(BudgetExceededError) as info:
+            translation_box(action, 1, max_points=0)
+        assert info.value.partial_count == partial, vectors
+        assert translation_box(action, 1, max_points=1) == {origin}
 
 
 def verifier_sets():

@@ -16,6 +16,7 @@ from coverlab import (
     build_witness,
     counterexample_check,
     cover_quadratic_form,
+    cutoff,
     easy_direction_check,
     interval_comparison,
     quadratic_form,
@@ -52,7 +53,6 @@ def test_witness_chain_hand_values(triangle_cover):
     assert report.c == 36
     assert report.b == 4
     assert report.collar_ratio == Fraction(1, 9)
-    assert report.verified
     assert report.term_grad == pytest.approx(1.0, abs=1e-12)
     assert report.bound_grad == pytest.approx(3.0, abs=1e-12)
     assert report.term_pot == pytest.approx(-5.325, rel=1e-12)
@@ -84,30 +84,26 @@ def test_witness_accepts_certificate(triangle_cover):
 
 def test_witness_collar_overflow_on_tree(tree_cover):
     members = [tree_cover.carrier.origin]
-    with pytest.raises(InequalityViolation):
+    with pytest.raises(InequalityViolation, match="b=7 is outside"):
         build_witness(tree_cover, (1.0,) * 4, members, 1, FLAT_V4, 1.0)
-    _witness, report = build_witness(
-        tree_cover, (1.0,) * 4, members, 1, FLAT_V4, 1.0, verify=False
-    )
-    assert not report.verified
-    assert (report.b, report.c) == (7, 1)
-    assert report.collar_ratio == Fraction(7, 1)
+    xi = cutoff(tree_cover, members, 1)
+    assert (len(xi.collar_tiles), len(xi.members)) == (7, 1)
 
 
-def test_diagnostic_witness_defers_collar_ball(tree_cover, monkeypatch):
+def test_exhausted_search_counts_ratio_without_witness(tree_cover, monkeypatch):
     def refuse(*_args):
-        raise AssertionError("collar ball enumerated on the diagnostic path")
+        raise AssertionError("witness built over a set that never certified")
 
-    members = [tree_cover.carrier.origin]
-    with monkeypatch.context() as patch:
-        patch.setattr(transfer, "_boundary_ball", refuse)
-        _witness, report = build_witness(
-            tree_cover, (1.0,) * 4, members, 1, FLAT_V4, 1.0, verify=False
-        )
-    assert (report.b, report.c) == (7, 1)
-    assert not report.verified
-    # the first read computes the exact value the eager version reported
-    assert report.collar_ball_bound == 7
+    monkeypatch.setattr(transfer, "build_witness", refuse)
+    budget = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
+    outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
+    assert outcome.status == "inconclusive"
+    assert outcome.report is None
+    assert outcome.best_collar_ratio == Fraction(937, 187)
+    best = outcome.search_exhausted.best_set
+    assert len(best) == 187
+    # the exact radius-alpha ball around the best set's inner boundary
+    assert transfer._boundary_ball(tree_cover.fiber_action, best, 4) == 117187
 
 
 def test_verify_checks_collar_ball_bound(triangle_cover, monkeypatch):
@@ -140,7 +136,6 @@ def test_transfer_on_amenable_cover(triangle_cover):
     assert outcome.r_star == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert outcome.epsilon_used == outcome.epsilon_first
     assert len(outcome.attempts) == 1
-    assert outcome.report.verified
     assert (outcome.report.b, outcome.report.c) == (4, 37)
     assert outcome.best_collar_ratio == Fraction(4, 37)
     assert outcome.best_collar_ratio < Fraction(outcome.r_star)
@@ -159,7 +154,7 @@ def test_transfer_inconclusive_on_tree(tree_cover):
     assert outcome.search_exhausted is not None
     assert outcome.search_exhausted.outcome == "exhausted"
     assert not outcome.attempts
-    assert outcome.report is not None and not outcome.report.verified
+    assert outcome.report is None
     assert outcome.best_collar_ratio > Fraction(outcome.r_star)
     assert outcome.r_star == pytest.approx(8.0 / 13.0, abs=1e-12)
 
