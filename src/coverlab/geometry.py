@@ -267,9 +267,6 @@ class VoltageCover:
     def tile(self, x) -> tuple:
         return tuple((v, x) for v in range(self.base.vertex_count))
 
-    def tile_of(self, p):
-        return p[1]
-
     def neighbors(self, p) -> list[tuple[tuple, float]]:
         v, x = p
         apply_fn = self.carrier.apply_fn
@@ -448,57 +445,121 @@ class CutoffFunction:
         return self.values.get(p, Fraction(0))
 
 
-def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction:
-    """Cutoff xi(p) = min(1, hop_dist(p, complement of Omega)/alpha).
+def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
+    """Depth-alpha BFS inward from the rim of Omega, over tile indices.
 
-    Omega is swept unsorted: hop distances do not depend on queue order.
+    Vertex (v, member_list[i]) gets the id i * nv + v.  Each distinct
+    oriented voltage word of the stencil moves each member tile once,
+    into moved[word][i]: the index of the tile it lands on, or -1 when
+    that tile is outside the set.  A vertex is on the rim when one of
+    its words leaves the set.  Returns (depth, reached, outside):
+    depth[id] is the hop distance to the complement, 0 where the sweep
+    stopped short at depth alpha; reached holds the indices of the
+    member tiles it reached; outside holds the non-member tiles joined
+    to Omega by an edge.
     """
-    member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
     if not isinstance(alpha, int) or alpha < 1:
         raise InputError(f"alpha must be a positive integer, got {alpha!r}")
-    omega = set()
-    for x in member_list:
-        omega.update(cover.tile(x))
+    nv = cover.base.vertex_count
+    index = {x: i for i, x in enumerate(member_list)}
+    apply_fn = cover.carrier.apply_fn
+    users: dict[tuple[int, ...], list[int]] = {}  # word -> base vertices it leaves from
+    for v, row in enumerate(cover._stencil):
+        for _u, _w, word in row:
+            users.setdefault(word, []).append(v)
 
-    # multi-source BFS inward from the rim: vertices with a neighbor outside
-    distance: dict = {}
-    collar = set()
-    for p in omega:
-        outside = [cover.tile_of(q) for q, _w in cover.neighbors(p) if q not in omega]
-        if outside:
-            distance[p] = 1
-            collar.update(outside)
-    queue = deque(distance)
-    while queue:
-        p = queue.popleft()
-        d = distance[p]
-        if d >= alpha:
-            continue  # deeper vertices already count as full height
-        for q, _w in cover.neighbors(p):
-            if q in omega and q not in distance:
-                distance[q] = d + 1
-                queue.append(q)
+    depth = [0] * (len(member_list) * nv)
+    # frontier[v] lists the tile indices i of the frontier vertices (v, i)
+    frontier: list[list[int]] = [[] for _ in range(nv)]
+    outside = set()
+    moved_by: dict[tuple[int, ...], Sequence[int]] = {}
+    for word, sources in users.items():
+        if not word:
+            moved_by[word] = range(len(member_list))
+            continue
+        moved = []
+        for i, x in enumerate(member_list):
+            for letter in word:
+                x = apply_fn(letter, x)
+            j = index.get(x, -1)
+            if j < 0:
+                outside.add(x)
+                for v in sources:
+                    p = i * nv + v
+                    if not depth[p]:
+                        depth[p] = 1
+                        frontier[v].append(i)
+            moved.append(j)
+        moved_by[word] = moved
+    steps = [[(u, moved_by[word]) for u, _w, word in row] for row in cover._stencil]
 
+    reached = set()
+    for d in range(2, alpha + 2):
+        for tiles in frontier:
+            reached.update(tiles)
+        if d > alpha:
+            break
+        nxt: list[list[int]] = [[] for _ in range(nv)]
+        for v, tiles in enumerate(frontier):
+            for u, moved in steps[v]:
+                out = nxt[u]
+                for i in tiles:
+                    j = moved[i]
+                    if j >= 0 and not depth[j * nv + u]:
+                        depth[j * nv + u] = d
+                        out.append(j)
+        frontier = nxt
+    return depth, reached, outside
+
+
+def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction:
+    """Cutoff xi(p) = min(1, hop_dist(p, complement of Omega)/alpha).
+
+    The sorted member tiles are indexed once, and a table moved[word][i]
+    holds the index of the tile that each distinct voltage word moves
+    tile i to (-1 outside the set), so each word moves each member tile
+    once.  The BFS from the rim runs over integer vertex ids through that
+    table (see _rim_sweep); only its result is turned back into
+    (vertex, tile) pairs.
+    """
+    member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
+    depth, reached, outside = _rim_sweep(cover, member_list, alpha)
+    nv = cover.base.vertex_count
+    # depth 0 marks a vertex deeper than alpha, which reads full height
+    levels = [Fraction(1)] + [Fraction(k, alpha) for k in range(1, alpha + 1)]
+    values = {
+        (v, x): levels[depth[i * nv + v]]
+        for i, x in enumerate(member_list)
+        for v in range(nv)
+    }
     # The ramp changes across an edge exactly when it leaves Omega from the
     # rim or joins reached vertices on different levels (an unreached vertex
     # and its reached neighbors, stopped at depth alpha, all read 1).  Every
     # reached vertex has such an edge: to the outside at depth 1, to the
     # vertex that reached it at depth d > 1.  So the collar is the reached
     # tiles plus the outside tiles along the rim.
-    collar.update(cover.tile_of(p) for p in distance)
-    levels = [Fraction(k, alpha) for k in range(alpha + 1)]
-    values = {p: levels[distance.get(p, alpha)] for p in omega}
-
+    collar = outside.union(member_list[i] for i in reached)
     return CutoffFunction(
         cover=cover,
         members=member_list,
         alpha=alpha,
         values=values,
-        omega=frozenset(omega),
+        omega=frozenset(values),
         collar_tiles=frozenset(collar),
     )
+
+
+def collar_counts(cover: VoltageCover, members: Iterable, alpha: int) -> tuple[int, int]:
+    """(b, c) of cutoff(cover, members, alpha), without building the cutoff.
+
+    b counts the collar tiles and c the member tiles, from the same sweep
+    that cutoff reads; no values, Omega or collar tile set is built.
+    """
+    member_list = tuple(set(members))
+    _depth, reached, outside = _rim_sweep(cover, member_list, alpha)
+    return len(outside) + len(reached), len(member_list)
 
 
 def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) -> tuple[float, float]:

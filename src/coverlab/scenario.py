@@ -10,6 +10,7 @@ path.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,9 +79,29 @@ def _expect_real(node: Any, path: str) -> float:
     if not isinstance(node, str):
         raise InputError(f"{path}: expected a decimal string, got {node!r}")
     try:
-        return float(node)
+        value = float(node)
     except ValueError:
         raise InputError(f"{path}: {node!r} is not a decimal number") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}: {node!r} is not a finite number")
+    return value
+
+
+def _expect_positive_real(node: Any, path: str) -> float:
+    value = _expect_real(node, path)
+    if value <= 0:
+        raise InputError(f"{path}: must be positive, got {node!r}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    """Parser for an integer of at least `minimum`."""
+    def parse(node: Any, path: str) -> int:
+        value = _expect_int(node, path)
+        if value < minimum:
+            raise InputError(f"{path}: must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _expect_fraction(node: Any, path: str) -> Fraction:
@@ -121,15 +142,25 @@ def _parse_base(node: Any, path: str) -> WeightedGraph:
         raise InputError(f"{path}: {exc}") from None
 
 
+# a lattice action holds a d x d basis; refuse one larger than the default
+# point budget before it is built
+_MAX_LATTICE_DIMENSION = math.isqrt(SearchBudget().max_points)
+
+
 def _parse_fiber(node: Any, path: str) -> GroupAction:
     obj = _expect_dict(node, path)
     kind = obj.get("kind")
     if kind == "lattice":
         _check_keys(obj, path, ("kind", "dimension"), ())
-        return lattice_action(_expect_int(obj["dimension"], f"{path}.dimension"))
+        dimension = _int_at_least(1)(obj["dimension"], f"{path}.dimension")
+        if dimension > _MAX_LATTICE_DIMENSION:
+            raise InputError(
+                f"{path}.dimension: must be at most {_MAX_LATTICE_DIMENSION}, got {dimension}"
+            )
+        return lattice_action(dimension)
     if kind == "free_group":
         _check_keys(obj, path, ("kind", "rank"), ())
-        return free_group_action(_expect_int(obj["rank"], f"{path}.rank"))
+        return free_group_action(_int_at_least(1)(obj["rank"], f"{path}.rank"))
     if kind == "finite_permutation":
         _check_keys(obj, path, ("kind", "degree", "generators"), ())
         degree = _expect_int(obj["degree"], f"{path}.degree")
@@ -188,13 +219,9 @@ _BUDGET_MINIMA = {
 def _parse_budget(node: Any, path: str) -> SearchBudget:
     obj = _expect_dict(node, path)
     _check_keys(obj, path, (), tuple(_BUDGET_MINIMA))
-    kwargs = {key: _expect_int(obj[key], f"{path}.{key}") for key in obj}
-    for key, value in kwargs.items():
-        if value < _BUDGET_MINIMA[key]:
-            raise InputError(
-                f"{path}.{key}: must be at least {_BUDGET_MINIMA[key]}, got {value}"
-            )
-    return SearchBudget(**kwargs)
+    return SearchBudget(**{
+        key: _int_at_least(_BUDGET_MINIMA[key])(obj[key], f"{path}.{key}") for key in obj
+    })
 
 
 def _nonempty_list(parse):
@@ -215,11 +242,11 @@ _PARAM_PARSERS = {
     "epsilons": _nonempty_list(_expect_fraction),
     "a": _expect_real,
     "a_samples": _nonempty_list(_expect_real),
-    "alpha": _expect_int,
-    "radius": _expect_int,
-    "radii": _nonempty_list(_expect_int),
-    "max_halvings": _expect_int,
-    "tolerance": _expect_real,
+    "alpha": _int_at_least(1),
+    "radius": _int_at_least(0),
+    "radii": _nonempty_list(_int_at_least(0)),
+    "max_halvings": _int_at_least(0),
+    "tolerance": _expect_positive_real,
     "budget": _parse_budget,
 }
 

@@ -27,6 +27,7 @@ from .geometry import (
     WeightedGraph,
     as_potential,
     base_function,
+    collar_counts,
     cover_form_parts,
     cutoff,
 )
@@ -259,7 +260,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     Witnesses are built only over certificates.  When the search
     exhausts before any certificate, the best set's collar ratio b/c is
-    counted from its cutoff alone and report is None.
+    counted by the collar sweep alone and report is None.
     """
     base = cover.base
     sr = min_eigenvalue(base, V, a, seed=seed)
@@ -310,9 +311,8 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     best = min((w.collar_ratio for w in attempts), default=None)
     if best is None and exhausted is not None and exhausted.best_set:
-        # no certificate to build a witness over: count b/c from the cutoff
-        xi = cutoff(cover, exhausted.best_set, alpha)
-        best = Fraction(len(xi.collar_tiles), len(xi.members))
+        # no certificate to build a witness over: count b/c from the collar sweep
+        best = Fraction(*collar_counts(cover, exhausted.best_set, alpha))
     if exhausted is not None:
         detail = "the Folner search exhausted its budget"
     else:

@@ -119,6 +119,31 @@ def test_run_input_error_exit_1(tmp_path, capsys):
     assert "decimal string" in err
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("a_samples", ["1e400"], "scenario.params.a_samples[0]"),
+    ("a_samples", ["nan"], "scenario.params.a_samples[0]"),
+    # a nan tolerance never entered the bisection and printed [-0.5, 0.5]
+    ("tolerance", "nan", "scenario.params.tolerance"),
+    ("radius", -1, "scenario.params.radius"),
+])
+def test_run_bad_interval_field_exit_1(tmp_path, capsys, field, value, path):
+    obj = {
+        "name": "bad_interval",
+        "task": "interval",
+        "base": triangle_base(),
+        "potential": ["-0.05", "0.1", "-0.05"],
+        "fiber": {"kind": "lattice", "dimension": 1},
+        "voltages": [[0, 1, [1]]],
+        "params": {"a_samples": ["1"], "radius": 1},
+    }
+    obj["params"][field] = value
+    code = main(["run", str(write_json(tmp_path / "bad_interval.json", obj))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert path in err
+    assert "Traceback" not in err
+
+
 def test_run_violation_exit_2(tmp_path, capsys):
     code = main(["run", str(heavy_triangle_scenario(tmp_path))])
     out = capsys.readouterr().out

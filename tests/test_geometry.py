@@ -1,5 +1,6 @@
 """Weighted graphs, voltage covers, cutoffs, and quadratic forms."""
 
+import dataclasses
 import math
 from collections import deque
 from fractions import Fraction
@@ -25,6 +26,7 @@ from coverlab import (
     path_graph,
     quadratic_form,
 )
+from coverlab.geometry import collar_counts
 
 
 def brute_ball(cover, roots, radius):
@@ -148,7 +150,6 @@ def test_tile_roundtrip(triangle_cover):
     x = (7,)
     tile = triangle_cover.tile(x)
     assert tile == ((0, x), (1, x), (2, x))
-    assert all(triangle_cover.tile_of(p) == x for p in tile)
     assert triangle_cover.measure((1, x)) == triangle_cover.base.mu[1]
 
 
@@ -280,13 +281,13 @@ def sorted_sweep_cutoff(cover, members, alpha):
     collar = set()
     for p, value in values.items():
         if 0 < value < 1:
-            collar.add(cover.tile_of(p))
+            collar.add(p[1])
     for p in ordered:
         xp = values[p]
         for q, _w in cover.neighbors(p):
             if xp != values.get(q, Fraction(0)):
-                collar.add(cover.tile_of(p))
-                collar.add(cover.tile_of(q))
+                collar.add(p[1])
+                collar.add(q[1])
     return member_list, values, frozenset(omega), frozenset(collar)
 
 
@@ -333,6 +334,24 @@ def test_cutoff_matches_sorted_sweep_oracle(triangle_cover, k4_z2_cover, tree_co
             assert xi.values == values
             assert xi.omega == omega
             assert xi.collar_tiles == collar
+            assert collar_counts(cover, members, alpha) == (len(collar), len(member_list))
+
+
+def test_collar_counts_move_each_member_tile_once_per_word(tree_cover, monkeypatch):
+    members = orbit_ball(tree_cover.fiber_action, (), 3).points
+    carrier = tree_cover.carrier
+    calls = []
+
+    def counting(g, x):
+        calls.append(g)
+        return carrier.apply_fn(g, x)
+
+    monkeypatch.setattr(tree_cover, "carrier", dataclasses.replace(carrier, apply_fn=counting))
+    _b, c = collar_counts(tree_cover, members, 2)
+    assert c == len(members) == 187
+    # six distinct oriented one-letter words, each applied to each member once
+    assert len(calls) == 6 * c
+    assert all(calls.count(g) == c for g in (-3, -2, -1, 1, 2, 3))
 
 
 def test_cutoff_without_rim_is_flat(fixed_tile_cover):

@@ -334,6 +334,21 @@ PARAM_FAULTS = [
     ("corollary", "tolerance", [1],
      "scenario.params.tolerance: expected a decimal string, got [1]"),
     ("corollary", "radius", 1, "scenario.params: unknown field 'radius'"),
+    # non-finite reals and out-of-range integers, refused with their field path
+    ("transfer", "a", "nan", "scenario.params.a: 'nan' is not a finite number"),
+    ("counterexample", "a", "-inf", "scenario.params.a: '-inf' is not a finite number"),
+    ("spectrum", "a_samples", ["1e400"],
+     "scenario.params.a_samples[0]: '1e400' is not a finite number"),
+    ("interval", "a_samples", ["1", "inf"],
+     "scenario.params.a_samples[1]: 'inf' is not a finite number"),
+    ("interval", "tolerance", "nan", "scenario.params.tolerance: 'nan' is not a finite number"),
+    ("corollary", "tolerance", "0", "scenario.params.tolerance: must be positive, got '0'"),
+    ("folner", "epsilon", "inf", "scenario.params.epsilon: 'inf' is not a finite number"),
+    ("transfer", "alpha", 0, "scenario.params.alpha: must be at least 1, got 0"),
+    ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
+    ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
+    ("spectrum", "radii", [2, -1], "scenario.params.radii[1]: must be at least 0, got -1"),
+    ("transfer", "max_halvings", -3, "scenario.params.max_halvings: must be at least 0, got -3"),
 ]
 
 # the folner epsilon list, given on its own
@@ -369,6 +384,17 @@ SECTION_FAULTS = [
     ("folner", "potential", ["1"], "scenario.potential: not used by the folner task"),
     ("folner", "voltages", [], "scenario.voltages: not used by the folner task"),
     ("folner", "params", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
+    ("spectrum", "potential", ["1", "nan", "1"],
+     "scenario.potential[1]: 'nan' is not a finite number"),
+    ("spectrum", "base", {"mu": ["1", "inf", "1"], "edges": TRIANGLE["edges"]},
+     "scenario.base.mu[1]: 'inf' is not a finite number"),
+    # one past the largest lattice whose basis fits the default point budget
+    ("folner", "fiber", {"kind": "lattice", "dimension": 1001},
+     "scenario.fiber.dimension: must be at most 1000, got 1001"),
+    ("folner", "fiber", {"kind": "lattice", "dimension": 0},
+     "scenario.fiber.dimension: must be at least 1, got 0"),
+    ("folner", "fiber", {"kind": "free_group", "rank": 0},
+     "scenario.fiber.rank: must be at least 1, got 0"),
 ]
 
 
@@ -404,3 +430,9 @@ def test_section_fault_message(task, key, value, message):
     obj = valid_scenario(task)
     _set(obj, key, value)
     assert _message(obj) == message
+
+
+def test_lattice_dimension_at_limit_parses():
+    obj = valid_scenario("folner")
+    obj["fiber"] = {"kind": "lattice", "dimension": 1000}
+    assert parse_scenario(obj).fiber.generator_count == 1000

@@ -94,7 +94,12 @@ def test_exhausted_search_counts_ratio_without_witness(tree_cover, monkeypatch):
     def refuse(*_args):
         raise AssertionError("witness built over a set that never certified")
 
+    def no_sweep(*_args):
+        raise AssertionError("Omega swept vertex by vertex only to count a collar")
+
     monkeypatch.setattr(transfer, "build_witness", refuse)
+    monkeypatch.setattr(transfer, "cutoff", no_sweep)
+    monkeypatch.setattr(tree_cover, "neighbors", no_sweep)
     budget = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
     outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
     assert outcome.status == "inconclusive"
