@@ -29,7 +29,6 @@ from .folner import (
     SearchBudget,
     SearchReport,
     exact_fraction,
-    folner_boundary_bound,
     folner_sequence,
     search_folner,
     verify_certificate,
@@ -45,11 +44,9 @@ from .geometry import (
     build_cover,
     complete_graph,
     cover_form_parts,
-    cover_quadratic_form,
     cutoff,
     cycle_graph,
     grid_torus,
-    lift_function,
     path_graph,
     quadratic_form,
 )

@@ -52,10 +52,6 @@ class GroupAction:
                 f"(expected nonzero integer with |g| <= {self.generator_count})"
             )
 
-    def apply(self, g: int, point: Any) -> Any:
-        self.check_generator(g)
-        return self.apply_fn(g, point)
-
     def encode(self, point: Any) -> str:
         return self.encode_fn(point)
 

@@ -411,17 +411,6 @@ def _check_window_connectivity(cover: VoltageCover) -> None:
         )
 
 
-def lift_function(cover: VoltageCover, f, tiles: Iterable) -> CompactFunction:
-    """Lift of a base function to finitely many tiles, zero elsewhere."""
-    func = base_function(f, cover.base)
-    tile_list = set(tiles)
-    values = {}
-    for x in tile_list:
-        for v in func.support:
-            values[(v, x)] = func(v)
-    return CompactFunction(values)
-
-
 @dataclass(frozen=True)
 class CutoffFunction:
     """Ramp of width alpha from the rim of Omega toward its interior.
@@ -584,7 +573,3 @@ def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) ->
     pot_term = fsum(pot[p[0]] * fp ** 2 * cover.measure(p) for p, fp in values.items())
     return grad, a * pot_term
 
-
-def cover_quadratic_form(cover: VoltageCover, V, a: float, func: CompactFunction) -> float:
-    grad, pot = cover_form_parts(cover, V, a, func)
-    return grad + pot

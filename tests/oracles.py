@@ -1,0 +1,61 @@
+"""Independent oracles the tests check coverlab against.
+
+Nothing in coverlab calls these; each recomputes a quantity from its
+definition, by a different route than the library takes.
+"""
+
+from fractions import Fraction
+
+from coverlab import CompactFunction, InputError, base_function, boundary, cover_form_parts
+
+
+def apply(action, g, point):
+    """One signed generator applied to a point, with the id checked first."""
+    action.check_generator(g)
+    return action.apply_fn(g, point)
+
+
+def set_ratios(action, members):
+    """Exact |E symdiff gE| / |E| for every signed generator."""
+    E = frozenset(members)
+    if not E:
+        raise InputError("ratios of the empty set are undefined")
+    ratios = {}
+    for g in action.generators():
+        # y lies in E intersect gE iff y in E and g^{-1} y in E
+        overlap = sum(1 for y in E if action.apply_fn(-g, y) in E)
+        ratios[g] = Fraction(2 * (len(E) - overlap), len(E))
+    return ratios
+
+
+def folner_boundary_bound(action, members):
+    """Boundary size versus the summed one-sided deficits that bound it.
+
+    Returns (|dE|, sum over signed g of |E \\ g^{-1}E|); the first never
+    exceeds the second, since each boundary point is counted by at least
+    one generator that moves it out.
+    """
+    E = frozenset(members)
+    if not E:
+        raise InputError("boundary bound of the empty set is undefined")
+    lhs = len(boundary(action, E))
+    rhs = 0
+    for g in action.generators():
+        rhs += sum(1 for x in E if action.apply_fn(g, x) not in E)
+    return lhs, rhs
+
+
+def lift_function(cover, f, tiles):
+    """Lift of a base function to finitely many tiles, zero elsewhere."""
+    func = base_function(f, cover.base)
+    values = {}
+    for x in set(tiles):
+        for v in func.support:
+            values[(v, x)] = func(v)
+    return CompactFunction(values)
+
+
+def cover_quadratic_form(cover, V, a, func):
+    """Gradient plus potential part of the cover's form at coupling a."""
+    grad, pot = cover_form_parts(cover, V, a, func)
+    return grad + pot

@@ -19,7 +19,6 @@ from coverlab import (
     cutoff,
     dirichlet_lambda0,
     easy_direction_check,
-    folner_boundary_bound,
     free_group_action,
     free_quotient_lattice_action,
     finite_permutation_action,
@@ -32,6 +31,7 @@ from coverlab import (
 )
 from coverlab.cli import execute_scenario, render_json
 from coverlab.scenario import load_scenario
+from oracles import folner_boundary_bound
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 TREE_LIMIT = 3.0 - 2.0 * math.sqrt(2.0)

@@ -13,7 +13,6 @@ import pytest
 
 from coverlab import (
     finite_permutation_action,
-    folner_boundary_bound,
     folner_sequence,
     free_group_action,
     free_quotient_lattice_action,
@@ -22,6 +21,7 @@ from coverlab import (
     verify_certificate,
 )
 from coverlab.cli import _certificate_payload, execute_scenario, main
+from oracles import folner_boundary_bound
 from coverlab.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -15,7 +15,6 @@ from coverlab import (
     boundary,
     exact_fraction,
     finite_permutation_action,
-    folner_boundary_bound,
     folner_sequence,
     free_group_action,
     free_quotient_lattice_action,
@@ -25,7 +24,8 @@ from coverlab import (
     verify_certificate,
 )
 from coverlab import folner
-from coverlab.folner import _connected_subsets, set_ratios, translation_box
+from coverlab.folner import _connected_subsets, translation_box
+from oracles import folner_boundary_bound, set_ratios
 
 
 def test_exact_fraction_decimal_and_float():
@@ -195,6 +195,117 @@ def test_carried_overlaps_match_set_ratios(action, size_cap):
         for g in action.generators():
             assert ratios[g] == Fraction(2 * (len(E) - overlap[abs(g) - 1]), len(E))
     assert seen
+
+
+def rescanning_subsets(action, root, size_cap, max_subsets):
+    # the enumerator as it was before the point table: every add applies
+    # all 2n generators to the point and sorts its fresh images again
+    gens = action.generators()
+    n = action.generator_count
+    if max_subsets < 1:
+        return
+    members = set()
+    seen = {root}
+    frontier = []
+
+    def add(v, overlap):
+        img = [action.apply_fn(g, v) for g in gens]
+        overlap = tuple(
+            ov + (img[i] in members or img[i] == v) + (img[n + i] in members)
+            for i, ov in enumerate(overlap)
+        )
+        members.add(v)
+        fresh = []
+        if len(members) < size_cap:
+            fresh = sorted({u for u in img if u not in seen}, key=action.sort_key)
+            seen.update(fresh)
+            frontier.extend(fresh)
+        return overlap, fresh
+
+    def remove(v, fresh):
+        members.remove(v)
+        seen.difference_update(fresh)
+        del frontier[len(frontier) - len(fresh):]
+
+    overlap, fresh = add(root, (0,) * n)
+    yield members, overlap
+    emitted = 1
+    stack = [[0, len(frontier), overlap, root, fresh]]
+    while stack and emitted < max_subsets:
+        frame = stack[-1]
+        i, end = frame[0], frame[1]
+        if i == end:
+            stack.pop()
+            remove(frame[3], frame[4])
+            continue
+        frame[0] = i + 1
+        v = frontier[i]
+        overlap, fresh = add(v, frame[2])
+        yield members, overlap
+        emitted += 1
+        if len(members) < size_cap:
+            stack.append([i + 1, len(frontier), overlap, v, fresh])
+        else:
+            remove(v, fresh)
+
+
+ENUMERATION_FAMILIES = {
+    "Z1": lattice_action(1),
+    "Z2": lattice_action(2),
+    "Z3": lattice_action(3),
+    "F2": free_group_action(2),
+    "F3": free_group_action(3),
+    "quotient-repeated": free_quotient_lattice_action([(1, 0), (1, 0), (0, 1)]),
+    # the zero vector makes generator 2 fix every point
+    "quotient-zero": free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)]),
+    # the orbit of 0 is 0..4; generator 1 fixes 2 to 5, generator 2 fixes 0 and 5
+    "permutation-fixed-points": finite_permutation_action(
+        [(1, 0, 2, 3, 4, 5), (0, 2, 3, 4, 1, 5)], 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_FAMILIES))
+def test_table_enumeration_matches_rescanning_oracle(name):
+    action = ENUMERATION_FAMILIES[name]
+    for size_cap in range(1, 9):
+        for max_subsets in (1, 2, 3000):
+            table = [(frozenset(m), ov) for m, ov in
+                     _connected_subsets(action, action.origin, size_cap, max_subsets)]
+            oracle = [(frozenset(m), ov) for m, ov in
+                      rescanning_subsets(action, action.origin, size_cap, max_subsets)]
+            assert table == oracle, (size_cap, max_subsets)
+
+
+def test_table_enumeration_applies_each_generator_once_per_point():
+    action = free_group_action(3)
+    calls = Counter()
+
+    def counting(g, x, apply_fn=action.apply_fn):
+        calls[x] += 1
+        return apply_fn(g, x)
+
+    counted = dataclasses.replace(action, apply_fn=counting)
+    added = set()
+    items = 0
+    for members, _overlap in _connected_subsets(counted, counted.origin, 12, 50_000):
+        added |= members
+        items += 1
+    assert items == 50_000
+    # 2n applications to every point ever added, and to no other point
+    assert calls == {x: 6 for x in added}
+    assert sum(calls.values()) == 8_622
+
+
+def test_subset_search_pins_free3_enum_budget():
+    # the bench's free3_enum budget; recorded before the point table
+    action = free_group_action(3)
+    budget = SearchBudget(max_radius=6, subset_size_cap=12, max_subsets=50_000)
+    rep = search_folner(action, Fraction(1, 2), budget)
+    assert rep.outcome == "exhausted"
+    assert rep.sets_examined == 50_007
+    assert rep.best_ratio == Fraction(31250, 23437)
+    assert rep.best_set == orbit_ball(action, action.origin, 6).points
+    assert rep.radius_reached == 6
 
 
 def test_subset_search_pins_f2():

@@ -15,18 +15,17 @@ from coverlab import (
     build_cover,
     complete_graph,
     cover_form_parts,
-    cover_quadratic_form,
     cutoff,
     cycle_graph,
     finite_permutation_action,
     grid_torus,
     lattice_action,
-    lift_function,
     orbit_ball,
     path_graph,
     quadratic_form,
 )
 from coverlab.geometry import collar_counts
+from oracles import cover_quadratic_form, lift_function
 
 
 def brute_ball(cover, roots, radius):

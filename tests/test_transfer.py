@@ -15,7 +15,6 @@ from coverlab import (
     SearchBudget,
     build_witness,
     counterexample_check,
-    cover_quadratic_form,
     cutoff,
     easy_direction_check,
     interval_comparison,
@@ -25,6 +24,7 @@ from coverlab import (
     transfer_negativity,
 )
 from coverlab.cli import main
+from oracles import cover_quadratic_form
 
 FLAT_V3 = (-0.05, -0.05, -0.05)
 FLAT_V4 = (-0.1, -0.1, -0.1, -0.1)
