@@ -2,8 +2,11 @@
 
 The generalized problem (L + a diag(V mu)) f = lambda diag(mu) f is
 symmetrized with M^{-1/2} so one standard symmetric eigensolve suffices;
-dense below DENSE_LIMIT vertices, shift-inverted Lanczos above.  Every
-result carries an explicit residual and is rejected past 1e-9.
+dense below DENSE_LIMIT vertices, shift-inverted Lanczos above.  The
+dense branch holds one n x n array, which LAPACK factors in place.
+Finiteness is checked once, on the assembled sparse entries, before
+either solver runs.  Every result carries an explicit residual and is
+rejected past 1e-9, or when it is not a number.
 """
 
 from __future__ import annotations
@@ -80,15 +83,24 @@ def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
                 cols.append(j)
                 weights.append(-w)
     d = 1.0 / np.sqrt(mu)
-    diag_s = diag * d * d
     rows = np.array(rows, dtype=int)
     cols = np.array(cols, dtype=int)
-    off_s = np.array(weights, dtype=float) * d[rows] * d[cols]
+    with np.errstate(over="ignore"):  # an overflow is reported below, by entry
+        diag_s = diag * d * d
+        off_s = np.array(weights, dtype=float) * d[rows] * d[cols]
     A = csc_matrix((np.concatenate([off_s, diag_s]),
                     (np.concatenate([rows, np.arange(n)]),
                      np.concatenate([cols, np.arange(n)]))), shape=(n, n))
+    # the CSC sums duplicates, so A.data holds every nonzero of A.toarray()
+    bad = np.flatnonzero(~np.isfinite(A.data))
+    if bad.size:
+        k = bad[np.argmin(A.indices[bad])]
+        row = int(A.indices[k])
+        raise NumericalError(f"operator entry {float(A.data[k])!r} in row {row} "
+                             f"(vertex {points[row]!r}) is not finite")
     if n <= DENSE_LIMIT:
-        vals, vecs = eigh(A.toarray(), subset_by_index=[0, 0])
+        vals, vecs = eigh(A.toarray(order="F"), subset_by_index=[0, 0],
+                          overwrite_a=True, check_finite=False)
         lam = float(vals[0])
         y = vecs[:, 0]
     else:
@@ -102,7 +114,7 @@ def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
         y = vecs[:, 0]
     y = y / np.linalg.norm(y)
     residual = float(np.max(np.abs(A @ y - lam * y)))
-    if residual > RESIDUAL_TOLERANCE:
+    if not residual <= RESIDUAL_TOLERANCE:
         raise NumericalError(
             f"eigensolve residual {residual:.3e} exceeds {RESIDUAL_TOLERANCE:.0e}"
         )

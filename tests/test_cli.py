@@ -58,6 +58,35 @@ def heavy_triangle_scenario(tmp_path):
     return write_json(tmp_path / "w8_triangle.json", obj)
 
 
+def nonfinite_triangle_scenario(tmp_path):
+    # parses, but w / mu = 1e310 overflows the symmetrized operator
+    obj = {
+        "name": "nonfinite_triangle",
+        "task": "interval",
+        "seed": 0,
+        "base": {
+            "mu": ["1e-10", "1", "1"],
+            "edges": [[0, 1, "1e300"], [0, 2, "1"], [1, 2, "1"]],
+        },
+        "potential": ["1", "-1", "0"],
+        "fiber": {"kind": "lattice", "dimension": 1},
+        "voltages": [[0, 1, [1]]],
+        "params": {"a_samples": ["-1", "0", "1"], "radius": 3, "alpha": 2},
+    }
+    return write_json(tmp_path / "nonfinite_triangle.json", obj)
+
+
+def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "coverlab.cli", *args],
+        capture_output=True, env=env, cwd=ROOT, timeout=600,
+    )
+
+
 def tree_transfer_scenario(tmp_path):
     obj = {
         "name": "tree_transfer",
@@ -151,6 +180,33 @@ def test_run_violation_exit_2(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "violation"
     assert "gradient term" in report["outcome"]["error"]
+
+
+def test_run_nonfinite_operator_is_violation(tmp_path):
+    proc = run_cli("run", str(nonfinite_triangle_scenario(tmp_path)))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "violation"
+    assert report["outcome"]["error"] == (
+        "operator entry inf in row 0 (vertex (0, 0)) is not finite")
+    assert b"Traceback" not in proc.stderr
+    assert b"Warning" not in proc.stderr
+
+
+def test_batch_nonfinite_operator_is_violation(tmp_path, capsys):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    shutil.copy(SCENARIOS / "torus_corollary.json", src / "torus_corollary.json")
+    nonfinite_triangle_scenario(src)
+    out = tmp_path / "out"
+    code = main(["batch", str(src), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 2
+    assert json.loads((out / "torus_corollary.json").read_text())["status"] == "ok"
+    report = json.loads((out / "nonfinite_triangle.json").read_text())
+    assert report["status"] == "violation"
+    assert "is not finite" in report["outcome"]["error"]
+    assert len((out / "summary.csv").read_text().splitlines()) == 3
 
 
 def test_run_inconclusive_exit_3(tmp_path, capsys):
@@ -387,14 +443,7 @@ def reference_digests():
 def test_bundled_report_matches_reference_digest(path):
     entry = reference_digests()[path.stem]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["input_sha256"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverlab.cli", "run", str(path)],
-        capture_output=True, env=env, cwd=ROOT, timeout=600,
-    )
+    proc = run_cli("run", str(path))
     assert proc.returncode == entry["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == entry["report_sha256"]
 
@@ -428,8 +477,9 @@ CERTIFICATE_FAMILIES = {
     "Z3": lattice_action(3),
     "quotient-repeated": free_quotient_lattice_action([(1, 0), (1, 0), (0, 1)]),
     "quotient-zero": free_quotient_lattice_action([(1,), (0,)]),
+    # the origin's orbit is {0, 1, 2, 3}; generator 2 fixes 0 and 1 and swaps 2 and 3
     "permutation-fixed-points": finite_permutation_action(
-        [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)], 6),
+        [(1, 2, 3, 0, 4, 5), (0, 1, 3, 2, 4, 5)], 6),
     "F2": free_group_action(2),
 }
 
@@ -444,3 +494,12 @@ def test_certificate_counts_match_boundary_bound(name):
         sets.append(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
     for members in sets:
         assert _payload_counts(action, members) == folner_boundary_bound(action, members)
+
+
+def test_permutation_family_moves_and_fixes_orbit_points():
+    # generator 2 must both fix and move points the certificates reach
+    action = CERTIFICATE_FAMILIES["permutation-fixed-points"]
+    orbit = orbit_ball(action, action.origin, 3).points
+    images = [action.apply_fn(2, x) for x in orbit]
+    assert any(y == x for x, y in zip(orbit, images))
+    assert any(y != x for x, y in zip(orbit, images))

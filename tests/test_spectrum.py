@@ -1,16 +1,19 @@
 """Eigenvalue solvers, Dirichlet windows, and stability intervals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csc_matrix
 
+import coverlab.spectrum as spectrum_module
 from coverlab import (
     BudgetExceededError,
     InequalityViolation,
     InputError,
+    NumericalError,
     WeightedGraph,
     build_cover,
     corollary_check,
@@ -154,6 +157,33 @@ def test_sparse_branch_constant_potential():
     assert result.residual <= 1e-9
 
 
+@pytest.mark.parametrize("solver, dense_limit",
+                         [("eigh", spectrum_module.DENSE_LIMIT), ("eigsh", 1)])
+def test_nan_pair_rejected(solver, dense_limit, triangle, monkeypatch):
+    def nan_pair(A, *args, **kwargs):
+        return np.array([np.nan]), np.ones((A.shape[0], 1))
+
+    monkeypatch.setattr(spectrum_module, "DENSE_LIMIT", dense_limit)
+    monkeypatch.setattr(spectrum_module, solver, nan_pair)
+    with pytest.raises(NumericalError, match="residual nan"):
+        min_eigenvalue(triangle, (0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("dense_limit", [spectrum_module.DENSE_LIMIT, 1])
+def test_nonfinite_operator_rejected_before_either_solver(dense_limit, monkeypatch):
+    # w / mu = 1e310 overflows row 0 and its edge to vertex 1
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solver ran on a non-finite operator")
+
+    monkeypatch.setattr(spectrum_module, "DENSE_LIMIT", dense_limit)
+    monkeypatch.setattr(spectrum_module, "eigh", unreachable)
+    monkeypatch.setattr(spectrum_module, "eigsh", unreachable)
+    graph = WeightedGraph([1e-10, 1.0, 1.0], [(0, 1, 1e300), (0, 2, 1.0), (1, 2, 1.0)])
+    with pytest.raises(NumericalError,
+                       match=r"operator entry inf in row 0 \(vertex \(0, 0\)\)"):
+        min_eigenvalue(graph, (0.0, 0.0, 0.0), 1.0)
+
+
 def test_size_limit_budget(triangle):
     with pytest.raises(BudgetExceededError):
         min_eigenvalue(triangle, (0.0, 0.0, 0.0), 1.0, size_limit=2)
@@ -224,6 +254,43 @@ def test_window_budget(tree_cover):
         dirichlet_window(
             tree_cover, tree_cover.carrier.origin, 6, (0.0,) * 4, 1.0, max_points=50
         )
+
+
+def test_dense_window_bit_identical_to_copying_eigh(tree_cover, monkeypatch):
+    # the in-place solve must return what the copying default returns on
+    # the same assembled matrix, at a size the small oracles never reach
+    real = spectrum_module.eigh
+    calls = []
+
+    def recording(a, **kwargs):
+        matrix = a.copy(order="K")  # LAPACK overwrites a
+        result = real(a, **kwargs)
+        calls.append((matrix, result))
+        return result
+
+    monkeypatch.setattr(spectrum_module, "eigh", recording)
+    window = dirichlet_window(tree_cover, tree_cover.carrier.origin, 7, (-0.1,) * 4, 1.0)
+    assert window.size == 766
+    [(matrix, (vals, vecs))] = calls
+    ref_vals, ref_vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+    assert window.value == float(ref_vals[0])
+
+
+def test_dense_window_holds_one_copy(tree_cover):
+    # numpy reports its buffers to tracemalloc; a second n x n copy would
+    # put the peak above 2 * 8 n^2 bytes
+    origin = tree_cover.carrier.origin
+    n = len(tree_cover.ball(tree_cover.tile(origin), 7))  # cached for the window
+    assert 700 <= n <= spectrum_module.DENSE_LIMIT
+    tracemalloc.start()
+    try:
+        dirichlet_window(tree_cover, origin, 7, (-0.1,) * 4, 1.0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_regular_tree_values():
