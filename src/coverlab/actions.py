@@ -69,6 +69,37 @@ class OrbitGraph:
         return frozenset(self.points)
 
 
+def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | None = None,
+               max_points: int | None = None, overflow: Callable[[int], str] | None = None) -> dict:
+    """Hop depth of each point within radius of the roots (radius None: the closure).
+
+    step(x) lists the neighbors of x; points are keyed in the order reached.
+    Past max_points points it raises BudgetExceededError(overflow(d)), d
+    the hop of the point that overflowed, with the count reached so far.
+    """
+    seen = dict.fromkeys(roots, 0)
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        d = seen[x]
+        if d == radius:
+            continue
+        for y in step(x):
+            if y not in seen:
+                seen[y] = d + 1
+                if max_points is not None and len(seen) > max_points:
+                    raise BudgetExceededError(overflow(d + 1), partial_count=len(seen))
+                queue.append(y)
+    return seen
+
+
+def _action_step(action: GroupAction) -> Callable[[Any], list]:
+    """x -> its images under every signed generator, for bfs_depths."""
+    gens = action.generators()
+    apply_fn = action.apply_fn
+    return lambda x: [apply_fn(g, x) for g in gens]
+
+
 def orbit_ball(
     action: GroupAction,
     center: Any,
@@ -82,24 +113,11 @@ def orbit_ball(
     """
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    seen = {center: 0}
-    queue = deque([center])
-    while queue:
-        x = queue.popleft()
-        d = seen[x]
-        if d == radius:
-            continue
-        for g in action.generators():
-            y = action.apply_fn(g, x)
-            if y not in seen:
-                seen[y] = d + 1
-                if len(seen) > max_points:
-                    raise BudgetExceededError(
-                        f"orbit ball around {action.encode(center)} exceeded "
-                        f"{max_points} points at radius {d + 1}",
-                        partial_count=len(seen),
-                    )
-                queue.append(y)
+    seen = bfs_depths(
+        [center], _action_step(action), radius, max_points,
+        lambda d: f"orbit ball around {action.encode(center)} exceeded "
+                  f"{max_points} points at radius {d}",
+    )
     return OrbitGraph(
         action=action,
         center=center,
@@ -187,13 +205,7 @@ def finite_permutation_action(perms: Iterable[tuple], degree: int) -> GroupActio
         raise InputError(f"degree must be >= 1, got {degree}")
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")
-    inverses = []
-    for p in gens:
-        inv = [0] * degree
-        for i, j in enumerate(p):
-            inv[j] = i
-        inverses.append(tuple(inv))
-    inverses = tuple(inverses)
+    inverses = tuple(permutation_inverse(p) for p in gens)
 
     def apply_fn(g: int, x: int) -> int:
         if g > 0:
@@ -315,20 +327,10 @@ def generate_group(generators: Iterable[tuple], max_order: int = MAX_GROUP_ORDER
     degree = len(gens[0])
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")
-    identity = tuple(range(degree))
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for p in gens:
-            y = permutation_compose(p, x)
-            if y not in seen:
-                seen.add(y)
-                if len(seen) > max_order:
-                    raise BudgetExceededError(
-                        f"group order exceeds {max_order}", partial_count=len(seen)
-                    )
-                queue.append(y)
+    seen = bfs_depths(
+        [tuple(range(degree))], lambda x: [permutation_compose(p, x) for p in gens],
+        max_points=max_order, overflow=lambda _d: f"group order exceeds {max_order}",
+    )
     return frozenset(seen)
 
 

@@ -16,7 +16,9 @@ each point's images are computed once, the first time it is added,
 and membership is a flag per id, so the table holds at most 2n + 1 ids
 per distinct added point.  It carries each subset's per-generator
 overlap counts as it grows, so a subset is scored in integers from
-O(#generators) probes; orbit balls are scored by the same counts.
+O(#generators) probes.  Orbit balls are scored by the same counts,
+probing only the sphere each ball adds to the previous one, whose
+images all lie inside it.
 Whatever set the search returns as a certificate is re-checked from
 scratch by verify_certificate, independently of them, in one pass that
 moves each point by each signed generator once.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .actions import GroupAction, orbit_ball
+from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
 from .errors import BudgetExceededError, FolnerVerificationError, InputError
 
 
@@ -54,7 +56,7 @@ def exact_fraction(value) -> Fraction:
 class SearchBudget:
     """Resource limits for Folner searches."""
 
-    max_points: int = 10**6
+    max_points: int = DEFAULT_POINT_BUDGET
     max_radius: int = 12
     subset_size_cap: int = 14
     max_subsets: int = 200_000
@@ -369,6 +371,7 @@ def search_folner(
         # orbit balls of growing radius, then connected subsets, each with
         # overlap[i - 1] = |E intersect g_i^{-1} E| as _connected_subsets
         nonlocal radius_reached
+        inner = frozenset()
         for radius in range(budget.max_radius + 1):
             try:
                 ball = orbit_ball(action, action.origin, radius, max_points=budget.max_points)
@@ -376,8 +379,11 @@ def search_folner(
                 break
             radius_reached = radius
             E = ball.point_set()
-            yield E, [sum(1 for y in E if action.apply_fn(g, y) in E)
+            # the previous ball moves into E, so only its new sphere can exit
+            sphere = E - inner
+            yield E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)
                       for g in range(1, action.generator_count + 1)]
+            inner = E
             if len(ball.points) >= budget.max_points:
                 break
         yield from _connected_subsets(

@@ -14,17 +14,22 @@ cover is enumerated lazily around a root tile, never materialized.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
-from .actions import GroupAction, finite_permutation_action, net_displacement, word_action
-from .errors import BudgetExceededError, InputError
-
-DEFAULT_WINDOW_BUDGET = 10**6
+from .actions import (
+    DEFAULT_POINT_BUDGET,
+    GroupAction,
+    _action_step,
+    bfs_depths,
+    finite_permutation_action,
+    net_displacement,
+    word_action,
+)
+from .errors import InputError
 
 
 def _check_real(value, label: str, positive: bool = False) -> float:
@@ -74,16 +79,9 @@ class WeightedGraph:
             adj[u].append((v, w))
             adj[v].append((u, w))
         self._adjacency = tuple(tuple(sorted(row)) for row in adj)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, _w in self._adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        seen = bfs_depths([0], lambda x: [y for y, _w in self._adjacency[x]])
         if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
+            missing = sorted(set(range(n)) - seen.keys())
             raise InputError(f"graph is not connected; unreachable vertices {missing}")
 
     @property
@@ -247,7 +245,6 @@ class VoltageCover:
             per_vertex[v].append((u, w, oriented.get((v, u), ())))
         self._stencil = tuple(tuple(sorted(row)) for row in per_vertex)
         self._ball_cache: dict = {}
-        self._fiber_action: GroupAction | None = None
 
     # -- canonical ordering ------------------------------------------------
 
@@ -278,7 +275,7 @@ class VoltageCover:
             out.append(((u, y), w))
         return out
 
-    @property
+    @cached_property
     def fiber_action(self) -> GroupAction:
         """Action on fiber points generated by the distinct voltage words.
 
@@ -286,30 +283,26 @@ class VoltageCover:
         of this action maps one index to the other, because every
         inter-tile edge applies one voltage word or its inverse.
         """
-        if self._fiber_action is None:
-            words = []
-            seen = set()
-            for u, v, _w in self.base.edges:
-                word = self.voltages.get((u, v))
-                if not word:
-                    continue
-                marker = self._word_marker(word)
-                inverse = tuple(-g for g in reversed(word))
-                if marker in seen or self._word_marker(inverse) in seen:
-                    continue
-                seen.add(marker)
-                words.append(word)
-            self._fiber_action = word_action(
-                self.carrier, words, name=f"fiber({self.carrier.name})"
-            )
-        return self._fiber_action
+        words = []
+        seen = set()
+        for u, v, _w in self.base.edges:
+            word = self.voltages.get((u, v))
+            if not word:
+                continue
+            marker = self._word_marker(word)
+            inverse = tuple(-g for g in reversed(word))
+            if marker in seen or self._word_marker(inverse) in seen:
+                continue
+            seen.add(marker)
+            words.append(word)
+        return word_action(self.carrier, words, name=f"fiber({self.carrier.name})")
 
     def _word_marker(self, word: tuple[int, ...]):
         if self.carrier.translation_vectors is None:
             return word
         return net_displacement(self.carrier, word)
 
-    def ball(self, roots: Iterable, radius: int, max_points: int = DEFAULT_WINDOW_BUDGET) -> tuple:
+    def ball(self, roots: Iterable, radius: int, max_points: int = DEFAULT_POINT_BUDGET) -> tuple:
         """Cover vertices within hop-radius of the root set, sorted.
 
         Results are memoized, keyed by the exact query.
@@ -323,22 +316,10 @@ class VoltageCover:
         hit = self._ball_cache.get(key)
         if hit is not None:
             return hit
-        seen = dict.fromkeys(sorted(root_set, key=self.sort_key), 0)
-        queue = deque(seen)
-        while queue:
-            p = queue.popleft()
-            d = seen[p]
-            if d == radius:
-                continue
-            for q, _w in self.neighbors(p):
-                if q not in seen:
-                    seen[q] = d + 1
-                    if len(seen) > max_points:
-                        raise BudgetExceededError(
-                            f"cover window exceeded {max_points} vertices at hop {d + 1}",
-                            partial_count=len(seen),
-                        )
-                    queue.append(q)
+        seen = bfs_depths(
+            root_set, lambda p: [q for q, _w in self.neighbors(p)], radius, max_points,
+            lambda d: f"cover window exceeded {max_points} vertices at hop {d}",
+        )
         result = tuple(sorted(seen, key=self.sort_key))
         self._ball_cache[key] = result
         return result
@@ -383,26 +364,11 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
 
 def _check_window_connectivity(cover: VoltageCover) -> None:
     fiber = cover.fiber_action
-    origin = fiber.origin
-    inner = {origin}
-    for g in fiber.generators():
-        inner.add(fiber.apply_fn(g, origin))
-    window = set(inner)
-    for x in list(inner):
-        for g in fiber.generators():
-            window.add(fiber.apply_fn(g, x))
-    allowed = {(v, x) for v in range(cover.base.vertex_count) for x in window}
-    root = (0, origin)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        p = queue.popleft()
-        for q, _w in cover.neighbors(p):
-            if q in allowed and q not in seen:
-                seen.add(q)
-                queue.append(q)
-    required = {(v, x) for v in range(cover.base.vertex_count) for x in inner}
-    missing = required - seen
+    window = bfs_depths([fiber.origin], _action_step(fiber), radius=2)
+    root = (0, fiber.origin)
+    seen = bfs_depths([root], lambda p: [q for q, _w in cover.neighbors(p) if q[1] in window])
+    inner = [x for x, d in window.items() if d <= 1]
+    missing = [(v, x) for x in inner for v in range(cover.base.vertex_count) if (v, x) not in seen]
     if missing:
         sample = cover.encode(min(missing, key=cover.sort_key))
         raise InputError(

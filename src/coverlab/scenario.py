@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .actions import (
+    DEFAULT_POINT_BUDGET,
     GroupAction,
     finite_permutation_action,
     free_group_action,
@@ -144,7 +145,7 @@ def _parse_base(node: Any, path: str) -> WeightedGraph:
 
 # a lattice action holds a d x d basis; refuse one larger than the default
 # point budget before it is built
-_MAX_LATTICE_DIMENSION = math.isqrt(SearchBudget().max_points)
+_MAX_LATTICE_DIMENSION = math.isqrt(DEFAULT_POINT_BUDGET)
 
 
 def _parse_fiber(node: Any, path: str) -> GroupAction:

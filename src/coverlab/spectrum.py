@@ -21,9 +21,9 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from .actions import DEFAULT_POINT_BUDGET
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import (
-    DEFAULT_WINDOW_BUDGET,
     CompactFunction,
     VoltageCover,
     WeightedGraph,
@@ -161,7 +161,7 @@ class WindowValue:
 
 
 def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
-                     seed: int = 0, max_points: int = DEFAULT_WINDOW_BUDGET) -> WindowValue:
+                     seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> WindowValue:
     """Dirichlet bottom eigenvalue of the hop ball around one tile.
 
     Functions vanish outside the ball, so each boundary edge contributes
@@ -175,12 +175,12 @@ def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
 
 
 def dirichlet_lambda0(cover: VoltageCover, root_tile, radius: int, V, a: float,
-                      seed: int = 0, max_points: int = DEFAULT_WINDOW_BUDGET) -> float:
+                      seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> float:
     return dirichlet_window(cover, root_tile, radius, V, a, seed, max_points).value
 
 
 def dirichlet_profile(cover: VoltageCover, root_tile, radii: Iterable[int], V, a: float,
-                      seed: int = 0, max_points: int = DEFAULT_WINDOW_BUDGET) -> tuple[WindowValue, ...]:
+                      seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> tuple[WindowValue, ...]:
     return tuple(
         dirichlet_window(cover, root_tile, r, V, a, seed, max_points) for r in radii
     )

@@ -17,11 +17,10 @@ from fractions import Fraction
 from math import fsum
 from typing import Optional, Sequence
 
-from .actions import GroupAction, boundary
+from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
 from .errors import InequalityViolation, InputError
 from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
 from .geometry import (
-    DEFAULT_WINDOW_BUDGET,
     CompactFunction,
     VoltageCover,
     WeightedGraph,
@@ -50,21 +49,12 @@ def _leq(x: float, y: float) -> bool:
 
 
 def _boundary_ball(action: GroupAction, members: Sequence, alpha: int) -> int:
-    """Size of the radius-alpha ball around the boundary of the member set."""
-    frontier = list(boundary(action, members))
-    seen = set(frontier)
-    gens = action.generators()
-    apply_fn = action.apply_fn
-    for _ in range(alpha):
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = apply_fn(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    """Size of the radius-alpha ball around the members' boundary, within the point budget."""
+    return len(bfs_depths(
+        boundary(action, members), _action_step(action), alpha, DEFAULT_POINT_BUDGET,
+        lambda d: f"collar ball of radius {alpha} exceeded {DEFAULT_POINT_BUDGET} "
+                  f"points at radius {d}",
+    ))
 
 
 @dataclass(frozen=True)
@@ -360,7 +350,7 @@ class EasyDirectionReport:
 
 def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
                          radii: Sequence[int], seed: int = 0,
-                         max_points: int = DEFAULT_WINDOW_BUDGET) -> EasyDirectionReport:
+                         max_points: int = DEFAULT_POINT_BUDGET) -> EasyDirectionReport:
     """Base nonnegativity must show up in every Dirichlet window.
 
     Each window value dominates the base bottom eigenvalue, so whenever
@@ -403,7 +393,7 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
                         radius: int, alpha: Optional[int] = None,
                         tol: float = 1e-6, budget: Optional[SearchBudget] = None,
                         seed: int = 0,
-                        max_points: int = DEFAULT_WINDOW_BUDGET) -> IntervalComparisonReport:
+                        max_points: int = DEFAULT_POINT_BUDGET) -> IntervalComparisonReport:
     """Compare the base stability interval against cover evidence.
 
     For every sampled coupling the base operator is classified by its
@@ -453,7 +443,7 @@ class CounterexampleReport:
 def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
                          radii: Sequence[int],
                          budget: Optional[SearchBudget] = None, seed: int = 0,
-                         max_points: int = DEFAULT_WINDOW_BUDGET) -> CounterexampleReport:
+                         max_points: int = DEFAULT_POINT_BUDGET) -> CounterexampleReport:
     """Certify strict inclusion: negative base, yet no cover negativity.
 
     Expects the transfer attempt to come back inconclusive and every

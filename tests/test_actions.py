@@ -16,7 +16,7 @@ from coverlab import (
     orbit_ball,
     word_action,
 )
-from coverlab.actions import MAX_GROUP_ORDER, permutation_compose, permutation_inverse
+from coverlab.actions import MAX_GROUP_ORDER, bfs_depths, permutation_compose, permutation_inverse
 from oracles import apply
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -91,6 +91,30 @@ def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
         orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)
     assert err.value.partial_count > 30
+
+
+def test_bfs_depths_from_several_roots():
+    depths = bfs_depths([0, 5], lambda x: [x - 1, x + 1], radius=2)
+    assert depths == {0: 0, 5: 0, -1: 1, 1: 1, 4: 1, 6: 1, -2: 2, 2: 2, 3: 2, 7: 2}
+
+
+def test_bfs_depths_radius_cap_and_closure():
+    def step(x):
+        return [(x + 1) % 7, (x - 1) % 7]
+
+    assert bfs_depths([0], step, radius=1) == {0: 0, 1: 1, 6: 1}
+    assert bfs_depths([0], step, radius=0) == {0: 0}
+    closure = bfs_depths([0], step)
+    assert closure == {x: min(x, 7 - x) for x in range(7)}
+    # a budget the closure fits in exactly is not exceeded
+    assert bfs_depths([0], step, max_points=7) == closure
+
+
+def test_bfs_depths_overflow_names_the_callers_message():
+    with pytest.raises(BudgetExceededError, match="^walk passed 4 points at hop 2$") as err:
+        bfs_depths([0], lambda x: [x + 1, x - 1], max_points=4,
+                   overflow=lambda d: f"walk passed 4 points at hop {d}")
+    assert err.value.partial_count == 5
 
 
 def test_boundary_of_interval():

@@ -1,0 +1,42 @@
+"""The bench tracer still finds every coverlab name it wraps.
+
+bench/tests is outside the tier-1 test paths, so this loads
+bench/tracer.py by path and installs it once: a rename in src/ of a
+traced function, or of VoltageCover._ball_cache, fails here.
+"""
+
+import importlib.util
+import pathlib
+
+import coverlab.cli  # noqa: F401  the tracer patches every coverlab module
+from coverlab import actions, geometry, transfer
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("coverlab_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_records_and_uninstalls(tree_cover):
+    tracer_module = load_tracer()
+    ball = geometry.VoltageCover.__dict__["ball"]
+    orbit_ball, boundary = actions.orbit_ball, actions.boundary
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert geometry.VoltageCover.__dict__["ball"] is not ball
+        assert transfer.boundary is not boundary
+        for _ in range(2):
+            tree_cover.ball(tree_cover.tile(()), 1)
+    finally:
+        tracer.uninstall()
+    assert geometry.VoltageCover.__dict__["ball"] is ball
+    assert (actions.orbit_ball, actions.boundary, transfer.boundary) == (
+        orbit_ball, boundary, boundary)
+    spans = [span for span in tracer.spans if span[tracer_module.NAME] == "geometry.ball"]
+    # the second query is a memo hit, read from _ball_cache before the call
+    assert [span[tracer_module.COUNTERS]["hit"] for span in spans] == [0, 1]

@@ -10,6 +10,7 @@ import pytest
 
 from coverlab import transfer
 from coverlab import (
+    BudgetExceededError,
     InequalityViolation,
     InputError,
     SearchBudget,
@@ -119,6 +120,17 @@ def test_verify_checks_collar_ball_bound(triangle_cover, monkeypatch):
         build_witness(
             triangle_cover, (1.0, 1.0, 1.0), search.certificate, 2, FLAT_V3, 1.0
         )
+
+
+def test_collar_ball_honours_the_point_budget(triangle_cover, monkeypatch):
+    search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
+    monkeypatch.setattr(transfer, "DEFAULT_POINT_BUDGET", 3)
+    with pytest.raises(BudgetExceededError,
+                       match="collar ball of radius 2 exceeded 3 points at radius 1") as err:
+        build_witness(
+            triangle_cover, (1.0, 1.0, 1.0), search.certificate, 2, FLAT_V3, 1.0
+        )
+    assert err.value.partial_count == 4
 
 
 def test_trivial_cover_witness_identity(trivial_cover):
