@@ -42,12 +42,8 @@ from .geometry import (
     as_potential,
     base_function,
     build_cover,
-    complete_graph,
     cover_form_parts,
     cutoff,
-    cycle_graph,
-    grid_torus,
-    path_graph,
     quadratic_form,
 )
 from .spectrum import (

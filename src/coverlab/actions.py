@@ -9,6 +9,7 @@ canonical encoding so that sets of points serialize deterministically.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -16,6 +17,10 @@ from typing import Any, Callable, Iterable
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_POINT_BUDGET = 10**6
+
+# a lattice action holds a d x d basis; refuse one larger than the point
+# budget before it is built
+MAX_LATTICE_DIMENSION = math.isqrt(DEFAULT_POINT_BUDGET)
 
 # permutation group enumeration refuses to materialize groups larger than this
 MAX_GROUP_ORDER = 10**4
@@ -60,9 +65,6 @@ class GroupAction:
 class OrbitGraph:
     """The points within a hop radius of a center, sorted by the action's key."""
 
-    action: GroupAction
-    center: Any
-    radius: int
     points: tuple
 
     def point_set(self) -> frozenset:
@@ -118,12 +120,7 @@ def orbit_ball(
         lambda d: f"orbit ball around {action.encode(center)} exceeded "
                   f"{max_points} points at radius {d}",
     )
-    return OrbitGraph(
-        action=action,
-        center=center,
-        radius=radius,
-        points=tuple(sorted(seen, key=action.sort_key)),
-    )
+    return OrbitGraph(points=tuple(sorted(seen, key=action.sort_key)))
 
 
 def boundary(action: GroupAction, members: Iterable) -> frozenset:
@@ -149,6 +146,10 @@ def lattice_action(dimension: int) -> GroupAction:
     """Z^n acting on itself; generator i translates coordinate i by one."""
     if dimension < 1:
         raise InputError(f"lattice dimension must be >= 1, got {dimension}")
+    if dimension > MAX_LATTICE_DIMENSION:
+        raise InputError(
+            f"lattice dimension must be at most {MAX_LATTICE_DIMENSION}, got {dimension}"
+        )
 
     def apply_fn(g: int, x: tuple) -> tuple:
         i = abs(g) - 1
@@ -319,8 +320,8 @@ def permutation_inverse(p: tuple) -> tuple:
     return tuple(inv)
 
 
-def generate_group(generators: Iterable[tuple], max_order: int = MAX_GROUP_ORDER) -> frozenset:
-    """Close a set of permutations under composition."""
+def generate_group(generators: Iterable[tuple]) -> frozenset:
+    """Close a set of permutations under composition, up to MAX_GROUP_ORDER elements."""
     gens = [tuple(p) for p in generators]
     if not gens:
         raise InputError("a permutation group needs at least one generator")
@@ -329,7 +330,8 @@ def generate_group(generators: Iterable[tuple], max_order: int = MAX_GROUP_ORDER
         _check_permutation(p, degree, f"generator {k + 1}")
     seen = bfs_depths(
         [tuple(range(degree))], lambda x: [permutation_compose(p, x) for p in gens],
-        max_points=max_order, overflow=lambda _d: f"group order exceeds {max_order}",
+        max_points=MAX_GROUP_ORDER,
+        overflow=lambda _d: f"group order exceeds {MAX_GROUP_ORDER}",
     )
     return frozenset(seen)
 
@@ -356,7 +358,6 @@ class CosetDualityReport:
 def coset_duality_check(
     group_generators: Iterable[tuple],
     subgroup_generators: Iterable[tuple],
-    max_order: int = MAX_GROUP_ORDER,
 ) -> CosetDualityReport:
     """Check that inversion swaps the left and right coset translation actions.
 
@@ -364,8 +365,8 @@ def coset_duality_check(
     Hs to H(s g^{-1}).  The map sH -> H s^{-1} must be a bijection that
     intertwines the two; this is verified exhaustively.
     """
-    G = generate_group(group_generators, max_order=max_order)
-    H = generate_group(subgroup_generators, max_order=max_order)
+    G = generate_group(group_generators)
+    H = generate_group(subgroup_generators)
     if not H <= G:
         raise InputError("subgroup generators leave the ambient group")
 
@@ -405,16 +406,16 @@ def coset_duality_check(
     )
 
 
-def all_subgroups(group_generators: Iterable[tuple], max_order: int = MAX_GROUP_ORDER) -> list[frozenset]:
+def all_subgroups(group_generators: Iterable[tuple]) -> list[frozenset]:
     """All subgroups reachable from one or two group elements.
 
     Every subgroup of the small symmetric groups used in the test-suite is
     generated by at most two elements, so pair closures enumerate them all.
     """
-    G = sorted(generate_group(group_generators, max_order=max_order))
+    G = sorted(generate_group(group_generators))
     found: set[frozenset] = set()
     for a in G:
-        found.add(generate_group([a], max_order=max_order))
+        found.add(generate_group([a]))
     for a, b in itertools.combinations(G, 2):
-        found.add(generate_group([a, b], max_order=max_order))
+        found.add(generate_group([a, b]))
     return sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -348,11 +348,6 @@ def search_folner(
     best_ratio: Fraction | None = None
     best_set: tuple | None = None
 
-    if action.generator_count == 0:
-        # every set is invariant under the empty generating system
-        cert = verify_certificate(action, [action.origin], eps)
-        return SearchReport("found", cert, Fraction(0), cert.members, 1, 0)
-
     if action.translation_vectors is not None:
         cert = _search_box(action, eps, budget)
         if cert is not None:
@@ -390,14 +385,16 @@ def search_folner(
             action, action.origin, budget.subset_size_cap, budget.max_subsets
         )
 
-    # the worst ratio over all signed generators is 2 (|E| - min overlap) / |E|;
-    # the best so far is best_excess / best_size, starting from 1 / 0 = infinity
+    # the worst ratio over all signed generators is 2 (|E| - min overlap) / |E|,
+    # and 0 when there are none (tested inline: min's default= keyword triples
+    # the cost of a call made once per scored set); the best so far is
+    # best_excess / best_size, starting from 1 / 0 = infinity
     best_excess, best_size = 1, 0
     eps_num, eps_den = eps.numerator, eps.denominator
     for members, overlap in candidates():
         examined += 1
         size = len(members)
-        excess = 2 * (size - min(overlap))
+        excess = 2 * (size - (min(overlap) if overlap else size))
         if excess * best_size < best_excess * size:
             best_excess, best_size = excess, size
             best_ratio = Fraction(excess, size)

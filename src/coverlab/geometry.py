@@ -104,39 +104,6 @@ class WeightedGraph:
         return VoltageCover(self, finite_permutation_action((), 1), {})
 
 
-def path_graph(n: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:
-    if n < 1:
-        raise InputError(f"path length must be >= 1, got {n}")
-    return WeightedGraph([mu] * n, [(i, i + 1, w) for i in range(n - 1)])
-
-
-def cycle_graph(n: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:
-    if n < 3:
-        raise InputError(f"cycle length must be >= 3, got {n}")
-    return WeightedGraph([mu] * n, [(i, (i + 1) % n, w) for i in range(n)])
-
-
-def complete_graph(n: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:
-    if n < 2:
-        raise InputError(f"complete graph needs >= 2 vertices, got {n}")
-    edges = [(i, j, w) for i in range(n) for j in range(i + 1, n)]
-    return WeightedGraph([mu] * n, edges)
-
-
-def grid_torus(rows: int, cols: int, w: float = 1.0, mu: float = 1.0) -> WeightedGraph:
-    """Doubly periodic grid; sides must be >= 3 to stay a simple graph."""
-    if rows < 3 or cols < 3:
-        raise InputError(f"torus sides must be >= 3, got {rows}x{cols}")
-    def vid(r: int, c: int) -> int:
-        return (r % rows) * cols + (c % cols)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            edges.append((vid(r, c), vid(r, c + 1), w))
-            edges.append((vid(r, c), vid(r + 1, c), w))
-    return WeightedGraph([mu] * (rows * cols), edges)
-
-
 class Potential:
     """Vertex potential: one checked finite real per base vertex."""
 
@@ -237,13 +204,10 @@ class VoltageCover:
         for (u, v), word in self.voltages.items():
             oriented[(u, v)] = word[::-1]
             oriented[(v, u)] = tuple(-g for g in word)
-        per_vertex: list[list[tuple[int, float, tuple[int, ...]]]] = [
-            [] for _ in range(base.vertex_count)
-        ]
-        for u, v, w in base.edges:
-            per_vertex[u].append((v, w, oriented.get((u, v), ())))
-            per_vertex[v].append((u, w, oriented.get((v, u), ())))
-        self._stencil = tuple(tuple(sorted(row)) for row in per_vertex)
+        self._stencil = tuple(
+            tuple((u, w, oriented.get((v, u), ())) for u, w in base.neighbors(v))
+            for v in range(base.vertex_count)
+        )
         self._ball_cache: dict = {}
 
     # -- canonical ordering ------------------------------------------------
@@ -302,23 +266,25 @@ class VoltageCover:
             return word
         return net_displacement(self.carrier, word)
 
-    def ball(self, roots: Iterable, radius: int, max_points: int = DEFAULT_POINT_BUDGET) -> tuple:
+    def ball(self, roots: Iterable, radius: int) -> tuple:
         """Cover vertices within hop-radius of the root set, sorted.
 
-        Results are memoized, keyed by the exact query.
+        Past DEFAULT_POINT_BUDGET vertices it raises BudgetExceededError.
+        Results are memoized, keyed by the root set and radius; a ball
+        over budget raises before it is stored.
         """
         root_set = frozenset(roots)
         if not root_set:
             raise InputError("window root set is empty")
         if radius < 0:
             raise InputError(f"radius must be nonnegative, got {radius}")
-        key = (root_set, radius, max_points)
+        key = (root_set, radius)
         hit = self._ball_cache.get(key)
         if hit is not None:
             return hit
         seen = bfs_depths(
-            root_set, lambda p: [q for q, _w in self.neighbors(p)], radius, max_points,
-            lambda d: f"cover window exceeded {max_points} vertices at hop {d}",
+            root_set, lambda p: [q for q, _w in self.neighbors(p)], radius, DEFAULT_POINT_BUDGET,
+            lambda d: f"cover window exceeded {DEFAULT_POINT_BUDGET} vertices at hop {d}",
         )
         result = tuple(sorted(seen, key=self.sort_key))
         self._ball_cache[key] = result

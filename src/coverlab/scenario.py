@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .actions import (
-    DEFAULT_POINT_BUDGET,
+    MAX_LATTICE_DIMENSION,
     GroupAction,
     finite_permutation_action,
     free_group_action,
@@ -143,20 +143,15 @@ def _parse_base(node: Any, path: str) -> WeightedGraph:
         raise InputError(f"{path}: {exc}") from None
 
 
-# a lattice action holds a d x d basis; refuse one larger than the default
-# point budget before it is built
-_MAX_LATTICE_DIMENSION = math.isqrt(DEFAULT_POINT_BUDGET)
-
-
 def _parse_fiber(node: Any, path: str) -> GroupAction:
     obj = _expect_dict(node, path)
     kind = obj.get("kind")
     if kind == "lattice":
         _check_keys(obj, path, ("kind", "dimension"), ())
         dimension = _int_at_least(1)(obj["dimension"], f"{path}.dimension")
-        if dimension > _MAX_LATTICE_DIMENSION:
+        if dimension > MAX_LATTICE_DIMENSION:
             raise InputError(
-                f"{path}.dimension: must be at most {_MAX_LATTICE_DIMENSION}, got {dimension}"
+                f"{path}.dimension: must be at most {MAX_LATTICE_DIMENSION}, got {dimension}"
             )
         return lattice_action(dimension)
     if kind == "free_group":
@@ -304,10 +299,9 @@ class Scenario:
     fiber: Optional[GroupAction]
     cover: Optional[VoltageCover]
     params: dict
-    source: str
 
 
-def parse_scenario(obj: Any, source: str = "<memory>") -> Scenario:
+def parse_scenario(obj: Any) -> Scenario:
     root = _expect_dict(obj, "scenario")
     _reject_raw_floats(root, "scenario")
     _check_keys(root, "scenario", ("name", "task"), ("seed", *_SECTION_PARSERS, "params"))
@@ -348,7 +342,7 @@ def parse_scenario(obj: Any, source: str = "<memory>") -> Scenario:
     params = _parse_params(task, root.get("params"), "scenario.params")
     return Scenario(
         name=name, task=task, seed=seed, base=base, potential=potential,
-        fiber=fiber, cover=cover, params=params, source=source,
+        fiber=fiber, cover=cover, params=params,
     )
 
 
@@ -362,6 +356,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     try:
-        return parse_scenario(obj, source=str(p))
+        return parse_scenario(obj)
     except InputError as exc:
         raise InputError(f"{p}: {exc}") from None

@@ -21,7 +21,6 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
-from .actions import DEFAULT_POINT_BUDGET
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import (
     CompactFunction,
@@ -125,18 +124,18 @@ def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
     return lam, f, residual
 
 
-def min_eigenvalue(graph: WeightedGraph, V, a: float,
-                   size_limit: int = DEFAULT_SIZE_LIMIT, seed: int = 0) -> SpectralResult:
+def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> SpectralResult:
     """Bottom of the mu-weighted spectrum of L + a V on a finite graph.
 
     The graph is solved as its own trivial cover, one tile with no
     boundary.  Connectivity is enforced by WeightedGraph itself; this
-    only guards the size budget and the solver tolerance.
+    only guards the size budget DEFAULT_SIZE_LIMIT and the solver
+    tolerance.
     """
     n = graph.vertex_count
-    if n > size_limit:
+    if n > DEFAULT_SIZE_LIMIT:
         raise BudgetExceededError(
-            f"graph has {n} vertices, above the eigensolve budget {size_limit}",
+            f"graph has {n} vertices, above the eigensolve budget {DEFAULT_SIZE_LIMIT}",
             partial_count=n,
         )
     trivial = graph.trivial_cover
@@ -161,7 +160,7 @@ class WindowValue:
 
 
 def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
-                     seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> WindowValue:
+                     seed: int = 0) -> WindowValue:
     """Dirichlet bottom eigenvalue of the hop ball around one tile.
 
     Functions vanish outside the ball, so each boundary edge contributes
@@ -169,21 +168,19 @@ def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
     the radius and never certifies positivity of the infinite cover,
     only refutes it when negative.
     """
-    window = cover.ball(cover.tile(root_tile), radius, max_points=max_points)
+    window = cover.ball(cover.tile(root_tile), radius)
     lam, _f, _residual = _smallest_pair(cover, window, V, a, seed)
     return WindowValue(radius=radius, value=lam, size=len(window))
 
 
 def dirichlet_lambda0(cover: VoltageCover, root_tile, radius: int, V, a: float,
-                      seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> float:
-    return dirichlet_window(cover, root_tile, radius, V, a, seed, max_points).value
+                      seed: int = 0) -> float:
+    return dirichlet_window(cover, root_tile, radius, V, a, seed).value
 
 
 def dirichlet_profile(cover: VoltageCover, root_tile, radii: Iterable[int], V, a: float,
-                      seed: int = 0, max_points: int = DEFAULT_POINT_BUDGET) -> tuple[WindowValue, ...]:
-    return tuple(
-        dirichlet_window(cover, root_tile, r, V, a, seed, max_points) for r in radii
-    )
+                      seed: int = 0) -> tuple[WindowValue, ...]:
+    return tuple(dirichlet_window(cover, root_tile, r, V, a, seed) for r in radii)
 
 
 def regular_tree_dirichlet_value(degree: int, vertex_radius: int) -> float:
@@ -227,15 +224,12 @@ class StabilityInterval:
     upper: float  # +inf when V >= 0 everywhere
     endpoint_tolerance: float
 
-    def contains(self, a: float) -> bool:
-        return self.lower <= a <= self.upper
-
 
 MAX_BRACKET = 2.0**60
 
 
 def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
-                       size_limit: int = DEFAULT_SIZE_LIMIT, seed: int = 0) -> StabilityInterval:
+                       seed: int = 0) -> StabilityInterval:
     """Endpoints of {a : lambda_min(a) >= 0} by sign bisection.
 
     lambda_min is a minimum of functions affine in a, hence concave, and
@@ -254,7 +248,7 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
 
     def lam(a: float) -> float:
         if a not in cache:
-            cache[a] = min_eigenvalue(graph, pot, a, size_limit, seed).lambda_min
+            cache[a] = min_eigenvalue(graph, pot, a, seed).lambda_min
         return cache[a]
 
     def endpoint(sign: float) -> tuple[float, float]:

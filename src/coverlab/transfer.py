@@ -349,8 +349,7 @@ class EasyDirectionReport:
 
 
 def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
-                         radii: Sequence[int], seed: int = 0,
-                         max_points: int = DEFAULT_POINT_BUDGET) -> EasyDirectionReport:
+                         radii: Sequence[int], seed: int = 0) -> EasyDirectionReport:
     """Base nonnegativity must show up in every Dirichlet window.
 
     Each window value dominates the base bottom eigenvalue, so whenever
@@ -363,7 +362,7 @@ def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
     for a in a_samples:
         lam = min_eigenvalue(cover.base, V, a, seed=seed).lambda_min
         nonneg = lam >= -SIGN_FLOOR
-        windows = dirichlet_profile(cover, origin, radii, V, a, seed, max_points)
+        windows = dirichlet_profile(cover, origin, radii, V, a, seed)
         if nonneg:
             for win in windows:
                 _check_inclusion(a, lam, win)
@@ -392,8 +391,7 @@ class IntervalComparisonReport:
 def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
                         radius: int, alpha: Optional[int] = None,
                         tol: float = 1e-6, budget: Optional[SearchBudget] = None,
-                        seed: int = 0,
-                        max_points: int = DEFAULT_POINT_BUDGET) -> IntervalComparisonReport:
+                        seed: int = 0) -> IntervalComparisonReport:
     """Compare the base stability interval against cover evidence.
 
     For every sampled coupling the base operator is classified by its
@@ -410,7 +408,7 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
     for a in a_samples:
         lam = min_eigenvalue(cover.base, V, a, seed=seed).lambda_min
         nonneg = lam >= -SIGN_FLOOR
-        window = dirichlet_window(cover, origin, radius, V, a, seed, max_points)
+        window = dirichlet_window(cover, origin, radius, V, a, seed)
         refuted = window.value < REFUTE_FLOOR
         status = None
         ratio = None
@@ -442,8 +440,8 @@ class CounterexampleReport:
 
 def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
                          radii: Sequence[int],
-                         budget: Optional[SearchBudget] = None, seed: int = 0,
-                         max_points: int = DEFAULT_POINT_BUDGET) -> CounterexampleReport:
+                         budget: Optional[SearchBudget] = None,
+                         seed: int = 0) -> CounterexampleReport:
     """Certify strict inclusion: negative base, yet no cover negativity.
 
     Expects the transfer attempt to come back inconclusive and every
@@ -456,7 +454,7 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
         raise InequalityViolation(
             "negativity transferred to the cover; strict inclusion fails"
         )
-    windows = dirichlet_profile(cover, cover.carrier.origin, radii, V, a, seed, max_points)
+    windows = dirichlet_profile(cover, cover.carrier.origin, radii, V, a, seed)
     for win in windows:
         if win.value < REFUTE_FLOOR:
             raise InequalityViolation(

@@ -2,6 +2,7 @@
 
 import pytest
 
+import coverlab.actions as actions
 from coverlab import (
     BudgetExceededError,
     InputError,
@@ -16,7 +17,7 @@ from coverlab import (
     orbit_ball,
     word_action,
 )
-from coverlab.actions import MAX_GROUP_ORDER, bfs_depths, permutation_compose, permutation_inverse
+from coverlab.actions import bfs_depths, permutation_compose, permutation_inverse
 from oracles import apply
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -87,6 +88,13 @@ def test_orbit_ball_sizes():
     assert len(orbit_ball(free_group_action(2), (), 3).points) == 53
 
 
+def test_lattice_dimension_limit():
+    assert actions.MAX_LATTICE_DIMENSION == 1000
+    # 1001 is refused before its 1001 x 1001 basis is built
+    with pytest.raises(InputError, match="^lattice dimension must be at most 1000, got 1001$"):
+        lattice_action(1001)
+
+
 def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
         orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)
@@ -125,11 +133,12 @@ def test_boundary_of_interval():
         boundary(act, [])
 
 
-def test_generate_group_s3_and_budget():
+def test_generate_group_s3_and_budget(monkeypatch):
     group = generate_group(S3_GENS)
     assert len(group) == 6
-    with pytest.raises(BudgetExceededError):
-        generate_group([tuple((i + 1) % 40 for i in range(40))], max_order=10)
+    monkeypatch.setattr(actions, "MAX_GROUP_ORDER", 10)
+    with pytest.raises(BudgetExceededError, match="^group order exceeds 10$"):
+        generate_group([tuple((i + 1) % 40 for i in range(40))])
 
 
 def test_coset_duality_s3_transposition():

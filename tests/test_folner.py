@@ -22,6 +22,7 @@ from coverlab import (
     orbit_ball,
     search_folner,
     verify_certificate,
+    word_action,
 )
 from coverlab import folner
 from coverlab.folner import _connected_subsets, translation_box
@@ -90,11 +91,21 @@ def test_search_quotient_with_identity_generator():
 
 
 def test_search_zero_generator_action():
-    act = finite_permutation_action([], 1)
-    rep = search_folner(act, Fraction(1, 1000))
-    assert rep.outcome == "found"
-    assert rep.certificate.members == (act.origin,)
-    assert rep.certificate.max_ratio == Fraction(0)
+    # every set is invariant: the radius-0 ball, or the one-point box of a
+    # zero-word translation fiber, is found at once, even at epsilon 0
+    lattice_fiber = word_action(lattice_action(2), [])
+    assert lattice_fiber.translation_vectors == ()
+    for act in (finite_permutation_action([], 1), lattice_fiber,
+                word_action(free_group_action(2), [])):
+        for eps in (Fraction(1, 1000), Fraction(0)):
+            rep = search_folner(act, eps)
+            assert rep.outcome == "found"
+            assert rep.certificate.members == (act.origin,)
+            assert rep.certificate.max_ratio == Fraction(0)
+            assert rep.best_set == (act.origin,)
+            assert rep.best_ratio == 0
+            assert rep.sets_examined == 1
+            assert rep.radius_reached == 0
 
 
 def test_subset_enumeration_counts_intervals():

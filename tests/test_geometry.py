@@ -7,21 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+import coverlab.geometry as geometry
 from coverlab import (
     BudgetExceededError,
     CompactFunction,
     InputError,
     WeightedGraph,
     build_cover,
-    complete_graph,
     cover_form_parts,
     cutoff,
-    cycle_graph,
     finite_permutation_action,
-    grid_torus,
     lattice_action,
     orbit_ball,
-    path_graph,
     quadratic_form,
 )
 from coverlab.geometry import collar_counts
@@ -60,20 +57,6 @@ def test_graph_validation_errors():
         WeightedGraph((1.0, -1.0), [(0, 1, 1.0)])
     with pytest.raises(InputError):
         WeightedGraph((1.0,) * 4, [(0, 1, 1.0), (2, 3, 1.0)])
-
-
-def test_graph_builders():
-    assert len(path_graph(5).edges) == 4
-    assert len(cycle_graph(5).edges) == 5
-    assert len(complete_graph(4).edges) == 6
-    torus = grid_torus(4, 4)
-    assert torus.vertex_count == 16
-    assert len(torus.edges) == 32
-    degrees = [0] * 16
-    for u, v, _w in torus.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    assert set(degrees) == {4}
 
 
 def test_quadratic_form_hand_value():
@@ -119,8 +102,9 @@ def test_voltage_rejections(triangle):
 
 def test_bridge_voltage_disconnects():
     # voltage on the only edge tears the cover into a perfect matching
+    edge = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])
     with pytest.raises(InputError):
-        build_cover(path_graph(2), lattice_action(1), {(0, 1): (1,)})
+        build_cover(edge, lattice_action(1), {(0, 1): (1,)})
 
 
 def test_zero_cycle_voltage_disconnects(triangle):
@@ -164,11 +148,25 @@ def test_ball_memoized(triangle_cover):
     assert triangle_cover.ball(roots, 4) is first
 
 
-def test_ball_budget(tree_cover):
+def test_ball_budget(tree_cover, monkeypatch):
     roots = tree_cover.tile(tree_cover.carrier.origin)
+    monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 40)
     with pytest.raises(BudgetExceededError) as info:
-        tree_cover.ball(roots, 5, max_points=40)
+        tree_cover.ball(roots, 5)
     assert info.value.partial_count == 41
+    assert str(info.value) == "cover window exceeded 40 vertices at hop 3"
+
+
+def test_ball_over_budget_is_not_memoized(tree_cover, monkeypatch):
+    roots = tree_cover.tile(tree_cover.carrier.origin)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "DEFAULT_POINT_BUDGET", 40)
+        with pytest.raises(BudgetExceededError):
+            tree_cover.ball(roots, 5)
+    assert not tree_cover._ball_cache
+    ball = tree_cover.ball(roots, 5)
+    assert ball == brute_ball(tree_cover, roots, 5)
+    assert len(ball) > 40
 
 
 def test_fiber_action_dedupes_words(k4):
