@@ -3,10 +3,13 @@
 The generalized problem (L + a diag(V mu)) f = lambda diag(mu) f is
 symmetrized with M^{-1/2} so one standard symmetric eigensolve suffices;
 dense below DENSE_LIMIT vertices, shift-inverted Lanczos above.  The
-dense branch holds one n x n array, which LAPACK factors in place.
-Finiteness is checked once, on the assembled sparse entries, before
-either solver runs.  Every result carries an explicit residual and is
-rejected past 1e-9, or when it is not a number.
+operator is assembled once per vertex list; only its diagonal depends
+on a.  Finiteness is checked on the assembled sparse entries before
+anything solves or factors them, and a dense branch holds one n x n
+array, which LAPACK factors in place.  Every eigenpair carries an
+explicit residual and is rejected past 1e-9, or when it is not a number.
+A stability-interval bisection needs only the sign of lambda_min at each
+probe, which a Cholesky factorization decides up to DENSE_LIMIT vertices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
@@ -54,49 +58,67 @@ class SpectralResult:
     residual: float
 
 
-def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
-                   seed: int) -> tuple[float, np.ndarray, float]:
-    """Smallest eigenpair of L + a V on the listed cover vertices.
+class _Operator:
+    """The symmetrized operator D (L + a V) D on listed cover vertices.
 
     Functions vanish off the list, so every edge keeps its conductance
     in the diagonal, which each vertex reads from its base vertex: a
     cover vertex carries exactly its base vertex's edge weights.  The
-    pencil is symmetrized as D (diag + off) D with D = diag(mu^-1/2).
-    Returns (lambda, eigenvector in original coordinates, residual).
+    pencil (L + a diag(V mu)) f = lambda diag(mu) f is symmetrized with
+    D = diag(mu^-1/2).  Only the diagonal depends on a, so the cover is
+    walked once and ``at(a)`` builds the matrix for any a.
     """
-    base = cover.base
-    pot = as_potential(V, base)
-    base_diag = [base.weighted_degree(v) + a * pot[v] * base.mu[v]
-                 for v in range(base.vertex_count)]
-    index = {p: i for i, p in enumerate(points)}
-    n = len(points)
-    mu = np.array([base.mu[v] for v, _x in points])
-    diag = np.array([base_diag[v] for v, _x in points])
-    # a neighbour always lies over another base vertex, so never on p itself
-    rows, cols, weights = [], [], []
-    for i, p in enumerate(points):
-        for q, w in cover.neighbors(p):
-            j = index.get(q)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                weights.append(-w)
-    d = 1.0 / np.sqrt(mu)
-    rows = np.array(rows, dtype=int)
-    cols = np.array(cols, dtype=int)
-    with np.errstate(over="ignore"):  # an overflow is reported below, by entry
-        diag_s = diag * d * d
-        off_s = np.array(weights, dtype=float) * d[rows] * d[cols]
-    A = csc_matrix((np.concatenate([off_s, diag_s]),
-                    (np.concatenate([rows, np.arange(n)]),
-                     np.concatenate([cols, np.arange(n)]))), shape=(n, n))
-    # the CSC sums duplicates, so A.data holds every nonzero of A.toarray()
-    bad = np.flatnonzero(~np.isfinite(A.data))
-    if bad.size:
-        k = bad[np.argmin(A.indices[bad])]
-        row = int(A.indices[k])
-        raise NumericalError(f"operator entry {float(A.data[k])!r} in row {row} "
-                             f"(vertex {points[row]!r}) is not finite")
+
+    def __init__(self, cover: VoltageCover, points: Sequence, V):
+        base = cover.base
+        pot = as_potential(V, base)
+        index = {p: i for i, p in enumerate(points)}
+        base_of = np.array([v for v, _x in points], dtype=int)
+        self.points = points
+        self.degree = np.array([base.weighted_degree(v)
+                                for v in range(base.vertex_count)])[base_of]
+        self.pot = np.array(pot.values)[base_of]
+        self.mu = np.array(base.mu)[base_of]
+        # a neighbour always lies over another base vertex, so never on p itself
+        rows, cols, weights = [], [], []
+        for i, p in enumerate(points):
+            for q, w in cover.neighbors(p):
+                j = index.get(q)
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    weights.append(-w)
+        self.d = d = 1.0 / np.sqrt(self.mu)
+        rows = np.array(rows, dtype=int)
+        cols = np.array(cols, dtype=int)
+        with np.errstate(over="ignore"):  # an overflow is reported by at(a), by entry
+            self.off = np.array(weights, dtype=float) * d[rows] * d[cols]
+        n = len(points)
+        self.rows = np.concatenate([rows, np.arange(n)])
+        self.cols = np.concatenate([cols, np.arange(n)])
+
+    def at(self, a: float) -> csc_matrix:
+        """A(a), after checking that each stored entry is finite."""
+        with np.errstate(over="ignore"):  # an overflow is reported below, by entry
+            diag_s = (self.degree + a * self.pot * self.mu) * self.d * self.d
+        n = len(self.points)
+        A = csc_matrix((np.concatenate([self.off, diag_s]), (self.rows, self.cols)),
+                       shape=(n, n))
+        # the CSC sums duplicates, so A.data holds every nonzero of A.toarray()
+        bad = np.flatnonzero(~np.isfinite(A.data))
+        if bad.size:
+            k = bad[np.argmin(A.indices[bad])]
+            row = int(A.indices[k])
+            raise NumericalError(f"operator entry {float(A.data[k])!r} in row {row} "
+                                 f"(vertex {self.points[row]!r}) is not finite")
+        return A
+
+
+def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenpair of A(a): (lambda, eigenvector in original
+    coordinates, residual)."""
+    A = op.at(a)
+    n = A.shape[0]
     if n <= DENSE_LIMIT:
         vals, vecs = eigh(A.toarray(order="F"), subset_by_index=[0, 0],
                           overwrite_a=True, check_finite=False)
@@ -104,6 +126,7 @@ def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
         y = vecs[:, 0]
     else:
         # Gershgorin floor keeps the shift strictly below the spectrum
+        diag_s = A.diagonal()
         row_abs = np.abs(A).sum(axis=1).A1 - np.abs(diag_s)
         sigma = float((diag_s - row_abs).min()) - 1.0
         rng = np.random.default_rng(seed)
@@ -117,21 +140,31 @@ def _smallest_pair(cover: VoltageCover, points: Sequence, V, a: float,
         raise NumericalError(
             f"eigensolve residual {residual:.3e} exceeds {RESIDUAL_TOLERANCE:.0e}"
         )
-    f = d * y
+    f = op.d * y
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:
         f = -f
     return lam, f, residual
 
 
-def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> SpectralResult:
-    """Bottom of the mu-weighted spectrum of L + a V on a finite graph.
+def _is_nonnegative(op: _Operator, a: float, seed: int) -> bool:
+    """Sign of lambda_min(A(a)), without the eigenvector when dense.
 
-    The graph is solved as its own trivial cover, one tile with no
-    boundary.  Connectivity is enforced by WeightedGraph itself; this
-    only guards the size budget DEFAULT_SIZE_LIMIT and the solver
-    tolerance.
+    A finite symmetric matrix is positive definite exactly when its
+    Cholesky factorization succeeds, so up to DENSE_LIMIT vertices LAPACK
+    factors the one dense copy in place; the two rules differ only where
+    lambda_min is at rounding level.  Larger operators are solved.
     """
+    A = op.at(a)
+    if A.shape[0] <= DENSE_LIMIT:
+        _c, info = dpotrf(A.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
+        return info == 0
+    return _smallest_pair(op, a, seed)[0] >= 0.0
+
+
+def _base_operator(graph: WeightedGraph, V) -> _Operator:
+    """The graph as its own trivial cover, one tile with no boundary,
+    within the size budget DEFAULT_SIZE_LIMIT."""
     n = graph.vertex_count
     if n > DEFAULT_SIZE_LIMIT:
         raise BudgetExceededError(
@@ -139,7 +172,16 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> Spectral
             partial_count=n,
         )
     trivial = graph.trivial_cover
-    lam, f, residual = _smallest_pair(trivial, trivial.tile(0), V, a, seed)
+    return _Operator(trivial, trivial.tile(0), V)
+
+
+def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> SpectralResult:
+    """Bottom of the mu-weighted spectrum of L + a V on a finite graph.
+
+    Connectivity is enforced by WeightedGraph itself; this only guards
+    the size budget DEFAULT_SIZE_LIMIT and the solver tolerance.
+    """
+    lam, f, residual = _smallest_pair(_base_operator(graph, V), a, seed)
     return SpectralResult(lam, tuple(float(x) for x in f), residual)
 
 
@@ -169,7 +211,7 @@ def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
     only refutes it when negative.
     """
     window = cover.ball(cover.tile(root_tile), radius)
-    lam, _f, _residual = _smallest_pair(cover, window, V, a, seed)
+    lam, _f, _residual = _smallest_pair(_Operator(cover, window, V), a, seed)
     return WindowValue(radius=radius, value=lam, size=len(window))
 
 
@@ -236,32 +278,36 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     vanishes at a = 0 on connected graphs, so the set is a closed
     interval around 0.  One-sided infiniteness is decided exactly by the
     sign pattern of V; finite endpoints are bracketed by doubling from
-    |a| = 1 and bisected to width tol.
+    |a| = 1 and bisected to width tol.  The operator is assembled once,
+    on the graph's trivial cover, and each probe needs only its sign:
+    one in-place Cholesky factorization up to DENSE_LIMIT vertices, an
+    eigensolve above it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     pot = as_potential(V, graph)
     if pot.is_zero():
         return StabilityInterval(-math.inf, math.inf, 0.0)
+    op = _base_operator(graph, pot)
 
-    cache: dict[float, float] = {}
+    cache: dict[float, bool] = {}
 
-    def lam(a: float) -> float:
+    def nonnegative(a: float) -> bool:
         if a not in cache:
-            cache[a] = min_eigenvalue(graph, pot, a, seed).lambda_min
+            cache[a] = _is_nonnegative(op, a, seed)
         return cache[a]
 
     def endpoint(sign: float) -> tuple[float, float]:
         hi = 1.0
         lo = 0.0
-        while lam(sign * hi) >= 0.0:
+        while nonnegative(sign * hi):
             lo = hi
             hi *= 2.0
             if hi > MAX_BRACKET:
                 return sign * math.inf, 0.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
-            if lam(sign * mid) >= 0.0:
+            if nonnegative(sign * mid):
                 lo = mid
             else:
                 hi = mid

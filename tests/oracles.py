@@ -4,9 +4,18 @@ Nothing in coverlab calls these; each recomputes a quantity from its
 definition, by a different route than the library takes.
 """
 
+import math
 from fractions import Fraction
 
-from coverlab import CompactFunction, InputError, base_function, boundary, cover_form_parts
+from coverlab import (
+    CompactFunction,
+    InputError,
+    base_function,
+    boundary,
+    cover_form_parts,
+    min_eigenvalue,
+)
+from coverlab.spectrum import MAX_BRACKET, StabilityInterval
 
 
 def apply(action, g, point):
@@ -59,3 +68,39 @@ def cover_quadratic_form(cover, V, a, func):
     """Gradient plus potential part of the cover's form at coupling a."""
     grad, pot = cover_form_parts(cover, V, a, func)
     return grad + pot
+
+
+def eigenvalue_stability_interval(graph, V, tol, seed=0):
+    """{a : lambda_min(a) >= 0} bisected on the sign of a full eigensolve.
+
+    The same bracket doubling, cache and midpoints as
+    ``stability_interval``, but every probe solves for lambda_min.
+    """
+    cache = {}
+
+    def lam(a):
+        if a not in cache:
+            cache[a] = min_eigenvalue(graph, V, a, seed).lambda_min
+        return cache[a]
+
+    def endpoint(sign):
+        hi = 1.0
+        lo = 0.0
+        while lam(sign * hi) >= 0.0:
+            lo = hi
+            hi *= 2.0
+            if hi > MAX_BRACKET:
+                return sign * math.inf, 0.0
+        while hi - lo > tol:
+            mid = (lo + hi) / 2.0
+            if lam(sign * mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return sign * (lo + hi) / 2.0, (hi - lo) / 2.0
+
+    if all(v == 0.0 for v in V):
+        return StabilityInterval(-math.inf, math.inf, 0.0)
+    upper, tol_up = (math.inf, 0.0) if min(V) >= 0.0 else endpoint(1.0)
+    lower, tol_dn = (-math.inf, 0.0) if max(V) <= 0.0 else endpoint(-1.0)
+    return StabilityInterval(lower, upper, max(tol_up, tol_dn))

@@ -28,6 +28,7 @@ from coverlab import (
     regular_tree_dirichlet_value,
     stability_interval,
 )
+from oracles import eigenvalue_stability_interval
 
 
 def cycle_graph(n):
@@ -189,17 +190,22 @@ def test_nonfinite_operator_rejected_before_either_solver(dense_limit, monkeypat
     monkeypatch.setattr(spectrum_module, "DENSE_LIMIT", dense_limit)
     monkeypatch.setattr(spectrum_module, "eigh", unreachable)
     monkeypatch.setattr(spectrum_module, "eigsh", unreachable)
+    monkeypatch.setattr(spectrum_module, "dpotrf", unreachable)
     graph = WeightedGraph([1e-10, 1.0, 1.0], [(0, 1, 1e300), (0, 2, 1.0), (1, 2, 1.0)])
-    with pytest.raises(NumericalError,
-                       match=r"operator entry inf in row 0 \(vertex \(0, 0\)\)"):
+    message = r"operator entry inf in row 0 \(vertex \(0, 0\)\)"
+    with pytest.raises(NumericalError, match=message):
         min_eigenvalue(graph, (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(NumericalError, match=message):
+        stability_interval(graph, (1.0, -1.0, 0.0))
 
 
 def test_size_limit_budget(triangle, monkeypatch):
     monkeypatch.setattr(spectrum_module, "DEFAULT_SIZE_LIMIT", 2)
-    with pytest.raises(BudgetExceededError,
-                       match="^graph has 3 vertices, above the eigensolve budget 2$"):
+    message = "^graph has 3 vertices, above the eigensolve budget 2$"
+    with pytest.raises(BudgetExceededError, match=message):
         min_eigenvalue(triangle, (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(BudgetExceededError, match=message):
+        stability_interval(triangle, (1.0, -1.0, 0.0))
 
 
 def test_trivial_cover_window_is_base_spectrum(trivial_cover):
@@ -354,6 +360,146 @@ def test_stability_interval_balanced_potential(triangle):
     assert abs(interval.lower) <= 1e-7
     assert abs(interval.upper) <= 1e-7
     assert interval.endpoint_tolerance <= 1e-7
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_stability_interval_rejects_tolerance(tol):
+    graph = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])
+    with pytest.raises(InputError, match="^tolerance must be positive, got"):
+        stability_interval(graph, (1.0, -1.0), tol=tol)
+
+
+POTENTIALS = ("signed", "positive", "negative", "balanced")
+TOLERANCES = (1e-6, 1e-8, 1e-10)
+
+
+def random_case(rng, kind):
+    n = int(rng.integers(2, 20))
+    graph = random_graph(rng, n)
+    if kind == "balanced":
+        # dyadic mu and integer V make every V mu exact, and the last
+        # vertex (mu = 1) cancels the rest: sum V mu is exactly zero
+        mu = [float(k) / 8 for k in rng.integers(4, 17, n - 1)] + [1.0]
+        graph = WeightedGraph(mu, graph.edges)
+        V = [float(x) for x in rng.integers(-3, 4, n - 1)]
+        V.append(-math.fsum(v * m for v, m in zip(V, mu)))
+        return graph, tuple(V)
+    V = rng.uniform(-1.0, 1.0, n)
+    if kind == "positive":
+        V = np.abs(V)
+    elif kind == "negative":
+        V = -np.abs(V)
+    return graph, tuple(float(x) for x in V)
+
+
+def random_cases(seed, rounds):
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        for kind in POTENTIALS:
+            for tol in TOLERANCES:
+                yield kind, tol, *random_case(rng, kind)
+
+
+@pytest.fixture
+def recorded_probes(monkeypatch):
+    """Every (operator, a, verdict) the bisection decides, in order."""
+    probes = []
+    real = spectrum_module._is_nonnegative
+
+    def recording(op, a, seed):
+        verdict = real(op, a, seed)
+        probes.append((op, a, verdict))
+        return verdict
+
+    monkeypatch.setattr(spectrum_module, "_is_nonnegative", recording)
+    return probes
+
+
+def test_stability_interval_matches_eigenvalue_bisection():
+    # balanced potentials below tol 1e-6 probe where lambda_min is at
+    # rounding level; the next test covers them
+    compared = 0
+    for kind, tol, graph, V in random_cases(seed=15, rounds=10):
+        if kind == "balanced" and tol < 1e-6:
+            continue
+        assert stability_interval(graph, V, tol=tol) == (
+            eigenvalue_stability_interval(graph, V, tol))
+        compared += 1
+    assert compared == 100
+
+
+def test_sign_rules_differ_only_at_rounding_level(recorded_probes):
+    # a balanced V gives lambda_min(a) ~ -c a^2, which sinks below the
+    # rounding of either solver near a = 0: there both verdicts are noise
+    differ = 0
+    for kind, tol, graph, V in random_cases(seed=16, rounds=4):
+        if kind != "balanced" or tol == 1e-6:
+            continue
+        recorded_probes.clear()
+        stability_interval(graph, V, tol=tol)
+        for op, a, verdict in recorded_probes:
+            lam = min_eigenvalue(graph, V, a).lambda_min
+            if (lam >= 0.0) != verdict:
+                differ += 1
+                norm = abs(op.at(a)).sum(axis=0).max()
+                assert abs(lam) <= graph.vertex_count * np.finfo(float).eps * norm
+    assert differ > 0
+
+
+def test_balanced_torus_interval_factors_once_per_probe(recorded_probes, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the bisection ran an eigensolve")
+
+    factored = []
+    real = spectrum_module.dpotrf
+
+    def counting(a, **kwargs):
+        factored.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "eigh", unreachable)
+    monkeypatch.setattr(spectrum_module, "eigsh", unreachable)
+    monkeypatch.setattr(spectrum_module, "dpotrf", counting)
+    torus = grid_torus(20, 30)
+    V = tuple(1.0 if (i // 30 + i % 30) % 2 == 0 else -1.0 for i in range(600))
+    # numpy reports its buffers to tracemalloc; a second n x n copy would
+    # put the peak above 2 * 8 n^2 bytes
+    tracemalloc.start()
+    try:
+        interval = stability_interval(torus, V)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 600 * 600
+    # each side: a = 1, then 20 halvings down to width 2^-20 <= 1e-6
+    probes = [a for _op, a, _verdict in recorded_probes]
+    assert len(probes) == len(set(probes)) == 42
+    assert factored == [(600, 600)] * 42
+    assert interval == spectrum_module.StabilityInterval(-2.0**-21, 2.0**-21, 2.0**-21)
+
+
+def test_sparse_sign_gives_the_same_interval(monkeypatch):
+    # above DENSE_LIMIT each sign comes from the shift-inverted eigensolve
+    cases = [(graph, V, tol) for kind, tol, graph, V in random_cases(seed=17, rounds=1)
+             if kind != "balanced" and graph.vertex_count >= 3]
+    dense = [stability_interval(graph, V, tol=tol) for graph, V, tol in cases]
+    solved = []
+    real = spectrum_module.eigsh
+
+    def counting(*args, **kwargs):
+        solved.append(1)
+        return real(*args, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("factored above DENSE_LIMIT")
+
+    monkeypatch.setattr(spectrum_module, "DENSE_LIMIT", 1)
+    monkeypatch.setattr(spectrum_module, "eigsh", counting)
+    monkeypatch.setattr(spectrum_module, "dpotrf", unreachable)
+    sparse = [stability_interval(graph, V, tol=tol) for graph, V, tol in cases]
+    assert len(cases) >= 5
+    assert solved
+    assert sparse == dense
 
 
 def test_corollary_check_unbalanced(triangle):
