@@ -25,7 +25,6 @@ from .errors import (
 )
 from .folner import (
     FolnerCertificate,
-    FolnerSequenceResult,
     SearchBudget,
     SearchReport,
     exact_fraction,

@@ -18,8 +18,9 @@ from .errors import BudgetExceededError, InputError
 
 DEFAULT_POINT_BUDGET = 10**6
 
-# a lattice action holds a d x d basis; refuse one larger than the point
-# budget before it is built
+# a lattice action holds a d x d basis, and a free group's radius-1 ball
+# of 2 rank + 1 points takes 2 rank moves per point to score; refuse a
+# dimension or rank whose square outgrows the point budget
 MAX_LATTICE_DIMENSION = math.isqrt(DEFAULT_POINT_BUDGET)
 
 # permutation group enumeration refuses to materialize groups larger than this
@@ -178,6 +179,10 @@ def free_group_action(rank: int) -> GroupAction:
     """
     if rank < 1:
         raise InputError(f"free group rank must be >= 1, got {rank}")
+    if rank > MAX_LATTICE_DIMENSION:
+        raise InputError(
+            f"free group rank must be at most {MAX_LATTICE_DIMENSION}, got {rank}"
+        )
 
     def apply_fn(g: int, w: tuple) -> tuple:
         if w and w[0] == -g:

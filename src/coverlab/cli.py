@@ -113,6 +113,14 @@ def _scenario_budget(scn: Scenario, budget_override: Optional[int]) -> SearchBud
     return budget
 
 
+def _given(scn: Scenario, **keywords) -> dict:
+    """Library keyword -> params value, for the params the scenario gives.
+
+    Each absent param is left to its library default, stated there once.
+    """
+    return {kw: scn.params[key] for kw, key in keywords.items() if key in scn.params}
+
+
 def _certificate_payload(cert) -> dict:
     # every generator acts bijectively, so ratio_g |E| / 2 = |E \ g^{-1}E|
     signed_sum = sum(r * cert.size / 2 for r in cert.per_generator_ratios.values())
@@ -131,10 +139,11 @@ def _certificate_payload(cert) -> dict:
 
 def _run_folner(scn: Scenario, seed: int, budget: SearchBudget):
     action = scn.fiber
-    result = folner_sequence(action, scn.params["epsilons"], budget)
+    reports = folner_sequence(action, scn.params["epsilons"], budget)
+    exhausted = reports[-1].outcome != "found"
     runs = []
     rows = []
-    for eps, rep in zip(result.epsilons, result.reports):
+    for eps, rep in zip(scn.params["epsilons"], reports):
         entry = {
             "epsilon": eps,
             "outcome": rep.outcome,
@@ -157,18 +166,18 @@ def _run_folner(scn: Scenario, seed: int, budget: SearchBudget):
         "action": action.name,
         "generator_count": action.generator_count,
         "runs": runs,
-        "exhausted": result.exhausted,
+        "exhausted": exhausted,
     }
     columns = ["scenario", "epsilon", "outcome", "set_size", "max_ratio",
                "boundary_ratio", "sets_examined", "radius_reached"]
-    status = "inconclusive" if result.exhausted else "ok"
-    last = result.reports[-1]
-    if result.exhausted:
-        headline = f"exhausted at epsilon={result.epsilons[len(result.reports) - 1]}"
+    status = "inconclusive" if exhausted else "ok"
+    last = reports[-1]
+    if exhausted:
+        headline = f"exhausted at epsilon={runs[-1]['epsilon']}"
         if last.best_ratio is not None:
             headline += f" best_ratio={last.best_ratio}"
     else:
-        cert = result.certificates[-1]
+        cert = last.certificate
         headline = f"size={cert.size} max_ratio={cert.max_ratio}"
     return payload, columns, rows, status, headline
 
@@ -213,8 +222,7 @@ def _interval_payload(interval) -> dict:
 def _run_interval(scn: Scenario, seed: int, budget: SearchBudget):
     report = interval_comparison(
         scn.cover, scn.potential, scn.params["a_samples"], scn.params["radius"],
-        alpha=scn.params.get("alpha"), tol=scn.params.get("tolerance", 1e-6),
-        budget=budget, seed=seed,
+        budget=budget, seed=seed, **_given(scn, alpha="alpha", tol="tolerance"),
     )
     rows = []
     payload_rows = []
@@ -276,8 +284,8 @@ def _witness_payload(cover, rep) -> dict:
 def _run_transfer(scn: Scenario, seed: int, budget: SearchBudget):
     a = scn.params["a"]
     out = transfer_negativity(
-        scn.cover, scn.potential, a, scn.params["alpha"], budget,
-        max_halvings=scn.params.get("max_halvings", 20), seed=seed,
+        scn.cover, scn.potential, a, scn.params["alpha"], budget, seed=seed,
+        **_given(scn, max_halvings="max_halvings"),
     )
     window = None
     if "radius" in scn.params:
@@ -349,12 +357,9 @@ def _run_counterexample(scn: Scenario, seed: int, budget: SearchBudget):
 
 
 def _run_corollary(scn: Scenario, seed: int, budget: SearchBudget):
-    kwargs = {}
-    if "a_samples" in scn.params:
-        kwargs["a_samples"] = scn.params["a_samples"]
     report = corollary_check(
-        scn.base, scn.potential, tol=scn.params.get("tolerance", 1e-6),
-        seed=seed, **kwargs,
+        scn.base, scn.potential, seed=seed,
+        **_given(scn, a_samples="a_samples", tol="tolerance"),
     )
     outcome = "full line" if report.zero_potential else "interval pinned to zero"
     payload = {

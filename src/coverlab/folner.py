@@ -3,7 +3,7 @@
 A finite set E is an epsilon-Folner set for an action when every signed
 generator gamma satisfies |E symdiff gamma E| <= epsilon * |E|.  All
 ratios here are exact fractions; floating point never enters the
-verdict.  The searcher tries, in order, a closed-form box (translation
+verdict.  The searcher tries, in order, one closed-form box (translation
 actions only), orbit balls of growing radius, and finally a truncated
 enumeration of connected subsets, reporting the best ratio seen when no
 certificate exists within budget.
@@ -60,7 +60,6 @@ class SearchBudget:
     max_radius: int = 12
     subset_size_cap: int = 14
     max_subsets: int = 200_000
-    max_box_doublings: int = 20
 
 
 @dataclass
@@ -146,8 +145,7 @@ def _rank(vectors: list[tuple[int, ...]]) -> int:
     return rank
 
 
-def translation_box(action: GroupAction, side: int,
-                    max_points: int | None = None) -> frozenset:
+def translation_box(action: GroupAction, side: int, max_points: int) -> frozenset:
     """Image of the coordinate box [0, side)^n under the translation map.
 
     Built one layer per nonzero vector v: the layer is the previous one
@@ -170,8 +168,7 @@ def translation_box(action: GroupAction, side: int,
         raise InputError(f"box side must be >= 1, got {side}")
     moving = [v for v in action.translation_vectors if any(v)]
     refusal = f"translation box of side {side} exceeds {max_points} points"
-    if (max_points is not None and side ** len(moving) > max_points
-            and _rank(moving) == len(moving)):
+    if side ** len(moving) > max_points and _rank(moving) == len(moving):
         raise BudgetExceededError(refusal, partial_count=0)
     points = [action.origin]
     for vector in moving:
@@ -191,27 +188,28 @@ def translation_box(action: GroupAction, side: int,
                 hi = q + side
             runs.append((anchor, lo, hi))
         size = sum(hi - lo for _anchor, lo, hi in runs)
-        if max_points is not None and size > max_points:
+        if size > max_points:
             raise BudgetExceededError(refusal, partial_count=size)
         points = [_translate(anchor, vector, t) for anchor, lo, hi in runs for t in range(lo, hi)]
     return frozenset(points)
 
 
 def _search_box(action: GroupAction, eps: Fraction, budget: SearchBudget) -> FolnerCertificate | None:
-    n = action.generator_count
-    side = max(1, math.ceil(Fraction(2 * n, 1) / eps)) if eps > 0 else None
-    if side is None:
+    """The verified box of side ceil(2n / eps), or None for eps 0 or an oversized box.
+
+    The box is A + [0, side) v_i for each generator i, so every coset
+    line of Z v_i meets it in runs of at least side points, each with
+    one exit: every ratio is at most 2 / side <= eps / n.  A box that
+    fails verification is therefore a bug, and its error propagates.
+    """
+    if eps == 0:
         return None
-    for _ in range(budget.max_box_doublings):
-        try:
-            box = translation_box(action, side, budget.max_points)
-        except BudgetExceededError:
-            return None
-        try:
-            return verify_certificate(action, box, eps)
-        except FolnerVerificationError:
-            side *= 2
-    return None
+    side = max(1, math.ceil(2 * action.generator_count / eps))
+    try:
+        box = translation_box(action, side, budget.max_points)
+    except BudgetExceededError:
+        return None
+    return verify_certificate(action, box, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +222,8 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
     Redelmeier's extension scheme with a forbidden set, run depth first
     on an explicit stack, so size_cap is not bounded by the interpreter's
     recursion limit.  Each qualifying subset is produced exactly once;
-    enumeration stops after max_subsets.
+    enumeration stops after max_subsets, or once the point table below
+    holds more than DEFAULT_POINT_BUDGET ids.
 
     Each item is (members, overlap), where overlap[i - 1] is
     |E intersect g_i^{-1} E| for the positive generator g_i; the signed
@@ -242,7 +241,9 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
     generator application, and a probe reads a flag instead of hashing
     a point.  Each added point brings at
     most 2n new ids, so the table holds at most 2n + 1 ids per distinct
-    added point, and there are at most max_subsets of those.  Measured
+    added point, and there are at most max_subsets of those; the
+    DEFAULT_POINT_BUDGET stop bounds it for many generators, where
+    max_subsets alone would not.  Measured
     with tracemalloc at 200,000 subsets: 4.2 MB for F3 at size cap 12,
     2.5 MB at the default cap 14, and 0.14 MB for Z^3 at cap 14.
     """
@@ -310,7 +311,7 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
     emitted = 1
     # frame: [next frontier index, frontier end, overlap, point id, its fresh ids]
     stack = [[0, len(frontier), overlap, 0, fresh]]
-    while stack and emitted < max_subsets:
+    while stack and emitted < max_subsets and len(points) <= DEFAULT_POINT_BUDGET:
         frame = stack[-1]
         i, end = frame[0], frame[1]
         if i == end:
@@ -406,37 +407,18 @@ def search_folner(
     return SearchReport("exhausted", None, best_ratio, best_set, examined, radius_reached)
 
 
-@dataclass
-class FolnerSequenceResult:
-    epsilons: tuple[Fraction, ...]
-    certificates: tuple[FolnerCertificate, ...]
-    reports: tuple[SearchReport, ...]
-    exhausted: bool
-
-
 def folner_sequence(
     action: GroupAction,
     epsilons: Iterable,
     budget: SearchBudget | None = None,
-) -> FolnerSequenceResult:
-    """Search one certificate per requested ratio, stopping at the first miss."""
-    eps_list = tuple(exact_fraction(e) for e in epsilons)
+) -> tuple[SearchReport, ...]:
+    """One search per requested ratio, in order, stopping after the first miss."""
+    eps_list = [exact_fraction(e) for e in epsilons]
     if not eps_list:
         raise InputError("at least one epsilon is required")
     reports = []
-    certificates = []
-    exhausted = False
     for eps in eps_list:
-        report = search_folner(action, eps, budget)
-        reports.append(report)
-        if report.outcome == "found":
-            certificates.append(report.certificate)
-        else:
-            exhausted = True
+        reports.append(search_folner(action, eps, budget))
+        if reports[-1].outcome != "found":
             break
-    return FolnerSequenceResult(
-        epsilons=eps_list,
-        certificates=tuple(certificates),
-        reports=tuple(reports),
-        exhausted=exhausted,
-    )
+    return tuple(reports)

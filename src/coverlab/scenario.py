@@ -143,20 +143,23 @@ def _parse_base(node: Any, path: str) -> WeightedGraph:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _fiber_size(node: Any, path: str) -> int:
+    """A lattice dimension or free group rank: from 1 to MAX_LATTICE_DIMENSION."""
+    value = _int_at_least(1)(node, path)
+    if value > MAX_LATTICE_DIMENSION:
+        raise InputError(f"{path}: must be at most {MAX_LATTICE_DIMENSION}, got {value}")
+    return value
+
+
 def _parse_fiber(node: Any, path: str) -> GroupAction:
     obj = _expect_dict(node, path)
     kind = obj.get("kind")
     if kind == "lattice":
         _check_keys(obj, path, ("kind", "dimension"), ())
-        dimension = _int_at_least(1)(obj["dimension"], f"{path}.dimension")
-        if dimension > MAX_LATTICE_DIMENSION:
-            raise InputError(
-                f"{path}.dimension: must be at most {MAX_LATTICE_DIMENSION}, got {dimension}"
-            )
-        return lattice_action(dimension)
+        return lattice_action(_fiber_size(obj["dimension"], f"{path}.dimension"))
     if kind == "free_group":
         _check_keys(obj, path, ("kind", "rank"), ())
-        return free_group_action(_int_at_least(1)(obj["rank"], f"{path}.rank"))
+        return free_group_action(_fiber_size(obj["rank"], f"{path}.rank"))
     if kind == "finite_permutation":
         _check_keys(obj, path, ("kind", "degree", "generators"), ())
         degree = _expect_int(obj["degree"], f"{path}.degree")
@@ -204,11 +207,10 @@ def _parse_voltages(node: Any, path: str) -> dict:
     return voltages
 
 
-# smallest accepted value of each budget field; a zero radius or zero
-# doublings is a real (if tiny) search, zero points or subsets is none
+# smallest accepted value of each budget field; a zero radius is a real
+# (if tiny) search, zero points or subsets is none
 _BUDGET_MINIMA = {
     "max_points": 1, "max_radius": 0, "subset_size_cap": 1, "max_subsets": 1,
-    "max_box_doublings": 0,
 }
 
 

@@ -266,13 +266,14 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     attempts: list[WitnessReport] = []
     exhausted: Optional[SearchReport] = None
+    witness: Optional[CompactFunction] = None
     eps = epsilon_first
     for _ in range(max_halvings + 1):
         search = search_folner(fiber, eps, budget)
         if search.outcome != "found":
             exhausted = search
             break
-        witness, wrep = build_witness(cover, f, search.certificate, alpha, V, a)
+        candidate, wrep = build_witness(cover, f, search.certificate, alpha, V, a)
         attempts.append(wrep)
         if wrep.collar_ratio < Fraction(r_star):
             if not wrep.Q_cover < 0.0:
@@ -280,49 +281,37 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
                     f"witness with collar ratio {wrep.collar_ratio} below "
                     f"r*={r_star!r} has nonnegative energy {wrep.Q_cover!r}"
                 )
-            return TransferOutcome(
-                status="transferred",
-                lambda_min_base=sr.lambda_min,
-                r_star=r_star,
-                alpha=alpha,
-                epsilon_first=epsilon_first,
-                epsilon_used=wrep.epsilon_used,
-                witness=witness,
-                report=wrep,
-                attempts=tuple(attempts),
-                best_collar_ratio=wrep.collar_ratio,
-                search_exhausted=None,
-                message=(
-                    f"collar ratio {wrep.collar_ratio} < r* = {r_star:.6g}; "
-                    f"cover energy {wrep.Q_cover:.6g} < 0"
-                ),
-            )
+            witness = candidate
+            break
         eps = eps / 2
 
+    # every attempt before a winner scored at least r*, so the minimum is the winner's
     best = min((w.collar_ratio for w in attempts), default=None)
     if best is None and exhausted is not None and exhausted.best_set:
         # no certificate to build a witness over: count b/c from the collar sweep
         best = Fraction(*collar_counts(cover, exhausted.best_set, alpha))
-    if exhausted is not None:
-        detail = "the Folner search exhausted its budget"
+    report = attempts[-1] if attempts else None
+    if witness is not None:
+        message = (f"collar ratio {report.collar_ratio} < r* = {r_star:.6g}; "
+                   f"cover energy {report.Q_cover:.6g} < 0")
     else:
-        detail = f"{max_halvings + 1} epsilon halvings never beat r*"
+        detail = ("the Folner search exhausted its budget" if exhausted is not None
+                  else f"{max_halvings + 1} epsilon halvings never beat r*")
+        message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}"
+                   + (f"; best ratio seen {best}" if best is not None else ""))
     return TransferOutcome(
-        status="inconclusive",
+        status="transferred" if witness is not None else "inconclusive",
         lambda_min_base=sr.lambda_min,
         r_star=r_star,
         alpha=alpha,
         epsilon_first=epsilon_first,
-        epsilon_used=None,
-        witness=None,
-        report=attempts[-1] if attempts else None,
+        epsilon_used=report.epsilon_used if witness is not None else None,
+        witness=witness,
+        report=report,
         attempts=tuple(attempts),
         best_collar_ratio=best,
         search_exhausted=exhausted,
-        message=(
-            f"no witness with collar ratio below r* = {r_star:.6g}: {detail}"
-            + (f"; best ratio seen {best}" if best is not None else "")
-        ),
+        message=message,
     )
 
 

@@ -95,6 +95,12 @@ def test_lattice_dimension_limit():
         lattice_action(1001)
 
 
+def test_free_group_rank_limit():
+    assert free_group_action(1000).generator_count == 1000
+    with pytest.raises(InputError, match="^free group rank must be at most 1000, got 1001$"):
+        free_group_action(1001)
+
+
 def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
         orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -12,14 +13,17 @@ import sys
 import pytest
 
 from coverlab import (
+    FolnerVerificationError,
     finite_permutation_action,
     folner_sequence,
     free_group_action,
     free_quotient_lattice_action,
     lattice_action,
     orbit_ball,
+    search_folner,
     verify_certificate,
 )
+from coverlab import folner
 from coverlab.cli import _certificate_payload, execute_scenario, main
 from oracles import folner_boundary_bound
 from coverlab.scenario import load_scenario
@@ -252,24 +256,58 @@ def test_run_deterministic_bytes(tmp_path):
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_transfer_csv_header(tmp_path):
+def schema_csv_columns():
+    """Task -> its column list, from the "CSV" section of docs/schema.md."""
+    text = (ROOT / "docs" / "schema.md").read_text()
+    section = text[text.index("### CSV"):text.index("### Batch")]
+    return dict(re.findall(r"^- (\w+): `([^`]*)`$", section, re.M))
+
+
+CSV_SCENARIOS = {
+    "folner": "z_folner",
+    "spectrum": "k4_tree_spectrum",
+    "interval": "triangle_interval",
+    "transfer": "triangle_transfer",
+    "counterexample": "tree_counterexample",
+    "corollary": "torus_corollary",
+}
+
+
+@pytest.mark.parametrize("task", sorted(CSV_SCENARIOS))
+def test_csv_header_matches_schema(tmp_path, task):
+    path = SCENARIOS / f"{CSV_SCENARIOS[task]}.json"
+    assert load_scenario(path).task == task
     out = tmp_path / "t.csv"
-    code = main(
-        [
-            "run",
-            str(SCENARIOS / "triangle_transfer.json"),
-            "--format",
-            "csv",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    assert header == (
-        "scenario,a,lambda_min_base,r_star,epsilon_used,b,c,"
-        "Q_cover,final_bound,outcome"
-    )
+    assert header.split(",") == schema_csv_columns()[task].split(", ")
+
+
+def test_run_refuses_box_doublings_field(tmp_path, capsys):
+    # the box is verified at its first side, so there is no doubling to budget
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["params"]["budget"] = {"max_box_doublings": 0}
+    code = main(["run", str(write_json(tmp_path / "doublings.json", obj))])
+    assert code == 1
+    assert "scenario.params.budget: unknown field 'max_box_doublings'" in capsys.readouterr().err
+
+
+def test_failing_box_is_a_violation_not_a_retry(monkeypatch, capsys):
+    sides = []
+
+    def sparse_box(action, side, max_points):
+        sides.append(side)
+        return frozenset({(0,), (2,)})
+
+    monkeypatch.setattr(folner, "translation_box", sparse_box)
+    with pytest.raises(FolnerVerificationError):
+        search_folner(lattice_action(1), "0.5")
+    assert sides == [4]
+    sides.clear()
+    code = main(["run", str(SCENARIOS / "z_folner.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "violation"
+    assert len(sides) == 1
 
 
 def test_budget_env_forces_exhaustion(tmp_path, capsys, monkeypatch):
@@ -462,8 +500,8 @@ def test_bundled_certificate_counts_match_boundary_bound():
         scn = load_scenario(path)
         if scn.task != "folner":
             continue
-        result = folner_sequence(scn.fiber, scn.params["epsilons"], scn.params.get("budget"))
-        for cert in result.certificates:
+        reports = folner_sequence(scn.fiber, scn.params["epsilons"], scn.params.get("budget"))
+        for cert in (rep.certificate for rep in reports if rep.certificate):
             payload = _certificate_payload(cert)
             assert (payload["boundary_size"], payload["signed_exit_sum"]) == \
                 folner_boundary_bound(scn.fiber, cert.members)

@@ -159,26 +159,25 @@ def test_ball_found_permutation_certificate_pinned():
 def test_folner_sequence_stops_at_first_miss():
     act = free_group_action(2)
     budget = SearchBudget(max_radius=2, subset_size_cap=4, max_subsets=500)
-    result = folner_sequence(act, [Fraction(2, 1), Fraction(1, 10)], budget)
-    assert result.exhausted
-    assert len(result.certificates) == 1
-    assert len(result.reports) == 2
-    assert result.reports[0].outcome == "found"
-    assert result.reports[1].outcome == "exhausted"
+    reports = folner_sequence(act, [Fraction(2, 1), Fraction(1, 10), Fraction(1, 20)], budget)
+    # the third epsilon is never searched
+    assert [r.outcome for r in reports] == ["found", "exhausted"]
+    assert reports[0].certificate is not None
+    assert reports[1].certificate is None
 
 
 def test_folner_sequence_all_found_on_z():
-    result = folner_sequence(lattice_action(1), ["0.5", "0.25", "0.125"])
-    assert not result.exhausted
-    assert [c.size for c in result.certificates] == [4, 8, 16]
+    reports = folner_sequence(lattice_action(1), ["0.5", "0.25", "0.125"])
+    assert [r.outcome for r in reports] == ["found"] * 3
+    assert [r.certificate.size for r in reports] == [4, 8, 16]
     # ratios shrink along the sequence
-    ratios = [c.max_ratio for c in result.certificates]
+    ratios = [r.certificate.max_ratio for r in reports]
     assert ratios == sorted(ratios, reverse=True)
 
 
 def test_box_doubling_beats_pessimistic_side():
-    # epsilon such that the first box guess fails for no generator is rare;
-    # instead check that searches never hand back an unverified set
+    # the first box always verifies (test_box_ratio_is_at_most_two_over_side);
+    # check that searches never hand back an unverified set
     rep = search_folner(lattice_action(2), Fraction(3, 100))
     cert = rep.certificate
     again = verify_certificate(cert.action, cert.members, cert.epsilon)
@@ -399,14 +398,14 @@ def layered_box(action, side, max_points):
     return frozenset(points)
 
 
-def box_families():
+def box_families(count=40, seed=20):
     # zero, repeated, negative and non-primitive vectors in Z^1..Z^3
     families = [
         [(2,)], [(-3,), (2,), (0,)], [(2, 0)], [(2, 0), (2, 4), (-3, 3)],
         [(1, 0), (1, 0), (0, 0), (-1, 2)], [(1, 1, 0), (0, 2, -2), (1, 3, -2), (0, 0, 0)],
     ]
-    rng = random.Random(20)
-    for _ in range(40):
+    rng = random.Random(seed)
+    for _ in range(count):
         dim = rng.randint(1, 3)
         vectors = []
         for _ in range(rng.randint(1, 4)):
@@ -431,7 +430,7 @@ def test_box_matches_layered_construction():
         independent = folner._rank(moving) == len(moving)
         for side in range(1, 8):
             image = layered_box(action, side, 10**9)
-            assert translation_box(action, side) == image, (vectors, side)
+            assert translation_box(action, side, 10**9) == image, (vectors, side)
             assert translation_box(action, side, len(image)) == image
             try:
                 layered_box(action, side, len(image) - 1)
@@ -449,6 +448,42 @@ def test_box_matches_layered_construction():
                 assert info.value.partial_count == 1
 
 
+def test_box_ratio_is_at_most_two_over_side():
+    # the box is A + [0, side) v_i, so every coset line of Z v_i meets it in
+    # runs of at least side points with one exit each: ratio <= 2 / side
+    families = box_families(400, seed=16)
+    assert len(families) >= 400
+    reached = 0
+    for vectors in families:
+        action = free_quotient_lattice_action(vectors)
+        for side in range(1, 9):
+            box = translation_box(action, side, 10**9)
+            cert = verify_certificate(action, box, Fraction(2, side))
+            reached += cert.max_ratio == Fraction(2, side)
+    assert reached > 0
+
+
+def test_subset_table_stops_at_the_point_budget(monkeypatch):
+    monkeypatch.setattr(folner, "DEFAULT_POINT_BUDGET", 100)
+    action = free_group_action(3)
+    table = {action.origin}
+
+    def recording(g, x, apply_fn=action.apply_fn):
+        y = apply_fn(g, x)
+        table.add(y)
+        return y
+
+    counted = dataclasses.replace(action, apply_fn=recording)
+    emitted = sum(1 for _ in _connected_subsets(counted, action.origin, 14, 10**6))
+    # the table outgrew the bound by one added point's 2n images, no more
+    assert 100 < len(table) <= 100 + 2 * action.generator_count
+    assert emitted < 10**6
+    rep = search_folner(action, Fraction(1, 100), SearchBudget(max_radius=0))
+    assert rep.outcome == "exhausted"
+    assert rep.best_set is not None
+    assert rep.sets_examined < 200
+
+
 def test_one_point_box_needs_one_point_of_budget():
     origin = (0, 0)
     for vectors, partial in (([(1, 0), (2, 0)], 1), ([(1, 0), (0, 1)], 0), ([(0, 0)], 0)):
@@ -464,14 +499,14 @@ def verifier_sets():
     sets = []
     for dim in (1, 2, 3):
         act = lattice_action(dim)
-        sets.append((act, translation_box(act, 4)))
+        sets.append((act, translation_box(act, 4, 64)))
         sets.append((act, orbit_ball(act, act.origin, 3).point_set()))
         for _ in range(6):
             sets.append((act, {tuple(rng.randrange(-3, 4) for _ in range(dim))
                                for _ in range(rng.randrange(1, 30))}))
     # the zero vector makes generator 2 fix every point
     quotient = free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)])
-    sets.append((quotient, translation_box(quotient, 5)))
+    sets.append((quotient, translation_box(quotient, 5, 125)))
     sets.append((quotient, orbit_ball(quotient, quotient.origin, 2).point_set()))
     sets.append((quotient, {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(20)}))
     # generator 2 fixes 0, 1 and 2; generator 3 is the identity

@@ -243,8 +243,6 @@ def test_budget_parsing():
     ("max_subsets", 0, False),
     ("max_radius", 0, True),
     ("max_radius", -1, False),
-    ("max_box_doublings", 0, True),
-    ("max_box_doublings", -1, False),
 ])
 def test_budget_limits(key, value, ok):
     obj = minimal_transfer()
@@ -395,6 +393,9 @@ SECTION_FAULTS = [
      "scenario.fiber.dimension: must be at least 1, got 0"),
     ("folner", "fiber", {"kind": "free_group", "rank": 0},
      "scenario.fiber.rank: must be at least 1, got 0"),
+    # the same bound holds for a free group's rank
+    ("folner", "fiber", {"kind": "free_group", "rank": 1001},
+     "scenario.fiber.rank: must be at most 1000, got 1001"),
 ]
 
 
@@ -435,4 +436,10 @@ def test_section_fault_message(task, key, value, message):
 def test_lattice_dimension_at_limit_parses():
     obj = valid_scenario("folner")
     obj["fiber"] = {"kind": "lattice", "dimension": 1000}
+    assert parse_scenario(obj).fiber.generator_count == 1000
+
+
+def test_free_group_rank_at_limit_parses():
+    obj = valid_scenario("folner")
+    obj["fiber"] = {"kind": "free_group", "rank": 1000}
     assert parse_scenario(obj).fiber.generator_count == 1000
