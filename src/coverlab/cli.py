@@ -15,10 +15,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -55,8 +54,6 @@ STATUS_EXIT = {
 
 # worst first when aggregating a batch
 _SEVERITY_ORDER = (EXIT_INPUT, EXIT_VIOLATION, EXIT_BUDGET, EXIT_OK)
-
-BUDGET_ENV = "COVERLAB_BUDGET"
 
 
 def _num(x: float) -> str:
@@ -102,15 +99,8 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (payload, columns, rows, status, headline)
-
-
-def _scenario_budget(scn: Scenario, budget_override: Optional[int]) -> SearchBudget:
-    budget = scn.params.get("budget", SearchBudget())
-    if budget_override is not None:
-        budget = replace(budget, max_points=budget_override,
-                         max_subsets=budget_override)
-    return budget
+# task handlers: each returns (payload, columns, rows, status, headline);
+# a payload with a result dataclass's keys is built by asdict
 
 
 def _given(scn: Scenario, **keywords) -> dict:
@@ -137,9 +127,9 @@ def _certificate_payload(cert) -> dict:
     }
 
 
-def _run_folner(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_folner(scn: Scenario):
     action = scn.fiber
-    reports = folner_sequence(action, scn.params["epsilons"], budget)
+    reports = folner_sequence(action, scn.params["epsilons"], **_given(scn, budget="budget"))
     exhausted = reports[-1].outcome != "found"
     runs = []
     rows = []
@@ -182,28 +172,15 @@ def _run_folner(scn: Scenario, seed: int, budget: SearchBudget):
     return payload, columns, rows, status, headline
 
 
-def _window_payload(win) -> dict:
-    return {"radius": win.radius, "value": win.value, "size": win.size}
-
-
-def _run_spectrum(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_spectrum(scn: Scenario):
     report = easy_direction_check(
         scn.cover, scn.potential, scn.params["a_samples"], scn.params["radii"],
-        seed=seed,
+        seed=scn.seed,
     )
-    rows = []
-    payload_rows = []
-    for row in report.rows:
-        payload_rows.append({
-            "a": row.a,
-            "lambda_min_base": row.lambda_min_base,
-            "base_nonnegative": row.base_nonnegative,
-            "windows": [_window_payload(w) for w in row.windows],
-        })
-        for win in row.windows:
-            rows.append([scn.name, row.a, row.lambda_min_base,
-                         row.base_nonnegative, win.radius, win.value, win.size])
-    payload = {"rows": payload_rows}
+    rows = [[scn.name, row.a, row.lambda_min_base, row.base_nonnegative,
+             win.radius, win.value, win.size]
+            for row in report.rows for win in row.windows]
+    payload = asdict(report)
     columns = ["scenario", "a", "lambda_min_base", "base_nonnegative",
                "radius", "window_value", "window_size"]
     smallest = min((w.value for r in report.rows for w in r.windows), default=None)
@@ -211,41 +188,18 @@ def _run_spectrum(scn: Scenario, seed: int, budget: SearchBudget):
     return payload, columns, rows, "ok", headline
 
 
-def _interval_payload(interval) -> dict:
-    return {
-        "lower": interval.lower,
-        "upper": interval.upper,
-        "endpoint_tolerance": interval.endpoint_tolerance,
-    }
-
-
-def _run_interval(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_interval(scn: Scenario):
     report = interval_comparison(
         scn.cover, scn.potential, scn.params["a_samples"], scn.params["radius"],
-        budget=budget, seed=seed, **_given(scn, alpha="alpha", tol="tolerance"),
+        seed=scn.seed,
+        **_given(scn, alpha="alpha", tol="tolerance", budget="budget"),
     )
-    rows = []
-    payload_rows = []
-    for row in report.rows:
-        payload_rows.append({
-            "a": row.a,
-            "lambda_min_base": row.lambda_min_base,
-            "base_nonnegative": row.base_nonnegative,
-            "window": _window_payload(row.window),
-            "cover_refuted": row.cover_refuted,
-            "transfer_status": row.transfer_status,
-            "collar_ratio": row.collar_ratio,
-        })
-        rows.append([scn.name, row.a, row.lambda_min_base, row.window.value,
-                     row.cover_refuted, row.transfer_status,
-                     report.interval.lower, report.interval.upper])
-    payload = {
-        "interval": _interval_payload(report.interval),
-        "rows": payload_rows,
-        # a breach of the inclusion raises, so the key is always true
-        "inclusion_ok": True,
-        "equality_evidence": report.equality_evidence,
-    }
+    rows = [[scn.name, row.a, row.lambda_min_base, row.window.value,
+             row.cover_refuted, row.transfer_status,
+             report.interval.lower, report.interval.upper]
+            for row in report.rows]
+    # a breach of the inclusion raises, so the key is always true
+    payload = {**asdict(report), "inclusion_ok": True}
     columns = ["scenario", "a", "lambda_min_base", "window_value",
                "cover_refuted", "transfer_status", "interval_lower",
                "interval_upper"]
@@ -281,17 +235,17 @@ def _witness_payload(cover, rep) -> dict:
     }
 
 
-def _run_transfer(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_transfer(scn: Scenario):
     a = scn.params["a"]
     out = transfer_negativity(
-        scn.cover, scn.potential, a, scn.params["alpha"], budget, seed=seed,
-        **_given(scn, max_halvings="max_halvings"),
+        scn.cover, scn.potential, a, scn.params["alpha"], seed=scn.seed,
+        **_given(scn, budget="budget", max_halvings="max_halvings"),
     )
     window = None
     if "radius" in scn.params:
         window = dirichlet_window(
             scn.cover, scn.cover.carrier.origin, scn.params["radius"],
-            scn.potential, a, seed,
+            scn.potential, a, scn.seed,
         )
     rep = out.report
     payload = {
@@ -309,7 +263,7 @@ def _run_transfer(scn: Scenario, seed: int, budget: SearchBudget):
         "report": _witness_payload(scn.cover, rep) if rep is not None else None,
         "attempts": [{"epsilon": w.epsilon_used, "b": w.b, "c": w.c}
                      for w in out.attempts],
-        "window": _window_payload(window) if window is not None else None,
+        "window": asdict(window) if window is not None else None,
     }
     columns = ["scenario", "a", "lambda_min_base", "r_star", "epsilon_used",
                "b", "c", "Q_cover", "final_bound", "outcome"]
@@ -328,11 +282,11 @@ def _run_transfer(scn: Scenario, seed: int, budget: SearchBudget):
     return payload, columns, rows, status, headline
 
 
-def _run_counterexample(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_counterexample(scn: Scenario):
     a = scn.params["a"]
     report = counterexample_check(
         scn.cover, scn.potential, a, scn.params["alpha"], scn.params["radii"],
-        budget=budget, seed=seed,
+        seed=scn.seed, **_given(scn, budget="budget"),
     )
     out = report.transfer
     payload = {
@@ -343,7 +297,7 @@ def _run_counterexample(scn: Scenario, seed: int, budget: SearchBudget):
         "transfer_status": out.status,
         "transfer_message": out.message,
         "best_collar_ratio": out.best_collar_ratio,
-        "windows": [_window_payload(w) for w in report.windows],
+        "windows": [asdict(w) for w in report.windows],
         "outcome": report.outcome,
     }
     columns = ["scenario", "a", "lambda_min_base", "r_star", "transfer_status",
@@ -356,19 +310,13 @@ def _run_counterexample(scn: Scenario, seed: int, budget: SearchBudget):
     return payload, columns, rows, "ok", headline
 
 
-def _run_corollary(scn: Scenario, seed: int, budget: SearchBudget):
+def _run_corollary(scn: Scenario):
     report = corollary_check(
-        scn.base, scn.potential, seed=seed,
+        scn.base, scn.potential, seed=scn.seed,
         **_given(scn, a_samples="a_samples", tol="tolerance"),
     )
     outcome = "full line" if report.zero_potential else "interval pinned to zero"
-    payload = {
-        "zero_potential": report.zero_potential,
-        "interval": _interval_payload(report.interval),
-        "rayleigh_constant": [list(row) for row in report.rayleigh_constant],
-        "lambda_samples": [list(row) for row in report.lambda_samples],
-        "outcome": outcome,
-    }
+    payload = {**asdict(report), "outcome": outcome}
     columns = ["scenario", "a", "rayleigh_constant", "lambda_min",
                "interval_lower", "interval_upper", "endpoint_tolerance"]
     interval = report.interval
@@ -395,34 +343,17 @@ _HANDLERS = {
 }
 
 
-def _apply_radius(scn: Scenario, radius: Optional[int]) -> Scenario:
-    """The scenario with its radius or radii replaced; scn is left as it is."""
-    if radius is None:
-        return scn
-    params = dict(scn.params)
-    if "radius" in params:
-        params["radius"] = radius
-    if "radii" in params:
-        params["radii"] = (radius,)
-    return replace(scn, params=params)
-
-
-def execute_scenario(scn: Scenario, seed_override: Optional[int] = None,
-                     budget_override: Optional[int] = None,
-                     radius_override: Optional[int] = None):
+def execute_scenario(scn: Scenario):
     """Run one scenario; returns (report, columns, rows, status, headline).
 
     Input errors propagate (nothing trustworthy to report); everything
     else is folded into the report status so batches keep going.
     """
-    seed = scn.seed if seed_override is None else seed_override
-    budget = _scenario_budget(scn, budget_override)
-    scn = _apply_radius(scn, radius_override)
     handler = _HANDLERS[scn.task]
     columns: list[str] = []
     rows: list[list] = []
     try:
-        payload, columns, rows, status, headline = handler(scn, seed, budget)
+        payload, columns, rows, status, headline = handler(scn)
     except (InequalityViolation, FolnerVerificationError, NumericalError) as exc:
         payload = {"error": str(exc)}
         status = "violation"
@@ -435,7 +366,7 @@ def execute_scenario(scn: Scenario, seed_override: Optional[int] = None,
         "version": __version__,
         "scenario": scn.name,
         "task": scn.task,
-        "seed": seed,
+        "seed": scn.seed,
         "status": status,
         "outcome": payload,
     }
@@ -446,35 +377,41 @@ def execute_scenario(scn: Scenario, seed_override: Optional[int] = None,
 # commands
 
 
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
-    if value <= 0:
-        raise InputError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
+def _check_flags(args) -> None:
+    """Refuse a nonpositive --budget and a negative --seed or --radius."""
+    if args.budget is not None and args.budget <= 0:
+        raise InputError(f"--budget must be positive, got {args.budget}")
+    for flag in ("seed", "radius"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag} must be nonnegative, got {value}")
 
 
-def _budget_override(flag: Optional[int]) -> Optional[int]:
-    """The --budget value when given (it must be positive), else COVERLAB_BUDGET."""
-    if flag is None:
-        return _env_budget()
-    if flag <= 0:
-        raise InputError(f"--budget must be positive, got {flag}")
-    return flag
+def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],
+              radius: Optional[int]) -> Scenario:
+    """A copy of scn with the --seed, --budget and --radius flags applied.
+
+    --budget replaces the Folner search's max_points and max_subsets;
+    --radius replaces a scalar radius and collapses radii to (radius,).
+    scn itself is left as it is.
+    """
+    params = dict(scn.params)
+    if budget is not None:
+        params["budget"] = replace(params.get("budget", SearchBudget()),
+                                   max_points=budget, max_subsets=budget)
+    if radius is not None:
+        if "radius" in params:
+            params["radius"] = radius
+        if "radii" in params:
+            params["radii"] = (radius,)
+    return replace(scn, seed=scn.seed if seed is None else seed, params=params)
 
 
 def _cmd_run(args) -> int:
-    scn = load_scenario(args.path)
-    budget = _budget_override(args.budget)
+    _check_flags(args)
+    scn = _override(load_scenario(args.path), args.seed, args.budget, args.radius)
     started = time.perf_counter()
-    report, columns, rows, status, headline = execute_scenario(
-        scn, args.seed, budget, args.radius,
-    )
+    report, columns, rows, status, headline = execute_scenario(scn)
     elapsed = time.perf_counter() - started
     print(f"[coverlab] {scn.name}: {status} ({headline}) in {elapsed:.3f}s",
           file=sys.stderr)
@@ -504,6 +441,7 @@ def _cmd_batch(args) -> int:
     if not paths:
         raise InputError(f"no scenario files (*.json) in {directory}")
 
+    _check_flags(args)
     scenarios: list[Scenario] = []
     seen: dict[str, Path] = {}
     for path in paths:
@@ -514,9 +452,8 @@ def _cmd_batch(args) -> int:
                 f"and {path.name}"
             )
         seen[scn.name] = path
-        scenarios.append(scn)
+        scenarios.append(_override(scn, args.seed, args.budget, args.radius))
 
-    budget = _budget_override(args.budget)
     out_dir = Path(args.out) if args.out else directory / "_reports"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -525,9 +462,7 @@ def _cmd_batch(args) -> int:
     for scn in sorted(scenarios, key=lambda s: s.name):
         started = time.perf_counter()
         try:
-            report, _cols, _rows, status, headline = execute_scenario(
-                scn, args.seed, budget, args.radius,
-            )
+            report, _cols, _rows, status, headline = execute_scenario(scn)
         except InputError as exc:
             report, status, headline = None, "input-error", str(exc)
         elapsed = time.perf_counter() - started

@@ -377,7 +377,8 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     depth[id] is the hop distance to the complement, 0 where the sweep
     stopped short at depth alpha; reached holds the indices of the
     member tiles it reached; outside holds the non-member tiles joined
-    to Omega by an edge.
+    to Omega by an edge.  The sweep ends early once its frontier is
+    empty, so its work is bounded by the set, not by alpha.
     """
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
@@ -420,7 +421,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     for d in range(2, alpha + 2):
         for tiles in frontier:
             reached.update(tiles)
-        if d > alpha:
+        if d > alpha or not any(frontier):
             break
         nxt: list[list[int]] = [[] for _ in range(nv)]
         for v, tiles in enumerate(frontier):
@@ -449,7 +450,7 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     depth, reached, outside = _rim_sweep(cover, member_list, alpha)
     nv = cover.base.vertex_count
     # depth 0 marks a vertex deeper than alpha, which reads full height
-    levels = [Fraction(1)] + [Fraction(k, alpha) for k in range(1, alpha + 1)]
+    levels = [Fraction(1)] + [Fraction(k, alpha) for k in range(1, max(depth) + 1)]
     values = {
         (v, x): levels[depth[i * nv + v]]
         for i, x in enumerate(member_list)

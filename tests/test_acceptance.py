@@ -457,8 +457,8 @@ def test_criterion_8_invariants_and_determinism():
     for name in ("triangle_transfer", "z_folner"):
         scn_a = load_scenario(SCENARIOS / f"{name}.json")
         scn_b = load_scenario(SCENARIOS / f"{name}.json")
-        rep_a = render_json(execute_scenario(scn_a, None, None, None)[0])
-        rep_b = render_json(execute_scenario(scn_b, None, None, None)[0])
+        rep_a = render_json(execute_scenario(scn_a)[0])
+        rep_b = render_json(execute_scenario(scn_b)[0])
         if rep_a != rep_b:
             determinism_ok = False
 

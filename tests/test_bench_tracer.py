@@ -1,17 +1,19 @@
 """The bench tracer still finds every coverlab name it wraps.
 
 bench/tests is outside the tier-1 test paths, so this loads
-bench/tracer.py by path and installs it once: a rename in src/ of a
-traced function, or of VoltageCover._ball_cache, fails here.
+bench/tracer.py by path and installs it: a rename in src/ of a traced
+function, or of VoltageCover._ball_cache, fails here, and so does a
+counter hook that no longer reads its result.
 """
 
 import importlib.util
 import pathlib
 
-import coverlab.cli  # noqa: F401  the tracer patches every coverlab module
-from coverlab import actions, geometry, transfer
+from coverlab import actions, cli, geometry, scenario, transfer
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+BUNDLED = sorted((ROOT / "scenarios").glob("*.json"))
 
 
 def load_tracer():
@@ -40,3 +42,25 @@ def test_tracer_installs_records_and_uninstalls(tree_cover):
     spans = [span for span in tracer.spans if span[tracer_module.NAME] == "geometry.ball"]
     # the second query is a memo hit, read from _ball_cache before the call
     assert [span[tracer_module.COUNTERS]["hit"] for span in spans] == [0, 1]
+
+
+def run_bundled():
+    """The JSON report of every bundled scenario, loaded and run afresh."""
+    return [cli.render_json(cli.execute_scenario(scenario.load_scenario(path))[0])
+            for path in BUNDLED]
+
+
+def test_traced_bundled_runs_match_untraced_and_record_every_span():
+    tracer_module = load_tracer()
+    assert len(BUNDLED) == 8
+    plain = run_bundled()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = run_bundled()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    recorded = {span[tracer_module.NAME] for span in tracer.spans}
+    assert {target[2] for target in tracer_module.TARGETS} <= recorded
+    assert tracer.apply_calls[0] > 0

@@ -24,7 +24,8 @@ from coverlab import (
     verify_certificate,
 )
 from coverlab import folner
-from coverlab.cli import _certificate_payload, execute_scenario, main
+from coverlab.folner import SearchBudget
+from coverlab.cli import _certificate_payload, _override, execute_scenario, main
 from oracles import folner_boundary_bound
 from coverlab.scenario import load_scenario
 
@@ -310,28 +311,22 @@ def test_failing_box_is_a_violation_not_a_retry(monkeypatch, capsys):
     assert len(sides) == 1
 
 
-def test_budget_env_forces_exhaustion(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COVERLAB_BUDGET", "50")
-    code = main(["run", str(SCENARIOS / "z_folner.json")])
+def test_budget_flag_forces_exhaustion(capsys):
+    code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", "50"])
     out = capsys.readouterr().out
     assert code == 3
     report = json.loads(out)
     assert report["status"] == "inconclusive"
 
 
-def test_budget_flag_beats_env(tmp_path, capsys, monkeypatch):
+def test_budget_environment_variable_is_ignored(capsys, monkeypatch):
+    # --budget is the only route to the search limits
+    path = str(SCENARIOS / "z_folner.json")
+    assert main(["run", path]) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setenv("COVERLAB_BUDGET", "50")
-    code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", "1000000"])
-    out = capsys.readouterr().out
-    assert code == 0
-    report = json.loads(out)
-    assert report["status"] == "ok"
-
-
-def test_bad_budget_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COVERLAB_BUDGET", "zero")
-    code = main(["run", str(SCENARIOS / "z_folner.json")])
-    assert code == 1
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_seed_override_reflected(capsys):
@@ -354,9 +349,15 @@ def test_radius_override_collapses_profile(capsys):
 def test_radius_override_leaves_scenario_unchanged():
     scn = load_scenario(SCENARIOS / "k4_tree_spectrum.json")
     params = dict(scn.params)
-    overridden = execute_scenario(scn, radius_override=1)[0]
+    changed = _override(scn, 5, 50, 1)
+    assert changed.seed == 5
+    assert changed.params["radii"] == (1,)
+    assert changed.params["budget"] == SearchBudget(max_points=50, max_subsets=50)
+    assert _override(scn, None, None, None) == scn
+    overridden = execute_scenario(changed)[0]
     plain = execute_scenario(scn)[0]
-    assert scn.params == params
+    assert (scn.seed, scn.params) == (0, params)
+    assert (overridden["seed"], plain["seed"]) == (5, 0)
     assert len(overridden["outcome"]["rows"]) == len(plain["outcome"]["rows"]) == 4
     for row in overridden["outcome"]["rows"]:
         assert [w["radius"] for w in row["windows"]] == [1]
@@ -446,23 +447,31 @@ def test_run_deep_enumeration_exit_3(tmp_path, capsys):
     assert run["best_ratio"] == {"numerator": 1, "denominator": 750}
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_run_rejects_nonpositive_budget_flag(value, capsys):
-    code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", value])
+BAD_FLAGS = [
+    pytest.param("--budget", "0", "--budget must be positive, got 0", id="0"),
+    pytest.param("--budget", "-5", "--budget must be positive, got -5", id="-5"),
+    pytest.param("--seed", "-5", "--seed must be nonnegative, got -5", id="seed-5"),
+    pytest.param("--radius", "-1", "--radius must be nonnegative, got -1", id="radius-1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_FLAGS)
+def test_run_rejects_nonpositive_budget_flag(flag, value, message, capsys):
+    code = main(["run", str(SCENARIOS / "k4_tree_spectrum.json"), flag, value])
     err = capsys.readouterr().err
     assert code == 1
-    assert "--budget must be positive" in err
+    assert f"error: {message}\n" == err
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_batch_rejects_nonpositive_budget_flag(value, tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", BAD_FLAGS)
+def test_batch_rejects_nonpositive_budget_flag(flag, value, message, tmp_path, capsys):
     src = tmp_path / "jobs"
     src.mkdir()
     shutil.copy(SCENARIOS / "z_folner.json", src / "z_folner.json")
-    code = main(["batch", str(src), "--budget", value])
+    code = main(["batch", str(src), flag, value])
     err = capsys.readouterr().err
     assert code == 1
-    assert "--budget must be positive" in err
+    assert f"error: {message}\n" == err
     assert not (src / "_reports").exists()
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -349,6 +351,32 @@ def test_collar_counts_move_each_member_tile_once_per_word(tree_cover, monkeypat
     # six distinct oriented one-letter words, each applied to each member once
     assert len(calls) == 6 * c
     assert all(calls.count(g) == c for g in (-3, -2, -1, 1, 2, 3))
+
+
+def test_sweep_work_is_bounded_by_the_set_not_alpha(triangle_cover, k4_z2_cover,
+                                                    tree_cover, fixed_tile_cover):
+    # alpha far beyond every depth: the ramp reads d / alpha throughout
+    alpha = 10**5
+    for cover, members in cutoff_cases(triangle_cover, k4_z2_cover, tree_cover,
+                                       fixed_tile_cover):
+        xi = cutoff(cover, members, alpha)
+        _members, values, _omega, collar = sorted_sweep_cutoff(cover, members, alpha)
+        assert xi.values == values
+        assert xi.collar_tiles == collar
+        assert collar_counts(cover, members, alpha) == (len(collar), len(xi.members))
+    members = [(x,) for x in range(-6, 7)]
+    # one level per depth reached, not alpha + 1 of them
+    tracemalloc.start()
+    try:
+        cutoff(triangle_cover, members, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # the sweep ends with its frontier, 20 hops into these 13 tiles
+    started = time.process_time()
+    assert collar_counts(triangle_cover, members, 10**7) == (15, 13)
+    assert time.process_time() - started < 5.0
 
 
 def test_cutoff_without_rim_is_flat(fixed_tile_cover):
