@@ -29,7 +29,7 @@ from .actions import (
     net_displacement,
     word_action,
 )
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 
 
 def _check_real(value, label: str, positive: bool = False) -> float:
@@ -378,13 +378,22 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     stopped short at depth alpha; reached holds the indices of the
     member tiles it reached; outside holds the non-member tiles joined
     to Omega by an edge.  The sweep ends early once its frontier is
-    empty, so its work is bounded by the set, not by alpha.
+    empty, so its work is bounded by the set, not by alpha.  A set whose
+    vertex count len(member_list) * nv exceeds DEFAULT_POINT_BUDGET is
+    refused with BudgetExceededError before anything is allocated.
     """
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
     if not isinstance(alpha, int) or alpha < 1:
         raise InputError(f"alpha must be a positive integer, got {alpha!r}")
     nv = cover.base.vertex_count
+    size = len(member_list) * nv
+    if size > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"cutoff over {len(member_list)} tiles of {nv} vertices holds {size} "
+            f"vertices, above the point budget {DEFAULT_POINT_BUDGET}",
+            partial_count=size,
+        )
     index = {x: i for i, x in enumerate(member_list)}
     apply_fn = cover.carrier.apply_fn
     users: dict[tuple[int, ...], list[int]] = {}  # word -> base vertices it leaves from
@@ -392,7 +401,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
         for _u, _w, word in row:
             users.setdefault(word, []).append(v)
 
-    depth = [0] * (len(member_list) * nv)
+    depth = [0] * size
     # frontier[v] lists the tile indices i of the frontier vertices (v, i)
     frontier: list[list[int]] = [[] for _ in range(nv)]
     outside = set()

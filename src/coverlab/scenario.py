@@ -28,6 +28,7 @@ from .actions import (
 from .errors import InputError
 from .folner import SearchBudget, exact_fraction
 from .geometry import VoltageCover, WeightedGraph, build_cover
+from .spectrum import load_solvers
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -318,6 +319,9 @@ def parse_scenario(obj: Any) -> Scenario:
         raise InputError(f"scenario.seed: must be nonnegative, got {seed}")
 
     sections = _TASK_SECTIONS[task]
+    if "potential" in sections:
+        # a task with a potential solves; load its solvers while setting up
+        load_solvers()
     for key in _SECTION_PARSERS:
         if key in root and key not in sections:
             raise InputError(f"scenario.{key}: not used by the {task} task")

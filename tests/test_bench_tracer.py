@@ -7,7 +7,11 @@ counter hook that no longer reads its result.
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from coverlab import actions, cli, geometry, scenario, transfer
 
@@ -64,3 +68,50 @@ def test_traced_bundled_runs_match_untraced_and_record_every_span():
     recorded = {span[tracer_module.NAME] for span in tracer.spans}
     assert {target[2] for target in tracer_module.TARGETS} <= recorded
     assert tracer.apply_calls[0] > 0
+
+
+# bench/worker.py's order: the package, cli and scenario are imported and
+# the tracer is installed before anything has loaded numpy or scipy
+INSTALL_BEFORE_SOLVERS = """
+import importlib.util, json, sys
+import coverlab
+from coverlab import cli, scenario, spectrum
+solvers_loaded = "scipy" in sys.modules
+spec = importlib.util.spec_from_file_location("coverlab_bench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+
+
+def run():
+    scn = scenario.load_scenario("scenarios/k4_tree_spectrum.json")
+    return cli.render_json(cli.execute_scenario(scn)[0])
+
+
+tracer = tracer_module.Tracer()
+tracer.install()
+try:
+    traced = run()
+finally:
+    tracer.uninstall()
+import scipy.linalg
+print(json.dumps({
+    "solvers_loaded_before_install": solvers_loaded,
+    "dense_spans": sum(span[tracer_module.NAME] == "spectrum.solve_dense"
+                       for span in tracer.spans),
+    "same_report": traced == run(),
+    "eigh_restored": spectrum.eigh is scipy.linalg.eigh,
+}))
+"""
+
+
+def test_tracer_installed_before_the_solvers_load_still_traces_them():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", INSTALL_BEFORE_SOLVERS, str(TRACER)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result.pop("dense_spans") >= 1
+    assert result == {"solvers_loaded_before_install": False, "same_report": True,
+                      "eigh_restored": True}

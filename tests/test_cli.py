@@ -23,7 +23,7 @@ from coverlab import (
     search_folner,
     verify_certificate,
 )
-from coverlab import folner
+from coverlab import folner, geometry
 from coverlab.folner import SearchBudget
 from coverlab.cli import _certificate_payload, _override, execute_scenario, main
 from oracles import folner_boundary_bound
@@ -317,6 +317,17 @@ def test_budget_flag_forces_exhaustion(capsys):
     assert code == 3
     report = json.loads(out)
     assert report["status"] == "inconclusive"
+
+
+def test_cutoff_over_the_point_budget_exits_3(capsys, monkeypatch):
+    # the witness set has 37 tiles of 3 vertices: 111 > 100
+    monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 100)
+    code = main(["run", str(SCENARIOS / "triangle_transfer.json")])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "budget-exceeded"
+    assert report["outcome"]["error"] == ("cutoff over 37 tiles of 3 vertices holds 111 "
+                                          "vertices, above the point budget 100")
 
 
 def test_budget_environment_variable_is_ignored(capsys, monkeypatch):

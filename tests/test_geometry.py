@@ -227,6 +227,21 @@ def test_cutoff_lipschitz_bound(triangle_cover, tree_cover):
                 assert abs(xi(p) - xi(q)) <= Fraction(1, alpha)
 
 
+def test_cutoff_refuses_sets_over_the_point_budget(triangle_cover, monkeypatch):
+    # 37 tiles of 3 vertices: 111 vertices, checked before the sweep allocates
+    members = [(x,) for x in range(-18, 19)]
+    monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 110)
+    for count in (cutoff, collar_counts):
+        with pytest.raises(BudgetExceededError) as info:
+            count(triangle_cover, members, 2)
+        assert info.value.partial_count == 111
+        assert str(info.value) == ("cutoff over 37 tiles of 3 vertices holds 111 "
+                                   "vertices, above the point budget 110")
+    monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 111)
+    assert len(cutoff(triangle_cover, members, 2).omega) == 111
+    assert collar_counts(triangle_cover, members, 2) == (4, 37)
+
+
 def test_single_tile_cutoff_on_tree(tree_cover):
     xi = cutoff(tree_cover, [tree_cover.carrier.origin], 1)
     assert all(v == 1 for v in xi.values.values())

@@ -1,12 +1,21 @@
-"""Lint: every name a coverlab module imports is used in that module."""
+"""Import boundaries: unused names, and numpy and scipy only where a solve needs them."""
 
 import ast
+import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coverlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coverlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOLVER_PACKAGES = ("numpy", "scipy")
+FOLNER_SCENARIOS = ("f2_on_z_folner.json", "z2_folner.json", "z_folner.json")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +43,131 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def solver_imports(source: str, allowed: str | None = None) -> list[str]:
+    """Every numpy or scipy import, except inside the top-level function
+    named ``allowed``."""
+    tree = ast.parse(source)
+    nodes = [node for node in tree.body
+             if not (isinstance(node, ast.FunctionDef) and node.name == allowed)]
+    found = []
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{name} (line {node.lineno})" for name in names
+                      if name.split(".")[0] in SOLVER_PACKAGES]
+    return found
+
+
+def test_solver_checker_flags_imports_outside_the_allowed_function():
+    source = textwrap.dedent("""\
+        import numpy as np
+        from scipy.linalg import eigh
+        from .numpy import x
+        def load_solvers():
+            import scipy.sparse
+        def solve():
+            from numpy import linalg
+        """)
+    assert solver_imports(source, "load_solvers") == [
+        "numpy (line 1)", "scipy.linalg (line 2)", "numpy (line 7)"]
+    assert solver_imports(source) == [
+        "numpy (line 1)", "scipy.linalg (line 2)", "scipy.sparse (line 5)",
+        "numpy (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_solvers_are_imported_only_by_load_solvers(path):
+    allowed = "load_solvers" if path.name == "spectrum.py" else None
+    assert solver_imports(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def run_fresh(*parts: str) -> dict:
+    """Run the parts of a script in a new interpreter from the repository
+    root; the script prints one JSON object as its last line, which is
+    returned."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    script = "".join(map(textwrap.dedent, parts))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+print(json.dumps({"loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] in ("numpy", "scipy"))}))
+"""
+
+
+def test_importing_the_package_loads_no_solver():
+    assert run_fresh("import coverlab, coverlab.cli\n", LOADED) == {"loaded": []}
+
+
+def test_folner_run_loads_no_solver():
+    code = """
+        import contextlib, io
+        from coverlab import cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["run", "scenarios/z2_folner.json"]) == 0
+        """
+    assert run_fresh(code, LOADED) == {"loaded": []}
+
+
+def test_folner_batch_loads_no_solver(tmp_path):
+    for name in FOLNER_SCENARIOS:
+        shutil.copy(ROOT / "scenarios" / name, tmp_path / name)
+    code = f"""
+        import contextlib, io
+        from coverlab import cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["batch", {str(tmp_path)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+        """
+    assert run_fresh(code, LOADED) == {"loaded": []}
+    assert len(list((tmp_path / "out").glob("*.json"))) == len(FOLNER_SCENARIOS)
+
+
+def test_parsing_a_spectral_scenario_loads_the_solvers():
+    code = """
+        import json, sys
+        from coverlab import scenario
+        scenario.load_scenario("scenarios/k4_tree_spectrum.json")
+        print(json.dumps({m: m in sys.modules for m in ("scipy.linalg", "scipy.sparse.linalg")}))
+        """
+    assert run_fresh(code) == {"scipy.linalg": True, "scipy.sparse.linalg": True}
+
+
+TRIANGLE = """
+import coverlab
+triangle = coverlab.WeightedGraph([1.0] * 3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+cover = coverlab.build_cover(triangle, coverlab.lattice_action(1), {(0, 1): (1,)})
+"""
+
+FIRST_CALLS = {
+    "min_eigenvalue": "coverlab.min_eigenvalue(triangle, [1, -1, 1], 0.5).lambda_min",
+    "dirichlet_window": "coverlab.dirichlet_window(cover, (0,), 2, [1, -1, 1], 0.5).value",
+    "stability_interval": "coverlab.stability_interval(triangle, [1, -2, 1]).upper",
+    "corollary_check": "coverlab.corollary_check(triangle, [1, -2, 1]).interval.upper",
+    "regular_tree_dirichlet_value": "coverlab.regular_tree_dirichlet_value(3, 5)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+def test_spectral_entry_point_works_as_the_first_call(name):
+    # the fresh interpreter has loaded no solver when the call runs
+    code = f"""
+        import json
+        print(json.dumps({{"value": {FIRST_CALLS[name]}}}))
+        """
+    scope = {}
+    exec(TRIANGLE, scope)
+    assert run_fresh(TRIANGLE, code)["value"] == eval(FIRST_CALLS[name], scope)
