@@ -35,7 +35,6 @@ from .folner import (
 from .geometry import (
     CompactFunction,
     CutoffFunction,
-    Potential,
     VoltageCover,
     WeightedGraph,
     as_potential,
@@ -43,7 +42,6 @@ from .geometry import (
     build_cover,
     cover_form_parts,
     cutoff,
-    quadratic_form,
 )
 from .spectrum import (
     CorollaryReport,

@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -209,27 +209,13 @@ def _run_interval(scn: Scenario):
 
 
 def _witness_payload(cover, rep) -> dict:
+    carrier = cover.carrier
     return {
-        "b": rep.b,
-        "c": rep.c,
-        "alpha": rep.alpha,
-        "epsilon_used": rep.epsilon_used,
+        **{f.name: getattr(rep, f.name) for f in fields(rep)},
+        "members": [carrier.encode(x) for x in rep.members],
+        "collar_tiles": [carrier.encode(x)
+                         for x in sorted(rep.collar_tiles, key=carrier.sort_key)],
         "collar_ratio": rep.collar_ratio,
-        "collar_ball_bound": rep.collar_ball_bound,
-        "members": [cover.carrier.encode(x) for x in rep.members],
-        "collar_tiles": [cover.carrier.encode(x) for x in
-                         sorted(rep.collar_tiles, key=cover.carrier.sort_key)],
-        "base_f2": rep.base_f2,
-        "base_df2": rep.base_df2,
-        "base_Vf2": rep.base_Vf2,
-        "base_negVf2": rep.base_negVf2,
-        "Q_base": rep.Q_base,
-        "Q_cover": rep.Q_cover,
-        "term_grad": rep.term_grad,
-        "bound_grad": rep.bound_grad,
-        "term_pot": rep.term_pot,
-        "bound_pot": rep.bound_pot,
-        "final_bound": rep.final_bound,
         # build_witness raises on a breach, so the key is always true
         "verified": True,
     }
@@ -239,7 +225,7 @@ def _run_transfer(scn: Scenario):
     a = scn.params["a"]
     out = transfer_negativity(
         scn.cover, scn.potential, a, scn.params["alpha"], seed=scn.seed,
-        **_given(scn, budget="budget", max_halvings="max_halvings"),
+        **_given(scn, budget="budget"),
     )
     window = None
     if "radius" in scn.params:
@@ -289,24 +275,25 @@ def _run_counterexample(scn: Scenario):
         seed=scn.seed, **_given(scn, budget="budget"),
     )
     out = report.transfer
+    # counterexample_check raises unless the inclusion is strict
+    outcome = "strict inclusion"
     payload = {
         "a": a,
-        "lambda_min_base": report.lambda_min_base,
-        "r_star": report.r_star,
-        "alpha": report.alpha,
+        "lambda_min_base": out.lambda_min_base,
+        "r_star": out.r_star,
+        "alpha": out.alpha,
         "transfer_status": out.status,
         "transfer_message": out.message,
         "best_collar_ratio": out.best_collar_ratio,
         "windows": [asdict(w) for w in report.windows],
-        "outcome": report.outcome,
+        "outcome": outcome,
     }
     columns = ["scenario", "a", "lambda_min_base", "r_star", "transfer_status",
                "best_ratio", "radius", "window_value", "outcome"]
-    rows = [[scn.name, a, report.lambda_min_base, report.r_star, out.status,
-             out.best_collar_ratio, w.radius, w.value, report.outcome]
+    rows = [[scn.name, a, out.lambda_min_base, out.r_star, out.status,
+             out.best_collar_ratio, w.radius, w.value, outcome]
             for w in report.windows]
-    headline = f"{report.outcome}; min_window=" + _num(
-        min(w.value for w in report.windows))
+    headline = f"{outcome}; min_window=" + _num(min(w.value for w in report.windows))
     return payload, columns, rows, "ok", headline
 
 

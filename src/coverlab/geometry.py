@@ -104,24 +104,9 @@ class WeightedGraph:
         return VoltageCover(self, finite_permutation_action((), 1), {})
 
 
-class Potential:
-    """Vertex potential: one checked finite real per base vertex."""
-
-    def __init__(self, values: Sequence):
-        self.values = tuple(_check_real(v, f"V[{i}]") for i, v in enumerate(values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, v: int) -> float:
-        return self.values[v]
-
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
-
-
-def as_potential(V, graph: WeightedGraph) -> Potential:
-    pot = V if isinstance(V, Potential) else Potential(V)
+def as_potential(V, graph: WeightedGraph) -> tuple[float, ...]:
+    """V as one checked finite real per base vertex."""
+    pot = tuple(_check_real(v, f"V[{i}]") for i, v in enumerate(V))
     if len(pot) != graph.vertex_count:
         raise InputError(
             f"potential has {len(pot)} entries for {graph.vertex_count} vertices"
@@ -164,19 +149,6 @@ def base_function(f, graph: WeightedGraph) -> CompactFunction:
     if len(f) != graph.vertex_count:
         raise InputError(f"function has {len(f)} entries for {graph.vertex_count} vertices")
     return CompactFunction.on_vertices(f)
-
-
-def quadratic_form(graph: WeightedGraph, V, a: float, f) -> float:
-    """Q(f) = sum w (df)^2 + a * sum V f^2 mu on the base graph."""
-    pot = as_potential(V, graph)
-    func = base_function(f, graph)
-    grad = fsum(
-        w * (func(u) - func(v)) ** 2
-        for u, v, w in graph.edges
-        if u in func.support or v in func.support
-    )
-    pot_term = fsum(pot[v] * func(v) ** 2 * graph.mu[v] for v in sorted(func.support))
-    return grad + a * pot_term
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every real number in a scenario is a decimal string ("0.05", "-1e-3"),
 never a bare JSON float, so files re-parse bit-exactly and reports stay
 byte-identical across runs.  Integers (vertex ids, radii, alpha, seeds)
-are plain JSON integers.  Validation errors name the offending field by
-path.
+are plain JSON integers, and no object names a key twice.  Validation
+errors name the offending field by path.
 """
 
 from __future__ import annotations
@@ -33,26 +33,34 @@ from .spectrum import load_solvers
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
-class _RawFloat:
-    """Marker for a bare JSON float, which the schema forbids."""
+class _Refused:
+    """What the decoder leaves for a bare float or a key named twice."""
 
-    __slots__ = ("text",)
+    __slots__ = ("reason",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-def _reject_raw_floats(node: Any, path: str) -> None:
-    if isinstance(node, _RawFloat):
-        raise InputError(
-            f"{path}: real numbers must be decimal strings, got bare {node.text}"
-        )
+def _bare_float(text: str) -> _Refused:
+    return _Refused(f"real numbers must be decimal strings, got bare {text}")
+
+
+def _unique_keys(pairs: list) -> Any:
+    keys = [key for key, _value in pairs]
+    dupes = [key for i, key in enumerate(keys) if key in keys[:i]]
+    return _Refused(f"duplicate field '{dupes[0]}'") if dupes else dict(pairs)
+
+
+def _reject_refused(node: Any, path: str) -> None:
+    if isinstance(node, _Refused):
+        raise InputError(f"{path}: {node.reason}")
     if isinstance(node, dict):
         for key, value in node.items():
-            _reject_raw_floats(value, f"{path}.{key}")
+            _reject_refused(value, f"{path}.{key}")
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            _reject_raw_floats(value, f"{path}[{i}]")
+            _reject_refused(value, f"{path}[{i}]")
 
 
 def _expect_dict(node: Any, path: str) -> dict:
@@ -244,7 +252,6 @@ _PARAM_PARSERS = {
     "alpha": _int_at_least(1),
     "radius": _int_at_least(0),
     "radii": _nonempty_list(_int_at_least(0)),
-    "max_halvings": _int_at_least(0),
     "tolerance": _expect_positive_real,
     "budget": _parse_budget,
 }
@@ -253,7 +260,7 @@ _PARAM_FIELDS = {
     "folner": ((), ("epsilon", "epsilons", "budget")),
     "spectrum": (("a_samples", "radii"), ()),
     "interval": (("a_samples", "radius"), ("alpha", "tolerance", "budget")),
-    "transfer": (("a", "alpha"), ("radius", "budget", "max_halvings")),
+    "transfer": (("a", "alpha"), ("radius", "budget")),
     "counterexample": (("a", "alpha", "radii"), ("budget",)),
     "corollary": ((), ("a_samples", "tolerance")),
 }
@@ -305,8 +312,8 @@ class Scenario:
 
 
 def parse_scenario(obj: Any) -> Scenario:
+    _reject_refused(obj, "scenario")
     root = _expect_dict(obj, "scenario")
-    _reject_raw_floats(root, "scenario")
     _check_keys(root, "scenario", ("name", "task"), ("seed", *_SECTION_PARSERS, "params"))
     name = root["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -358,7 +365,7 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"scenario file not found: {p}")
     text = p.read_text(encoding="utf-8")
     try:
-        obj = json.loads(text, parse_float=lambda s: _RawFloat(s))
+        obj = json.loads(text, parse_float=_bare_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     try:

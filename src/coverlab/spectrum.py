@@ -29,7 +29,7 @@ from .geometry import (
     WeightedGraph,
     as_potential,
     base_function,
-    quadratic_form,
+    cover_form_parts,
 )
 
 DENSE_LIMIT = 2000
@@ -103,7 +103,7 @@ class _Operator:
         self.points = points
         self.degree = np.array([base.weighted_degree(v)
                                 for v in range(base.vertex_count)])[base_of]
-        self.pot = np.array(pot.values)[base_of]
+        self.pot = np.array(pot)[base_of]
         self.mu = np.array(base.mu)[base_of]
         # a neighbour always lies over another base vertex, so never on p itself
         rows, cols, weights = [], [], []
@@ -212,12 +212,14 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> Spectral
 
 
 def rayleigh(graph: WeightedGraph, V, a: float, f) -> float:
-    """Quadratic form over the mu-weighted square norm of f."""
+    """The trivial cover's form on the lift of f, over the mu-weighted square norm of f."""
     func = base_function(f, graph)
     if func.is_zero():
         raise InputError("Rayleigh quotient of the zero function is undefined")
     norm = fsum(func(v) ** 2 * graph.mu[v] for v in sorted(func.support))
-    return quadratic_form(graph, V, a, func) / norm
+    lift = CompactFunction({(v, 0): x for v, x in func.values.items()})
+    grad, pot = cover_form_parts(graph.trivial_cover, V, a, lift)
+    return (grad + pot) / norm
 
 
 @dataclass(frozen=True)
@@ -305,46 +307,44 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     vanishes at a = 0 on connected graphs, so the set is a closed
     interval around 0.  One-sided infiniteness is decided exactly by the
     sign pattern of V; finite endpoints are bracketed by doubling from
-    |a| = 1 and bisected to width tol.  The operator is assembled once,
-    on the graph's trivial cover, and each probe needs only its sign:
-    one in-place Cholesky factorization up to DENSE_LIMIT vertices, an
-    eigensolve above it.
+    |a| = 1 and bisected to width tol, or to adjacent floats; the
+    half-width reached is the endpoint tolerance.  No probe repeats: the
+    doublings are distinct powers of two, and each midpoint lies strictly
+    inside its bracket.  The operator is assembled once, on the graph's
+    trivial cover, and each probe needs only its sign: one in-place
+    Cholesky factorization up to DENSE_LIMIT vertices, an eigensolve
+    above it.
     """
     if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     pot = as_potential(V, graph)
-    if pot.is_zero():
+    if not any(pot):
         return StabilityInterval(-math.inf, math.inf, 0.0)
     op = _base_operator(graph, pot)
-
-    cache: dict[float, bool] = {}
-
-    def nonnegative(a: float) -> bool:
-        if a not in cache:
-            cache[a] = _is_nonnegative(op, a, seed)
-        return cache[a]
 
     def endpoint(sign: float) -> tuple[float, float]:
         hi = 1.0
         lo = 0.0
-        while nonnegative(sign * hi):
+        while _is_nonnegative(op, sign * hi, seed):
             lo = hi
             hi *= 2.0
             if hi > MAX_BRACKET:
                 return sign * math.inf, 0.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
-            if nonnegative(sign * mid):
+            if mid in (lo, hi):  # adjacent floats: the resolution is reached
+                break
+            if _is_nonnegative(op, sign * mid, seed):
                 lo = mid
             else:
                 hi = mid
         return sign * (lo + hi) / 2.0, (hi - lo) / 2.0
 
-    if all(v >= 0.0 for v in pot.values):
+    if all(v >= 0.0 for v in pot):
         upper, tol_up = math.inf, 0.0
     else:
         upper, tol_up = endpoint(1.0)
-    if all(v <= 0.0 for v in pot.values):
+    if all(v <= 0.0 for v in pot):
         lower, tol_dn = -math.inf, 0.0
     else:
         lower, tol_dn = endpoint(-1.0)
@@ -375,7 +375,7 @@ def corollary_check(graph: WeightedGraph, V,
     if balance != 0.0:
         raise InputError(f"potential is not balanced: sum V mu = {balance!r}")
     interval = stability_interval(graph, pot, tol=tol, seed=seed)
-    if pot.is_zero():
+    if not any(pot):
         if not (math.isinf(interval.lower) and math.isinf(interval.upper)):
             raise InequalityViolation(
                 f"zero potential must give the full line, got {interval}"

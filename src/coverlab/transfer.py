@@ -43,6 +43,9 @@ from .spectrum import (
 )
 
 
+MAX_HALVINGS = 20  # epsilon halvings after the first search; a fixed budget
+
+
 def _leq(x: float, y: float) -> bool:
     """x <= y up to mixed absolute and relative slack."""
     return x <= y + AUDIT_TOLERANCE * max(1.0, abs(x), abs(y))
@@ -238,13 +241,14 @@ class TransferOutcome:
 
 def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
                         budget: Optional[SearchBudget] = None,
-                        max_halvings: int = 20, seed: int = 0) -> TransferOutcome:
+                        seed: int = 0) -> TransferOutcome:
     """Try to push the base ground state's negativity into the cover.
 
     Starts from epsilon = r* / (1 + n alpha), whose Folner sets obey
     b/c <= collar_ball/c <= n alpha epsilon/(...) comfortably below r*
     in the regular cases, and halves epsilon whenever a certificate's
-    collar ratio still lands at or above r*.  Success requires the
+    collar ratio still lands at or above r*, at most MAX_HALVINGS
+    times.  Success requires the
     audited witness energy to be strictly negative; anything else on a
     sub-r* ratio is raised as a violation, not smoothed over.
 
@@ -268,7 +272,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     exhausted: Optional[SearchReport] = None
     witness: Optional[CompactFunction] = None
     eps = epsilon_first
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         search = search_folner(fiber, eps, budget)
         if search.outcome != "found":
             exhausted = search
@@ -296,7 +300,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
                    f"cover energy {report.Q_cover:.6g} < 0")
     else:
         detail = ("the Folner search exhausted its budget" if exhausted is not None
-                  else f"{max_halvings + 1} epsilon halvings never beat r*")
+                  else f"{MAX_HALVINGS + 1} epsilon halvings never beat r*")
         message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}"
                    + (f"; best ratio seen {best}" if best is not None else ""))
     return TransferOutcome(
@@ -419,12 +423,8 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    lambda_min_base: float
-    r_star: float
-    alpha: int
     transfer: TransferOutcome
     windows: tuple[WindowValue, ...]
-    outcome: str
 
 
 def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
@@ -450,11 +450,4 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
                 f"radius-{win.radius} window is {win.value!r} < 0; the cover "
                 "is negative after all"
             )
-    return CounterexampleReport(
-        lambda_min_base=outcome.lambda_min_base,
-        r_star=outcome.r_star,
-        alpha=alpha,
-        transfer=outcome,
-        windows=windows,
-        outcome="strict inclusion",
-    )
+    return CounterexampleReport(transfer=outcome, windows=windows)

@@ -1,5 +1,6 @@
 import pytest
 
+import coverlab.spectrum as spectrum_module
 from coverlab import (
     WeightedGraph,
     build_cover,
@@ -7,6 +8,24 @@ from coverlab import (
     free_group_action,
     lattice_action,
 )
+
+
+@pytest.fixture
+def capped_probes(monkeypatch):
+    """Fail, rather than spin, once the bisections take over 400 sign probes.
+
+    Each endpoint takes at most 61 doubling probes, and under 70 halvings
+    for any tolerance down to 1e-20.
+    """
+    real = spectrum_module._is_nonnegative
+    count = [0]
+
+    def capped(op, a, seed):
+        count[0] += 1
+        assert count[0] <= 400, "the bisection does not stop"
+        return real(op, a, seed)
+
+    monkeypatch.setattr(spectrum_module, "_is_nonnegative", capped)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, determinism, batch runs."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,9 +24,15 @@ from coverlab import (
     search_folner,
     verify_certificate,
 )
-from coverlab import folner, geometry
+from coverlab import WitnessReport, folner, geometry, transfer_negativity
 from coverlab.folner import SearchBudget
-from coverlab.cli import _certificate_payload, _override, execute_scenario, main
+from coverlab.cli import (
+    _certificate_payload,
+    _override,
+    _witness_payload,
+    execute_scenario,
+    main,
+)
 from oracles import folner_boundary_bound
 from coverlab.scenario import load_scenario
 
@@ -291,6 +298,34 @@ def test_run_refuses_box_doublings_field(tmp_path, capsys):
     code = main(["run", str(write_json(tmp_path / "doublings.json", obj))])
     assert code == 1
     assert "scenario.params.budget: unknown field 'max_box_doublings'" in capsys.readouterr().err
+
+
+def test_run_refuses_max_halvings_field(tmp_path, capsys):
+    # the halving budget is the fixed transfer.MAX_HALVINGS
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    obj["params"]["max_halvings"] = 3
+    code = main(["run", str(write_json(tmp_path / "halvings.json", obj))])
+    assert code == 1
+    assert "scenario.params: unknown field 'max_halvings'" in capsys.readouterr().err
+
+
+def test_interval_endpoint_past_float_resolution_returns(tmp_path, capsys, capped_probes):
+    # the upper endpoint is near 1.5e10, where floats are 2^-19 apart,
+    # wider than the default tolerance 1e-6
+    obj = json.loads((SCENARIOS / "triangle_interval.json").read_text())
+    obj["potential"] = ["1", "-1e-10", "0"]
+    assert main(["run", str(write_json(tmp_path / "tiny.json", obj))]) == 0
+    interval = json.loads(capsys.readouterr().out)["outcome"]["interval"]
+    assert interval["endpoint_tolerance"] == repr(2.0**-20)
+    assert float(interval["upper"]) == pytest.approx(1.5e10, rel=1e-6)
+
+
+def test_witness_payload_keys_are_the_report_fields():
+    scn = load_scenario(SCENARIOS / "triangle_transfer.json")
+    out = transfer_negativity(scn.cover, scn.potential, scn.params["a"], scn.params["alpha"])
+    payload = _witness_payload(scn.cover, out.report)
+    names = {f.name for f in dataclasses.fields(WitnessReport)}
+    assert set(payload) == names | {"collar_ratio", "verified"}
 
 
 def test_failing_box_is_a_violation_not_a_retry(monkeypatch, capsys):

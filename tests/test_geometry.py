@@ -15,13 +15,14 @@ from coverlab import (
     CompactFunction,
     InputError,
     WeightedGraph,
+    as_potential,
     build_cover,
     cover_form_parts,
     cutoff,
     finite_permutation_action,
     lattice_action,
     orbit_ball,
-    quadratic_form,
+    rayleigh,
 )
 from coverlab.geometry import collar_counts
 from oracles import cover_quadratic_form, lift_function
@@ -62,15 +63,21 @@ def test_graph_validation_errors():
 
 
 def test_quadratic_form_hand_value():
+    # the base form is the trivial cover's, on f keyed at its one tile 0
     graph = WeightedGraph((1.0, 2.0), [(0, 1, 3.0)])
-    value = quadratic_form(graph, (0.5, -1.0), 2.0, (1.0, 2.0))
+    f = CompactFunction({(0, 0): 1.0, (1, 0): 2.0})
+    grad, pot = cover_form_parts(graph.trivial_cover, (0.5, -1.0), 2.0, f)
     # 3*(1-2)^2 + 2*(0.5*1*1 + (-1)*4*2) = 3 - 15
-    assert value == -12.0
+    assert (grad, pot) == (3.0, -15.0)
+    assert grad + pot == -12.0
 
 
 def test_potential_length_mismatch(triangle):
-    with pytest.raises(InputError):
-        quadratic_form(triangle, (1.0, 2.0), 1.0, (1.0, 0.0, 0.0))
+    with pytest.raises(InputError, match="potential has 2 entries for 3 vertices"):
+        as_potential((1.0, 2.0), triangle)
+    with pytest.raises(InputError, match=r"V\[1\] must be finite"):
+        as_potential((1.0, math.inf, 0.0), triangle)
+    assert as_potential([1, -2, 0.5], triangle) == (1.0, -2.0, 0.5)
 
 
 def test_compact_function_drops_zeros():
@@ -261,8 +268,9 @@ def test_trivial_cover_form_matches_base(trivial_cover):
     f = (1.0, -2.0, 0.5)
     V = (0.4, -0.9, 0.2)
     lifted = lift_function(trivial_cover, f, [trivial_cover.carrier.origin])
-    assert cover_quadratic_form(trivial_cover, V, 1.3, lifted) == quadratic_form(
-        trivial_cover.base, V, 1.3, f
+    norm = math.fsum(x ** 2 * mu for x, mu in zip(f, trivial_cover.base.mu))
+    assert rayleigh(trivial_cover.base, V, 1.3, f) == (
+        cover_quadratic_form(trivial_cover, V, 1.3, lifted) / norm
     )
 
 

@@ -1,11 +1,15 @@
 """Scenario file parsing and validation."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
 from coverlab import InputError
-from coverlab.scenario import load_scenario, parse_scenario
+from coverlab.scenario import _PARAM_FIELDS, load_scenario, parse_scenario
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def minimal_transfer():
@@ -52,6 +56,32 @@ def test_raw_float_rejected_from_text(tmp_path):
         load_scenario(path)
     assert "potential[1]" in str(info.value)
     assert "decimal string" in str(info.value)
+
+
+# (text of minimal_transfer() to repeat a key in, the same with the key
+# repeated, exact message); the last value would win without the check
+DUPLICATE_KEYS = [
+    ('"task": "transfer"', '"task": "transfer", "task": "folner"',
+     "scenario: duplicate field 'task'"),
+    ('"a": "1"', '"a": "1", "a": "-1"', "scenario.params: duplicate field 'a'"),
+    ('"max_points": 10', '"max_points": 10, "max_points": 5',
+     "scenario.params.budget: duplicate field 'max_points'"),
+    ('"dimension": 1', '"dimension": 1, "dimension": 2',
+     "scenario.fiber: duplicate field 'dimension'"),
+]
+
+
+@pytest.mark.parametrize("once, twice, message", DUPLICATE_KEYS)
+def test_duplicate_key_rejected(tmp_path, once, twice, message):
+    obj = minimal_transfer()
+    obj["params"]["budget"] = {"max_points": 10}
+    text = json.dumps(obj)
+    assert text.count(once) == 1
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(once, twice))
+    with pytest.raises(InputError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_unknown_key_rejected():
@@ -272,7 +302,7 @@ DEFAULT_PARAMS = {
     "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2,
                  "tolerance": "1e-6", "budget": {"max_points": 10}},
     "transfer": {"a": "1", "alpha": 2, "radius": 1,
-                 "budget": {"max_points": 10}, "max_halvings": 1},
+                 "budget": {"max_points": 10}},
     "counterexample": {"a": "1", "alpha": 2, "radii": [1],
                        "budget": {"max_points": 10}},
     "corollary": {"a_samples": ["1"], "tolerance": "1e-6"},
@@ -320,8 +350,8 @@ PARAM_FAULTS = [
     ("transfer", "a", DROP, "scenario.params: missing required field 'a'"),
     ("transfer", "alpha", "2", "scenario.params.alpha: expected an integer, got '2'"),
     ("transfer", "radius", 1.5, "scenario.params.radius: expected an integer, got 1.5"),
-    ("transfer", "max_halvings", "1",
-     "scenario.params.max_halvings: expected an integer, got '1'"),
+    # the halving budget is a module constant, so a scenario cannot name it
+    ("transfer", "max_halvings", 1, "scenario.params: unknown field 'max_halvings'"),
     ("transfer", "budget", {"max_subsets": "3"},
      "scenario.params.budget.max_subsets: expected an integer, got '3'"),
     ("counterexample", "a", "one", "scenario.params.a: 'one' is not a decimal number"),
@@ -346,7 +376,6 @@ PARAM_FAULTS = [
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
     ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
     ("spectrum", "radii", [2, -1], "scenario.params.radii[1]: must be at least 0, got -1"),
-    ("transfer", "max_halvings", -3, "scenario.params.max_halvings: must be at least 0, got -3"),
 ]
 
 # the folner epsilon list, given on its own
@@ -443,3 +472,26 @@ def test_free_group_rank_at_limit_parses():
     obj = valid_scenario("folner")
     obj["fiber"] = {"kind": "free_group", "rank": 1000}
     assert parse_scenario(obj).fiber.generator_count == 1000
+
+
+def schema_param_fields():
+    """Task -> (required, optional) params fields, from the "Task parameters"
+    table of docs/schema.md.  A "`x` or `y`" entry is a choice of exactly
+    one, which the parser takes as two optional fields and checks itself."""
+    text = (ROOT / "docs" / "schema.md").read_text()
+    section = text[text.index("### Task parameters"):text.index("Task semantics")]
+    table = {}
+    for task, required, optional in re.findall(
+            r"^\| `(\w+)` *\|([^|]*)\|([^|]*)\|$", section, re.M):
+        entries = [re.findall(r"`(\w+)`", entry) for entry in required.split(",")]
+        choices = {name for names in entries if len(names) > 1 for name in names}
+        table[task] = ({names[0] for names in entries if len(names) == 1},
+                       set(re.findall(r"`(\w+)`", optional)) | choices)
+    return table
+
+
+def test_params_table_matches_schema():
+    assert schema_param_fields() == {
+        task: (set(required), set(optional))
+        for task, (required, optional) in _PARAM_FIELDS.items()
+    }

@@ -1,6 +1,8 @@
 """Eigenvalue solvers, Dirichlet windows, and stability intervals."""
 
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,11 @@ from coverlab import (
     regular_tree_dirichlet_value,
     stability_interval,
 )
+from coverlab.cli import execute_scenario
+from coverlab.scenario import load_scenario
 from oracles import eigenvalue_stability_interval
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def cycle_graph(n):
@@ -476,6 +482,31 @@ def test_balanced_torus_interval_factors_once_per_probe(recorded_probes, monkeyp
     assert len(probes) == len(set(probes)) == 42
     assert factored == [(600, 600)] * 42
     assert interval == spectrum_module.StabilityInterval(-2.0**-21, 2.0**-21, 2.0**-21)
+
+
+def test_bisection_stops_at_float_resolution(triangle, capped_probes):
+    # near the upper endpoint 2.6 floats are 2^-51 apart, far wider than
+    # tol: the bisection ends once its bracket holds two adjacent floats
+    V = (1.0, -0.5, 0.5)
+    fine = stability_interval(triangle, V, tol=1e-20)
+    coarse = stability_interval(triangle, V, tol=1e-7)
+    assert fine.endpoint_tolerance == math.ulp(fine.upper) / 2
+    assert abs(fine.upper - coarse.upper) <= coarse.endpoint_tolerance
+    assert abs(fine.lower) <= 1e-20
+
+
+BISECTING_SCENARIOS = sorted(
+    path for path in SCENARIOS.glob("*.json")
+    if json.loads(path.read_text())["task"] in ("interval", "corollary"))
+
+
+@pytest.mark.parametrize("path", BISECTING_SCENARIOS, ids=lambda p: p.stem)
+def test_bundled_bisections_never_repeat_a_probe(path, recorded_probes):
+    report, *_ = execute_scenario(load_scenario(path))
+    assert report["status"] == "ok"
+    probes = [a for _op, a, _verdict in recorded_probes]
+    assert probes
+    assert len(probes) == len(set(probes))
 
 
 def test_sparse_sign_gives_the_same_interval(monkeypatch):

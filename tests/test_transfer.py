@@ -19,13 +19,12 @@ from coverlab import (
     cutoff,
     easy_direction_check,
     interval_comparison,
-    quadratic_form,
     required_ratio,
     search_folner,
     transfer_negativity,
 )
 from coverlab.cli import main
-from oracles import cover_quadratic_form
+from oracles import cover_quadratic_form, lift_function
 
 FLAT_V3 = (-0.05, -0.05, -0.05)
 FLAT_V4 = (-0.1, -0.1, -0.1, -0.1)
@@ -68,8 +67,9 @@ def test_witness_chain_hand_values(triangle_cover):
     assert report.Q_cover == cover_quadratic_form(
         triangle_cover, FLAT_V3, 1.0, witness
     )
-    assert report.Q_base == quadratic_form(
-        triangle_cover.base, FLAT_V3, 1.0, (1.0, 1.0, 1.0)
+    trivial = triangle_cover.base.trivial_cover
+    assert report.Q_base == cover_quadratic_form(
+        trivial, FLAT_V3, 1.0, lift_function(trivial, (1.0, 1.0, 1.0), [0])
     )
 
 
@@ -181,8 +181,9 @@ def test_counterexample_strict_inclusion(tree_cover):
     report = counterexample_check(
         tree_cover, FLAT_V4, 1.0, alpha=4, radii=(0, 2, 4), budget=budget
     )
-    assert report.outcome == "strict inclusion"
-    assert report.lambda_min_base == pytest.approx(-0.1, abs=1e-9)
+    assert report.transfer.status == "inconclusive"
+    assert report.transfer.lambda_min_base == pytest.approx(-0.1, abs=1e-9)
+    assert report.transfer.alpha == 4
     floor = 3.0 - 2.0 * math.sqrt(2.0) - 0.1
     assert all(w.value >= floor - 1e-9 for w in report.windows)
 
