@@ -234,7 +234,8 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     Generator k of the free group acts on Z^d by translation with
     vectors[k-1].  Zero vectors are allowed (that generator acts as the
     identity), which is how amenable actions of nonamenable groups are
-    built here.
+    built here.  Both the vector count and the dimension are capped at
+    MAX_LATTICE_DIMENSION, as the lattice dimension and free rank are.
     """
     vecs = tuple(tuple(int(c) for c in v) for v in vectors)
     if not vecs:
@@ -242,6 +243,11 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     dim = len(vecs[0])
     if dim < 1 or any(len(v) != dim for v in vecs):
         raise InputError(f"generator vectors must share a positive dimension: {vecs!r}")
+    if max(len(vecs), dim) > MAX_LATTICE_DIMENSION:
+        raise InputError(
+            f"quotient takes at most {MAX_LATTICE_DIMENSION} vectors of dimension at most "
+            f"{MAX_LATTICE_DIMENSION}, got {len(vecs)} of dimension {dim}"
+        )
 
     def apply_fn(g: int, x: tuple) -> tuple:
         v = vecs[abs(g) - 1]

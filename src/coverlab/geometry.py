@@ -134,21 +134,12 @@ class CompactFunction:
     def is_zero(self) -> bool:
         return not self.values
 
-    @classmethod
-    def on_vertices(cls, values: Sequence) -> "CompactFunction":
-        return cls({v: x for v, x in enumerate(values)})
 
-
-def base_function(f, graph: WeightedGraph) -> CompactFunction:
-    """Coerce a sequence or CompactFunction to a function on base vertices."""
-    if isinstance(f, CompactFunction):
-        for v in f.support:
-            if not (isinstance(v, int) and 0 <= v < graph.vertex_count):
-                raise InputError(f"support point {v!r} is not a base vertex")
-        return f
+def base_function(f: Sequence, graph: WeightedGraph) -> CompactFunction:
+    """f, one value per base vertex, as a function keyed by base vertex."""
     if len(f) != graph.vertex_count:
         raise InputError(f"function has {len(f)} entries for {graph.vertex_count} vertices")
-    return CompactFunction.on_vertices(f)
+    return CompactFunction(dict(enumerate(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +318,7 @@ class CutoffFunction:
     member set.
     """
 
-    cover: VoltageCover
     members: tuple
-    alpha: int
     values: Mapping
     omega: frozenset
     collar_tiles: frozenset
@@ -445,9 +434,7 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     # tiles plus the outside tiles along the rim.
     collar = outside.union(member_list[i] for i in reached)
     return CutoffFunction(
-        cover=cover,
         members=member_list,
-        alpha=alpha,
         values=values,
         omega=frozenset(values),
         collar_tiles=frozenset(collar),

@@ -382,11 +382,10 @@ def corollary_check(graph: WeightedGraph, V,
             )
         return CorollaryReport(True, interval, (), ())
 
-    ones = CompactFunction.on_vertices([1.0] * graph.vertex_count)
     rq_rows = []
     lam_rows = []
     for a in a_samples:
-        rq = rayleigh(graph, pot, a, ones)
+        rq = rayleigh(graph, pot, a, [1.0] * graph.vertex_count)
         if rq != 0.0:
             raise InequalityViolation(
                 f"constant-function energy at a={a} is {rq!r}, expected exact 0"

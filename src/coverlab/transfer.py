@@ -74,7 +74,7 @@ class WitnessReport:
     c: int
     b: int
     alpha: int
-    epsilon_used: Optional[Fraction]
+    epsilon_used: Fraction
     members: tuple
     collar_tiles: frozenset
     collar_ball_bound: int
@@ -165,21 +165,17 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     return -q_base / bracket
 
 
-def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V,
+def build_witness(cover: VoltageCover, f, cert: FolnerCertificate, alpha: int, V,
                   a: float) -> tuple[CompactFunction, WitnessReport]:
-    """Tapered lift of f over a Folner set, with its verified audit report.
+    """Tapered lift of f over a certified Folner set, with its verified audit report.
 
-    folner_set is a FolnerCertificate or a bare iterable of fiber
-    points.  The report's inequality chain is checked before it is
+    f holds one value per base vertex.  The witness covers the
+    certificate's members and its report carries the certificate's
+    epsilon.  The report's inequality chain is checked before it is
     returned, so every report that leaves here is verified; a breach
     raises InequalityViolation.
     """
-    if isinstance(folner_set, FolnerCertificate):
-        members = folner_set.members
-        epsilon_used = folner_set.epsilon
-    else:
-        members = tuple(sorted(set(folner_set), key=cover.carrier.sort_key))
-        epsilon_used = None
+    members = cert.members
     func = base_function(f, cover.base)
     if func.is_zero():
         raise InputError("cannot build a witness from the zero function")
@@ -204,7 +200,7 @@ def build_witness(cover: VoltageCover, f, folner_set, alpha: int, V,
         c=c,
         b=b,
         alpha=alpha,
-        epsilon_used=epsilon_used,
+        epsilon_used=cert.epsilon,
         members=members,
         collar_tiles=xi.collar_tiles,
         collar_ball_bound=_boundary_ball(cover.fiber_action, members, alpha),
@@ -235,7 +231,6 @@ class TransferOutcome:
     report: Optional[WitnessReport]
     attempts: tuple
     best_collar_ratio: Optional[Fraction]
-    search_exhausted: Optional[SearchReport]
     message: str
 
 
@@ -244,13 +239,15 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
                         seed: int = 0) -> TransferOutcome:
     """Try to push the base ground state's negativity into the cover.
 
+    The base function is the ground state's eigenvector, one value per
+    base vertex, passed as is to required_ratio and build_witness.
     Starts from epsilon = r* / (1 + n alpha), whose Folner sets obey
     b/c <= collar_ball/c <= n alpha epsilon/(...) comfortably below r*
     in the regular cases, and halves epsilon whenever a certificate's
     collar ratio still lands at or above r*, at most MAX_HALVINGS
-    times.  Success requires the
-    audited witness energy to be strictly negative; anything else on a
-    sub-r* ratio is raised as a violation, not smoothed over.
+    times.  Success requires the audited witness energy to be strictly
+    negative; anything else on a sub-r* ratio is raised as a violation,
+    not smoothed over.
 
     Witnesses are built only over certificates.  When the search
     exhausts before any certificate, the best set's collar ratio b/c is
@@ -263,8 +260,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
             f"base lambda_min = {sr.lambda_min!r} is nonnegative; nothing to "
             "transfer"
         )
-    f = CompactFunction.on_vertices(sr.eigenvector)
-    r_star = required_ratio(base, f, alpha, V, a)
+    r_star = required_ratio(base, sr.eigenvector, alpha, V, a)
     fiber = cover.fiber_action
     epsilon_first = Fraction(r_star) / (1 + fiber.generator_count * alpha)
 
@@ -277,7 +273,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
         if search.outcome != "found":
             exhausted = search
             break
-        candidate, wrep = build_witness(cover, f, search.certificate, alpha, V, a)
+        candidate, wrep = build_witness(cover, sr.eigenvector, search.certificate, alpha, V, a)
         attempts.append(wrep)
         if wrep.collar_ratio < Fraction(r_star):
             if not wrep.Q_cover < 0.0:
@@ -314,7 +310,6 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
         report=report,
         attempts=tuple(attempts),
         best_collar_ratio=best,
-        search_exhausted=exhausted,
         message=message,
     )
 

@@ -73,15 +73,11 @@ def cover_quadratic_form(cover, V, a, func):
 def eigenvalue_stability_interval(graph, V, tol, seed=0):
     """{a : lambda_min(a) >= 0} bisected on the sign of a full eigensolve.
 
-    The same bracket doubling, cache and midpoints as
+    The same bracket doubling, midpoints and stop at adjacent floats as
     ``stability_interval``, but every probe solves for lambda_min.
     """
-    cache = {}
-
     def lam(a):
-        if a not in cache:
-            cache[a] = min_eigenvalue(graph, V, a, seed).lambda_min
-        return cache[a]
+        return min_eigenvalue(graph, V, a, seed).lambda_min
 
     def endpoint(sign):
         hi = 1.0
@@ -93,6 +89,8 @@ def eigenvalue_stability_interval(graph, V, tol, seed=0):
                 return sign * math.inf, 0.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
+            if mid in (lo, hi):
+                break
             if lam(sign * mid) >= 0.0:
                 lo = mid
             else:

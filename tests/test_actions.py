@@ -101,6 +101,19 @@ def test_free_group_rank_limit():
         free_group_action(1001)
 
 
+def test_quotient_vector_limits():
+    assert free_quotient_lattice_action([(1,)] * 1000).generator_count == 1000
+    assert free_quotient_lattice_action([(1,) * 1000]).origin == (0,) * 1000
+    with pytest.raises(InputError, match=(
+            r"^quotient takes at most 1000 vectors of dimension at most 1000, "
+            r"got 1001 of dimension 1$")):
+        free_quotient_lattice_action([(1,)] * 1001)
+    with pytest.raises(InputError, match=(
+            r"^quotient takes at most 1000 vectors of dimension at most 1000, "
+            r"got 2 of dimension 1001$")):
+        free_quotient_lattice_action([(1,) * 1001, (0,) * 1001])
+
+
 def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
         orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)

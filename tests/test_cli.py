@@ -309,6 +309,17 @@ def test_run_refuses_max_halvings_field(tmp_path, capsys):
     assert "scenario.params: unknown field 'max_halvings'" in capsys.readouterr().err
 
 
+def test_run_refuses_oversized_quotient_exit_1(tmp_path):
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["fiber"] = {"kind": "quotient", "vectors": [[1]] * 1001}
+    proc = run_cli("run", str(write_json(tmp_path / "quotient.json", obj)))
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
+    assert ("scenario.fiber: quotient takes at most 1000 vectors of dimension at most "
+            "1000, got 1001 of dimension 1") in err
+    assert "Traceback" not in err
+
+
 def test_interval_endpoint_past_float_resolution_returns(tmp_path, capsys, capped_probes):
     # the upper endpoint is near 1.5e10, where floats are 2^-19 apart,
     # wider than the default tolerance 1e-6

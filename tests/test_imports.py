@@ -45,6 +45,59 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# library API that the acceptance criteria exercise and nothing in coverlab calls
+UNCALLED_EXPORTS = ("all_subgroups", "coset_duality_check", "dirichlet_lambda0",
+                    "regular_tree_dirichlet_value")
+
+
+def unreferenced_exports(init_source: str, module_sources: list[str]) -> list[str]:
+    """Names that ``__init__`` re-exports and no module reads.
+
+    A read is a name loaded anywhere in a module outside the top-level
+    statement that defines that same name, so a function that only calls
+    itself, or a class that only names itself, has no reader.
+    """
+    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set()
+    for source in module_sources:
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = {top.name}
+            elif isinstance(top, ast.Assign):
+                own = {t.id for t in top.targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            read |= {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id not in own}
+    return sorted(name for name in exported if name not in read)
+
+
+def test_export_checker_flags_names_without_a_reader():
+    init = "from .a import f, g, h, K\nfrom .b import k\n"
+    a = textwrap.dedent("""\
+        from .b import k
+        K = 3
+        def f(n):
+            return f(n - 1)
+        def g(x: K):
+            return k(x)
+        class h:
+            def copy(self) -> h:
+                return h()
+        def main():
+            return g(1)
+        """)
+    b = "def k(x):\n    return x\n"
+    assert unreferenced_exports(init, [a, b]) == ["f", "h"]
+
+
+def test_every_export_has_a_reader_in_the_package():
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    modules = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unreferenced_exports(init, modules) == sorted(UNCALLED_EXPORTS)
+
+
 def solver_imports(source: str, allowed: str | None = None) -> list[str]:
     """Every numpy or scipy import, except inside the top-level function
     named ``allowed``."""

@@ -32,6 +32,7 @@ from coverlab import (
 )
 from coverlab.cli import execute_scenario
 from coverlab.scenario import load_scenario
+import oracles
 from oracles import eigenvalue_stability_interval
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -493,6 +494,33 @@ def test_bisection_stops_at_float_resolution(triangle, capped_probes):
     assert fine.endpoint_tolerance == math.ulp(fine.upper) / 2
     assert abs(fine.upper - coarse.upper) <= coarse.endpoint_tolerance
     assert abs(fine.lower) <= 1e-20
+
+
+def test_eigenvalue_oracle_stops_at_float_resolution(triangle, monkeypatch):
+    # the oracle bisects like stability_interval, so it must stop at adjacent floats too
+    solves = [0]
+    real = oracles.min_eigenvalue
+
+    def capped(*args):
+        solves[0] += 1
+        assert solves[0] <= 400, "the oracle's bisection does not stop"
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "min_eigenvalue", capped)
+    V = (1.0, -0.5, 0.5)
+    oracle = eigenvalue_stability_interval(triangle, V, 1e-20)
+    library = stability_interval(triangle, V, tol=1e-20)
+    assert oracle.endpoint_tolerance == math.ulp(oracle.upper) / 2
+    assert abs(oracle.lower - library.lower) <= library.endpoint_tolerance
+    # Near a = 2.6 the eigensolve and the Cholesky sign can disagree by a few
+    # floats, but only where lambda_min is at rounding level; so test that band.
+    op = spectrum_module._base_operator(triangle, V)
+    a, stop = sorted((oracle.upper, library.upper))
+    while a <= stop:
+        lam = real(triangle, V, a).lambda_min
+        norm = abs(op.at(a)).sum(axis=0).max()
+        assert abs(lam) <= triangle.vertex_count * np.finfo(float).eps * norm
+        a = math.nextafter(a, math.inf)
 
 
 BISECTING_SCENARIOS = sorted(

@@ -22,6 +22,7 @@ from coverlab import (
     required_ratio,
     search_folner,
     transfer_negativity,
+    verify_certificate,
 )
 from coverlab.cli import main
 from oracles import cover_quadratic_form, lift_function
@@ -46,9 +47,10 @@ def test_required_ratio_rejections(triangle):
 
 
 def test_witness_chain_hand_values(triangle_cover):
-    members = [(x,) for x in range(36)]
+    # every finite set has every ratio <= 2, so epsilon 2 always certifies
+    cert = verify_certificate(triangle_cover.fiber_action, [(x,) for x in range(36)], 2)
     witness, report = build_witness(
-        triangle_cover, (1.0, 1.0, 1.0), members, 2, FLAT_V3, 1.0
+        triangle_cover, (1.0, 1.0, 1.0), cert, 2, FLAT_V3, 1.0
     )
     assert report.c == 36
     assert report.b == 4
@@ -85,8 +87,9 @@ def test_witness_accepts_certificate(triangle_cover):
 
 def test_witness_collar_overflow_on_tree(tree_cover):
     members = [tree_cover.carrier.origin]
+    cert = verify_certificate(tree_cover.fiber_action, members, 2)
     with pytest.raises(InequalityViolation, match="b=7 is outside"):
-        build_witness(tree_cover, (1.0,) * 4, members, 1, FLAT_V4, 1.0)
+        build_witness(tree_cover, (1.0,) * 4, cert, 1, FLAT_V4, 1.0)
     xi = cutoff(tree_cover, members, 1)
     assert (len(xi.collar_tiles), len(xi.members)) == (7, 1)
 
@@ -106,8 +109,11 @@ def test_exhausted_search_counts_ratio_without_witness(tree_cover, monkeypatch):
     assert outcome.status == "inconclusive"
     assert outcome.report is None
     assert outcome.best_collar_ratio == Fraction(937, 187)
-    best = outcome.search_exhausted.best_set
+    assert "the Folner search exhausted its budget" in outcome.message
+    # the first search is the one that exhausted; it is deterministic, so rerun it
+    best = search_folner(tree_cover.fiber_action, outcome.epsilon_first, budget).best_set
     assert len(best) == 187
+    assert Fraction(*transfer.collar_counts(tree_cover, best, 4)) == outcome.best_collar_ratio
     # the exact radius-alpha ball around the best set's inner boundary
     assert transfer._boundary_ball(tree_cover.fiber_action, best, 4) == 117187
 
@@ -136,9 +142,8 @@ def test_collar_ball_honours_the_point_budget(triangle_cover, monkeypatch):
 def test_trivial_cover_witness_identity(trivial_cover):
     f = (1.0, -0.5, 0.25)
     V = (0.3, -0.8, 0.1)
-    witness, report = build_witness(
-        trivial_cover, f, [trivial_cover.carrier.origin], 1, V, 1.0
-    )
+    cert = verify_certificate(trivial_cover.fiber_action, [trivial_cover.carrier.origin], 2)
+    witness, report = build_witness(trivial_cover, f, cert, 1, V, 1.0)
     assert (report.b, report.c) == (0, 1)
     assert report.Q_cover == report.Q_base
     assert report.final_bound == pytest.approx(report.Q_base, rel=1e-12)
@@ -168,8 +173,8 @@ def test_transfer_inconclusive_on_tree(tree_cover):
     budget = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
     outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
     assert outcome.status == "inconclusive"
-    assert outcome.search_exhausted is not None
-    assert outcome.search_exhausted.outcome == "exhausted"
+    assert "the Folner search exhausted its budget" in outcome.message
+    assert search_folner(tree_cover.fiber_action, outcome.epsilon_first, budget).outcome == "exhausted"
     assert not outcome.attempts
     assert outcome.report is None
     assert outcome.best_collar_ratio > Fraction(outcome.r_star)
