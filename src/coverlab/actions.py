@@ -200,7 +200,8 @@ def free_group_action(rank: int) -> GroupAction:
 
 
 def _check_permutation(perm: tuple, degree: int, label: str) -> None:
-    if sorted(perm) != list(range(degree)):
+    # the length first, so a huge degree never builds its range
+    if len(perm) != degree or sorted(perm) != list(range(degree)):
         raise InputError(f"{label} is not a permutation of 0..{degree - 1}: {perm!r}")
 
 

@@ -132,24 +132,52 @@ def _check_keys(node: dict, path: str, required: tuple, optional: tuple) -> None
             raise InputError(f"{path}: unknown field '{key}'")
 
 
+def _list_of(parse):
+    """Parser for a list whose items all parse with `parse`, as a tuple."""
+    def parse_list(node: Any, path: str) -> tuple:
+        return tuple(parse(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(node, path)))
+    return parse_list
+
+
+def _nonempty_list(parse):
+    """Parser for a nonempty list whose items all parse with `parse`."""
+    def parse_list(node: Any, path: str) -> tuple:
+        items = _list_of(parse)(node, path)
+        if not items:
+            raise InputError(f"{path}: list must be nonempty")
+        return items
+    return parse_list
+
+
+_int_list = _list_of(_expect_int)
+_int_rows = _list_of(_int_list)
+
+
+def _edge_row(label: str, parse_third):
+    """Parser for a [u, v, x] row: two integer endpoints, then x."""
+    def parse_row(node: Any, path: str) -> tuple:
+        item = _expect_list(node, path)
+        if len(item) != 3:
+            raise InputError(f"{path}: expected [u, v, {label}]")
+        return (_expect_int(item[0], f"{path}[0]"), _expect_int(item[1], f"{path}[1]"),
+                parse_third(item[2], f"{path}[2]"))
+    return parse_row
+
+
+def _under(path: str, build, *args):
+    """build(*args), with any InputError it raises put under the field path."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _parse_base(node: Any, path: str) -> WeightedGraph:
     obj = _expect_dict(node, path)
     _check_keys(obj, path, ("mu", "edges"), ())
-    mu = [_expect_real(x, f"{path}.mu[{i}]")
-          for i, x in enumerate(_expect_list(obj["mu"], f"{path}.mu"))]
-    edges = []
-    for i, row in enumerate(_expect_list(obj["edges"], f"{path}.edges")):
-        item = _expect_list(row, f"{path}.edges[{i}]")
-        if len(item) != 3:
-            raise InputError(f"{path}.edges[{i}]: expected [u, v, weight]")
-        u = _expect_int(item[0], f"{path}.edges[{i}][0]")
-        v = _expect_int(item[1], f"{path}.edges[{i}][1]")
-        w = _expect_real(item[2], f"{path}.edges[{i}][2]")
-        edges.append((u, v, w))
-    try:
-        return WeightedGraph(mu, edges)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    mu = _list_of(_expect_real)(obj["mu"], f"{path}.mu")
+    edges = _list_of(_edge_row("weight", _expect_real))(obj["edges"], f"{path}.edges")
+    return _under(path, WeightedGraph, mu, edges)
 
 
 def _fiber_size(node: Any, path: str) -> int:
@@ -172,26 +200,12 @@ def _parse_fiber(node: Any, path: str) -> GroupAction:
     if kind == "finite_permutation":
         _check_keys(obj, path, ("kind", "degree", "generators"), ())
         degree = _expect_int(obj["degree"], f"{path}.degree")
-        perms = []
-        for i, row in enumerate(_expect_list(obj["generators"], f"{path}.generators")):
-            perm = [_expect_int(x, f"{path}.generators[{i}][{j}]")
-                    for j, x in enumerate(_expect_list(row, f"{path}.generators[{i}]"))]
-            perms.append(tuple(perm))
-        try:
-            return finite_permutation_action(perms, degree)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        perms = _int_rows(obj["generators"], f"{path}.generators")
+        return _under(path, finite_permutation_action, perms, degree)
     if kind == "quotient":
         _check_keys(obj, path, ("kind", "vectors"), ())
-        vectors = []
-        for i, row in enumerate(_expect_list(obj["vectors"], f"{path}.vectors")):
-            vec = [_expect_int(x, f"{path}.vectors[{i}][{j}]")
-                   for j, x in enumerate(_expect_list(row, f"{path}.vectors[{i}]"))]
-            vectors.append(tuple(vec))
-        try:
-            return free_quotient_lattice_action(vectors)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        vectors = _int_rows(obj["vectors"], f"{path}.vectors")
+        return _under(path, free_quotient_lattice_action, vectors)
     raise InputError(
         f"{path}.kind: expected one of lattice, free_group, finite_permutation, "
         f"quotient; got {kind!r}"
@@ -200,16 +214,7 @@ def _parse_fiber(node: Any, path: str) -> GroupAction:
 
 def _parse_voltages(node: Any, path: str) -> dict:
     voltages = {}
-    for i, row in enumerate(_expect_list(node, path)):
-        item = _expect_list(row, f"{path}[{i}]")
-        if len(item) != 3:
-            raise InputError(f"{path}[{i}]: expected [u, v, word]")
-        u = _expect_int(item[0], f"{path}[{i}][0]")
-        v = _expect_int(item[1], f"{path}[{i}][1]")
-        word = tuple(
-            _expect_int(x, f"{path}[{i}][2][{j}]")
-            for j, x in enumerate(_expect_list(item[2], f"{path}[{i}][2]"))
-        )
+    for i, (u, v, word) in enumerate(_list_of(_edge_row("word", _int_list))(node, path)):
         if (u, v) in voltages:
             raise InputError(f"{path}[{i}]: duplicate voltage for edge ({u}, {v})")
         voltages[(u, v)] = word
@@ -229,16 +234,6 @@ def _parse_budget(node: Any, path: str) -> SearchBudget:
     return SearchBudget(**{
         key: _int_at_least(_BUDGET_MINIMA[key])(obj[key], f"{path}.{key}") for key in obj
     })
-
-
-def _nonempty_list(parse):
-    """Parser for a nonempty list whose items all parse with `parse`."""
-    def parse_list(node: Any, path: str) -> tuple:
-        items = _expect_list(node, path)
-        if not items:
-            raise InputError(f"{path}: list must be nonempty")
-        return tuple(parse(x, f"{path}[{i}]") for i, x in enumerate(items))
-    return parse_list
 
 
 # every params field with its one parser, shared by all tasks that take
@@ -342,10 +337,7 @@ def parse_scenario(obj: Any) -> Scenario:
     fiber = parsed.get("fiber")
     cover = None
     if "voltages" in parsed:
-        try:
-            cover = build_cover(base, fiber, parsed["voltages"])
-        except InputError as exc:
-            raise InputError(f"scenario.voltages: {exc}") from None
+        cover = _under("scenario.voltages", build_cover, base, fiber, parsed["voltages"])
 
     if potential is not None and len(potential) != base.vertex_count:
         raise InputError(

@@ -7,7 +7,8 @@ operator is assembled once per vertex list; only its diagonal depends
 on a.  Finiteness is checked on the assembled sparse entries before
 anything solves or factors them, and a dense branch holds one n x n
 array, which LAPACK factors in place.  Every eigenpair carries an
-explicit residual and is rejected past 1e-9, or when it is not a number.
+explicit residual and is rejected past 100 n eps ||A||_1, or when it is
+not a number.
 A stability-interval bisection needs only the sign of lambda_min at each
 probe, which a Cholesky factorization decides up to DENSE_LIMIT vertices.
 
@@ -36,9 +37,10 @@ DENSE_LIMIT = 2000
 DEFAULT_SIZE_LIMIT = 5000
 
 # Tolerances, all in one place (docs/schema.md lists them).
-# largest entry of the normalized residual A y - lambda y an eigensolve
-# may leave before its pair is rejected as unconverged
-RESIDUAL_TOLERANCE = 1e-9
+# an eigensolve's pair is rejected as unconverged when the largest entry
+# of its normalized residual A y - lambda y exceeds this many n eps ||A||_1,
+# the rounding a backward-stable solve of the n x n matrix A may leave
+RESIDUAL_FACTOR = 100
 # sign threshold for classifying an eigenvalue as nonnegative: well above
 # solver noise, far below any honest spectral quantity in these scenarios
 SIGN_FLOOR = 1e-12
@@ -145,6 +147,8 @@ def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarra
     coordinates, residual)."""
     A = op.at(a)
     n = A.shape[0]
+    # A is symmetric, so its largest absolute row sum is ||A||_1
+    abs_rows = np.abs(A).sum(axis=1).A1
     if n <= DENSE_LIMIT:
         vals, vecs = eigh(A.toarray(order="F"), subset_by_index=[0, 0],
                           overwrite_a=True, check_finite=False)
@@ -153,7 +157,7 @@ def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarra
     else:
         # Gershgorin floor keeps the shift strictly below the spectrum
         diag_s = A.diagonal()
-        row_abs = np.abs(A).sum(axis=1).A1 - np.abs(diag_s)
+        row_abs = abs_rows - np.abs(diag_s)
         sigma = float((diag_s - row_abs).min()) - 1.0
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
@@ -162,10 +166,10 @@ def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarra
         y = vecs[:, 0]
     y = y / np.linalg.norm(y)
     residual = float(np.max(np.abs(A @ y - lam * y)))
-    if not residual <= RESIDUAL_TOLERANCE:
-        raise NumericalError(
-            f"eigensolve residual {residual:.3e} exceeds {RESIDUAL_TOLERANCE:.0e}"
-        )
+    bound = RESIDUAL_FACTOR * n * np.finfo(float).eps * float(abs_rows.max())
+    if not residual <= bound:
+        raise NumericalError(f"eigensolve residual {residual:.3e} exceeds {bound:.3e} "
+                             f"= {RESIDUAL_FACTOR} n eps ||A||_1")
     f = op.d * y
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:

@@ -7,6 +7,8 @@ definition, by a different route than the library takes.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from coverlab import (
     CompactFunction,
     InputError,
@@ -15,6 +17,7 @@ from coverlab import (
     cover_form_parts,
     min_eigenvalue,
 )
+from coverlab.actions import net_displacement
 from coverlab.spectrum import MAX_BRACKET, StabilityInterval
 
 
@@ -102,3 +105,28 @@ def eigenvalue_stability_interval(graph, V, tol, seed=0):
     upper, tol_up = (math.inf, 0.0) if min(V) >= 0.0 else endpoint(1.0)
     lower, tol_dn = (-math.inf, 0.0) if max(V) <= 0.0 else endpoint(-1.0)
     return StabilityInterval(lower, upper, max(tol_up, tol_dn))
+
+
+def bloch_lambda_min(cover, V, a, theta):
+    """Bottom of the twisted base operator H(theta) of an abelian cover.
+
+    On a cover whose carrier acts by translations, a Bloch function
+    f(v, x) = exp(i theta.x) g(v) turns L + a V into a Hermitian operator
+    on the base: the edge {u, v} whose voltage moves fibers by m couples
+    u to v with -w exp(i theta.m).  H(0) is the base operator, and
+    |g| never has more energy than g, so theta = 0 gives the bottom over
+    all theta, which is the cover's bottom of spectrum (Floquet-Bloch).
+    """
+    base = cover.base
+    n = base.vertex_count
+    H = np.zeros((n, n), dtype=complex)
+    for u, v, w in base.edges:
+        m = net_displacement(cover.carrier, cover.voltages.get((u, v), ()))
+        phase = np.exp(1j * np.dot(theta, m))
+        H[u, u] += w
+        H[v, v] += w
+        H[u, v] -= w * phase
+        H[v, u] -= w * np.conj(phase)
+    H += np.diag([a * V[x] * base.mu[x] for x in range(n)])
+    d = 1.0 / np.sqrt(np.array(base.mu))
+    return float(np.linalg.eigvalsh(d[:, None] * H * d[None, :])[0])

@@ -425,6 +425,35 @@ SECTION_FAULTS = [
     # the same bound holds for a free group's rank
     ("folner", "fiber", {"kind": "free_group", "rank": 1001},
      "scenario.fiber.rank: must be at most 1000, got 1001"),
+    # [u, v, x] rows and integer lists, item by item
+    ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, 1]]},
+     "scenario.base.edges[0]: expected [u, v, weight]"),
+    ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, "1", "1"]]},
+     "scenario.base.edges[0][1]: expected an integer, got '1'"),
+    ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, 1, 1]]},
+     'scenario.base.edges[0][2]: reals must be decimal strings like "1", got 1'),
+    ("spectrum", "voltages", [[0, 1]], "scenario.voltages[0]: expected [u, v, word]"),
+    ("spectrum", "voltages", [[0, 1, ["1"]]],
+     "scenario.voltages[0][2][0]: expected an integer, got '1'"),
+    ("spectrum", "voltages", [[0, 1, [1]], [0, 1, [1]]],
+     "scenario.voltages[1]: duplicate voltage for edge (0, 1)"),
+    # every row is read before duplicates are looked for
+    ("spectrum", "voltages", [[0, 1, [1]], [0, 1, [1]], [0]],
+     "scenario.voltages[2]: expected [u, v, word]"),
+    ("folner", "fiber", {"kind": "finite_permutation", "degree": 2, "generators": [[1, "0"]]},
+     "scenario.fiber.generators[0][1]: expected an integer, got '0'"),
+    ("folner", "fiber", {"kind": "quotient", "vectors": [[1], ["0"]]},
+     "scenario.fiber.vectors[1][0]: expected an integer, got '0'"),
+    # a constructor's own message, put under the section's path
+    ("spectrum", "base", {"mu": ["1", "1", "1"], "edges": [[0, 1, "1"]]},
+     "scenario.base: graph is not connected; unreachable vertices [2]"),
+    ("folner", "fiber", {"kind": "finite_permutation", "degree": 2, "generators": [[0, 0]]},
+     "scenario.fiber: generator 1 is not a permutation of 0..1: (0, 0)"),
+    ("spectrum", "voltages", [[0, 5, [1]]],
+     "scenario.voltages: voltage on nonexistent edge (0, 5)"),
+    # refused by its length, before a range of the degree is built
+    ("folner", "fiber", {"kind": "finite_permutation", "degree": 10**9, "generators": [[1, 0]]},
+     "scenario.fiber: generator 1 is not a permutation of 0..999999999: (1, 0)"),
 ]
 
 

@@ -188,6 +188,17 @@ def test_nan_pair_rejected(solver, dense_limit, triangle, monkeypatch):
         min_eigenvalue(triangle, (0.0, 0.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("a", [1e8, 1e10])
+def test_residual_is_judged_against_the_operator_norm(a, triangle):
+    # the residual grows like eps ||A(a)||: 2.2e-8 at a = 1e8, 2.9e-6 at
+    # a = 1e10, both far above an absolute 1e-9 and both rounding-level
+    result = min_eigenvalue(triangle, (1.0, -0.5, 0.5), a)
+    assert result.lambda_min == pytest.approx(-0.5 * a, rel=1e-6)
+    norm = a + 4.0  # largest absolute row sum of A(a): |2 + a| + 1 + 1, at vertex 0
+    bound = spectrum_module.RESIDUAL_FACTOR * 3 * np.finfo(float).eps * norm
+    assert 1e-9 < result.residual <= bound
+
+
 @pytest.mark.parametrize("dense_limit", [spectrum_module.DENSE_LIMIT, 1])
 def test_nonfinite_operator_rejected_before_either_solver(dense_limit, monkeypatch):
     # w / mu = 1e310 overflows row 0 and its edge to vertex 1
@@ -265,6 +276,62 @@ def test_window_dominates_base(triangle_cover):
                 triangle_cover, triangle_cover.carrier.origin, radius, V, a
             )
             assert window >= base - 1e-12
+
+
+ABELIAN_SCENARIOS = ("triangle_interval", "triangle_transfer")
+
+
+def couplings(scn):
+    return scn.params["a_samples"] if "a_samples" in scn.params else (scn.params["a"],)
+
+
+def abelian_cases(k4):
+    """(cover, V, couplings) for the bundled abelian scenarios and one Z^2 cover."""
+    scenarios = [load_scenario(SCENARIOS / f"{name}.json") for name in ABELIAN_SCENARIOS]
+    k4_over_z2 = build_cover(k4, lattice_action(2),
+                             {(1, 2): (1,), (1, 3): (2,), (2, 3): (1, -2)})
+    return ([(scn.cover, scn.potential, couplings(scn)) for scn in scenarios]
+            + [(k4_over_z2, (0.3, -0.4, 0.2, -0.1), (-1.0, 0.5, 2.0))])
+
+
+def test_bloch_bottom_is_the_base_and_bounds_every_twist(k4):
+    rng = np.random.default_rng(13)
+    for cover, V, couplings in abelian_cases(k4):
+        d = len(cover.carrier.origin)
+        for a in couplings:
+            base = min_eigenvalue(cover.base, V, a).lambda_min
+            assert abs(oracles.bloch_lambda_min(cover, V, a, np.zeros(d)) - base) <= 1e-12
+            for theta in rng.uniform(-math.pi, math.pi, (8, d)):
+                assert oracles.bloch_lambda_min(cover, V, a, theta) >= base - 1e-12
+
+
+def test_bundled_abelian_windows_lie_above_the_bloch_bottom():
+    # a window is a Dirichlet problem on a finite piece of the cover, so it
+    # lies strictly above the cover's bottom, which Floquet-Bloch puts at H(0)
+    for name in ABELIAN_SCENARIOS:
+        scn = load_scenario(SCENARIOS / f"{name}.json")
+        for a in couplings(scn):
+            bottom = oracles.bloch_lambda_min(scn.cover, scn.potential, a, [0.0])
+            window = dirichlet_window(scn.cover, scn.cover.carrier.origin,
+                                      scn.params["radius"], scn.potential, a, scn.seed)
+            assert window.value > bottom
+
+
+def test_long_abelian_window_matches_the_effective_mass(triangle_cover):
+    # near theta = 0 the Bloch bottom is lambda_base + M theta^2 / 2, so a
+    # window of L tiles in a row sits near lambda_base + M (pi / (L + 1))^2 / 2
+    V, a = (0.1, 0.2, -0.3), 1.0
+    base = oracles.bloch_lambda_min(triangle_cover, V, a, [0.0])
+    h = 1e-4
+    mass = 2.0 * (oracles.bloch_lambda_min(triangle_cover, V, a, [h]) - base) / h**2
+    assert mass == pytest.approx(0.21918, rel=1e-4)
+    window = dirichlet_window(triangle_cover, triangle_cover.carrier.origin, 990, V, a)
+    assert window.size == 1983  # dense: at most DENSE_LIMIT vertices
+    tiles = window.size / 3
+    predicted = base + 0.5 * mass * (math.pi / (tiles + 1)) ** 2
+    gap = window.value - base
+    assert gap > 0
+    assert abs(window.value - predicted) <= 0.01 * gap
 
 
 def test_window_reports_size(tree_cover):
