@@ -50,7 +50,6 @@ from .spectrum import (
     WindowValue,
     corollary_check,
     dirichlet_lambda0,
-    dirichlet_profile,
     dirichlet_window,
     min_eigenvalue,
     rayleigh,

@@ -58,18 +58,12 @@ class GroupAction:
                 f"(expected nonzero integer with |g| <= {self.generator_count})"
             )
 
-    def encode(self, point: Any) -> str:
-        return self.encode_fn(point)
-
 
 @dataclass(frozen=True)
 class OrbitGraph:
     """The points within a hop radius of a center, sorted by the action's key."""
 
     points: tuple
-
-    def point_set(self) -> frozenset:
-        return frozenset(self.points)
 
 
 def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | None = None,
@@ -118,7 +112,7 @@ def orbit_ball(
         raise InputError(f"radius must be nonnegative, got {radius}")
     seen = bfs_depths(
         [center], _action_step(action), radius, max_points,
-        lambda d: f"orbit ball around {action.encode(center)} exceeded "
+        lambda d: f"orbit ball around {action.encode_fn(center)} exceeded "
                   f"{max_points} points at radius {d}",
     )
     return OrbitGraph(points=tuple(sorted(seen, key=action.sort_key)))

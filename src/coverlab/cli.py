@@ -47,6 +47,7 @@ EXIT_BUDGET = 3
 
 STATUS_EXIT = {
     "ok": EXIT_OK,
+    "input-error": EXIT_INPUT,
     "violation": EXIT_VIOLATION,
     "budget-exceeded": EXIT_BUDGET,
     "inconclusive": EXIT_BUDGET,
@@ -117,7 +118,7 @@ def _certificate_payload(cert) -> dict:
     return {
         "epsilon": cert.epsilon,
         "size": cert.size,
-        "members": [cert.action.encode(x) for x in cert.members],
+        "members": [cert.action.encode_fn(x) for x in cert.members],
         "max_ratio": cert.max_ratio,
         "boundary_ratio": cert.boundary_ratio,
         "per_generator_ratios": {str(g): r
@@ -212,8 +213,8 @@ def _witness_payload(cover, rep) -> dict:
     carrier = cover.carrier
     return {
         **{f.name: getattr(rep, f.name) for f in fields(rep)},
-        "members": [carrier.encode(x) for x in rep.members],
-        "collar_tiles": [carrier.encode(x)
+        "members": [carrier.encode_fn(x) for x in rep.members],
+        "collar_tiles": [carrier.encode_fn(x)
                          for x in sorted(rep.collar_tiles, key=carrier.sort_key)],
         "collar_ratio": rep.collar_ratio,
         # build_witness raises on a breach, so the key is always true
@@ -394,14 +395,26 @@ def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],
     return replace(scn, seed=scn.seed if seed is None else seed, params=params)
 
 
-def _cmd_run(args) -> int:
-    _check_flags(args)
-    scn = _override(load_scenario(args.path), args.seed, args.budget, args.radius)
+def _execute_logged(scn: Scenario):
+    """execute_scenario, with an input error as status "input-error" and
+    report None; the status line and the wall time go to stderr."""
     started = time.perf_counter()
-    report, columns, rows, status, headline = execute_scenario(scn)
+    try:
+        report, columns, rows, status, headline = execute_scenario(scn)
+    except InputError as exc:
+        report, columns, rows, status, headline = None, [], [], "input-error", str(exc)
     elapsed = time.perf_counter() - started
     print(f"[coverlab] {scn.name}: {status} ({headline}) in {elapsed:.3f}s",
           file=sys.stderr)
+    return report, columns, rows, status, headline
+
+
+def _cmd_run(args) -> int:
+    _check_flags(args)
+    scn = _override(load_scenario(args.path), args.seed, args.budget, args.radius)
+    report, columns, rows, status, headline = _execute_logged(scn)
+    if report is None:
+        raise InputError(headline)
     if args.format == "csv":
         text = render_csv(columns, rows)
     else:
@@ -447,19 +460,12 @@ def _cmd_batch(args) -> int:
     summary_rows = []
     codes = set()
     for scn in sorted(scenarios, key=lambda s: s.name):
-        started = time.perf_counter()
-        try:
-            report, _cols, _rows, status, headline = execute_scenario(scn)
-        except InputError as exc:
-            report, status, headline = None, "input-error", str(exc)
-        elapsed = time.perf_counter() - started
-        exit_code = EXIT_INPUT if status == "input-error" else STATUS_EXIT[status]
+        report, _cols, _rows, status, headline = _execute_logged(scn)
+        exit_code = STATUS_EXIT[status]
         codes.add(exit_code)
         if report is not None:
             (out_dir / f"{scn.name}.json").write_text(
                 render_json(report), encoding="utf-8")
-        print(f"[coverlab] {scn.name}: {status} ({headline}) in {elapsed:.3f}s",
-              file=sys.stderr)
         summary_rows.append([scn.name, scn.task, status, exit_code, headline])
     summary = render_csv(["scenario", "task", "status", "exit", "detail"],
                          summary_rows)
@@ -476,24 +482,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
+    overrides.add_argument("--budget", type=int, default=None,
+                           help="override max_points and max_subsets")
+    overrides.add_argument("--radius", type=int, default=None,
+                           help="replace the scenario radius or radii")
 
-    run = sub.add_parser("run", help="run one scenario file")
+    run = sub.add_parser("run", parents=[overrides], help="run one scenario file")
     run.add_argument("path", help="scenario JSON file")
     run.add_argument("--out", help="write the report here instead of stdout")
     run.add_argument("--format", choices=("json", "csv"), default="json")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
-    run.add_argument("--budget", type=int, default=None,
-                     help="override max_points and max_subsets")
-    run.add_argument("--radius", type=int, default=None,
-                     help="replace the scenario radius or radii")
 
-    batch = sub.add_parser("batch", help="run every scenario in a directory")
+    batch = sub.add_parser("batch", parents=[overrides],
+                           help="run every scenario in a directory")
     batch.add_argument("dir", help="directory of scenario JSON files")
     batch.add_argument("--out", help="report directory (default <dir>/_reports)")
-    batch.add_argument("--seed", type=int, default=None)
-    batch.add_argument("--budget", type=int, default=None)
-    batch.add_argument("--radius", type=int, default=None)
     return parser
 
 

@@ -38,16 +38,12 @@ from .errors import BudgetExceededError, FolnerVerificationError, InputError
 def exact_fraction(value) -> Fraction:
     """Coerce a ratio-like value to an exact Fraction.
 
-    Strings are parsed as exact decimals; floats are converted to their
-    exact binary value, which keeps comparisons honest either way.
+    Strings are parsed as exact decimals; a float is refused, since the
+    decimal it was written as is already lost.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise InputError(f"ratio must be finite, got {value!r}")
         return Fraction(value)
     raise InputError(f"cannot interpret {value!r} as an exact ratio")
 
@@ -374,7 +370,7 @@ def search_folner(
             except BudgetExceededError:
                 break
             radius_reached = radius
-            E = ball.point_set()
+            E = frozenset(ball.points)
             # the previous ball moves into E, so only its new sphere can exit
             sphere = E - inner
             yield E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)

@@ -131,9 +131,6 @@ class CompactFunction:
     def __call__(self, point) -> float:
         return self.values.get(point, 0.0)
 
-    def is_zero(self) -> bool:
-        return not self.values
-
 
 def base_function(f: Sequence, graph: WeightedGraph) -> CompactFunction:
     """f, one value per base vertex, as a function keyed by base vertex."""
@@ -181,12 +178,9 @@ class VoltageCover:
 
     def encode(self, p) -> str:
         v, x = p
-        return f"{v}@{self.carrier.encode(x)}"
+        return f"{v}@{self.carrier.encode_fn(x)}"
 
     # -- structure ---------------------------------------------------------
-
-    def measure(self, p) -> float:
-        return self.base.mu[p[0]]
 
     def tile(self, x) -> tuple:
         return tuple((v, x) for v in range(self.base.vertex_count))
@@ -460,6 +454,7 @@ def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) ->
     is correctly rounded, and (f(p) - f(q))^2 == (f(q) - f(p))^2 exactly.
     """
     pot = as_potential(V, cover.base)
+    mu = cover.base.mu
     values = func.values
     done = set()
 
@@ -471,6 +466,6 @@ def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) ->
             done.add(p)
 
     grad = fsum(grad_terms())
-    pot_term = fsum(pot[p[0]] * fp ** 2 * cover.measure(p) for p, fp in values.items())
+    pot_term = fsum(pot[v] * fp ** 2 * mu[v] for (v, _x), fp in values.items())
     return grad, a * pot_term
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import (
@@ -41,9 +42,6 @@ DEFAULT_SIZE_LIMIT = 5000
 # of its normalized residual A y - lambda y exceeds this many n eps ||A||_1,
 # the rounding a backward-stable solve of the n x n matrix A may leave
 RESIDUAL_FACTOR = 100
-# sign threshold for classifying an eigenvalue as nonnegative: well above
-# solver noise, far below any honest spectral quantity in these scenarios
-SIGN_FLOOR = 1e-12
 # mixed absolute and relative slack of each witness audit inequality
 AUDIT_TOLERANCE = 1e-12
 # a Dirichlet window refutes cover positivity only below this noise floor
@@ -83,6 +81,13 @@ class SpectralResult:
     lambda_min: float
     eigenvector: tuple[float, ...]
     residual: float
+    rounding: float  # n eps ||A(a)||_1 of the n x n symmetrized operator
+
+    @property
+    def nonnegative(self) -> bool:
+        """lambda_min >= 0 up to RESIDUAL_FACTOR times the rounding of its solve,
+        a floor that scales with the operator."""
+        return self.lambda_min >= -RESIDUAL_FACTOR * self.rounding
 
 
 class _Operator:
@@ -142,9 +147,10 @@ class _Operator:
         return A
 
 
-def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarray, float]:
+def _smallest_pair(op: _Operator, a: float,
+                   seed: int) -> tuple[float, np.ndarray, float, float]:
     """Smallest eigenpair of A(a): (lambda, eigenvector in original
-    coordinates, residual)."""
+    coordinates, residual, n eps ||A(a)||_1)."""
     A = op.at(a)
     n = A.shape[0]
     # A is symmetric, so its largest absolute row sum is ||A||_1
@@ -166,7 +172,8 @@ def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarra
         y = vecs[:, 0]
     y = y / np.linalg.norm(y)
     residual = float(np.max(np.abs(A @ y - lam * y)))
-    bound = RESIDUAL_FACTOR * n * np.finfo(float).eps * float(abs_rows.max())
+    rounding = float(n * np.finfo(float).eps * abs_rows.max())
+    bound = RESIDUAL_FACTOR * rounding
     if not residual <= bound:
         raise NumericalError(f"eigensolve residual {residual:.3e} exceeds {bound:.3e} "
                              f"= {RESIDUAL_FACTOR} n eps ||A||_1")
@@ -174,7 +181,7 @@ def _smallest_pair(op: _Operator, a: float, seed: int) -> tuple[float, np.ndarra
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:
         f = -f
-    return lam, f, residual
+    return lam, f, residual, rounding
 
 
 def _is_nonnegative(op: _Operator, a: float, seed: int) -> bool:
@@ -211,14 +218,14 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> Spectral
     Connectivity is enforced by WeightedGraph itself; this only guards
     the size budget DEFAULT_SIZE_LIMIT and the solver tolerance.
     """
-    lam, f, residual = _smallest_pair(_base_operator(graph, V), a, seed)
-    return SpectralResult(lam, tuple(float(x) for x in f), residual)
+    lam, f, residual, rounding = _smallest_pair(_base_operator(graph, V), a, seed)
+    return SpectralResult(lam, tuple(float(x) for x in f), residual, rounding)
 
 
 def rayleigh(graph: WeightedGraph, V, a: float, f) -> float:
     """The trivial cover's form on the lift of f, over the mu-weighted square norm of f."""
     func = base_function(f, graph)
-    if func.is_zero():
+    if not func.values:
         raise InputError("Rayleigh quotient of the zero function is undefined")
     norm = fsum(func(v) ** 2 * graph.mu[v] for v in sorted(func.support))
     lift = CompactFunction({(v, 0): x for v, x in func.values.items()})
@@ -243,18 +250,13 @@ def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
     only refutes it when negative.
     """
     window = cover.ball(cover.tile(root_tile), radius)
-    lam, _f, _residual = _smallest_pair(_Operator(cover, window, V), a, seed)
+    lam, *_ = _smallest_pair(_Operator(cover, window, V), a, seed)
     return WindowValue(radius=radius, value=lam, size=len(window))
 
 
 def dirichlet_lambda0(cover: VoltageCover, root_tile, radius: int, V, a: float,
                       seed: int = 0) -> float:
     return dirichlet_window(cover, root_tile, radius, V, a, seed).value
-
-
-def dirichlet_profile(cover: VoltageCover, root_tile, radii: Iterable[int], V, a: float,
-                      seed: int = 0) -> tuple[WindowValue, ...]:
-    return tuple(dirichlet_window(cover, root_tile, r, V, a, seed) for r in radii)
 
 
 def regular_tree_dirichlet_value(degree: int, vertex_radius: int) -> float:
@@ -309,12 +311,16 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
 
     lambda_min is a minimum of functions affine in a, hence concave, and
     vanishes at a = 0 on connected graphs, so the set is a closed
-    interval around 0.  One-sided infiniteness is decided exactly by the
-    sign pattern of V; finite endpoints are bracketed by doubling from
-    |a| = 1 and bisected to width tol, or to adjacent floats; the
-    half-width reached is the endpoint tolerance.  No probe repeats: the
-    doublings are distinct powers of two, and each midpoint lies strictly
-    inside its bracket.  The operator is assembled once, on the graph's
+    interval around 0.  Two kinds of side are decided exactly, without a
+    probe: a side where a V >= 0 everywhere is infinite, and on a side
+    where a sum V mu <= 0 (summed in exact fractions) the constant
+    function puts lambda_min(a) at or below a sum V mu / sum mu, strictly
+    below 0 as V != 0, so every probe there is negative.  Finite
+    endpoints are bracketed by doubling from |a| = 1 and bisected to
+    width tol, or to adjacent floats; the half-width reached is the
+    endpoint tolerance, so a balanced V gives exactly [-h, h] at every
+    tol.  No probe repeats: the doublings are distinct powers of two, and
+    each midpoint lies strictly inside its bracket.  The operator is assembled once, on the graph's
     trivial cover, and each probe needs only its sign: one in-place
     Cholesky factorization up to DENSE_LIMIT vertices, an eigensolve
     above it.
@@ -325,11 +331,19 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     if not any(pot):
         return StabilityInterval(-math.inf, math.inf, 0.0)
     op = _base_operator(graph, pot)
+    balance = sum(Fraction(v) * Fraction(m) for v, m in zip(pot, graph.mu))
 
     def endpoint(sign: float) -> tuple[float, float]:
+        if all(sign * v >= 0.0 for v in pot):
+            return sign * math.inf, 0.0
+        known_negative = sign * balance <= 0
+
+        def probe(t: float) -> bool:
+            return not known_negative and _is_nonnegative(op, sign * t, seed)
+
         hi = 1.0
         lo = 0.0
-        while _is_nonnegative(op, sign * hi, seed):
+        while probe(hi):
             lo = hi
             hi *= 2.0
             if hi > MAX_BRACKET:
@@ -338,20 +352,14 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):  # adjacent floats: the resolution is reached
                 break
-            if _is_nonnegative(op, sign * mid, seed):
+            if probe(mid):
                 lo = mid
             else:
                 hi = mid
         return sign * (lo + hi) / 2.0, (hi - lo) / 2.0
 
-    if all(v >= 0.0 for v in pot):
-        upper, tol_up = math.inf, 0.0
-    else:
-        upper, tol_up = endpoint(1.0)
-    if all(v <= 0.0 for v in pot):
-        lower, tol_dn = -math.inf, 0.0
-    else:
-        lower, tol_dn = endpoint(-1.0)
+    upper, tol_up = endpoint(1.0)
+    lower, tol_dn = endpoint(-1.0)
     return StabilityInterval(lower, upper, max(tol_up, tol_dn))
 
 
@@ -395,12 +403,12 @@ def corollary_check(graph: WeightedGraph, V,
                 f"constant-function energy at a={a} is {rq!r}, expected exact 0"
             )
         rq_rows.append((float(a), rq))
-        lam = min_eigenvalue(graph, pot, a, seed=seed).lambda_min
-        if not lam < -SIGN_FLOOR:
+        sr = min_eigenvalue(graph, pot, a, seed=seed)
+        if sr.nonnegative:
             raise InequalityViolation(
-                f"lambda_min({a}) = {lam!r} is not strictly negative"
+                f"lambda_min({a}) = {sr.lambda_min!r} is not strictly negative"
             )
-        lam_rows.append((float(a), lam))
+        lam_rows.append((float(a), sr.lambda_min))
     if not (abs(interval.lower) <= tol and abs(interval.upper) <= tol):
         raise InequalityViolation(
             f"stability interval {interval} is not [0, 0] within {tol}"

@@ -33,10 +33,8 @@ from .geometry import (
 from .spectrum import (
     AUDIT_TOLERANCE,
     REFUTE_FLOOR,
-    SIGN_FLOOR,
     StabilityInterval,
     WindowValue,
-    dirichlet_profile,
     dirichlet_window,
     min_eigenvalue,
     stability_interval,
@@ -154,7 +152,7 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     if not isinstance(alpha, int) or alpha < 1:
         raise InputError(f"alpha must be a positive integer, got {alpha!r}")
     func = base_function(f, graph)
-    if func.is_zero():
+    if not func.values:
         raise InputError("required ratio needs a nonzero base function")
     *_, q_base, bracket = _base_sums(graph, func, V, a, alpha)
     if q_base >= 0.0:
@@ -177,7 +175,7 @@ def build_witness(cover: VoltageCover, f, cert: FolnerCertificate, alpha: int, V
     """
     members = cert.members
     func = base_function(f, cover.base)
-    if func.is_zero():
+    if not func.values:
         raise InputError("cannot build a witness from the zero function")
 
     xi = cutoff(cover, members, alpha)
@@ -348,9 +346,9 @@ def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
     rows = []
     origin = cover.carrier.origin
     for a in a_samples:
-        lam = min_eigenvalue(cover.base, V, a, seed=seed).lambda_min
-        nonneg = lam >= -SIGN_FLOOR
-        windows = dirichlet_profile(cover, origin, radii, V, a, seed)
+        sr = min_eigenvalue(cover.base, V, a, seed=seed)
+        lam, nonneg = sr.lambda_min, sr.nonnegative
+        windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
         if nonneg:
             for win in windows:
                 _check_inclusion(a, lam, win)
@@ -394,8 +392,8 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
     rows = []
     equality_evidence = True
     for a in a_samples:
-        lam = min_eigenvalue(cover.base, V, a, seed=seed).lambda_min
-        nonneg = lam >= -SIGN_FLOOR
+        sr = min_eigenvalue(cover.base, V, a, seed=seed)
+        lam, nonneg = sr.lambda_min, sr.nonnegative
         window = dirichlet_window(cover, origin, radius, V, a, seed)
         refuted = window.value < REFUTE_FLOOR
         status = None
@@ -438,7 +436,8 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
         raise InequalityViolation(
             "negativity transferred to the cover; strict inclusion fails"
         )
-    windows = dirichlet_profile(cover, cover.carrier.origin, radii, V, a, seed)
+    origin = cover.carrier.origin
+    windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
     for win in windows:
         if win.value < REFUTE_FLOOR:
             raise InequalityViolation(

@@ -38,7 +38,7 @@ def test_lattice_round_trips():
     p = (4, -7, 2)
     for g in act.generators():
         assert apply(act, -g, apply(act, g, p)) == p
-    assert act.encode(p) == "4,-7,2"
+    assert act.encode_fn(p) == "4,-7,2"
     assert apply(word_action(act, [(1, 2, -1)]), 1, p) == (4, -6, 2)
 
 

@@ -449,6 +449,34 @@ def test_batch_directory(tmp_path, capsys):
     assert len(summary) == 4
 
 
+def test_run_and_batch_log_a_runtime_input_error_alike(tmp_path, capsys):
+    # at a = 0 the base has no negativity to transfer: an input error that
+    # only running the scenario finds
+    src = tmp_path / "jobs"
+    src.mkdir()
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    obj["params"]["a"] = "0"
+    path = write_json(src / "triangle_transfer.json", obj)
+    line = re.compile(r"^\[coverlab\] triangle_transfer: input-error \(.+\) in \d+\.\d{3}s$",
+                      re.MULTILINE)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(line.findall(err)) == 1
+    assert "\nerror: " in err
+    assert main(["batch", str(src), "--out", str(tmp_path / "out")]) == 1
+    assert len(line.findall(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_override_flags_have_help_in_both_commands(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    for text in ("override the scenario seed", "override max_points and max_subsets",
+                 "replace the scenario radius or radii"):
+        assert text in out
+
+
 def test_batch_has_no_jobs_option(tmp_path, capsys):
     # batch runs one scenario at a time; --jobs is an argparse error
     with pytest.raises(SystemExit) as exc:

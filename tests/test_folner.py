@@ -32,11 +32,11 @@ from oracles import folner_boundary_bound, set_ratios
 def test_exact_fraction_decimal_and_float():
     assert exact_fraction("0.01") == Fraction(1, 100)
     assert exact_fraction(Fraction(2, 7)) == Fraction(2, 7)
-    # floats keep their exact binary value, not the decimal they resemble
-    assert exact_fraction(0.1) == Fraction(0.1)
-    assert exact_fraction(0.1) != Fraction(1, 10)
-    with pytest.raises(InputError):
-        exact_fraction(float("nan"))
+    assert exact_fraction(3) == Fraction(3)
+    # a float has lost the decimal it was written as, so it is refused
+    for value in (0.1, float("nan")):
+        with pytest.raises(InputError, match="as an exact ratio"):
+            exact_fraction(value)
 
 
 def test_interval_ratios_exact():
@@ -500,21 +500,21 @@ def verifier_sets():
     for dim in (1, 2, 3):
         act = lattice_action(dim)
         sets.append((act, translation_box(act, 4, 64)))
-        sets.append((act, orbit_ball(act, act.origin, 3).point_set()))
+        sets.append((act, frozenset(orbit_ball(act, act.origin, 3).points)))
         for _ in range(6):
             sets.append((act, {tuple(rng.randrange(-3, 4) for _ in range(dim))
                                for _ in range(rng.randrange(1, 30))}))
     # the zero vector makes generator 2 fix every point
     quotient = free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)])
     sets.append((quotient, translation_box(quotient, 5, 125)))
-    sets.append((quotient, orbit_ball(quotient, quotient.origin, 2).point_set()))
+    sets.append((quotient, frozenset(orbit_ball(quotient, quotient.origin, 2).points)))
     sets.append((quotient, {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(20)}))
     # generator 2 fixes 0, 1 and 2; generator 3 is the identity
     perm = finite_permutation_action([(1, 2, 3, 4, 0), (0, 1, 2, 4, 3), (0, 1, 2, 3, 4)], 5)
     sets += [(perm, {0}), (perm, {0, 1, 3}), (perm, {3, 4}), (perm, set(range(5)))]
     f2 = free_group_action(2)
     ball = orbit_ball(f2, f2.origin, 3).points
-    sets += [(f2, orbit_ball(f2, f2.origin, r).point_set()) for r in range(4)]
+    sets += [(f2, frozenset(orbit_ball(f2, f2.origin, r).points)) for r in range(4)]
     sets += [(f2, set(rng.sample(ball, rng.randrange(1, 20)))) for _ in range(5)]
     return sets
 

@@ -3,7 +3,10 @@
 Multiplying every edge weight and every potential value by s > 0 turns
 A(a) into s A(a) at every coupling a, so every sign, and with it every
 verdict, must stay; window and eigenvalue fields scale by s, and the
-stability interval, a set of couplings, does not move.
+stability interval, a set of couplings, does not move.  Multiplying
+every measure by t and dividing every potential value by t keeps
+L + a diag(V mu) and scales the mass by t, so eigenvalues scale by 1/t
+and, again, every sign stays.
 """
 
 import functools
@@ -31,6 +34,9 @@ DEPARTS = {
     ("triangle_interval", "1e-6"), ("triangle_interval", "1e3"), ("triangle_interval", "1e6"),
     ("triangle_transfer", "1e-6"), ("triangle_transfer", "1e3"), ("triangle_transfer", "1e6"),
 }
+MASS_SCALES = ("0.1", "10")
+# at t = 0.1 the witness audit fails: "gradient term 3.33 exceeds its bound 1.0"
+MASS_DEPARTS = {("triangle_transfer", "0.1")}
 
 # keys whose values are verdicts or structure, equal at every scale
 SAME = {"status", "outcome", "base_nonnegative", "cover_refuted", "transfer_status",
@@ -58,13 +64,26 @@ def scaled(obj, s):
     return obj
 
 
+def mass_scaled(obj, t):
+    """The scenario with every measure times t and every potential value over t, exactly."""
+    obj = json.loads(json.dumps(obj))
+    k = Decimal(t)
+    obj["base"]["mu"] = [str(Decimal(m) * k) for m in obj["base"]["mu"]]
+    obj["potential"] = [str(Decimal(x) / k) for x in obj["potential"]]
+    return obj
+
+
+def bundled(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
 def report(obj):
     return json.loads(render_json(execute_scenario(parse_scenario(obj))[0]))
 
 
 @functools.cache
 def unscaled_report(name):
-    return report(json.loads((SCENARIOS / f"{name}.json").read_text()))
+    return report(bundled(name))
 
 
 def departures(ref, got, s, path="report"):
@@ -110,12 +129,31 @@ def departures(ref, got, s, path="report"):
 def test_scaled_units_keep_every_verdict(name, s):
     ref = unscaled_report(name)
     assert ref["status"] == "ok"
-    got = report(scaled(json.loads((SCENARIOS / f"{name}.json").read_text()), s))
+    got = report(scaled(bundled(name), s))
     lines = departures(ref, got, float(s))
     if (name, s) in DEPARTS:
         assert lines, f"{name} at s = {s} keeps its verdicts now: move it out of DEPARTS"
     else:
         assert not lines, "\n".join(lines)
+
+
+@pytest.mark.parametrize("t", MASS_SCALES)
+@pytest.mark.parametrize("name", WITH_POTENTIAL)
+def test_mass_scaled_units_keep_every_verdict(name, t):
+    ref = unscaled_report(name)
+    got = report(mass_scaled(bundled(name), t))
+    lines = departures(ref, got, 1 / float(t))
+    if (name, t) in MASS_DEPARTS:
+        assert lines, f"{name} at t = {t} keeps its verdicts now: move it out of MASS_DEPARTS"
+    else:
+        assert not lines, "\n".join(lines)
+
+
+def test_base_sign_is_judged_against_the_operator_scale():
+    # at s = 1e5 the base solve reads lambda_min(0) = -2.4e-11, rounding of
+    # an operator of norm about 6e5, which an absolute floor of 1e-12 refused
+    rows = report(scaled(bundled("k4_tree_spectrum"), "1e5"))["outcome"]["rows"]
+    assert [row["base_nonnegative"] for row in rows if row["a"] == "0"] == [True]
 
 
 def test_departures_are_found():

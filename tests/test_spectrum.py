@@ -1,5 +1,6 @@
 """Eigenvalue solvers, Dirichlet windows, and stability intervals."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -21,7 +22,6 @@ from coverlab import (
     build_cover,
     corollary_check,
     dirichlet_lambda0,
-    dirichlet_profile,
     dirichlet_window,
     free_group_action,
     lattice_action,
@@ -128,8 +128,8 @@ def per_point_window(cover, radius, V, a):
                 rows.append(i)
                 cols.append(j)
                 weights.append(-w)
-        diag[i] = math.fsum(acc) + a * V[p[0]] * cover.measure(p)
-    mu = np.array([cover.measure(p) for p in window])
+        diag[i] = math.fsum(acc) + a * V[p[0]] * cover.base.mu[p[0]]
+    mu = np.array([cover.base.mu[v] for v, _x in window])
     lam, _f = edge_list_pair(diag, np.array(rows, dtype=int), np.array(cols, dtype=int),
                              np.array(weights, dtype=float), mu)
     return lam
@@ -257,9 +257,8 @@ def test_window_matches_per_point_assembly():
 
 def test_window_profile_monotone(triangle_cover):
     V = (-0.05, -0.05, -0.05)
-    profile = dirichlet_profile(
-        triangle_cover, triangle_cover.carrier.origin, range(0, 25, 4), V, 1.0
-    )
+    profile = [dirichlet_window(triangle_cover, triangle_cover.carrier.origin, r, V, 1.0)
+               for r in range(0, 25, 4)]
     values = [w.value for w in profile]
     sizes = [w.size for w in profile]
     assert all(x >= y for x, y in zip(values, values[1:]))
@@ -490,8 +489,9 @@ def recorded_probes(monkeypatch):
 
 
 def test_stability_interval_matches_eigenvalue_bisection():
-    # balanced potentials below tol 1e-6 probe where lambda_min is at
-    # rounding level; the next test covers them
+    # the oracle's balanced bisections below tol 1e-6 probe where
+    # lambda_min is at rounding level; the library decides them exactly
+    # (test_balanced_interval_is_exact_without_a_factorization)
     compared = 0
     for kind, tol, graph, V in random_cases(seed=15, rounds=10):
         if kind == "balanced" and tol < 1e-6:
@@ -503,12 +503,15 @@ def test_stability_interval_matches_eigenvalue_bisection():
 
 
 def test_sign_rules_differ_only_at_rounding_level(recorded_probes):
-    # a balanced V gives lambda_min(a) ~ -c a^2, which sinks below the
-    # rounding of either solver near a = 0: there both verdicts are noise
+    # a balanced V tilted by 2^-30 at one vertex gives lambda_min(a) ~
+    # a 2^-30 / sum mu - c a^2, which sinks below the rounding of either
+    # solver near a = 0: there both verdicts are noise.  (An untilted
+    # balanced V is decided without a probe.)
     differ = 0
     for kind, tol, graph, V in random_cases(seed=16, rounds=4):
         if kind != "balanced" or tol == 1e-6:
             continue
+        V = V[:-1] + (V[-1] + 2.0**-30,)
         recorded_probes.clear()
         stability_interval(graph, V, tol=tol)
         for op, a, verdict in recorded_probes:
@@ -521,6 +524,8 @@ def test_sign_rules_differ_only_at_rounding_level(recorded_probes):
 
 
 def test_balanced_torus_interval_factors_once_per_probe(recorded_probes, monkeypatch):
+    # the checkerboard is balanced and would need no probe, so one vertex
+    # is tilted to sum V mu = 1/2: the upper side bisects, the lower is known
     def unreachable(*args, **kwargs):
         raise AssertionError("the bisection ran an eigensolve")
 
@@ -536,6 +541,7 @@ def test_balanced_torus_interval_factors_once_per_probe(recorded_probes, monkeyp
     monkeypatch.setattr(spectrum_module, "dpotrf", counting)
     torus = grid_torus(20, 30)
     V = tuple(1.0 if (i // 30 + i % 30) % 2 == 0 else -1.0 for i in range(600))
+    V = (1.5,) + V[1:]
     # numpy reports its buffers to tracemalloc; a second n x n copy would
     # put the peak above 2 * 8 n^2 bytes
     tracemalloc.start()
@@ -545,11 +551,33 @@ def test_balanced_torus_interval_factors_once_per_probe(recorded_probes, monkeyp
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * 600 * 600
-    # each side: a = 1, then 20 halvings down to width 2^-20 <= 1e-6
+    # the upper side: a = 1, then 20 halvings down to width 2^-20 <= 1e-6
     probes = [a for _op, a, _verdict in recorded_probes]
-    assert len(probes) == len(set(probes)) == 42
-    assert factored == [(600, 600)] * 42
-    assert interval == spectrum_module.StabilityInterval(-2.0**-21, 2.0**-21, 2.0**-21)
+    assert len(probes) == len(set(probes)) == 21
+    assert min(probes) > 0
+    assert factored == [(600, 600)] * 21
+    assert (interval.lower, interval.endpoint_tolerance) == (-2.0**-21, 2.0**-21)
+    assert 0 < interval.upper < 1
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_balanced_interval_is_exact_without_a_factorization(tol, monkeypatch):
+    # the constant function puts lambda_min(a) below 0 at every a != 0, so
+    # both sides halve from 1 to width h <= tol: [-h/2, h/2] at every tol
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a balanced interval ran a solver")
+
+    for name in ("dpotrf", "eigh", "eigsh"):
+        monkeypatch.setattr(spectrum_module, name, unreachable)
+    width = 1.0
+    while width > tol:
+        width /= 2
+    exact = spectrum_module.StabilityInterval(-width / 2, width / 2, width / 2)
+    cases = [(graph, V) for kind, _tol, graph, V in random_cases(seed=18, rounds=2)
+             if kind == "balanced" and any(V)]
+    assert len(cases) >= 5
+    for graph, V in cases:
+        assert stability_interval(graph, V, tol=tol) == exact
 
 
 def test_bisection_stops_at_float_resolution(triangle, capped_probes):
@@ -597,10 +625,17 @@ BISECTING_SCENARIOS = sorted(
 
 @pytest.mark.parametrize("path", BISECTING_SCENARIOS, ids=lambda p: p.stem)
 def test_bundled_bisections_never_repeat_a_probe(path, recorded_probes):
-    report, *_ = execute_scenario(load_scenario(path))
+    # the bundled potentials are balanced, so their runs probe nothing; a
+    # tilt of 1/2 at vertex 0 makes the upper side bisect on the same graph
+    scn = load_scenario(path)
+    report, *_ = execute_scenario(scn)
     assert report["status"] == "ok"
+    assert recorded_probes == []
+    graph = scn.base or scn.cover.base
+    stability_interval(graph, (scn.potential[0] + 0.5,) + scn.potential[1:])
     probes = [a for _op, a, _verdict in recorded_probes]
     assert probes
+    assert min(probes) > 0
     assert len(probes) == len(set(probes))
 
 
@@ -658,8 +693,7 @@ def test_corollary_check_flags_violation(triangle, monkeypatch):
     real = spectrum_module.min_eigenvalue
 
     def fake(graph, V, a, seed=0):
-        result = real(graph, V, a, seed)
-        return spectrum_module.SpectralResult(0.0, result.eigenvector, result.residual)
+        return dataclasses.replace(real(graph, V, a, seed), lambda_min=0.0)
 
     monkeypatch.setattr(
         spectrum_module,

@@ -234,11 +234,9 @@ def sink_windows(monkeypatch):
     def sunk(win):
         return dataclasses.replace(win, value=-1e-6)
 
-    window, profile = transfer.dirichlet_window, transfer.dirichlet_profile
+    window = transfer.dirichlet_window
     monkeypatch.setattr(transfer, "dirichlet_window",
                         lambda *args, **kwargs: sunk(window(*args, **kwargs)))
-    monkeypatch.setattr(transfer, "dirichlet_profile",
-                        lambda *args, **kwargs: tuple(sunk(w) for w in profile(*args, **kwargs)))
 
 
 INCLUSION_BREACH = r"^a=1\.0: base lambda_min=\S+ is nonnegative but the radius-{} window is -1e-06$"
