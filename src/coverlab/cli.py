@@ -101,7 +101,8 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
 
 # ---------------------------------------------------------------------------
 # task handlers: each returns (payload, columns, rows, status, headline);
-# a payload with a result dataclass's keys is built by asdict
+# a payload with a result dataclass's keys is built by asdict, or by _fields
+# when some of its fields hold points to encode
 
 
 def _given(scn: Scenario, **keywords) -> dict:
@@ -110,6 +111,11 @@ def _given(scn: Scenario, **keywords) -> dict:
     Each absent param is left to its library default, stated there once.
     """
     return {kw: scn.params[key] for kw, key in keywords.items() if key in scn.params}
+
+
+def _fields(result, *omit: str) -> dict:
+    """A result dataclass's fields by name, unconverted, except those in omit."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in omit}
 
 
 def _certificate_payload(cert) -> dict:
@@ -135,17 +141,12 @@ def _run_folner(scn: Scenario):
     runs = []
     rows = []
     for eps, rep in zip(scn.params["epsilons"], reports):
-        entry = {
-            "epsilon": eps,
-            "outcome": rep.outcome,
-            "sets_examined": rep.sets_examined,
-            "radius_reached": rep.radius_reached,
-            "best_ratio": rep.best_ratio,
-            "certificate": (_certificate_payload(rep.certificate)
-                            if rep.certificate else None),
-        }
-        runs.append(entry)
         cert = rep.certificate
+        runs.append({
+            **_fields(rep, "best_set"),
+            "epsilon": eps,
+            "certificate": _certificate_payload(cert) if cert else None,
+        })
         rows.append([
             scn.name, eps, rep.outcome,
             cert.size if cert else None,
@@ -212,7 +213,7 @@ def _run_interval(scn: Scenario):
 def _witness_payload(cover, rep) -> dict:
     carrier = cover.carrier
     return {
-        **{f.name: getattr(rep, f.name) for f in fields(rep)},
+        **_fields(rep),
         "members": [carrier.encode_fn(x) for x in rep.members],
         "collar_tiles": [carrier.encode_fn(x)
                          for x in sorted(rep.collar_tiles, key=carrier.sort_key)],
@@ -236,15 +237,8 @@ def _run_transfer(scn: Scenario):
         )
     rep = out.report
     payload = {
+        **_fields(out, "witness"),
         "a": a,
-        "status": out.status,
-        "lambda_min_base": out.lambda_min_base,
-        "r_star": out.r_star,
-        "alpha": out.alpha,
-        "epsilon_first": out.epsilon_first,
-        "epsilon_used": out.epsilon_used,
-        "best_collar_ratio": out.best_collar_ratio,
-        "message": out.message,
         "witness_support": (sorted(scn.cover.encode(p) for p in out.witness.support)
                             if out.witness is not None else None),
         "report": _witness_payload(scn.cover, rep) if rep is not None else None,

@@ -249,11 +249,12 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     Witnesses are built only over certificates.  When the search
     exhausts before any certificate, the best set's collar ratio b/c is
-    counted by the collar sweep alone and report is None.
+    counted by the collar sweep alone and report is None.  A base that is
+    nonnegative up to its rounding has nothing to transfer: an input error.
     """
     base = cover.base
     sr = min_eigenvalue(base, V, a, seed=seed)
-    if sr.lambda_min >= 0.0:
+    if sr.nonnegative:
         raise InputError(
             f"base lambda_min = {sr.lambda_min!r} is nonnegative; nothing to "
             "transfer"
@@ -312,13 +313,22 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     )
 
 
-def _check_inclusion(a: float, lam: float, window: WindowValue) -> None:
-    """The easy direction: over a nonnegative base no window may go negative."""
-    if window.value < REFUTE_FLOOR:
-        raise InequalityViolation(
-            f"a={a}: base lambda_min={lam!r} is nonnegative but the "
-            f"radius-{window.radius} window is {window.value!r}"
-        )
+def _sample(cover: VoltageCover, V, a: float, radii: Sequence[int], seed: int):
+    """The base solve at a and the Dirichlet windows at the carrier origin.
+
+    The easy direction is checked on the spot: over a nonnegative base
+    no window may drop below the refutation floor.
+    """
+    sr = min_eigenvalue(cover.base, V, a, seed=seed)
+    origin = cover.carrier.origin
+    windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
+    for win in windows:
+        if sr.nonnegative and win.value < REFUTE_FLOOR:
+            raise InequalityViolation(
+                f"a={a}: base lambda_min={sr.lambda_min!r} is nonnegative but the "
+                f"radius-{win.radius} window is {win.value!r}"
+            )
+    return sr, windows
 
 
 @dataclass(frozen=True)
@@ -344,15 +354,9 @@ def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
     raised as a violation.
     """
     rows = []
-    origin = cover.carrier.origin
     for a in a_samples:
-        sr = min_eigenvalue(cover.base, V, a, seed=seed)
-        lam, nonneg = sr.lambda_min, sr.nonnegative
-        windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
-        if nonneg:
-            for win in windows:
-                _check_inclusion(a, lam, win)
-        rows.append(EasyDirectionRow(float(a), lam, nonneg, windows))
+        sr, windows = _sample(cover, V, a, radii, seed)
+        rows.append(EasyDirectionRow(float(a), sr.lambda_min, sr.nonnegative, windows))
     return EasyDirectionReport(tuple(rows))
 
 
@@ -388,29 +392,20 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
     raising, because windows and budgets only ever half-decide it.
     """
     interval = stability_interval(cover.base, V, tol=tol, seed=seed)
-    origin = cover.carrier.origin
     rows = []
-    equality_evidence = True
     for a in a_samples:
-        sr = min_eigenvalue(cover.base, V, a, seed=seed)
-        lam, nonneg = sr.lambda_min, sr.nonnegative
-        window = dirichlet_window(cover, origin, radius, V, a, seed)
-        refuted = window.value < REFUTE_FLOOR
-        status = None
-        ratio = None
-        if nonneg:
-            _check_inclusion(a, lam, window)
-        elif alpha is not None:
+        sr, (window,) = _sample(cover, V, a, (radius,), seed)
+        status = ratio = None
+        if not sr.nonnegative and alpha is not None:
             outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
-            status = outcome.status
-            ratio = outcome.best_collar_ratio
-            if not (refuted or outcome.status == "transferred"):
-                equality_evidence = False
-        elif not refuted:
-            equality_evidence = False
+            status, ratio = outcome.status, outcome.best_collar_ratio
         rows.append(IntervalSampleRow(
-            float(a), lam, nonneg, window, refuted, status, ratio,
+            float(a), sr.lambda_min, sr.nonnegative, window,
+            window.value < REFUTE_FLOOR, status, ratio,
         ))
+    # a negative sample is evidence only if its window refutes or it transferred
+    equality_evidence = all(row.base_nonnegative or row.cover_refuted
+                            or row.transfer_status == "transferred" for row in rows)
     return IntervalComparisonReport(interval, tuple(rows), equality_evidence)
 
 

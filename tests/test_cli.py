@@ -422,6 +422,15 @@ def test_radius_override_leaves_scenario_unchanged():
         assert [w["radius"] for w in row["windows"]] == [0, 1, 2, 3, 4]
 
 
+def test_radius_override_replaces_a_scalar_radius(capsys):
+    assert main(["run", str(SCENARIOS / "triangle_transfer.json"), "--radius", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["window"]["radius"] == 3
+    assert main(["run", str(SCENARIOS / "triangle_interval.json"), "--radius", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["outcome"]["rows"]
+    assert len(rows) == 5
+    assert [row["window"]["radius"] for row in rows] == [2] * 5
+
+
 def test_batch_directory(tmp_path, capsys):
     src = tmp_path / "jobs"
     src.mkdir()

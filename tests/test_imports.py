@@ -50,15 +50,13 @@ UNCALLED_EXPORTS = ("all_subgroups", "coset_duality_check", "dirichlet_lambda0",
                     "regular_tree_dirichlet_value")
 
 
-def unreferenced_exports(init_source: str, module_sources: list[str]) -> list[str]:
-    """Names that ``__init__`` re-exports and no module reads.
+def read_names(module_sources: list[str]) -> set[str]:
+    """Every name some module reads.
 
     A read is a name loaded anywhere in a module outside the top-level
     statement that defines that same name, so a function that only calls
     itself, or a class that only names itself, has no reader.
     """
-    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
     read = set()
     for source in module_sources:
         for top in ast.parse(source).body:
@@ -70,7 +68,25 @@ def unreferenced_exports(init_source: str, module_sources: list[str]) -> list[st
                 own = set()
             read |= {node.id for node in ast.walk(top)
                      if isinstance(node, ast.Name) and node.id not in own}
+    return read
+
+
+def unreferenced_exports(init_source: str, module_sources: list[str]) -> list[str]:
+    """Names that ``__init__`` re-exports and no module reads."""
+    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = read_names(module_sources)
     return sorted(name for name in exported if name not in read)
+
+
+def unread_definitions(module_sources: list[str]) -> list[str]:
+    """Public top-level functions and classes that no module reads,
+    whether ``__init__`` re-exports them or not."""
+    defined = [top.name for source in module_sources for top in ast.parse(source).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               and not top.name.startswith("_")]
+    read = read_names(module_sources)
+    return sorted(name for name in defined if name not in read)
 
 
 def test_export_checker_flags_names_without_a_reader():
@@ -96,6 +112,27 @@ def test_every_export_has_a_reader_in_the_package():
     init = (SRC / "__init__.py").read_text(encoding="utf-8")
     modules = [path.read_text(encoding="utf-8") for path in MODULES]
     assert unreferenced_exports(init, modules) == sorted(UNCALLED_EXPORTS)
+
+
+def test_definition_checker_flags_unexported_orphans():
+    a = textwrap.dedent("""\
+        from .b import used
+        def orphan():
+            return orphan()
+        def _private():
+            return 1
+        class Kept:
+            pass
+        def main(x: Kept):
+            return used(x)
+        """)
+    b = "def used(x):\n    return x\n"
+    assert unread_definitions([a, b]) == ["main", "orphan"]
+
+
+def test_every_public_definition_has_a_reader_in_the_package():
+    modules = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unread_definitions(modules) == sorted(UNCALLED_EXPORTS)
 
 
 def solver_imports(source: str, allowed: str | None = None) -> list[str]:

@@ -14,21 +14,26 @@ from coverlab import (
     InequalityViolation,
     InputError,
     SearchBudget,
+    WeightedGraph,
+    build_cover,
     build_witness,
     counterexample_check,
     cutoff,
     easy_direction_check,
     interval_comparison,
+    lattice_action,
     required_ratio,
     search_folner,
     transfer_negativity,
     verify_certificate,
 )
 from coverlab.cli import main
+from coverlab.scenario import load_scenario
 from oracles import cover_quadratic_form, lift_function
 
 FLAT_V3 = (-0.05, -0.05, -0.05)
 FLAT_V4 = (-0.1, -0.1, -0.1, -0.1)
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_required_ratio_hand_value(k4):
@@ -227,6 +232,47 @@ def test_interval_comparison_balanced(triangle_cover):
     assert by_a[0.0].base_nonnegative
     assert by_a[1.0].transfer_status == "transferred"
     assert by_a[-1.0].transfer_status == "transferred"
+
+
+TREE_BUDGET = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
+
+
+def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover):
+    # at a = 1 the base is negative, the radius-2 window is positive and the search exhausts
+    report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2,
+                                 alpha=4, budget=TREE_BUDGET)
+    assert not report.equality_evidence
+    negative, zero = report.rows
+    assert (negative.base_nonnegative, negative.cover_refuted) == (False, False)
+    assert negative.transfer_status == "inconclusive"
+    assert zero.base_nonnegative and zero.transfer_status is None
+
+
+def test_interval_evidence_fails_on_an_unrefuted_window_without_alpha(tree_cover):
+    report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2)
+    assert not report.equality_evidence
+    assert [row.transfer_status for row in report.rows] == [None, None]
+    assert not report.rows[0].cover_refuted
+
+
+def test_transfer_halves_epsilon_until_the_collar_ratio_beats_r_star():
+    # C4 unrolled along Z: f = 1 gives Q_base = -4 and bracket 8, so r* = 1/2 exactly
+    square = WeightedGraph([1.0] * 4, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    cover = build_cover(square, lattice_action(1), {(1, 2): (1,)})
+    outcome = transfer_negativity(cover, (-1.0,) * 4, 1.0, alpha=1)
+    assert outcome.r_star == 0.5
+    assert [(w.epsilon_used, w.b, w.c) for w in outcome.attempts] == [
+        (Fraction(1, 4), 4, 8), (Fraction(1, 8), 4, 16)]
+    assert outcome.status == "transferred"
+    assert outcome.epsilon_used == Fraction(1, 8)
+
+
+def test_transfer_refuses_a_base_nonnegative_up_to_rounding():
+    # at a = 0 the triangle's lambda_min is zero up to rounding, and reads just below it
+    scn = load_scenario(SCENARIOS / "triangle_transfer.json")
+    with pytest.raises(InputError,
+                       match=r"^base lambda_min = .* is nonnegative; nothing to transfer$"):
+        transfer_negativity(scn.cover, scn.potential, 0.0, scn.params["alpha"])
 
 
 def sink_windows(monkeypatch):
