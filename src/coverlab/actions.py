@@ -287,12 +287,15 @@ def word_action(
     for w in word_list:
         for letter in w:
             carrier.check_generator(letter)
-    inverses = tuple(tuple(-g for g in reversed(w)) for w in word_list)
+    # acting[g] lists g's letters in the order they act, rightmost first
+    acting = {}
+    for k, w in enumerate(word_list, 1):
+        acting[k], acting[-k] = w[::-1], tuple(-letter for letter in w)
+    step = carrier.apply_fn
 
     def apply_fn(g: int, x: Any) -> Any:
-        w = word_list[g - 1] if g > 0 else inverses[-g - 1]
-        for letter in reversed(w):
-            x = carrier.apply_fn(letter, x)
+        for letter in acting[g]:
+            x = step(letter, x)
         return x
 
     vectors = None

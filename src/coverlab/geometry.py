@@ -7,7 +7,9 @@ edge conductances w carries the quadratic form
 
 A voltage cover assigns a word in a group action's generators to each
 base edge; cover vertices are (base vertex, fiber point) pairs, and each
-fiber point indexes one tile, a full copy of the base vertex set.  The
+fiber point indexes one tile, a full copy of the base vertex set.  Each
+edge moves fiber points by one generator of the cover's fiber action; on
+a translation fiber, words of equal displacement are one generator.  The
 cover is enumerated lazily around a root tile, never materialized.
 """
 
@@ -149,8 +151,11 @@ class VoltageCover:
     Vertices are (v, x) with v a base vertex and x a carrier point; the
     base edge {u, v} (u < v) with voltage word s joins (u, x) to
     (v, s.x) for every fiber point x.  Tiles are indexed by fiber
-    points: tile(x) = {(v, x) : v in base}.  Build through build_cover,
-    which validates voltages and checks connectivity on a window.
+    points: tile(x) = {(v, x) : v in base}.  fiber_action has one
+    generator per distinct word up to inverses (per distinct net
+    displacement on a translation carrier), and neighbors moves fiber
+    points only through it.  Build through build_cover, which validates
+    voltages and checks connectivity on a window.
     """
 
     def __init__(self, base: WeightedGraph, carrier: GroupAction,
@@ -158,14 +163,29 @@ class VoltageCover:
         self.base = base
         self.carrier = carrier
         self.voltages = dict(voltages)
-        # oriented[(u, v)] maps the u-side fiber point to the v-side one;
-        # its letters are listed in the order they act, rightmost first
-        oriented: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (u, v), word in self.voltages.items():
-            oriented[(u, v)] = word[::-1]
-            oriented[(v, u)] = tuple(-g for g in word)
+        # One fiber generator per distinct voltage word up to inverses, so
+        # two tiles are adjacent exactly when a generator maps one to the
+        # other; signed[(u, v)] moves the u-side fiber point to the v side.
+        words = []
+        generator_of: dict = {}
+        signed: dict[tuple[int, int], int] = {}
+        for u, v, _w in base.edges:
+            word = self.voltages.get((u, v))
+            if not word:
+                continue
+            marker = self._word_marker(word)
+            inverse = self._word_marker(tuple(-g for g in reversed(word)))
+            if marker in generator_of:
+                g = generator_of[marker]
+            elif inverse in generator_of:
+                g = -generator_of[inverse]
+            else:
+                words.append(word)
+                g = generator_of[marker] = len(words)
+            signed[(u, v)], signed[(v, u)] = g, -g
+        self.fiber_action = word_action(carrier, words, name=f"fiber({carrier.name})")
         self._stencil = tuple(
-            tuple((u, w, oriented.get((v, u), ())) for u, w in base.neighbors(v))
+            tuple((u, w, signed.get((v, u), 0)) for u, w in base.neighbors(v))
             for v in range(base.vertex_count)
         )
         self._ball_cache: dict = {}
@@ -187,36 +207,8 @@ class VoltageCover:
 
     def neighbors(self, p) -> list[tuple[tuple, float]]:
         v, x = p
-        apply_fn = self.carrier.apply_fn
-        out = []
-        for u, w, letters in self._stencil[v]:
-            y = x
-            for letter in letters:
-                y = apply_fn(letter, y)
-            out.append(((u, y), w))
-        return out
-
-    @cached_property
-    def fiber_action(self) -> GroupAction:
-        """Action on fiber points generated by the distinct voltage words.
-
-        Two tiles are adjacent in the cover exactly when some generator
-        of this action maps one index to the other, because every
-        inter-tile edge applies one voltage word or its inverse.
-        """
-        words = []
-        seen = set()
-        for u, v, _w in self.base.edges:
-            word = self.voltages.get((u, v))
-            if not word:
-                continue
-            marker = self._word_marker(word)
-            inverse = tuple(-g for g in reversed(word))
-            if marker in seen or self._word_marker(inverse) in seen:
-                continue
-            seen.add(marker)
-            words.append(word)
-        return word_action(self.carrier, words, name=f"fiber({self.carrier.name})")
+        move = self.fiber_action.apply_fn
+        return [((u, move(g, x) if g else x), w) for u, w, g in self._stencil[v]]
 
     def _word_marker(self, word: tuple[int, ...]):
         if self.carrier.translation_vectors is None:
@@ -324,11 +316,11 @@ class CutoffFunction:
 def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     """Depth-alpha BFS inward from the rim of Omega, over tile indices.
 
-    Vertex (v, member_list[i]) gets the id i * nv + v.  Each distinct
-    oriented voltage word of the stencil moves each member tile once,
-    into moved[word][i]: the index of the tile it lands on, or -1 when
-    that tile is outside the set.  A vertex is on the rim when one of
-    its words leaves the set.  Returns (depth, reached, outside):
+    Vertex (v, member_list[i]) gets the id i * nv + v.  Each signed
+    fiber generator of the stencil moves each member tile once, into
+    moved[g][i]: the index of the tile it lands on, or -1 when that tile
+    is outside the set.  A vertex is on the rim when one of its
+    generators leaves the set.  Returns (depth, reached, outside):
     depth[id] is the hop distance to the complement, 0 where the sweep
     stopped short at depth alpha; reached holds the indices of the
     member tiles it reached; outside holds the non-member tiles joined
@@ -350,25 +342,24 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
             partial_count=size,
         )
     index = {x: i for i, x in enumerate(member_list)}
-    apply_fn = cover.carrier.apply_fn
-    users: dict[tuple[int, ...], list[int]] = {}  # word -> base vertices it leaves from
+    move = cover.fiber_action.apply_fn
+    users: dict[int, list[int]] = {}  # signed generator -> base vertices it leaves from
     for v, row in enumerate(cover._stencil):
-        for _u, _w, word in row:
-            users.setdefault(word, []).append(v)
+        for _u, _w, g in row:
+            users.setdefault(g, []).append(v)
 
     depth = [0] * size
     # frontier[v] lists the tile indices i of the frontier vertices (v, i)
     frontier: list[list[int]] = [[] for _ in range(nv)]
     outside = set()
-    moved_by: dict[tuple[int, ...], Sequence[int]] = {}
-    for word, sources in users.items():
-        if not word:
-            moved_by[word] = range(len(member_list))
+    moved_by: dict[int, Sequence[int]] = {}
+    for g, sources in users.items():
+        if not g:
+            moved_by[g] = range(len(member_list))
             continue
         moved = []
         for i, x in enumerate(member_list):
-            for letter in word:
-                x = apply_fn(letter, x)
+            x = move(g, x)
             j = index.get(x, -1)
             if j < 0:
                 outside.add(x)
@@ -378,8 +369,8 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
                         depth[p] = 1
                         frontier[v].append(i)
             moved.append(j)
-        moved_by[word] = moved
-    steps = [[(u, moved_by[word]) for u, _w, word in row] for row in cover._stencil]
+        moved_by[g] = moved
+    steps = [[(u, moved_by[g]) for u, _w, g in row] for row in cover._stencil]
 
     reached = set()
     for d in range(2, alpha + 2):
@@ -403,11 +394,11 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
 def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction:
     """Cutoff xi(p) = min(1, hop_dist(p, complement of Omega)/alpha).
 
-    The sorted member tiles are indexed once, and a table moved[word][i]
-    holds the index of the tile that each distinct voltage word moves
-    tile i to (-1 outside the set), so each word moves each member tile
-    once.  The BFS from the rim runs over integer vertex ids through that
-    table (see _rim_sweep); only its result is turned back into
+    The sorted member tiles are indexed once, and a table moved[g][i]
+    holds the index of the tile that each signed fiber generator moves
+    tile i to (-1 outside the set), so each generator moves each member
+    tile once.  The BFS from the rim runs over integer vertex ids through
+    that table (see _rim_sweep); only its result is turned back into
     (vertex, tile) pairs.
     """
     member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))

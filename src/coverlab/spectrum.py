@@ -302,9 +302,6 @@ class StabilityInterval:
     endpoint_tolerance: float
 
 
-MAX_BRACKET = 2.0**60
-
-
 def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
                        seed: int = 0) -> StabilityInterval:
     """Endpoints of {a : lambda_min(a) >= 0} by sign bisection.
@@ -315,12 +312,17 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     probe: a side where a V >= 0 everywhere is infinite, and on a side
     where a sum V mu <= 0 (summed in exact fractions) the constant
     function puts lambda_min(a) at or below a sum V mu / sum mu, strictly
-    below 0 as V != 0, so every probe there is negative.  Finite
-    endpoints are bracketed by doubling from |a| = 1 and bisected to
-    width tol, or to adjacent floats; the half-width reached is the
-    endpoint tolerance, so a balanced V gives exactly [-h, h] at every
-    tol.  No probe repeats: the doublings are distinct powers of two, and
-    each midpoint lies strictly inside its bracket.  The operator is assembled once, on the graph's
+    below 0 as V != 0, so every probe there is negative and the endpoint
+    is the one the halving from 1 would reach.  Other endpoints are
+    bracketed by doubling from |a| = 1 and bisected to width tol, or to
+    adjacent floats; the half-width reached is the endpoint tolerance, so
+    a balanced V gives exactly [-h, h] at every tol.  The doubling stops
+    by itself: once |a V(v)| mu(v) exceeds deg(v) at a vertex where a V
+    is negative, that diagonal entry is negative.  An endpoint beyond
+    float range raises NumericalError on the non-finite operator entry
+    (V = (1, 1, -5e-324) on the unit triangle).  No probe repeats: the
+    doublings are distinct powers of two, and each midpoint lies strictly
+    inside its bracket.  The operator is assembled once, on the graph's
     trivial cover, and each probe needs only its sign: one in-place
     Cholesky factorization up to DENSE_LIMIT vertices, an eigensolve
     above it.
@@ -336,23 +338,20 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     def endpoint(sign: float) -> tuple[float, float]:
         if all(sign * v >= 0.0 for v in pot):
             return sign * math.inf, 0.0
-        known_negative = sign * balance <= 0
-
-        def probe(t: float) -> bool:
-            return not known_negative and _is_nonnegative(op, sign * t, seed)
-
+        if sign * balance <= 0:
+            # the halving from 1 stops at the first power of two within tol
+            hi = 1.0 if tol >= 1.0 else math.ldexp(1.0, math.frexp(tol)[1] - 1)
+            return sign * hi / 2.0, hi / 2.0
         hi = 1.0
         lo = 0.0
-        while probe(hi):
+        while _is_nonnegative(op, sign * hi, seed):
             lo = hi
             hi *= 2.0
-            if hi > MAX_BRACKET:
-                return sign * math.inf, 0.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):  # adjacent floats: the resolution is reached
                 break
-            if probe(mid):
+            if _is_nonnegative(op, sign * mid, seed):
                 lo = mid
             else:
                 hi = mid

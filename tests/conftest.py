@@ -14,8 +14,9 @@ from coverlab import (
 def capped_probes(monkeypatch):
     """Fail, rather than spin, once the bisections take over 400 sign probes.
 
-    Each endpoint takes at most 61 doubling probes, and under 70 halvings
-    for any tolerance down to 1e-20.
+    Each endpoint doubles until a V mu outweighs the degree at some
+    vertex (69 probes for the triangle's -1e-20 entry), and takes under
+    70 halvings for any tolerance down to 1e-20.
     """
     real = spectrum_module._is_nonnegative
     count = [0]

@@ -18,7 +18,7 @@ from coverlab import (
     min_eigenvalue,
 )
 from coverlab.actions import net_displacement
-from coverlab.spectrum import MAX_BRACKET, StabilityInterval
+from coverlab.spectrum import StabilityInterval
 
 
 def apply(action, g, point):
@@ -88,8 +88,6 @@ def eigenvalue_stability_interval(graph, V, tol, seed=0):
         while lam(sign * hi) >= 0.0:
             lo = hi
             hi *= 2.0
-            if hi > MAX_BRACKET:
-                return sign * math.inf, 0.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):

@@ -137,6 +137,21 @@ def test_run_ok_json(tmp_path, capsys):
     assert report["task"] == "corollary"
 
 
+def test_zero_potential_corollary_reports_the_full_line(tmp_path, capsys):
+    obj = {"name": "zero_corollary", "task": "corollary", "base": triangle_base(),
+           "potential": ["0", "0", "0"]}
+    path = str(write_json(tmp_path / "zero_corollary.json", obj))
+    assert main(["run", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["outcome"]["outcome"] == "full line"
+    assert report["outcome"]["interval"] == {
+        "lower": "-inf", "upper": "inf", "endpoint_tolerance": "0"}
+    out = tmp_path / "zero.csv"
+    assert main(["run", path, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["zero_corollary,,,,-inf,inf,0"]
+
+
 def test_run_missing_file(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     err = capsys.readouterr().err

@@ -143,6 +143,19 @@ def test_ball_scores_pinned_on_f2():
     assert rep.radius_reached == 4
 
 
+@pytest.mark.parametrize("max_points, radius, examined, ratio", [
+    (17, 2, 4, Fraction(18, 17)),  # the radius-2 ball fills the budget exactly
+    (16, 1, 3, Fraction(6, 5)),  # the radius-2 ball is over budget
+])
+def test_orbit_balls_stop_at_the_point_budget(max_points, radius, examined, ratio):
+    # the balls stop below max_radius; the one subset left is the root
+    budget = SearchBudget(max_points=max_points, max_radius=12, subset_size_cap=3,
+                          max_subsets=1)
+    rep = search_folner(free_group_action(2), "0.5", budget)
+    assert rep.outcome == "exhausted"
+    assert (rep.radius_reached, rep.sets_examined, rep.best_ratio) == (radius, examined, ratio)
+
+
 def test_ball_found_permutation_certificate_pinned():
     # on the 7-cycle the radius-2 ball {5, 6, 0, 1, 2} is the first set
     # within 1/2; recorded under the same per-generator scoring

@@ -1,7 +1,9 @@
 """Weighted graphs, voltage covers, cutoffs, and quadratic forms."""
 
 import dataclasses
+import json
 import math
+import pathlib
 import time
 import tracemalloc
 from collections import deque
@@ -20,12 +22,16 @@ from coverlab import (
     cover_form_parts,
     cutoff,
     finite_permutation_action,
+    free_group_action,
     lattice_action,
     orbit_ball,
     rayleigh,
 )
 from coverlab.geometry import collar_counts
+from coverlab.scenario import load_scenario
 from oracles import cover_quadratic_form, lift_function
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def brute_ball(cover, roots, radius):
@@ -184,6 +190,38 @@ def test_fiber_action_dedupes_words(k4):
     )
     # equal net vectors and inverse pairs collapse to one generator
     assert cover.fiber_action.generator_count == 1
+
+
+def edge_word_neighbors(cover, p):
+    # each edge's own stored word, letter by letter on the carrier: forward
+    # (rightmost letter first) from its lower end, inverted from its upper end
+    v, x = p
+    out = []
+    for u, w in cover.base.neighbors(v):
+        word = cover.voltages.get((min(u, v), max(u, v)), ())
+        letters = word[::-1] if v < u else tuple(-g for g in word)
+        y = x
+        for letter in letters:
+            y = cover.carrier.apply_fn(letter, y)
+        out.append(((u, y), w))
+    return out
+
+
+def test_neighbors_apply_each_edge_word_through_the_carrier(k4):
+    covers = [load_scenario(path).cover for path in sorted(SCENARIOS.glob("*.json"))
+              if "voltages" in json.loads(path.read_text())]
+    covers += [
+        # equal displacement (1, 1): one generator
+        build_cover(k4, lattice_action(2), {(1, 2): (1, 2), (1, 3): (2, 1)}),
+        # the second word is the first one's inverse: a negative generator
+        build_cover(k4, free_group_action(2), {(0, 1): (1, 2), (1, 2): (-2, -1)}),
+        # zero displacement: the generator fixes every fiber point
+        build_cover(k4, lattice_action(2), {(0, 1): (1, -1)}),
+    ]
+    assert [c.fiber_action.generator_count for c in covers] == [3, 3, 1, 1, 1, 1, 1]
+    for cover in covers:
+        for p in cover.ball([(0, cover.carrier.origin)], 3):
+            assert cover.neighbors(p) == edge_word_neighbors(cover, p)
 
 
 def test_lift_function_support(triangle_cover):
@@ -359,14 +397,14 @@ def test_cutoff_matches_sorted_sweep_oracle(triangle_cover, k4_z2_cover, tree_co
 
 def test_collar_counts_move_each_member_tile_once_per_word(tree_cover, monkeypatch):
     members = orbit_ball(tree_cover.fiber_action, (), 3).points
-    carrier = tree_cover.carrier
+    fiber = tree_cover.fiber_action
     calls = []
 
     def counting(g, x):
         calls.append(g)
-        return carrier.apply_fn(g, x)
+        return fiber.apply_fn(g, x)
 
-    monkeypatch.setattr(tree_cover, "carrier", dataclasses.replace(carrier, apply_fn=counting))
+    monkeypatch.setattr(tree_cover, "fiber_action", dataclasses.replace(fiber, apply_fn=counting))
     _b, c = collar_counts(tree_cover, members, 2)
     assert c == len(members) == 187
     # six distinct oriented one-letter words, each applied to each member once

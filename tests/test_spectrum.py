@@ -580,6 +580,26 @@ def test_balanced_interval_is_exact_without_a_factorization(tol, monkeypatch):
         assert stability_interval(graph, V, tol=tol) == exact
 
 
+@pytest.mark.parametrize("tol, half", [
+    (2.0, 0.5), (1.0, 0.5), (2.0**-20, 2.0**-21), (1e-6, 2.0**-21), (1e-300, 2.0**-998),
+])
+def test_balanced_sides_read_the_halving_they_skip(tol, half, triangle):
+    # halving from 1 with every probe negative stops at the first power of
+    # two within tol, or at 1 itself, and reports its midpoint
+    interval = stability_interval(triangle, (1.0, -1.0, 0.0), tol=tol)
+    assert (interval.lower, interval.upper, interval.endpoint_tolerance) == (-half, half, half)
+
+
+def test_a_tiny_negative_entry_gives_a_finite_far_endpoint(triangle, capped_probes):
+    # the indicator of vertex 2 puts lambda_min(a) at or below 2 - 1e-20 a,
+    # so the upper endpoint is finite, near 2e20
+    interval = stability_interval(triangle, (1.0, 1.0, -1e-20))
+    assert math.isfinite(interval.upper)
+    assert abs(interval.upper - 2e20) <= interval.endpoint_tolerance
+    # sum V mu > 0 decides the lower side without a probe
+    assert interval.lower == -2.0**-21
+
+
 def test_bisection_stops_at_float_resolution(triangle, capped_probes):
     # near the upper endpoint 2.6 floats are 2^-51 apart, far wider than
     # tol: the bisection ends once its bracket holds two adjacent floats
