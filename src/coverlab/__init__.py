@@ -52,7 +52,6 @@ from .spectrum import (
     dirichlet_lambda0,
     dirichlet_window,
     min_eigenvalue,
-    rayleigh,
     regular_tree_dirichlet_value,
     stability_interval,
 )

@@ -137,7 +137,8 @@ def _rank(vectors: list[tuple[int, ...]]) -> int:
         col = next((j for j, c in enumerate(pivot) if c), None)
         if col is not None:
             rank += 1
-            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)] for r in rows]
+            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)]
+                    if r[col] else r for r in rows]
     return rank
 
 

@@ -57,6 +57,19 @@ def folner_boundary_bound(action, members):
     return lhs, rhs
 
 
+def rank_by_full_elimination(vectors):
+    """Exact rank over the rationals; every pivot updates every remaining row."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, c in enumerate(pivot) if c), None)
+        if col is not None:
+            rank += 1
+            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)] for r in rows]
+    return rank
+
+
 def lift_function(cover, f, tiles):
     """Lift of a base function to finitely many tiles, zero elsewhere."""
     func = base_function(f, cover.base)
@@ -71,6 +84,14 @@ def cover_quadratic_form(cover, V, a, func):
     """Gradient plus potential part of the cover's form at coupling a."""
     grad, pot = cover_form_parts(cover, V, a, func)
     return grad + pot
+
+
+def rayleigh(graph, V, a, f):
+    """The trivial cover's form on the lift of f, over the mu-weighted square norm of f."""
+    func = base_function(f, graph)
+    norm = math.fsum(func(v) ** 2 * graph.mu[v] for v in sorted(func.support))
+    lift = CompactFunction({(v, 0): x for v, x in func.values.items()})
+    return cover_quadratic_form(graph.trivial_cover, V, a, lift) / norm
 
 
 def eigenvalue_stability_interval(graph, V, tol, seed=0):

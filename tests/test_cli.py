@@ -152,6 +152,44 @@ def test_zero_potential_corollary_reports_the_full_line(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["zero_corollary,,,,-inf,inf,0"]
 
 
+def corollary_scenario(tmp_path, mu, potential, **params):
+    obj = {"name": "corollary", "task": "corollary",
+           "base": {**triangle_base(), "mu": mu}, "potential": potential,
+           "params": params}
+    return str(write_json(tmp_path / "corollary.json", obj))
+
+
+def test_corollary_accepts_an_exactly_balanced_potential(tmp_path, capsys):
+    # balanced exactly, though a float sum of V mu reads -1.1e-16
+    path = corollary_scenario(tmp_path, ["0.7", "1", "0.7"], ["-0.5", "-0.7", "1.5"])
+    assert main(["run", path]) == 0
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert outcome["interval"] == {"lower": "-4.76837158203125e-07",
+                                   "upper": "4.76837158203125e-07",
+                                   "endpoint_tolerance": "4.76837158203125e-07"}
+    assert [rq for _a, rq in outcome["rayleigh_constant"]] == ["0"] * 4
+
+
+def test_corollary_refuses_floats_that_balance_only_as_decimals(tmp_path, capsys):
+    # balanced as decimals, but the parsed floats sum to 5.55e-19
+    path = corollary_scenario(tmp_path, ["0.3", "0.3", "2.5"], ["0.7", "0.5", "-0.144"])
+    assert main(["run", path]) == 1
+    assert ("error: potential is not balanced: sum V mu = 5.551115123125788e-19"
+            in capsys.readouterr().err)
+
+
+def test_corollary_sample_at_zero_coupling_is_nonnegative(tmp_path, capsys):
+    # lambda_min(0) = 0 lies in I = {0}; it reads -3e-16 at rounding level
+    path = corollary_scenario(tmp_path, ["1", "1", "1"], ["1", "-1", "0"],
+                              a_samples=["1", "0"])
+    out = tmp_path / "samples.csv"
+    assert main(["run", path, "--format", "csv", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1:3] for row in rows] == [["1", "0"], ["0", "0"]]
+    assert float(rows[0][3]) < 0.0
+    assert abs(float(rows[1][3])) < 1e-12
+
+
 def test_run_missing_file(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.json")])
     err = capsys.readouterr().err
@@ -602,6 +640,26 @@ def test_bundled_report_matches_reference_digest(path):
     proc = run_cli("run", str(path))
     assert proc.returncode == entry["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == entry["report_sha256"]
+
+
+# sha256 of `coverlab run --format csv` on each bundled scenario; every run exits 0
+CSV_REPORT_SHA256 = {
+    "f2_on_z_folner": "a366285b5e8c09f97099f3db481e48d6c411ecb8a05cca78f6704d4e4852be87",
+    "k4_tree_spectrum": "537d573f037834efce95932851bc021c59567221e90933ec636eff7c9dc58325",
+    "torus_corollary": "a10030b46b973bc43c1e9915e964fb0076b292dd2615144efe44aa4d539d7a4d",
+    "tree_counterexample": "180318c25432e42a1bfef960d56983f5c2caf2cd2c43b3b6336e33e93e2a416d",
+    "triangle_interval": "a55de36869df1e1ceae82e99015bb692b0359527848a3edde42bc8c198013488",
+    "triangle_transfer": "606a4865a841049f5dc0dcbb50b83eba4c0015185199c3eb3e75db8ad9307af4",
+    "z2_folner": "0b915917857b4ca7598fb8e2ecfb27bef483b6e075c0577adc19be1e7b10248a",
+    "z_folner": "d4d7315819c541a431f94cac6e37bc039a58bf2f659bfc9e3891af3af8f14e47",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_csv_report_matches_pinned_digest(path):
+    proc = run_cli("run", str(path), "--format", "csv")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == CSV_REPORT_SHA256[path.stem]
 
 
 def _payload_counts(action, members):

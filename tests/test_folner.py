@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from coverlab import (
 )
 from coverlab import folner
 from coverlab.folner import _connected_subsets, translation_box
-from oracles import folner_boundary_bound, set_ratios
+from oracles import folner_boundary_bound, rank_by_full_elimination, set_ratios
 
 
 def test_exact_fraction_decimal_and_float():
@@ -434,6 +435,29 @@ def box_families(count=40, seed=20):
                 vectors.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
         families.append(vectors)
     return families
+
+
+def test_rank_matches_full_elimination():
+    rng = random.Random(7)
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(dim))
+                   for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            # an integer combination of earlier vectors makes the family dependent
+            u, v = rng.choice(vectors), rng.choice(vectors)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            vectors.insert(rng.randrange(len(vectors) + 1),
+                           tuple(s * x + t * y for x, y in zip(u, v)))
+        assert folner._rank(vectors) == rank_by_full_elimination(vectors), vectors
+
+
+def test_rank_of_a_unit_basis_is_fast():
+    # a row whose pivot-column entry is 0 is left as it is, not rebuilt
+    basis = list(lattice_action(300).translation_vectors)
+    start = time.perf_counter()
+    assert folner._rank(basis) == 300
+    assert time.perf_counter() - start < 10.0
 
 
 def test_box_matches_layered_construction():

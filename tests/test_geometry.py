@@ -25,11 +25,10 @@ from coverlab import (
     free_group_action,
     lattice_action,
     orbit_ball,
-    rayleigh,
 )
 from coverlab.geometry import collar_counts
 from coverlab.scenario import load_scenario
-from oracles import cover_quadratic_form, lift_function
+from oracles import cover_quadratic_form, lift_function, rayleigh
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 

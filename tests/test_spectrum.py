@@ -26,14 +26,13 @@ from coverlab import (
     free_group_action,
     lattice_action,
     min_eigenvalue,
-    rayleigh,
     regular_tree_dirichlet_value,
     stability_interval,
 )
 from coverlab.cli import execute_scenario
 from coverlab.scenario import load_scenario
 import oracles
-from oracles import eigenvalue_stability_interval
+from oracles import eigenvalue_stability_interval, rayleigh
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -160,11 +159,6 @@ def test_eigenvector_normalized_and_canonical(triangle):
     assert rayleigh(triangle, V, 0.7, tuple(f)) == pytest.approx(
         result.lambda_min, abs=1e-12
     )
-
-
-def test_rayleigh_rejects_zero_function(triangle):
-    with pytest.raises(InputError):
-        rayleigh(triangle, (0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0))
 
 
 def test_sparse_branch_constant_potential():
