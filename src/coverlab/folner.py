@@ -6,7 +6,9 @@ ratios here are exact fractions; floating point never enters the
 verdict.  The searcher tries, in order, one closed-form box (translation
 actions only), orbit balls of growing radius, and finally a truncated
 enumeration of connected subsets, reporting the best ratio seen when no
-certificate exists within budget.
+certificate exists within budget.  A translation action whose every
+epsilon-Folner set is larger than the point budget, by the size floor
+(2/epsilon)^d, is refused before any of them runs.
 
 The box is built one generator line at a time: each layer's points are
 grouped by their coset of Z v and every point of the swept lines is
@@ -191,6 +193,34 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
     return frozenset(points)
 
 
+def _check_size_floor(action: GroupAction, eps: Fraction, max_points: int) -> None:
+    """Refuse a translation search whose every epsilon-Folner set exceeds max_points.
+
+    Let the d nonzero translation vectors v_1..v_d be linearly
+    independent, so that the orbit is Z^d in their coordinates, and let
+    E be an epsilon-Folner set.  Each line x + Z v_i that meets E meets
+    it in a finite set, whose last point v_i moves out of E and whose
+    first point no point of E is moved to; so each such line adds at
+    least 2 to |E symdiff (E + v_i)| <= eps |E|, and the projection P_i
+    of E along v_i has |P_i| <= eps |E| / 2.  The Loomis-Whitney
+    inequality |E|^(d-1) <= prod_i |P_i| (for d = 1, 1 <= |P_1|) then
+    gives |E|^(d-1) <= (eps |E| / 2)^d, that is |E| >= (2/eps)^d.  When
+    that floor exceeds max_points, BudgetExceededError names it before
+    any point is built.  Dependent families and epsilon 0 pass.
+    """
+    moving = [v for v in action.translation_vectors if any(v)]
+    d = len(moving)
+    if eps == 0 or (2 / eps) ** d <= max_points or _rank(moving) < d:
+        return
+    base = 2 / eps
+    shown = str(base) if base.denominator == 1 else f"({base})"
+    raise BudgetExceededError(
+        f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{d} = "
+        f"{shown}^{d} points, above the point budget {max_points}",
+        partial_count=0,
+    )
+
+
 def _search_box(action: GroupAction, eps: Fraction, budget: SearchBudget) -> FolnerCertificate | None:
     """The verified box of side ceil(2n / eps), or None for eps 0 or an oversized box.
 
@@ -335,7 +365,9 @@ def search_folner(
 
     Outcome "found" carries a verified certificate.  Outcome "exhausted"
     carries the best (smallest) maximal ratio among all sets examined,
-    which for nonamenable actions stays bounded away from zero.
+    which for nonamenable actions stays bounded away from zero.  A
+    translation action whose size floor exceeds budget.max_points raises
+    BudgetExceededError instead (_check_size_floor).
     """
     eps = exact_fraction(epsilon)
     if eps < 0:
@@ -347,6 +379,7 @@ def search_folner(
     best_set: tuple | None = None
 
     if action.translation_vectors is not None:
+        _check_size_floor(action, eps, budget.max_points)
         cert = _search_box(action, eps, budget)
         if cert is not None:
             return SearchReport(

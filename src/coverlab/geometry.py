@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import fsum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 from .actions import (
     DEFAULT_POINT_BUDGET,
@@ -128,7 +128,7 @@ class CompactFunction:
             if x != 0.0:
                 clean[point] = x
         self.values = clean
-        self.support = frozenset(clean)
+        self.support = clean.keys()  # a view, not a copy
 
     def __call__(self, point) -> float:
         return self.values.get(point, 0.0)
@@ -298,15 +298,15 @@ class CutoffFunction:
 
     values hold exact fractions min(1, d(p, complement)/alpha) for p in
     Omega and are absent (zero) outside, so the edge Lipschitz bound
-    1/alpha holds exactly by construction.  collar_tiles contains every
-    tile with a strictly intermediate value and every tile on either
-    side of an edge where the ramp changes, including tiles outside the
-    member set.
+    1/alpha holds exactly by construction; omega is a live view of
+    their keys.  collar_tiles contains every tile with a strictly
+    intermediate value and every tile on either side of an edge where
+    the ramp changes, including tiles outside the member set.
     """
 
     members: tuple
     values: Mapping
-    omega: frozenset
+    omega: KeysView
     collar_tiles: frozenset
 
     def __call__(self, p) -> Fraction:
@@ -322,7 +322,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     is outside the set.  A vertex is on the rim when one of its
     generators leaves the set.  Returns (depth, reached, outside):
     depth[id] is the hop distance to the complement, 0 where the sweep
-    stopped short at depth alpha; reached holds the indices of the
+    stopped short at depth alpha; reached lists, read from depth, the
     member tiles it reached; outside holds the non-member tiles joined
     to Omega by an edge.  The sweep ends early once its frontier is
     empty, so its work is bounded by the set, not by alpha.  A set whose
@@ -372,11 +372,8 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
         moved_by[g] = moved
     steps = [[(u, moved_by[g]) for u, _w, g in row] for row in cover._stencil]
 
-    reached = set()
-    for d in range(2, alpha + 2):
-        for tiles in frontier:
-            reached.update(tiles)
-        if d > alpha or not any(frontier):
+    for d in range(2, alpha + 1):
+        if not any(frontier):
             break
         nxt: list[list[int]] = [[] for _ in range(nv)]
         for v, tiles in enumerate(frontier):
@@ -388,6 +385,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
                         depth[j * nv + u] = d
                         out.append(j)
         frontier = nxt
+    reached = [i for i, tile in enumerate(zip(*[iter(depth)] * nv)) if any(tile)]
     return depth, reached, outside
 
 
@@ -421,7 +419,7 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     return CutoffFunction(
         members=member_list,
         values=values,
-        omega=frozenset(values),
+        omega=values.keys(),
         collar_tiles=frozenset(collar),
     )
 
@@ -440,21 +438,20 @@ def collar_counts(cover: VoltageCover, members: Iterable, alpha: int) -> tuple[i
 def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) -> tuple[float, float]:
     """(gradient part, signed potential part including a) of the cover form.
 
-    Sums run over edges touching the support, each edge once, and over
-    the support itself.  The order of the terms does not matter: fsum
-    is correctly rounded, and (f(p) - f(q))^2 == (f(q) - f(p))^2 exactly.
+    Sums run over the support and each edge touching it once, an edge
+    inside the support from its end over the smaller base vertex (no
+    cover edge joins two over one base vertex).  The term order is free:
+    fsum is correctly rounded, and (f(p) - f(q))^2 == (f(q) - f(p))^2.
     """
     pot = as_potential(V, cover.base)
     mu = cover.base.mu
     values = func.values
-    done = set()
 
     def grad_terms():
         for p, fp in values.items():
             for q, w in cover.neighbors(p):
-                if q not in done:  # otherwise counted from the other endpoint
+                if p[0] < q[0] or q not in values:
                     yield w * (fp - values.get(q, 0.0)) ** 2
-            done.add(p)
 
     grad = fsum(grad_terms())
     pot_term = fsum(pot[v] * fp ** 2 * mu[v] for (v, _x), fp in values.items())

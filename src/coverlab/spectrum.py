@@ -288,30 +288,67 @@ class StabilityInterval:
     endpoint_tolerance: float
 
 
+def _doubling_bracket(fails) -> tuple[float, float]:
+    """[2^(k-1), 2^k] for the first k >= 1 with fails(2^k), given that 1 holds.
+
+    Doubling from 1 would probe 2, 4, ..., 2^k.  For a monotone fails a
+    gallop over the exponents 1, 2, 4, ..., 512 and the cap 1023, then a
+    bisection between the last two, stops at the same k in O(log k)
+    probes; past 2^1023 the doubling steps to inf, where a V is never
+    finite.  A probe that raises NumericalError fails too, and its error
+    is raised when it is the probe at 2^k, the one the doubling would
+    have stopped on; a non-finite operator entry, which only grows with
+    a, is therefore raised exactly when the doubling would raise it.
+    """
+    errors = {}
+
+    def failed(e: int) -> bool:
+        try:
+            return fails(math.ldexp(1.0, e) if e < 1024 else math.inf)
+        except NumericalError as exc:
+            errors[e] = exc
+            return True
+
+    good = 0
+    for bad in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1023, 1024):
+        if failed(bad):
+            break
+        good = bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if failed(mid):
+            bad = mid
+        else:
+            good = mid
+    if bad in errors:
+        raise errors[bad]
+    return math.ldexp(1.0, good), math.ldexp(1.0, bad)
+
+
 def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
                        seed: int = 0) -> StabilityInterval:
     """Endpoints of {a : lambda_min(a) >= 0} by sign bisection.
 
     lambda_min is a minimum of functions affine in a, hence concave, and
     vanishes at a = 0 on connected graphs, so the set is a closed
-    interval around 0.  Two kinds of side are decided exactly, without a
-    probe: a side where a V >= 0 everywhere is infinite, and on a side
-    where a sum V mu <= 0 (summed in exact fractions) the constant
-    function puts lambda_min(a) at or below a sum V mu / sum mu, strictly
-    below 0 as V != 0, so every probe there is negative and the endpoint
-    is the one the halving from 1 would reach.  Other endpoints are
-    bracketed by doubling from |a| = 1 and bisected to width tol, or to
-    adjacent floats; the half-width reached is the endpoint tolerance, so
-    a balanced V gives exactly [-h, h] at every tol.  The doubling stops
-    by itself: once |a V(v)| mu(v) exceeds deg(v) at a vertex where a V
-    is negative, that diagonal entry is negative.  An endpoint beyond
-    float range raises NumericalError on the non-finite operator entry
+    interval around 0.  A side where a V >= 0 everywhere is infinite,
+    without a probe.  On a side where a sum V mu <= 0 (summed in exact
+    fractions) the constant function puts lambda_min(a) at or below
+    a sum V mu / sum mu, strictly below 0 as V != 0, so every probe
+    there is known negative and none is factored: a balanced V gives
+    exactly [-h, h] at every tol.  Other endpoints are bracketed in
+    [0, 1], or between consecutive powers of two (_doubling_bracket),
+    and bisected to width tol, or to adjacent floats; the half-width
+    reached is the endpoint tolerance.  The doubling stops by itself:
+    once |a V(v)| mu(v) exceeds deg(v) at a vertex where a V is
+    negative, that diagonal entry is negative.  An endpoint beyond float
+    range raises NumericalError on the non-finite operator entry
     (V = (1, 1, -5e-324) on the unit triangle).  No probe repeats: the
-    doublings are distinct powers of two, and each midpoint lies strictly
-    inside its bracket.  The operator is assembled once, on the graph's
-    trivial cover, and each probe needs only its sign: one in-place
-    Cholesky factorization up to DENSE_LIMIT vertices, an eigensolve
-    above it.
+    bracket probes are distinct powers of two, and each midpoint lies
+    strictly inside its bracket.  The operator is assembled once, on the
+    graph's trivial cover, and each probe needs only its sign: one
+    in-place Cholesky factorization up to DENSE_LIMIT vertices, an
+    eigensolve above it.
     """
     if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol}")
@@ -324,23 +361,20 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     def endpoint(sign: float) -> tuple[float, float]:
         if all(sign * v >= 0.0 for v in pot):
             return sign * math.inf, 0.0
-        if sign * balance <= 0:
-            # the halving from 1 stops at the first power of two within tol
-            hi = 1.0 if tol >= 1.0 else math.ldexp(1.0, math.frexp(tol)[1] - 1)
-            return sign * hi / 2.0, hi / 2.0
-        hi = 1.0
-        lo = 0.0
-        while _is_nonnegative(op, sign * hi, seed):
-            lo = hi
-            hi *= 2.0
+        known_negative = sign * balance <= 0  # no probe there is factored
+
+        def fails(a: float) -> bool:
+            return known_negative or not _is_nonnegative(op, sign * a, seed)
+
+        lo, hi = (0.0, 1.0) if fails(1.0) else _doubling_bracket(fails)
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):  # adjacent floats: the resolution is reached
                 break
-            if _is_nonnegative(op, sign * mid, seed):
-                lo = mid
-            else:
+            if fails(mid):
                 hi = mid
+            else:
+                lo = mid
         return sign * (lo + hi) / 2.0, (hi - lo) / 2.0
 
     upper, tol_up = endpoint(1.0)

@@ -12,18 +12,19 @@ from coverlab import (
 
 @pytest.fixture
 def capped_probes(monkeypatch):
-    """Fail, rather than spin, once the bisections take over 400 sign probes.
+    """Fail, rather than spin, once the bisections take over 200 sign probes.
 
-    Each endpoint doubles until a V mu outweighs the degree at some
-    vertex (69 probes for the triangle's -1e-20 entry), and takes under
-    70 halvings for any tolerance down to 1e-20.
+    Each endpoint's bracket takes at most 22 probes: a = 1, twelve gallop
+    steps over the exponents and nine bisection steps between them (15
+    for the triangle's -1e-20 entry).  Then it takes under 70 halvings
+    for any tolerance down to 1e-20.
     """
     real = spectrum_module._is_nonnegative
     count = [0]
 
     def capped(op, a, seed):
         count[0] += 1
-        assert count[0] <= 400, "the bisection does not stop"
+        assert count[0] <= 200, "the bisection does not stop"
         return real(op, a, seed)
 
     monkeypatch.setattr(spectrum_module, "_is_nonnegative", capped)

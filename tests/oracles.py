@@ -94,26 +94,24 @@ def rayleigh(graph, V, a, f):
     return cover_quadratic_form(graph.trivial_cover, V, a, lift) / norm
 
 
-def eigenvalue_stability_interval(graph, V, tol, seed=0):
-    """{a : lambda_min(a) >= 0} bisected on the sign of a full eigensolve.
+def doubling_stability_interval(V, tol, nonnegative):
+    """{a : nonnegative(a)} by plain doubling from 1, then bisection.
 
-    The same bracket doubling, midpoints and stop at adjacent floats as
-    ``stability_interval``, but every probe solves for lambda_min.
+    The bracket doubles |a| from 1 until nonnegative fails, then the
+    same midpoints and stop at adjacent floats as ``stability_interval``;
+    a side where a V >= 0 everywhere is infinite.
     """
-    def lam(a):
-        return min_eigenvalue(graph, V, a, seed).lambda_min
-
     def endpoint(sign):
         hi = 1.0
         lo = 0.0
-        while lam(sign * hi) >= 0.0:
+        while nonnegative(sign * hi):
             lo = hi
             hi *= 2.0
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):
                 break
-            if lam(sign * mid) >= 0.0:
+            if nonnegative(sign * mid):
                 lo = mid
             else:
                 hi = mid
@@ -124,6 +122,16 @@ def eigenvalue_stability_interval(graph, V, tol, seed=0):
     upper, tol_up = (math.inf, 0.0) if min(V) >= 0.0 else endpoint(1.0)
     lower, tol_dn = (-math.inf, 0.0) if max(V) <= 0.0 else endpoint(-1.0)
     return StabilityInterval(lower, upper, max(tol_up, tol_dn))
+
+
+def eigenvalue_stability_interval(graph, V, tol, seed=0):
+    """{a : lambda_min(a) >= 0} bisected on the sign of a full eigensolve.
+
+    The doubling and bisection of ``doubling_stability_interval``, every
+    probe solving for lambda_min.
+    """
+    return doubling_stability_interval(
+        V, tol, lambda a: min_eigenvalue(graph, V, a, seed).lambda_min >= 0.0)
 
 
 def bloch_lambda_min(cover, V, a, theta):

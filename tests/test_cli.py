@@ -1,6 +1,8 @@
 """Command line interface: exit codes, determinism, batch runs."""
 
+import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -334,13 +336,28 @@ CSV_SCENARIOS = {
 }
 
 
+@pytest.fixture(scope="session")
+def csv_run(tmp_path_factory):
+    """`coverlab run --format csv` on a bundled scenario, in process and once
+    per scenario: name -> (exit code, report bytes)."""
+    out_dir = tmp_path_factory.mktemp("csv_reports")
+
+    @functools.cache
+    def run(name):
+        out = out_dir / f"{name}.csv"
+        code = main(["run", str(SCENARIOS / f"{name}.json"), "--format", "csv",
+                     "--out", str(out)])
+        return code, out.read_bytes()
+
+    return run
+
+
 @pytest.mark.parametrize("task", sorted(CSV_SCENARIOS))
-def test_csv_header_matches_schema(tmp_path, task):
-    path = SCENARIOS / f"{CSV_SCENARIOS[task]}.json"
-    assert load_scenario(path).task == task
-    out = tmp_path / "t.csv"
-    assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
-    header = out.read_text().splitlines()[0]
+def test_csv_header_matches_schema(csv_run, task):
+    assert load_scenario(SCENARIOS / f"{CSV_SCENARIOS[task]}.json").task == task
+    code, report = csv_run(CSV_SCENARIOS[task])
+    assert code == 0
+    header = report.decode("utf-8").splitlines()[0]
     assert header.split(",") == schema_csv_columns()[task].split(", ")
 
 
@@ -411,11 +428,16 @@ def test_failing_box_is_a_violation_not_a_retry(monkeypatch, capsys):
 
 
 def test_budget_flag_forces_exhaustion(capsys):
+    # every 1/100-Folner set of Z has at least 200 points, so a budget of 50
+    # is refused by the size floor before anything is searched
     code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", "50"])
     out = capsys.readouterr().out
     assert code == 3
     report = json.loads(out)
-    assert report["status"] == "inconclusive"
+    assert report["status"] == "budget-exceeded"
+    assert report["outcome"]["error"] == (
+        "every 1/100-Folner set of lattice(1) has at least (2/epsilon)^1 = 200^1 "
+        "points, above the point budget 50")
 
 
 def test_cutoff_over_the_point_budget_exits_3(capsys, monkeypatch):
@@ -633,13 +655,29 @@ def reference_digests():
     }
 
 
+@pytest.fixture(scope="session")
+def batch_reports(tmp_path_factory):
+    """One `coverlab batch` subprocess over the bundled scenarios: name ->
+    (exit code from summary.csv, report bytes, empty when none was written)."""
+    out = tmp_path_factory.mktemp("batch_reports")
+    run_cli("batch", str(SCENARIOS), "--out", str(out))
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    reports = {}
+    for row in rows:
+        report = out / f"{row['scenario']}.json"
+        reports[row["scenario"]] = (int(row["exit"]),
+                                    report.read_bytes() if report.exists() else b"")
+    return reports
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
-def test_bundled_report_matches_reference_digest(path):
+def test_bundled_report_matches_reference_digest(path, batch_reports):
     entry = reference_digests()[path.stem]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["input_sha256"]
-    proc = run_cli("run", str(path))
-    assert proc.returncode == entry["exit"]
-    assert hashlib.sha256(proc.stdout).hexdigest() == entry["report_sha256"]
+    code, report = batch_reports[path.stem]
+    assert code == entry["exit"]
+    assert hashlib.sha256(report).hexdigest() == entry["report_sha256"]
 
 
 # sha256 of `coverlab run --format csv` on each bundled scenario; every run exits 0
@@ -656,10 +694,10 @@ CSV_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
-def test_bundled_csv_report_matches_pinned_digest(path):
-    proc = run_cli("run", str(path), "--format", "csv")
-    assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout).hexdigest() == CSV_REPORT_SHA256[path.stem]
+def test_bundled_csv_report_matches_pinned_digest(path, csv_run):
+    code, report = csv_run(path.stem)
+    assert code == 0
+    assert hashlib.sha256(report).hexdigest() == CSV_REPORT_SHA256[path.stem]
 
 
 def _payload_counts(action, members):

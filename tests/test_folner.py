@@ -1,6 +1,7 @@
 """Folner machinery: exact ratios, searches, budgets, sequences."""
 
 import dataclasses
+import itertools
 import random
 import time
 from collections import Counter
@@ -111,11 +112,14 @@ def test_search_zero_generator_action():
 
 def test_subset_enumeration_counts_intervals():
     # connected subsets of Z containing 0 with size <= k are intervals:
-    # exactly k (k + 1) / 2 of them, plus the radius-0 ball seen first
+    # exactly k (k + 1) / 2 of them, plus the radius-0 ball seen first.
+    # Z is generated twice over, a dependent family, so the size floor
+    # (2/epsilon)^d, which holds for independent ones, does not refuse it
     k = 6
     budget = SearchBudget(max_points=2, max_radius=0, subset_size_cap=k,
                           max_subsets=10**9)
-    rep = search_folner(lattice_action(1), Fraction(1, 10**9), budget)
+    rep = search_folner(word_action(lattice_action(1), [(1,), (1,)]),
+                        Fraction(1, 10**9), budget)
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 1 + k * (k + 1) // 2
     # the best interval has size k and exact ratio 2/k
@@ -344,8 +348,9 @@ def test_subset_search_pins_f2():
 
 
 def test_subset_search_pins_z3():
-    # the first box overruns max_points, so the subsets decide
-    budget = SearchBudget(max_points=500, max_radius=1, subset_size_cap=10,
+    # the budget is the size floor 40^3 of a 1/20-Folner set in Z^3, so the
+    # search runs; the first box, 120^3 points, overruns it, so the subsets decide
+    budget = SearchBudget(max_points=64_000, max_radius=1, subset_size_cap=10,
                           max_subsets=4000)
     rep = search_folner(lattice_action(3), Fraction(1, 20), budget)
     assert rep.outcome == "exhausted"
@@ -378,6 +383,41 @@ def test_independent_box_refused_before_it_is_built(monkeypatch):
     monkeypatch.undo()
     # side**3 == max_points is within budget and still built
     assert len(translation_box(lattice_action(3), 10, 1000)) == 1000
+
+
+def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
+    # every 1/2-Folner set of Z^20 has at least 4^20 points, far over the budget
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a set was built below the size floor")
+
+    for name in ("orbit_ball", "_connected_subsets", "translation_box"):
+        monkeypatch.setattr(folner, name, unreachable)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        search_folner(lattice_action(20), Fraction(1, 2))
+    assert time.perf_counter() - started < 1.0
+    assert str(info.value) == ("every 1/2-Folner set of lattice(20) has at least "
+                               "(2/epsilon)^20 = 4^20 points, above the point budget 1000000")
+    # (20/3)^2 is just over 44
+    with pytest.raises(BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
+        search_folner(lattice_action(2), Fraction(3, 10), SearchBudget(max_points=44))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (2, 2, 2), (3, 2, 2)])
+def test_size_floor_holds_on_every_subset_of_a_small_box(shape):
+    # |E| >= (2/r)^d for the largest ratio r of E, over every nonempty
+    # subset E of the box; squares and cubes meet it with equality
+    d = len(shape)
+    action = lattice_action(d)
+    points = list(itertools.product(*(range(n) for n in shape)))
+    tight = set()
+    for mask in range(1, 2 ** len(points)):
+        E = [p for i, p in enumerate(points) if mask >> i & 1]
+        r = max(set_ratios(action, E).values())
+        assert len(E) * r**d >= 2**d
+        if len(E) * r**d == 2**d:
+            tight.add(len(E))
+    assert 2**d in tight
 
 
 def test_degenerate_box_keeps_its_true_image():

@@ -94,6 +94,19 @@ def test_compact_function_drops_zeros():
         CompactFunction({0: math.inf})
 
 
+def test_support_and_omega_are_views_of_the_values(triangle_cover):
+    # neither is a copy of the keys: a write to values shows through.
+    # (dict_keys.mapping is a new read-only proxy on each read, so it is
+    # compared by value, and identity is shown by the write.)
+    f = CompactFunction({0: 1.0, 1: 0.0, 2: -2.0})
+    xi = cutoff(triangle_cover, [(0,), (1,)], 2)
+    for view, values in ((f.support, f.values), (xi.omega, xi.values)):
+        assert type(view) is type({}.keys())
+        assert view.mapping == values
+        values["added"] = 1
+        assert "added" in view and len(view) == len(values)
+
+
 def test_voltage_reversed_orientation_is_inverted(triangle):
     cover = build_cover(triangle, lattice_action(1), {(1, 0): (1,)})
     assert cover.voltages == {(0, 1): (-1,)}
@@ -465,3 +478,19 @@ def test_form_parts_match_unique_edge_sum(triangle_cover, k4_z2_cover, tree_cove
         witness = CompactFunction({p: float(x) * f[p[0]] for p, x in xi.values.items()})
         for func in (witness, lift_function(cover, f, members)):
             assert cover_form_parts(cover, V, 0.7, func) == brute_form_parts(cover, V, 0.7, func)
+
+
+def test_form_parts_keep_no_visited_set(triangle_cover):
+    # a witness of 12,000 vertices; a visited set over them would hold at
+    # least one 8-byte slot per vertex in its hash table
+    xi = cutoff(triangle_cover, [(x,) for x in range(4000)], 3)
+    witness = CompactFunction({p: float(x) for p, x in xi.values.items()})
+    n = len(witness.values)
+    assert n == 12_000
+    tracemalloc.start()
+    try:
+        cover_form_parts(triangle_cover, (-0.1, 0.2, 0.3), 1.0, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n

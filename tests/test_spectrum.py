@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from coverlab import (
 from coverlab.cli import execute_scenario
 from coverlab.scenario import load_scenario
 import oracles
-from oracles import eigenvalue_stability_interval, rayleigh
+from oracles import doubling_stability_interval, eigenvalue_stability_interval, rayleigh
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -603,6 +604,55 @@ def test_bisection_stops_at_float_resolution(triangle, capped_probes):
     assert fine.endpoint_tolerance == math.ulp(fine.upper) / 2
     assert abs(fine.upper - coarse.upper) <= coarse.endpoint_tolerance
     assert abs(fine.lower) <= 1e-20
+
+
+def interval_or_error(compute):
+    try:
+        return compute()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("V", [
+    (1.0, 1.0, -1e-20),  # the upper endpoint near 2e20 lies in [2^67, 2^68]
+    (1e10, 1e10, -2.0**-899),  # near 2^900; the gallop's probe at 2^1023 overflows
+    (1e10, 1e10, -1e-300),  # the doubling overflows at 2^991 before it fails
+    (1.0, 1.0, -5e-324),  # every power up to 2^1023 holds, and the step to inf raises
+    (1.0, -0.5, 0.5),  # the upper endpoint near 2.6: probes 1, 2, 4 as plain doubling
+])
+def test_galloped_bracket_is_the_doubling_bracket(triangle, V):
+    # the library's Cholesky sign, bracketed by plain doubling from 1, gives
+    # the same endpoints, tolerance and error.  (The eigenvalue oracle does
+    # not: near a = 2e20 an eigensolve's rounding, about eps ||A|| = 4e4,
+    # swamps lambda_min = -2, and its doubling runs on to 7.8e76.)
+    op = spectrum_module._base_operator(triangle, V)
+
+    def cholesky_sign(a):
+        return spectrum_module._is_nonnegative(op, a, 0)
+
+    reference = interval_or_error(lambda: doubling_stability_interval(V, 1e-6, cholesky_sign))
+    assert interval_or_error(lambda: stability_interval(triangle, V)) == reference
+
+
+def test_gallop_brackets_a_far_endpoint_in_few_probes(triangle, recorded_probes):
+    # plain doubling probed a = 1, 2, ..., 2^68: 69 probes.  The gallop
+    # probes 1, then 2^e for e = 1, 2, 4, ..., 128, then 96, 80, 72, 68, 66, 67
+    stability_interval(triangle, (1.0, 1.0, -1e-20))
+    bracket = [a for _op, a, _verdict in recorded_probes if math.frexp(a)[0] == 0.5]
+    assert len(bracket) <= 15
+
+
+def test_far_torus_endpoint_in_under_a_second():
+    # one entry -1e-300 puts the upper endpoint near 4e300, past 2^997; plain
+    # doubling factored the 600 x 600 operator 1,052 times, in about 5 s, and
+    # found this same interval
+    torus = grid_torus(20, 30)
+    V = (-1e-300,) + (1.0,) * 599
+    started = time.perf_counter()
+    interval = stability_interval(torus, V)
+    assert time.perf_counter() - started < 1.0
+    assert interval == spectrum_module.StabilityInterval(-2.0**-21, 4e300,
+                                                          2.974033816955566e284)
 
 
 def test_eigenvalue_oracle_stops_at_float_resolution(triangle, monkeypatch):
