@@ -16,6 +16,7 @@ cover is enumerated lazily around a root tile, never materialized.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -320,14 +321,21 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     fiber generator of the stencil moves each member tile once, into
     moved[g][i]: the index of the tile it lands on, or -1 when that tile
     is outside the set.  A vertex is on the rim when one of its
-    generators leaves the set.  Returns (depth, reached, outside):
+    generators leaves the set.  Returns (depth, reached, owned):
     depth[id] is the hop distance to the complement, 0 where the sweep
     stopped short at depth alpha; reached lists, read from depth, the
-    member tiles it reached; outside holds the non-member tiles joined
-    to Omega by an edge.  The sweep ends early once its frontier is
+    member tiles it reached; owned[g] lists the member indices i that
+    own the outside tile g.x_i.  Generators are swept in stencil order,
+    and (g, i) owns g.x_i unless the inverse of a generator swept before
+    g maps g.x_i back into the set, in which case an earlier pair
+    already owns it.  So the owned pairs are exactly the distinct
+    non-member tiles joined to Omega by an edge, counted without holding
+    any of them, each at the cost of at most k - 1 inverse moves for k
+    signed fiber generators.  The sweep ends early once its frontier is
     empty, so its work is bounded by the set, not by alpha.  A set whose
     vertex count len(member_list) * nv exceeds DEFAULT_POINT_BUDGET is
-    refused with BudgetExceededError before anything is allocated.
+    refused with BudgetExceededError before anything is allocated; with
+    no outside tile held, that count bounds the sweep's whole state.
     """
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
@@ -351,18 +359,24 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     depth = [0] * size
     # frontier[v] lists the tile indices i of the frontier vertices (v, i)
     frontier: list[list[int]] = [[] for _ in range(nv)]
-    outside = set()
+    owned: dict[int, array] = {}
+    inverses: list[int] = []  # inverses of the generators swept so far
     moved_by: dict[int, Sequence[int]] = {}
     for g, sources in users.items():
         if not g:
             moved_by[g] = range(len(member_list))
             continue
         moved = []
+        owners = owned[g] = array("q")
         for i, x in enumerate(member_list):
             x = move(g, x)
             j = index.get(x, -1)
             if j < 0:
-                outside.add(x)
+                for h in inverses:
+                    if move(h, x) in index:
+                        break
+                else:
+                    owners.append(i)
                 for v in sources:
                     p = i * nv + v
                     if not depth[p]:
@@ -370,6 +384,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
                         frontier[v].append(i)
             moved.append(j)
         moved_by[g] = moved
+        inverses.append(-g)
     steps = [[(u, moved_by[g]) for u, _w, g in row] for row in cover._stencil]
 
     for d in range(2, alpha + 1):
@@ -386,7 +401,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
                         out.append(j)
         frontier = nxt
     reached = [i for i, tile in enumerate(zip(*[iter(depth)] * nv)) if any(tile)]
-    return depth, reached, outside
+    return depth, reached, owned
 
 
 def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction:
@@ -397,11 +412,15 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     tile i to (-1 outside the set), so each generator moves each member
     tile once.  The BFS from the rim runs over integer vertex ids through
     that table (see _rim_sweep); only its result is turned back into
-    (vertex, tile) pairs.
+    (vertex, tile) pairs.  Each outside collar tile is rebuilt from the
+    one pair (g, i) that owns it, with one move; finding the owners took
+    at most k - 1 inverse moves per outside pair, for k signed fiber
+    generators.
     """
     member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
-    depth, reached, outside = _rim_sweep(cover, member_list, alpha)
+    depth, reached, owned = _rim_sweep(cover, member_list, alpha)
     nv = cover.base.vertex_count
+    move = cover.fiber_action.apply_fn
     # depth 0 marks a vertex deeper than alpha, which reads full height
     levels = [Fraction(1)] + [Fraction(k, alpha) for k in range(1, max(depth) + 1)]
     values = {
@@ -415,7 +434,8 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     # reached vertex has such an edge: to the outside at depth 1, to the
     # vertex that reached it at depth d > 1.  So the collar is the reached
     # tiles plus the outside tiles along the rim.
-    collar = outside.union(member_list[i] for i in reached)
+    collar = [member_list[i] for i in reached]
+    collar += (move(g, member_list[i]) for g, owners in owned.items() for i in owners)
     return CutoffFunction(
         members=member_list,
         values=values,
@@ -428,11 +448,14 @@ def collar_counts(cover: VoltageCover, members: Iterable, alpha: int) -> tuple[i
     """(b, c) of cutoff(cover, members, alpha), without building the cutoff.
 
     b counts the collar tiles and c the member tiles, from the same sweep
-    that cutoff reads; no values, Omega or collar tile set is built.
+    that cutoff reads; no values, Omega or collar tile set is built, and
+    no outside tile is held: each is counted once, at the pair (g, i)
+    that owns it (see _rim_sweep), for at most k - 1 inverse moves per
+    outside pair, k the number of signed fiber generators.
     """
     member_list = tuple(set(members))
-    _depth, reached, outside = _rim_sweep(cover, member_list, alpha)
-    return len(outside) + len(reached), len(member_list)
+    _depth, reached, owned = _rim_sweep(cover, member_list, alpha)
+    return sum(map(len, owned.values())) + len(reached), len(member_list)
 
 
 def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) -> tuple[float, float]:

@@ -381,6 +381,10 @@ def cutoff_cases(triangle_cover, k4_z2_cover, tree_cover, fixed_tile_cover):
         (triangle_cover, [(0,), (1,)]),
         (triangle_cover, [(x,) for x in range(-6, 7)]),
         (triangle_cover, [(-3,), (0,), (1,), (5,)]),
+        # tile (1,) is joined to both members, so its two preimages count it once
+        (triangle_cover, [(0,), (2,)]),
+        # tiles (1, 0) and (0, 1) each have two member neighbours
+        (k4_z2_cover, [(0, 0), (1, 1)]),
     ]
     for cover in (triangle_cover, k4_z2_cover, tree_cover):
         fiber = cover.fiber_action
@@ -413,15 +417,38 @@ def test_collar_counts_move_each_member_tile_once_per_word(tree_cover, monkeypat
     calls = []
 
     def counting(g, x):
-        calls.append(g)
+        calls.append((g, x))
         return fiber.apply_fn(g, x)
 
     monkeypatch.setattr(tree_cover, "fiber_action", dataclasses.replace(fiber, apply_fn=counting))
     _b, c = collar_counts(tree_cover, members, 2)
     assert c == len(members) == 187
+    member_set = set(members)
+    moves = [g for g, x in calls if x in member_set]
+    probes = [g for g, x in calls if x not in member_set]
     # six distinct oriented one-letter words, each applied to each member once
-    assert len(calls) == 6 * c
-    assert all(calls.count(g) == c for g in (-3, -2, -1, 1, 2, 3))
+    assert len(moves) == 6 * c
+    assert all(moves.count(g) == c for g in (-3, -2, -1, 1, 2, 3))
+    # each word leaves the ball from 125 of its 150 rim tiles, and each tile
+    # it lands on is probed with the inverse of every word swept before it;
+    # in a tree no probe lands back in the ball, so none stops early
+    assert len(probes) == sum(k * 125 for k in range(6)) == 1875
+
+
+def test_collar_counts_hold_no_outside_tile(tree_cover):
+    # the radius-5 ball has 4,687 tiles and 18,750 outside tiles along its
+    # rim; holding those as fiber-point tuples in a set peaks near 700
+    # bytes per member tile, counting them through their owners near 300
+    members = orbit_ball(tree_cover.fiber_action, (), 5).points
+    assert len(members) == 4687
+    tracemalloc.start()
+    try:
+        b, c = collar_counts(tree_cover, members, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (b, c) == (18_750 + 4_500, 4687)
+    assert peak < 500 * c
 
 
 def test_sweep_work_is_bounded_by_the_set_not_alpha(triangle_cover, k4_z2_cover,

@@ -299,16 +299,24 @@ def test_bloch_bottom_is_the_base_and_bounds_every_twist(k4):
                 assert oracles.bloch_lambda_min(cover, V, a, theta) >= base - 1e-12
 
 
-def test_bundled_abelian_windows_lie_above_the_bloch_bottom():
+def test_bundled_abelian_windows_lie_above_the_bloch_bottom(k4):
     # a window is a Dirichlet problem on a finite piece of the cover, so it
     # lies strictly above the cover's bottom, which Floquet-Bloch puts at H(0)
+    cases = []
     for name in ABELIAN_SCENARIOS:
         scn = load_scenario(SCENARIOS / f"{name}.json")
-        for a in couplings(scn):
-            bottom = oracles.bloch_lambda_min(scn.cover, scn.potential, a, [0.0])
-            window = dirichlet_window(scn.cover, scn.cover.carrier.origin,
-                                      scn.params["radius"], scn.potential, a, scn.seed)
+        cases.append((scn.cover, scn.potential, couplings(scn), scn.params["radius"], scn.seed))
+    # the benchmark's generated K4-over-Z^2 windows at seed 0: radius 40
+    # holds 2,283 vertices, so the window takes the shift-invert branch
+    k4_over_z2 = build_cover(k4, lattice_action(2), {(1, 2): (1,), (1, 3): (2,)})
+    cases.append((k4_over_z2, (0.1, 0.3, -0.2, -0.1), (-0.5, 2.0), 40, 97))
+    for cover, V, samples, radius, seed in cases:
+        d = len(cover.carrier.origin)
+        for a in samples:
+            bottom = oracles.bloch_lambda_min(cover, V, a, [0.0] * d)
+            window = dirichlet_window(cover, cover.carrier.origin, radius, V, a, seed)
             assert window.value > bottom
+    assert window.size == 2283 > spectrum_module.DENSE_LIMIT
 
 
 def test_long_abelian_window_matches_the_effective_mass(triangle_cover):
