@@ -150,7 +150,7 @@ def _run_folner(scn: Scenario):
         rows.append([
             scn.name, eps, rep.outcome,
             cert.size if cert else None,
-            cert.max_ratio if cert else rep.best_ratio,
+            rep.best_ratio,
             cert.boundary_ratio if cert else None,
             rep.sets_examined, rep.radius_reached,
         ])
@@ -421,10 +421,7 @@ def _cmd_run(args) -> int:
 
 
 def _worst_exit(codes) -> int:
-    for code in _SEVERITY_ORDER:
-        if code in codes:
-            return code
-    return EXIT_OK
+    return min(codes, key=_SEVERITY_ORDER.index)
 
 
 def _cmd_batch(args) -> int:

@@ -8,7 +8,8 @@ actions only), orbit balls of growing radius, and finally a truncated
 enumeration of connected subsets, reporting the best ratio seen when no
 certificate exists within budget.  A translation action whose every
 epsilon-Folner set is larger than the point budget, by the size floor
-(2/epsilon)^d, is refused before any of them runs.
+(2/epsilon)^r for r the rank of its vectors, is refused before any of
+them runs.
 
 The box is built one generator line at a time: each layer's points are
 grouped by their coset of Z v and every point of the swept lines is
@@ -193,50 +194,48 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
     return frozenset(points)
 
 
-def _check_size_floor(action: GroupAction, eps: Fraction, max_points: int) -> None:
-    """Refuse a translation search whose every epsilon-Folner set exceeds max_points.
+def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchReport | None:
+    """Answer a translation search in one step: found, refused, or None.
 
-    Let the d nonzero translation vectors v_1..v_d be linearly
-    independent, so that the orbit is Z^d in their coordinates, and let
-    E be an epsilon-Folner set.  Each line x + Z v_i that meets E meets
-    it in a finite set, whose last point v_i moves out of E and whose
-    first point no point of E is moved to; so each such line adds at
-    least 2 to |E symdiff (E + v_i)| <= eps |E|, and the projection P_i
-    of E along v_i has |P_i| <= eps |E| / 2.  The Loomis-Whitney
-    inequality |E|^(d-1) <= prod_i |P_i| (for d = 1, 1 <= |P_1|) then
-    gives |E|^(d-1) <= (eps |E| / 2)^d, that is |E| >= (2/eps)^d.  When
-    that floor exceeds max_points, BudgetExceededError names it before
-    any point is built.  Dependent families and epsilon 0 pass.
-    """
-    moving = [v for v in action.translation_vectors if any(v)]
-    d = len(moving)
-    if eps == 0 or (2 / eps) ** d <= max_points or _rank(moving) < d:
-        return
-    base = 2 / eps
-    shown = str(base) if base.denominator == 1 else f"({base})"
-    raise BudgetExceededError(
-        f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{d} = "
-        f"{shown}^{d} points, above the point budget {max_points}",
-        partial_count=0,
-    )
+    None for eps 0.  Else let r be the rank of the nonzero vectors and
+    pick r independent ones v_1..v_r.  Each line x + Z v_i meets an
+    epsilon-Folner set E in a finite set, whose last point v_i moves out
+    of E and whose first no point of E is moved to; so the projection
+    P_i of E along v_i has 2 |P_i(E)| <= |E symdiff (E + v_i)| <= eps |E|.
+    On each coset c of the lattice the v_i span, a copy of Z^r that E
+    meets, Loomis-Whitney (|E_c|^(r-1) <= prod_i |P_i(E_c)|) and AM-GM
+    give |E_c|^((r-1)/r) <= (1/r) sum_i |P_i(E_c)|.  Lines never cross
+    cosets, and t^((r-1)/r) is subadditive, so summed over c this reads
+    |E|^((r-1)/r) <= eps |E| / 2, that is |E| >= (2/eps)^r.  A floor
+    over max_points raises BudgetExceededError before any point is built.
 
-
-def _search_box(action: GroupAction, eps: Fraction, budget: SearchBudget) -> FolnerCertificate | None:
-    """The verified box of side ceil(2n / eps), or None for eps 0 or an oversized box.
-
-    The box is A + [0, side) v_i for each generator i, so every coset
-    line of Z v_i meets it in runs of at least side points, each with
-    one exit: every ratio is at most 2 / side <= eps / n.  A box that
-    fails verification is therefore a bug, and its error propagates.
+    Else the box of side ceil(2n / eps) is A + [0, side) v_i for each
+    generator i: every coset line of Z v_i meets it in runs of at least
+    side points, each with one exit, so every ratio is at most
+    2 / side <= eps / n.  None when translation_box refuses it; a box
+    that fails verification is a bug, and its error propagates.
     """
     if eps == 0:
         return None
+    moving = [v for v in action.translation_vectors if any(v)]
+    base = 2 / eps
+    # r <= len(moving), so the elimination runs only past this cheap test
+    if base ** len(moving) > max_points:
+        r = _rank(moving)
+        if base ** r > max_points:
+            shown = str(base) if base.denominator == 1 else f"({base})"
+            raise BudgetExceededError(
+                f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
+                f"{shown}^{r} points, above the point budget {max_points}",
+                partial_count=0,
+            )
     side = max(1, math.ceil(2 * action.generator_count / eps))
     try:
-        box = translation_box(action, side, budget.max_points)
+        box = translation_box(action, side, max_points)
     except BudgetExceededError:
         return None
-    return verify_certificate(action, box, eps)
+    cert = verify_certificate(action, box, eps)
+    return SearchReport("found", cert, cert.max_ratio, cert.members, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +365,22 @@ def search_folner(
     Outcome "found" carries a verified certificate.  Outcome "exhausted"
     carries the best (smallest) maximal ratio among all sets examined,
     which for nonamenable actions stays bounded away from zero.  A
-    translation action whose size floor exceeds budget.max_points raises
-    BudgetExceededError instead (_check_size_floor).
+    translation action is answered first by _search_box, which raises
+    BudgetExceededError when its size floor exceeds budget.max_points.
     """
     eps = exact_fraction(epsilon)
     if eps < 0:
         raise InputError(f"epsilon must be nonnegative, got {eps}")
     budget = budget or SearchBudget()
 
+    if action.translation_vectors is not None:
+        found = _search_box(action, eps, budget.max_points)
+        if found is not None:
+            return found
+
     examined = 0
     best_ratio: Fraction | None = None
     best_set: tuple | None = None
-
-    if action.translation_vectors is not None:
-        _check_size_floor(action, eps, budget.max_points)
-        cert = _search_box(action, eps, budget)
-        if cert is not None:
-            return SearchReport(
-                outcome="found",
-                certificate=cert,
-                best_ratio=cert.max_ratio,
-                best_set=cert.members,
-                sets_examined=1,
-                radius_reached=0,
-            )
-
     radius_reached = 0
 
     def candidates():

@@ -101,8 +101,8 @@ class WeightedGraph:
     def trivial_cover(self) -> VoltageCover:
         """The graph as its own cover: one tile over a one-point fiber.
 
-        Built on first read and kept, so every solve on this graph (a
-        stability-interval bisection makes about forty) shares it.
+        Built on first read and kept, so every operator on this graph
+        (one per min_eigenvalue call, one per stability interval) shares it.
         """
         return VoltageCover(self, finite_permutation_action((), 1), {})
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .actions import (
-    MAX_LATTICE_DIMENSION,
     GroupAction,
     finite_permutation_action,
     free_group_action,
@@ -180,23 +179,15 @@ def _parse_base(node: Any, path: str) -> WeightedGraph:
     return _under(path, WeightedGraph, mu, edges)
 
 
-def _fiber_size(node: Any, path: str) -> int:
-    """A lattice dimension or free group rank: from 1 to MAX_LATTICE_DIMENSION."""
-    value = _int_at_least(1)(node, path)
-    if value > MAX_LATTICE_DIMENSION:
-        raise InputError(f"{path}: must be at most {MAX_LATTICE_DIMENSION}, got {value}")
-    return value
-
-
 def _parse_fiber(node: Any, path: str) -> GroupAction:
     obj = _expect_dict(node, path)
     kind = obj.get("kind")
     if kind == "lattice":
         _check_keys(obj, path, ("kind", "dimension"), ())
-        return lattice_action(_fiber_size(obj["dimension"], f"{path}.dimension"))
+        return _under(path, lattice_action, _expect_int(obj["dimension"], f"{path}.dimension"))
     if kind == "free_group":
         _check_keys(obj, path, ("kind", "rank"), ())
-        return free_group_action(_fiber_size(obj["rank"], f"{path}.rank"))
+        return _under(path, free_group_action, _expect_int(obj["rank"], f"{path}.rank"))
     if kind == "finite_permutation":
         _check_keys(obj, path, ("kind", "degree", "generators"), ())
         degree = _expect_int(obj["degree"], f"{path}.degree")

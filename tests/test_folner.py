@@ -113,13 +113,12 @@ def test_search_zero_generator_action():
 def test_subset_enumeration_counts_intervals():
     # connected subsets of Z containing 0 with size <= k are intervals:
     # exactly k (k + 1) / 2 of them, plus the radius-0 ball seen first.
-    # Z is generated twice over, a dependent family, so the size floor
-    # (2/epsilon)^d, which holds for independent ones, does not refuse it
+    # F1 is Z with one generator and no translation vectors, so neither
+    # the size floor nor the box answers first
     k = 6
     budget = SearchBudget(max_points=2, max_radius=0, subset_size_cap=k,
                           max_subsets=10**9)
-    rep = search_folner(word_action(lattice_action(1), [(1,), (1,)]),
-                        Fraction(1, 10**9), budget)
+    rep = search_folner(free_group_action(1), Fraction(1, 10**9), budget)
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 1 + k * (k + 1) // 2
     # the best interval has size k and exact ratio 2/k
@@ -401,23 +400,50 @@ def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
     # (20/3)^2 is just over 44
     with pytest.raises(BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
         search_folner(lattice_action(2), Fraction(3, 10), SearchBudget(max_points=44))
+    # a dependent family is refused by its rank: three vectors of rank 2
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"\(2/epsilon\)\^2 = 2000\^2 points, above the point budget 1000000$"):
+        search_folner(free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)]), Fraction(1, 1000))
+    assert time.perf_counter() - started < 1.0
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (2, 2, 2), (3, 2, 2)])
-def test_size_floor_holds_on_every_subset_of_a_small_box(shape):
-    # |E| >= (2/r)^d for the largest ratio r of E, over every nonempty
-    # subset E of the box; squares and cubes meet it with equality
-    d = len(shape)
-    action = lattice_action(d)
+def floor_tight_sizes(action, shape):
+    """Check |E| r^k >= 2^k on every nonempty subset E of the box, for r
+    the largest ratio of E and k the rank of the action's vectors, and
+    return the sizes of the subsets that meet it with equality."""
+    k = rank_by_full_elimination(action.translation_vectors)
     points = list(itertools.product(*(range(n) for n in shape)))
     tight = set()
     for mask in range(1, 2 ** len(points)):
         E = [p for i, p in enumerate(points) if mask >> i & 1]
         r = max(set_ratios(action, E).values())
-        assert len(E) * r**d >= 2**d
-        if len(E) * r**d == 2**d:
+        assert len(E) * r**k >= 2**k
+        if len(E) * r**k == 2**k:
             tight.add(len(E))
-    assert 2**d in tight
+    return tight
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (2, 2, 2), (3, 2, 2)])
+def test_size_floor_holds_on_every_subset_of_a_small_box(shape):
+    # squares and cubes meet the floor with equality
+    d = len(shape)
+    assert 2**d in floor_tight_sizes(lattice_action(d), shape)
+
+
+@pytest.mark.parametrize("vectors, shape, tight", [
+    ([(1,), (2,)], (9,), {1}),
+    ([(1, 0), (0, 1), (1, 1)], (3, 3), {1}),
+    # (2, 0) splits Z^2 into two cosets
+    ([(2, 0), (0, 1), (1, 0)], (4, 3), {1}),
+    # a repeated and a non-primitive vector
+    ([(1, 0), (1, 0), (0, 2)], (3, 3), {1, 4}),
+    ([(3, 0), (0, 1), (1, 1), (0, 0)], (4, 3), {1}),
+])
+def test_rank_floor_holds_on_every_subset_of_a_small_box(vectors, shape, tight):
+    # the floor of a dependent family is (2/epsilon)^rank; a point has
+    # ratio 2 under every nonzero vector, so it always meets it
+    assert floor_tight_sizes(free_quotient_lattice_action(vectors), shape) == tight
 
 
 def test_degenerate_box_keeps_its_true_image():

@@ -417,14 +417,14 @@ SECTION_FAULTS = [
      "scenario.base.mu[1]: 'inf' is not a finite number"),
     # one past the largest lattice whose basis fits the default point budget
     ("folner", "fiber", {"kind": "lattice", "dimension": 1001},
-     "scenario.fiber.dimension: must be at most 1000, got 1001"),
+     "scenario.fiber: lattice dimension must be at most 1000, got 1001"),
     ("folner", "fiber", {"kind": "lattice", "dimension": 0},
-     "scenario.fiber.dimension: must be at least 1, got 0"),
+     "scenario.fiber: lattice dimension must be >= 1, got 0"),
     ("folner", "fiber", {"kind": "free_group", "rank": 0},
-     "scenario.fiber.rank: must be at least 1, got 0"),
+     "scenario.fiber: free group rank must be >= 1, got 0"),
     # the same bound holds for a free group's rank
     ("folner", "fiber", {"kind": "free_group", "rank": 1001},
-     "scenario.fiber.rank: must be at most 1000, got 1001"),
+     "scenario.fiber: free group rank must be at most 1000, got 1001"),
     # [u, v, x] rows and integer lists, item by item
     ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, 1]]},
      "scenario.base.edges[0]: expected [u, v, weight]"),
@@ -454,6 +454,11 @@ SECTION_FAULTS = [
     # refused by its length, before a range of the degree is built
     ("folner", "fiber", {"kind": "finite_permutation", "degree": 10**9, "generators": [[1, 0]]},
      "scenario.fiber: generator 1 is not a permutation of 0..999999999: (1, 0)"),
+    # the constructors bound the sizes; the parser still names a non-integer's field
+    ("folner", "fiber", {"kind": "lattice", "dimension": "2"},
+     "scenario.fiber.dimension: expected an integer, got '2'"),
+    ("folner", "fiber", {"kind": "free_group", "rank": 1.0},
+     "scenario.fiber.rank: expected an integer, got 1.0"),
 ]
 
 

@@ -133,6 +133,25 @@ def test_verify_checks_collar_ball_bound(triangle_cover, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("field, shift, message", [
+    ("term_pot", "bound_pot", "potential term {term_pot!r} exceeds its bound {bound_pot!r}"),
+    ("Q_cover", "final_bound", "cover energy {Q_cover!r} exceeds the final bound {final_bound!r}"),
+    ("final_bound", "final_bound",
+     "final bound {final_bound!r} disagrees with the split form {split!r}"),
+], ids=["potential", "energy", "split"])
+def test_verify_names_each_breach_of_the_chain(triangle_cover, field, shift, message):
+    # one field of a verified witness report moved one unit past what the chain allows
+    search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
+    _witness, report = build_witness(
+        triangle_cover, (1.0, 1.0, 1.0), search.certificate, 2, FLAT_V3, 1.0
+    )
+    bad = dataclasses.replace(report, **{field: getattr(report, shift) + 1})
+    expected = message.format(split=bad.bound_grad + bad.bound_pot, **vars(bad))
+    with pytest.raises(InequalityViolation) as info:
+        bad.verify()
+    assert str(info.value) == expected
+
+
 def test_collar_ball_honours_the_point_budget(triangle_cover, monkeypatch):
     search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
     monkeypatch.setattr(transfer, "DEFAULT_POINT_BUDGET", 3)
@@ -265,6 +284,21 @@ def test_transfer_halves_epsilon_until_the_collar_ratio_beats_r_star():
         (Fraction(1, 4), 4, 8), (Fraction(1, 8), 4, 16)]
     assert outcome.status == "transferred"
     assert outcome.epsilon_used == Fraction(1, 8)
+
+
+def test_transfer_gives_up_after_max_halvings(monkeypatch):
+    # the C4-over-Z case above, allowed no halving after its first attempt
+    monkeypatch.setattr(transfer, "MAX_HALVINGS", 0)
+    square = WeightedGraph([1.0] * 4, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    cover = build_cover(square, lattice_action(1), {(1, 2): (1,)})
+    outcome = transfer_negativity(cover, (-1.0,) * 4, 1.0, alpha=1)
+    assert outcome.status == "inconclusive"
+    assert outcome.attempts == (outcome.report,)
+    assert (outcome.report.epsilon_used, outcome.report.b, outcome.report.c) == (
+        Fraction(1, 4), 4, 8)
+    assert outcome.best_collar_ratio == Fraction(1, 2)
+    assert outcome.message == ("no witness with collar ratio below r* = 0.5: "
+                               "1 epsilon halvings never beat r*; best ratio seen 1/2")
 
 
 def test_transfer_refuses_a_base_nonnegative_up_to_rounding():
