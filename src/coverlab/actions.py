@@ -391,7 +391,6 @@ def coset_duality_check(
     equivariant = True
     gens = [tuple(p) for p in group_generators]
     for coset in left_cosets:
-        rep = next(iter(coset))
         for g in gens:
             moved_left = frozenset(permutation_compose(g, x) for x in coset)
             lhs = invert_coset(moved_left)

@@ -231,10 +231,7 @@ def _run_transfer(scn: Scenario):
     )
     window = None
     if "radius" in scn.params:
-        window = dirichlet_window(
-            scn.cover, scn.cover.carrier.origin, scn.params["radius"],
-            scn.potential, a, scn.seed,
-        )
+        window = dirichlet_window(scn.cover, scn.params["radius"], scn.potential, a, scn.seed)
     rep = out.report
     payload = {
         **_fields(out, "witness"),

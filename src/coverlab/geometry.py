@@ -10,7 +10,7 @@ base edge; cover vertices are (base vertex, fiber point) pairs, and each
 fiber point indexes one tile, a full copy of the base vertex set.  Each
 edge moves fiber points by one generator of the cover's fiber action; on
 a translation fiber, words of equal displacement are one generator.  The
-cover is enumerated lazily around a root tile, never materialized.
+cover is enumerated lazily around the origin tile, never materialized.
 """
 
 from __future__ import annotations
@@ -216,28 +216,25 @@ class VoltageCover:
             return word
         return net_displacement(self.carrier, word)
 
-    def ball(self, roots: Iterable, radius: int) -> tuple:
-        """Cover vertices within hop-radius of the root set, sorted.
+    def ball(self, radius: int) -> tuple:
+        """Cover vertices within hop-radius of the origin tile, sorted.
 
         Past DEFAULT_POINT_BUDGET vertices it raises BudgetExceededError.
-        Results are memoized, keyed by the root set and radius; a ball
-        over budget raises before it is stored.
+        Results are memoized by radius; a ball over budget raises before
+        it is stored.
         """
-        root_set = frozenset(roots)
-        if not root_set:
-            raise InputError("window root set is empty")
         if radius < 0:
             raise InputError(f"radius must be nonnegative, got {radius}")
-        key = (root_set, radius)
-        hit = self._ball_cache.get(key)
+        hit = self._ball_cache.get(radius)
         if hit is not None:
             return hit
         seen = bfs_depths(
-            root_set, lambda p: [q for q, _w in self.neighbors(p)], radius, DEFAULT_POINT_BUDGET,
+            self.tile(self.carrier.origin), lambda p: [q for q, _w in self.neighbors(p)],
+            radius, DEFAULT_POINT_BUDGET,
             lambda d: f"cover window exceeded {DEFAULT_POINT_BUDGET} vertices at hop {d}",
         )
         result = tuple(sorted(seen, key=self.sort_key))
-        self._ball_cache[key] = result
+        self._ball_cache[radius] = result
         return result
 
 

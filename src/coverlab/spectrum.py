@@ -220,24 +220,29 @@ class WindowValue:
     value: float
     size: int
 
+    @property
+    def refutes(self) -> bool:
+        """The window refutes cover positivity: its value is below REFUTE_FLOOR."""
+        return self.value < REFUTE_FLOOR
 
-def dirichlet_window(cover: VoltageCover, root_tile, radius: int, V, a: float,
+
+def dirichlet_window(cover: VoltageCover, radius: int, V, a: float,
                      seed: int = 0) -> WindowValue:
-    """Dirichlet bottom eigenvalue of the hop ball around one tile.
+    """Dirichlet bottom eigenvalue of the hop ball around the origin tile.
 
     Functions vanish outside the ball, so each boundary edge contributes
     its full conductance to the diagonal; the value is non-increasing in
     the radius and never certifies positivity of the infinite cover,
-    only refutes it when negative.
+    only refutes it (``WindowValue.refutes``).
     """
-    window = cover.ball(cover.tile(root_tile), radius)
+    window = cover.ball(radius)
     lam, *_ = _smallest_pair(_Operator(cover, window, V), a, seed)
     return WindowValue(radius=radius, value=lam, size=len(window))
 
 
-def dirichlet_lambda0(cover: VoltageCover, root_tile, radius: int, V, a: float,
+def dirichlet_lambda0(cover: VoltageCover, radius: int, V, a: float,
                       seed: int = 0) -> float:
-    return dirichlet_window(cover, root_tile, radius, V, a, seed).value
+    return dirichlet_window(cover, radius, V, a, seed).value
 
 
 def regular_tree_dirichlet_value(degree: int, vertex_radius: int) -> float:

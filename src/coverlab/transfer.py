@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .spectrum import (
     AUDIT_TOLERANCE,
-    REFUTE_FLOOR,
     StabilityInterval,
     WindowValue,
     dirichlet_window,
@@ -295,7 +294,7 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
                    f"cover energy {report.Q_cover:.6g} < 0")
     else:
         detail = ("the Folner search exhausted its budget" if exhausted is not None
-                  else f"{MAX_HALVINGS + 1} epsilon halvings never beat r*")
+                  else f"{MAX_HALVINGS} epsilon halvings after the first search never beat r*")
         message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}"
                    + (f"; best ratio seen {best}" if best is not None else ""))
     return TransferOutcome(
@@ -314,16 +313,15 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
 
 def _sample(cover: VoltageCover, V, a: float, radii: Sequence[int], seed: int):
-    """The base solve at a and the Dirichlet windows at the carrier origin.
+    """The base solve at a and the Dirichlet windows around the origin tile.
 
     The easy direction is checked on the spot: over a nonnegative base
-    no window may drop below the refutation floor.
+    no window may refute cover positivity.
     """
     sr = min_eigenvalue(cover.base, V, a, seed=seed)
-    origin = cover.carrier.origin
-    windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
+    windows = tuple(dirichlet_window(cover, r, V, a, seed) for r in radii)
     for win in windows:
-        if sr.nonnegative and win.value < REFUTE_FLOOR:
+        if sr.nonnegative and win.refutes:
             raise InequalityViolation(
                 f"a={a}: base lambda_min={sr.lambda_min!r} is nonnegative but the "
                 f"radius-{win.radius} window is {win.value!r}"
@@ -401,7 +399,7 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
             status, ratio = outcome.status, outcome.best_collar_ratio
         rows.append(IntervalSampleRow(
             float(a), sr.lambda_min, sr.nonnegative, window,
-            window.value < REFUTE_FLOOR, status, ratio,
+            window.refutes, status, ratio,
         ))
     # a negative sample is evidence only if its window refutes or it transferred
     equality_evidence = all(row.base_nonnegative or row.cover_refuted
@@ -419,7 +417,7 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
                          radii: Sequence[int],
                          budget: Optional[SearchBudget] = None,
                          seed: int = 0) -> CounterexampleReport:
-    """Certify strict inclusion: negative base, yet no cover negativity.
+    """Check strict inclusion: negative base, yet no cover negativity.
 
     Expects the transfer attempt to come back inconclusive and every
     Dirichlet window to stay above the refutation floor.  A successful
@@ -431,10 +429,9 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
         raise InequalityViolation(
             "negativity transferred to the cover; strict inclusion fails"
         )
-    origin = cover.carrier.origin
-    windows = tuple(dirichlet_window(cover, origin, r, V, a, seed) for r in radii)
+    windows = tuple(dirichlet_window(cover, r, V, a, seed) for r in radii)
     for win in windows:
-        if win.value < REFUTE_FLOOR:
+        if win.refutes:
             raise InequalityViolation(
                 f"radius-{win.radius} window is {win.value!r} < 0; the cover "
                 "is negative after all"

@@ -94,6 +94,35 @@ def rayleigh(graph, V, a, f):
     return cover_quadratic_form(graph.trivial_cover, V, a, lift) / norm
 
 
+def positive_definite_exactly(graph, V, a):
+    """Whether L + a diag(V mu) is positive definite, over the parsed floats.
+
+    The matrix is built in Fraction arithmetic and reduced by symmetric
+    Gaussian elimination, whose pivots are those of its LDL^T factors;
+    by Sylvester's criterion it is positive definite exactly when every
+    pivot is positive.  As diag(mu) is positive, that is lambda_min > 0.
+    """
+    n = graph.vertex_count
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, w in graph.edges:
+        w = Fraction(w)
+        A[u][u] += w
+        A[v][v] += w
+        A[u][v] -= w
+        A[v][u] -= w
+    for v in range(n):
+        A[v][v] += Fraction(a) * Fraction(V[v]) * Fraction(graph.mu[v])
+    for k in range(n):
+        pivot = A[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = A[i][k] / pivot
+            for j in range(k + 1, n):
+                A[i][j] -= factor * A[k][j]
+    return True
+
+
 def doubling_stability_interval(V, tol, nonnegative):
     """{a : nonnegative(a)} by plain doubling from 1, then bisection.
 

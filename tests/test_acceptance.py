@@ -149,7 +149,7 @@ def test_criterion_2_amenable_transfer():
     cover = triangle_z_cover()
     V = (-0.05, -0.05, -0.05)
     outcome = transfer_negativity(cover, V, 1.0, alpha=2)
-    window = dirichlet_lambda0(cover, cover.carrier.origin, 200, V, 1.0)
+    window = dirichlet_lambda0(cover, 200, V, 1.0)
     elapsed = time.perf_counter() - start
     ok = (
         outcome.status == "transferred"
@@ -176,7 +176,7 @@ def test_criterion_3_tree_counterexample_regime():
     lam = min_eigenvalue(cover.base, V, 1.0).lambda_min
     floor = TREE_LIMIT - 0.1 - 1e-6
     windows = {
-        r: dirichlet_lambda0(cover, cover.carrier.origin, r, V, 1.0)
+        r: dirichlet_lambda0(cover, r, V, 1.0)
         for r in (0, 2, 4, 6, 8, 10, 12)
     }
     budget = SearchBudget(max_radius=6, subset_size_cap=12, max_subsets=50000)
@@ -238,8 +238,8 @@ def test_criterion_4_tree_dirichlet_profile():
     # cross-check the radial solver against explicit cover windows; tile
     # radius r in the K4 cover is vertex radius r + 1 in the tree
     cover = k4_tree_cover()
-    window5 = dirichlet_lambda0(cover, cover.carrier.origin, 4, (0.0,) * 4, 0.0)
-    window10 = dirichlet_lambda0(cover, cover.carrier.origin, 9, (0.0,) * 4, 0.0)
+    window5 = dirichlet_lambda0(cover, 4, (0.0,) * 4, 0.0)
+    window10 = dirichlet_lambda0(cover, 9, (0.0,) * 4, 0.0)
     solver_agrees = abs(window5 - values[5]) <= 1e-12
     window10_agrees = abs(window10 - values[10]) <= 1e-12
     # and against the closed form, solved without any eigensolver

@@ -37,7 +37,7 @@ def test_tracer_installs_records_and_uninstalls(tree_cover):
         assert geometry.VoltageCover.__dict__["ball"] is not ball
         assert transfer.boundary is not boundary
         for _ in range(2):
-            tree_cover.ball(tree_cover.tile(()), 1)
+            tree_cover.ball(1)
     finally:
         tracer.uninstall()
     assert geometry.VoltageCover.__dict__["ball"] is ball

@@ -150,7 +150,7 @@ def test_cover_preserves_weighted_degree(tree_cover, triangle_cover):
         for u, v, w in base.edges:
             base_degree[u] += w
             base_degree[v] += w
-        for p in cover.ball(cover.tile(cover.carrier.origin), 2):
+        for p in cover.ball(2):
             lifted = math.fsum(w for _q, w in cover.neighbors(p))
             assert lifted == pytest.approx(base_degree[p[0]], rel=1e-15)
 
@@ -163,34 +163,30 @@ def test_tile_roundtrip(triangle_cover):
 
 def test_ball_matches_plain_bfs(triangle_cover, tree_cover):
     for cover, radius in ((triangle_cover, 6), (tree_cover, 3)):
-        roots = cover.tile(cover.carrier.origin)
-        assert cover.ball(roots, radius) == brute_ball(cover, roots, radius)
+        assert cover.ball(radius) == brute_ball(cover, cover.tile(cover.carrier.origin), radius)
 
 
 def test_ball_memoized(triangle_cover):
-    roots = triangle_cover.tile(triangle_cover.carrier.origin)
-    first = triangle_cover.ball(roots, 4)
-    assert triangle_cover.ball(roots, 4) is first
+    first = triangle_cover.ball(4)
+    assert triangle_cover.ball(4) is first
 
 
 def test_ball_budget(tree_cover, monkeypatch):
-    roots = tree_cover.tile(tree_cover.carrier.origin)
     monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 40)
     with pytest.raises(BudgetExceededError) as info:
-        tree_cover.ball(roots, 5)
+        tree_cover.ball(5)
     assert info.value.partial_count == 41
     assert str(info.value) == "cover window exceeded 40 vertices at hop 3"
 
 
 def test_ball_over_budget_is_not_memoized(tree_cover, monkeypatch):
-    roots = tree_cover.tile(tree_cover.carrier.origin)
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "DEFAULT_POINT_BUDGET", 40)
         with pytest.raises(BudgetExceededError):
-            tree_cover.ball(roots, 5)
+            tree_cover.ball(5)
     assert not tree_cover._ball_cache
-    ball = tree_cover.ball(roots, 5)
-    assert ball == brute_ball(tree_cover, roots, 5)
+    ball = tree_cover.ball(5)
+    assert ball == brute_ball(tree_cover, tree_cover.tile(tree_cover.carrier.origin), 5)
     assert len(ball) > 40
 
 
@@ -232,7 +228,7 @@ def test_neighbors_apply_each_edge_word_through_the_carrier(k4):
     ]
     assert [c.fiber_action.generator_count for c in covers] == [3, 3, 1, 1, 1, 1, 1]
     for cover in covers:
-        for p in cover.ball([(0, cover.carrier.origin)], 3):
+        for p in cover.ball(3):
             assert cover.neighbors(p) == edge_word_neighbors(cover, p)
 
 

@@ -1,9 +1,11 @@
-"""Import boundaries: unused names, and numpy and scipy only where a solve needs them."""
+"""Import boundaries: unused names, and numpy and scipy only where a solve needs them;
+and the README example, run in a fresh interpreter."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +45,58 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """Names a function stores and never loads, in every function and method.
+
+    A store counts in the function whose own body holds it; a load counts
+    anywhere inside the function, so a closure's read keeps an outer name.
+    Names starting with ``_`` and names a function declares ``nonlocal``
+    or ``global`` are skipped.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = {}, set()
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                     ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+        loaded = {node.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        found += [f"{fn.name}: {name} (line {line})" for name, line in stored.items()
+                  if not name.startswith("_") and name not in declared | loaded]
+    return sorted(found)
+
+
+def test_checker_flags_unused_locals():
+    source = textwrap.dedent("""\
+        def f(xs):
+            total, _rest = 0, 1
+            dead = len(xs)
+            for x in xs:
+                total += x
+            def g():
+                nonlocal total
+                total = 1
+                kept = 2
+                unread = kept
+            return total
+        """)
+    assert unused_locals(source) == ["f: dead (line 3)", "g: unread (line 10)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
 
 
 # library API that the acceptance criteria exercise and nothing in coverlab calls
@@ -178,10 +232,9 @@ def test_solvers_are_imported_only_by_load_solvers(path):
     assert solver_imports(path.read_text(encoding="utf-8"), allowed) == []
 
 
-def run_fresh(*parts: str) -> dict:
+def run_script(*parts: str) -> str:
     """Run the parts of a script in a new interpreter from the repository
-    root; the script prints one JSON object as its last line, which is
-    returned."""
+    root, with src on PYTHONPATH; return what it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -189,7 +242,19 @@ def run_fresh(*parts: str) -> dict:
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout
+
+
+def run_fresh(*parts: str) -> dict:
+    """run_script, for a script that prints one JSON object as its last
+    line, which is returned."""
+    return json.loads(run_script(*parts).splitlines()[-1])
+
+
+def test_readme_example_prints_its_results():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert run_script(block) == "transferred -1.4916666666666671\n1600 1/20\n"
 
 
 LOADED = """
@@ -244,7 +309,7 @@ cover = coverlab.build_cover(triangle, coverlab.lattice_action(1), {(0, 1): (1,)
 
 FIRST_CALLS = {
     "min_eigenvalue": "coverlab.min_eigenvalue(triangle, [1, -1, 1], 0.5).lambda_min",
-    "dirichlet_window": "coverlab.dirichlet_window(cover, (0,), 2, [1, -1, 1], 0.5).value",
+    "dirichlet_window": "coverlab.dirichlet_window(cover, 2, [1, -1, 1], 0.5).value",
     "stability_interval": "coverlab.stability_interval(triangle, [1, -2, 1]).upper",
     "corollary_check": "coverlab.corollary_check(triangle, [1, -2, 1]).interval.upper",
     "regular_tree_dirichlet_value": "coverlab.regular_tree_dirichlet_value(3, 5)",

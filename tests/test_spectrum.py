@@ -114,7 +114,7 @@ def edge_list_min_eigenvalue(graph, V, a):
 
 
 def per_point_window(cover, radius, V, a):
-    window = cover.ball(cover.tile(cover.carrier.origin), radius)
+    window = cover.ball(radius)
     index = {p: i for i, p in enumerate(window)}
     diag = np.zeros(len(window))
     rows, cols, weights = [], [], []
@@ -221,12 +221,44 @@ def test_size_limit_budget(triangle, monkeypatch):
         stability_interval(triangle, (1.0, -1.0, 0.0))
 
 
+def decimal_base(rng):
+    """A connected base of 3 to 8 vertices whose weights, mu and V are
+    parsed from two-decimal strings, as a scenario's would be."""
+    n = int(rng.integers(3, 9))
+
+    def decimal(lo, hi):
+        return float(f"{rng.integers(lo, hi) / 100:.2f}")
+
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    pairs |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+              for _ in range(int(rng.integers(0, 4)))}
+    graph = WeightedGraph([decimal(10, 300) for _ in range(n)],
+                          [(u, v, decimal(10, 300)) for u, v in sorted(pairs)])
+    return graph, tuple(decimal(-200, 201) for _ in range(n))
+
+
+def test_base_sign_rules_match_the_exact_pivots():
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for _ in range(20):
+        graph, V = decimal_base(rng)
+        op = spectrum_module._base_operator(graph, V)
+        for a in (-3.0, -1.25, -0.4, -0.05, 0.05, 0.4, 1.25, 3.0):
+            sr = min_eigenvalue(graph, V, a)
+            if abs(sr.lambda_min) < 1e-6:
+                continue
+            exact = oracles.positive_definite_exactly(graph, V, a)
+            assert spectrum_module._is_nonnegative(op, a, 0) == exact
+            assert sr.nonnegative == exact
+            verdicts.append(exact)
+    # both signs are met, each many times
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
 def test_trivial_cover_window_is_base_spectrum(trivial_cover):
     V = (0.2, -0.4, 0.1)
     base = min_eigenvalue(trivial_cover.base, V, 1.1).lambda_min
-    window = dirichlet_lambda0(
-        trivial_cover, trivial_cover.carrier.origin, 0, V, 1.1
-    )
+    window = dirichlet_lambda0(trivial_cover, 0, V, 1.1)
     assert window == base
 
 
@@ -245,15 +277,14 @@ def test_window_matches_per_point_assembly():
     ):
         cover = build_cover(graph, carrier, voltages)
         for radius in (0, 2, 5):
-            assert dirichlet_lambda0(cover, carrier.origin, radius, V, 1.3) == (
+            assert dirichlet_lambda0(cover, radius, V, 1.3) == (
                 per_point_window(cover, radius, V, 1.3)
             )
 
 
 def test_window_profile_monotone(triangle_cover):
     V = (-0.05, -0.05, -0.05)
-    profile = [dirichlet_window(triangle_cover, triangle_cover.carrier.origin, r, V, 1.0)
-               for r in range(0, 25, 4)]
+    profile = [dirichlet_window(triangle_cover, r, V, 1.0) for r in range(0, 25, 4)]
     values = [w.value for w in profile]
     sizes = [w.size for w in profile]
     assert all(x >= y for x, y in zip(values, values[1:]))
@@ -266,9 +297,7 @@ def test_window_dominates_base(triangle_cover):
     for V, a in (((-0.05, -0.05, -0.05), 1.0), ((0.4, -0.3, 0.1), -1.2)):
         base = min_eigenvalue(triangle_cover.base, V, a).lambda_min
         for radius in (0, 3, 9):
-            window = dirichlet_lambda0(
-                triangle_cover, triangle_cover.carrier.origin, radius, V, a
-            )
+            window = dirichlet_lambda0(triangle_cover, radius, V, a)
             assert window >= base - 1e-12
 
 
@@ -314,7 +343,7 @@ def test_bundled_abelian_windows_lie_above_the_bloch_bottom(k4):
         d = len(cover.carrier.origin)
         for a in samples:
             bottom = oracles.bloch_lambda_min(cover, V, a, [0.0] * d)
-            window = dirichlet_window(cover, cover.carrier.origin, radius, V, a, seed)
+            window = dirichlet_window(cover, radius, V, a, seed)
             assert window.value > bottom
     assert window.size == 2283 > spectrum_module.DENSE_LIMIT
 
@@ -327,7 +356,7 @@ def test_long_abelian_window_matches_the_effective_mass(triangle_cover):
     h = 1e-4
     mass = 2.0 * (oracles.bloch_lambda_min(triangle_cover, V, a, [h]) - base) / h**2
     assert mass == pytest.approx(0.21918, rel=1e-4)
-    window = dirichlet_window(triangle_cover, triangle_cover.carrier.origin, 990, V, a)
+    window = dirichlet_window(triangle_cover, 990, V, a)
     assert window.size == 1983  # dense: at most DENSE_LIMIT vertices
     tiles = window.size / 3
     predicted = base + 0.5 * mass * (math.pi / (tiles + 1)) ** 2
@@ -337,9 +366,7 @@ def test_long_abelian_window_matches_the_effective_mass(triangle_cover):
 
 
 def test_window_reports_size(tree_cover):
-    window = dirichlet_window(
-        tree_cover, tree_cover.carrier.origin, 0, (0.0,) * 4, 1.0
-    )
+    window = dirichlet_window(tree_cover, 0, (0.0,) * 4, 1.0)
     assert window.size == 4
     assert window.radius == 0
 
@@ -347,7 +374,7 @@ def test_window_reports_size(tree_cover):
 def test_window_budget(tree_cover, monkeypatch):
     monkeypatch.setattr(geometry_module, "DEFAULT_POINT_BUDGET", 50)
     with pytest.raises(BudgetExceededError):
-        dirichlet_window(tree_cover, tree_cover.carrier.origin, 6, (0.0,) * 4, 1.0)
+        dirichlet_window(tree_cover, 6, (0.0,) * 4, 1.0)
 
 
 def test_dense_window_bit_identical_to_copying_eigh(tree_cover, monkeypatch):
@@ -363,7 +390,7 @@ def test_dense_window_bit_identical_to_copying_eigh(tree_cover, monkeypatch):
         return result
 
     monkeypatch.setattr(spectrum_module, "eigh", recording)
-    window = dirichlet_window(tree_cover, tree_cover.carrier.origin, 7, (-0.1,) * 4, 1.0)
+    window = dirichlet_window(tree_cover, 7, (-0.1,) * 4, 1.0)
     assert window.size == 766
     [(matrix, (vals, vecs))] = calls
     ref_vals, ref_vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
@@ -375,12 +402,11 @@ def test_dense_window_bit_identical_to_copying_eigh(tree_cover, monkeypatch):
 def test_dense_window_holds_one_copy(tree_cover):
     # numpy reports its buffers to tracemalloc; a second n x n copy would
     # put the peak above 2 * 8 n^2 bytes
-    origin = tree_cover.carrier.origin
-    n = len(tree_cover.ball(tree_cover.tile(origin), 7))  # cached for the window
+    n = len(tree_cover.ball(7))  # cached for the window
     assert 700 <= n <= spectrum_module.DENSE_LIMIT
     tracemalloc.start()
     try:
-        dirichlet_window(tree_cover, origin, 7, (-0.1,) * 4, 1.0)
+        dirichlet_window(tree_cover, 7, (-0.1,) * 4, 1.0)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -404,9 +430,7 @@ def test_tree_window_matches_radial_solver(tree_cover):
     # K4 universal cover is the 3-regular tree; tile ball r = vertex ball r+1
     V = (-0.1, -0.1, -0.1, -0.1)
     for radius in (0, 1, 3, 5):
-        window = dirichlet_lambda0(
-            tree_cover, tree_cover.carrier.origin, radius, V, 1.0
-        )
+        window = dirichlet_lambda0(tree_cover, radius, V, 1.0)
         assert window == pytest.approx(
             regular_tree_dirichlet_value(3, radius + 1) - 0.1, abs=1e-12
         )

@@ -298,7 +298,8 @@ def test_transfer_gives_up_after_max_halvings(monkeypatch):
         Fraction(1, 4), 4, 8)
     assert outcome.best_collar_ratio == Fraction(1, 2)
     assert outcome.message == ("no witness with collar ratio below r* = 0.5: "
-                               "1 epsilon halvings never beat r*; best ratio seen 1/2")
+                               "0 epsilon halvings after the first search never beat r*; "
+                               "best ratio seen 1/2")
 
 
 def test_transfer_refuses_a_base_nonnegative_up_to_rounding():
