@@ -34,8 +34,9 @@ class GroupAction:
     apply_fn maps (signed generator, point) to a point and must define a
     genuine action: apply_fn(-g, apply_fn(g, x)) == x for every generator.
     translation_vectors is set only for lattice-like actions where every
-    generator acts by adding a fixed integer vector; the Folner search
-    uses it for the closed-form box construction.
+    generator acts by adding a fixed integer vector; there apply_fn is
+    built from translation_vectors, and the Folner search uses them for
+    the closed-form box construction.
     """
 
     name: str
@@ -137,33 +138,43 @@ def _tuple_encode(point: tuple) -> str:
     return ",".join(str(c) for c in point)
 
 
+def _translation_action(name: str, dimension: int,
+                        vectors: tuple[tuple[int, ...], ...]) -> GroupAction:
+    """Z^dimension with generator k adding vectors[k-1]; apply_fn is built
+    from translation_vectors and adds only each vector's nonzero entries."""
+    steps = {}
+    for k, v in enumerate(vectors, 1):
+        steps[k] = tuple((i, c) for i, c in enumerate(v) if c)
+        steps[-k] = tuple((i, -c) for i, c in steps[k])
+
+    def apply_fn(g: int, x: tuple) -> tuple:
+        y = list(x)
+        for i, c in steps[g]:
+            y[i] += c
+        return tuple(y)
+
+    return GroupAction(
+        name=name,
+        generator_count=len(vectors),
+        origin=(0,) * dimension,
+        apply_fn=apply_fn,
+        sort_key=lambda x: x,
+        encode_fn=_tuple_encode,
+        translation_vectors=vectors,
+    )
+
+
 def lattice_action(dimension: int) -> GroupAction:
-    """Z^n acting on itself; generator i translates coordinate i by one."""
+    """Z^n acting on itself; generator i translates coordinate i by one.
+    Its apply_fn is built from translation_vectors, the standard basis."""
     if dimension < 1:
         raise InputError(f"lattice dimension must be >= 1, got {dimension}")
     if dimension > MAX_LATTICE_DIMENSION:
         raise InputError(
             f"lattice dimension must be at most {MAX_LATTICE_DIMENSION}, got {dimension}"
         )
-
-    def apply_fn(g: int, x: tuple) -> tuple:
-        i = abs(g) - 1
-        step = 1 if g > 0 else -1
-        return x[:i] + (x[i] + step,) + x[i + 1 :]
-
-    basis = tuple(
-        tuple(1 if j == i else 0 for j in range(dimension))
-        for i in range(dimension)
-    )
-    return GroupAction(
-        name=f"lattice({dimension})",
-        generator_count=dimension,
-        origin=(0,) * dimension,
-        apply_fn=apply_fn,
-        sort_key=lambda x: x,
-        encode_fn=_tuple_encode,
-        translation_vectors=basis,
-    )
+    basis = tuple((0,) * i + (1,) + (0,) * (dimension - 1 - i) for i in range(dimension))
+    return _translation_action(f"lattice({dimension})", dimension, basis)
 
 
 def free_group_action(rank: int) -> GroupAction:
@@ -231,6 +242,7 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     identity), which is how amenable actions of nonamenable groups are
     built here.  Both the vector count and the dimension are capped at
     MAX_LATTICE_DIMENSION, as the lattice dimension and free rank are.
+    Its apply_fn is built from translation_vectors, the vectors given.
     """
     vecs = tuple(tuple(int(c) for c in v) for v in vectors)
     if not vecs:
@@ -243,21 +255,7 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
             f"quotient takes at most {MAX_LATTICE_DIMENSION} vectors of dimension at most "
             f"{MAX_LATTICE_DIMENSION}, got {len(vecs)} of dimension {dim}"
         )
-
-    def apply_fn(g: int, x: tuple) -> tuple:
-        v = vecs[abs(g) - 1]
-        step = 1 if g > 0 else -1
-        return tuple(c + step * d for c, d in zip(x, v))
-
-    return GroupAction(
-        name=f"free_quotient({vecs})",
-        generator_count=len(vecs),
-        origin=(0,) * dim,
-        apply_fn=apply_fn,
-        sort_key=lambda x: x,
-        encode_fn=_tuple_encode,
-        translation_vectors=vecs,
-    )
+    return _translation_action(f"free_quotient({vecs})", dim, vecs)
 
 
 def net_displacement(carrier: GroupAction, word: Iterable[int]) -> tuple[int, ...]:
@@ -280,13 +278,19 @@ def word_action(
     Generator k applies words[k-1] (leftmost letter last); its inverse
     applies the reversed, negated word.  An empty word list is allowed
     and yields the action with no generators (every set is invariant).
-    Translation vectors are propagated as the net displacement of each
-    word when the carrier itself acts by translations.
+    Over a carrier with translation_vectors, generator k is the
+    translation by the net displacement of words[k-1], and apply_fn is
+    built from those translation_vectors: one step per word.  Otherwise
+    apply_fn applies the word letter by letter through the carrier.
     """
     word_list = tuple(tuple(w) for w in words)
     for w in word_list:
         for letter in w:
             carrier.check_generator(letter)
+    name = name or f"words({len(word_list)} over {carrier.name})"
+    if carrier.translation_vectors is not None:
+        vectors = tuple(net_displacement(carrier, w) for w in word_list)
+        return _translation_action(name, len(carrier.origin), vectors)
     # acting[g] lists g's letters in the order they act, rightmost first
     acting = {}
     for k, w in enumerate(word_list, 1):
@@ -298,18 +302,13 @@ def word_action(
             x = step(letter, x)
         return x
 
-    vectors = None
-    if carrier.translation_vectors is not None:
-        vectors = tuple(net_displacement(carrier, w) for w in word_list)
-
     return GroupAction(
-        name=name or f"words({len(word_list)} over {carrier.name})",
+        name=name,
         generator_count=len(word_list),
         origin=carrier.origin,
         apply_fn=apply_fn,
         sort_key=carrier.sort_key,
         encode_fn=carrier.encode_fn,
-        translation_vectors=vectors,
     )
 
 

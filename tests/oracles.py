@@ -27,6 +27,13 @@ def apply(action, g, point):
     return action.apply_fn(g, point)
 
 
+def apply_word(carrier, word, point):
+    """A word applied letter by letter through its carrier, rightmost letter first."""
+    for letter in reversed(word):
+        point = apply(carrier, letter, point)
+    return point
+
+
 def set_ratios(action, members):
     """Exact |E symdiff gE| / |E| for every signed generator."""
     E = frozenset(members)

@@ -1,5 +1,7 @@
 """Group actions: round-trips, balls, boundaries, coset duality."""
 
+import random
+
 import pytest
 
 import coverlab.actions as actions
@@ -18,7 +20,7 @@ from coverlab import (
     word_action,
 )
 from coverlab.actions import bfs_depths, permutation_compose, permutation_inverse
-from oracles import apply
+from oracles import apply, apply_word
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
@@ -78,6 +80,70 @@ def test_word_action_composes_words():
     assert apply(act, 1, (0,)) == (2,)
     assert apply(act, 2, (0,)) == (-1,)
     assert apply(act, -1, (2,)) == (0,)
+
+
+TRANSLATION_CARRIERS = {
+    "lattice1": lattice_action(1),
+    "lattice2": lattice_action(2),
+    "lattice3": lattice_action(3),
+    "zero": free_quotient_lattice_action([(1, 0), (0, 0)]),
+    "repeated": free_quotient_lattice_action([(1, 1), (1, 1)]),
+    "non_primitive": free_quotient_lattice_action([(2, 4), (0, 3)]),
+    "negative": free_quotient_lattice_action([(-1, 2), (3, -5)]),
+}
+# multi-letter, repeated-letter and cancelling words; on a one-generator
+# carrier the letter 2 folds onto 1
+CONTRACT_WORDS = [(1, 2, -1), (2, 2), (1, -1)]
+
+
+def _contract_words(carrier):
+    n = carrier.generator_count
+    return [tuple(min(g, n) if g > 0 else max(g, -n) for g in w) for w in CONTRACT_WORDS]
+
+
+def _seeded_points(carrier, seed):
+    rng = random.Random(seed)
+    dim = len(carrier.origin)
+    return [carrier.origin] + [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(8)]
+
+
+def _assert_translation_contract(action, points, oracle=None):
+    for g in action.generators():
+        vector = action.translation_vectors[abs(g) - 1]
+        sign = 1 if g > 0 else -1
+        for x in points:
+            y = action.apply_fn(g, x)
+            assert y == tuple(c + sign * d for c, d in zip(x, vector))
+            assert action.apply_fn(-g, y) == x
+            if oracle is not None:
+                assert y == oracle(g, x)
+
+
+@pytest.mark.parametrize("key", sorted(TRANSLATION_CARRIERS))
+def test_translation_carrier_moves_by_its_vectors(key):
+    carrier = TRANSLATION_CARRIERS[key]
+    _assert_translation_contract(carrier, _seeded_points(carrier, 0))
+
+
+@pytest.mark.parametrize("key", sorted(TRANSLATION_CARRIERS))
+def test_translation_word_action_moves_by_net_displacement_in_one_step(key):
+    carrier = TRANSLATION_CARRIERS[key]
+    words = _contract_words(carrier)
+    act = word_action(carrier, words)
+    assert act.generator_count == len(words)
+
+    def through_carrier(g, x):
+        # generator -k applies word k reversed and negated
+        w = words[abs(g) - 1]
+        return apply_word(carrier, w if g > 0 else tuple(-c for c in reversed(w)), x)
+
+    _assert_translation_contract(act, _seeded_points(carrier, 1), through_carrier)
+    # a cancelling word is the zero translation
+    assert act.translation_vectors[2] == carrier.origin
+    empty = word_action(carrier, [])
+    assert empty.translation_vectors == ()
+    assert empty.generators() == ()
+    assert empty.origin == carrier.origin
 
 
 def test_orbit_ball_sizes():

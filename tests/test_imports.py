@@ -189,6 +189,42 @@ def test_every_public_definition_has_a_reader_in_the_package():
     assert unread_definitions(modules) == sorted(UNCALLED_EXPORTS)
 
 
+TRANSLATION_CONSTRUCTOR = "_translation_action"
+
+
+def translation_action_sites(source: str) -> list[str]:
+    """Every call that passes ``translation_vectors=``, except inside the
+    top-level function named TRANSLATION_CONSTRUCTOR, which builds every
+    translation action and the one move rule they share."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == TRANSLATION_CONSTRUCTOR:
+            continue
+        found += [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "translation_vectors" for kw in node.keywords)]
+    return found
+
+
+def test_translation_site_checker_flags_a_second_constructor():
+    source = textwrap.dedent("""\
+        def _translation_action(name, dimension, vectors):
+            return GroupAction(name, len(vectors), translation_vectors=vectors)
+        def lattice_action(d):
+            return _translation_action("lattice", d, basis(d))
+        def shifted(vectors):
+            act = GroupAction("shifted", len(vectors), translation_vectors=vectors)
+            return dataclasses.replace(act, translation_vectors=())
+        """)
+    assert translation_action_sites(source) == [
+        "GroupAction (line 6)", "dataclasses.replace (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_translation_actions_are_built_by_one_constructor(path):
+    assert translation_action_sites(path.read_text(encoding="utf-8")) == []
+
+
 def solver_imports(source: str, allowed: str | None = None) -> list[str]:
     """Every numpy or scipy import, except inside the top-level function
     named ``allowed``."""
