@@ -33,10 +33,10 @@ class GroupAction:
 
     apply_fn maps (signed generator, point) to a point and must define a
     genuine action: apply_fn(-g, apply_fn(g, x)) == x for every generator.
-    translation_vectors is set only for lattice-like actions where every
-    generator acts by adding a fixed integer vector; there apply_fn is
-    built from translation_vectors, and the Folner search uses them for
-    the closed-form box construction.
+    of_words(name, words), set only by each family's private constructor,
+    returns that family's action whose generator k applies words[k-1] in
+    one step, each word composed once.  translation_vectors, read by the
+    Folner search, is set only where every generator adds a fixed vector.
     """
 
     name: str
@@ -45,6 +45,7 @@ class GroupAction:
     apply_fn: Callable[[int, Any], Any] = field(repr=False)
     sort_key: Callable[[Any], Any] = field(repr=False)
     encode_fn: Callable[[Any], str] = field(repr=False)
+    of_words: Callable[[str, tuple], GroupAction] = field(repr=False)
     translation_vectors: tuple[tuple[int, ...], ...] | None = None
 
     def generators(self) -> tuple[int, ...]:
@@ -138,6 +139,13 @@ def _tuple_encode(point: tuple) -> str:
     return ",".join(str(c) for c in point)
 
 
+def _apply_word(action: GroupAction, word: tuple[int, ...], x: Any) -> Any:
+    """x moved by a word, rightmost letter first; composes words at build time."""
+    for letter in reversed(word):
+        x = action.apply_fn(letter, x)
+    return x
+
+
 def _translation_action(name: str, dimension: int,
                         vectors: tuple[tuple[int, ...], ...]) -> GroupAction:
     """Z^dimension with generator k adding vectors[k-1]; apply_fn is built
@@ -153,15 +161,18 @@ def _translation_action(name: str, dimension: int,
             y[i] += c
         return tuple(y)
 
-    return GroupAction(
+    action = GroupAction(
         name=name,
         generator_count=len(vectors),
         origin=(0,) * dimension,
         apply_fn=apply_fn,
         sort_key=lambda x: x,
         encode_fn=_tuple_encode,
+        of_words=lambda label, word_list: _translation_action(
+            label, dimension, tuple(_apply_word(action, w, action.origin) for w in word_list)),
         translation_vectors=vectors,
     )
+    return action
 
 
 def lattice_action(dimension: int) -> GroupAction:
@@ -177,31 +188,47 @@ def lattice_action(dimension: int) -> GroupAction:
     return _translation_action(f"lattice({dimension})", dimension, basis)
 
 
+def _free_action(name: str, words: tuple[tuple[int, ...], ...]) -> GroupAction:
+    """A free group acting on its reduced words; generator k multiplies on
+    the left by the reduced word words[k-1]."""
+    # only a point starting with -u[-1] cancels against u; no point starts with 0
+    moves = {g: (u, -u[-1] if u else 0) for k, w in enumerate(words, 1)
+             for g, u in ((k, w), (-k, tuple(-c for c in reversed(w))))}
+
+    def apply_fn(g: int, x: tuple) -> tuple:
+        u, cancel = moves[g]
+        if not x or x[0] != cancel:
+            return u + x
+        i, n = 1, min(len(u), len(x))
+        while i < n and x[i] == -u[-1 - i]:
+            i += 1
+        return u[:len(u) - i] + x[i:]
+
+    action = GroupAction(
+        name=name,
+        generator_count=len(words),
+        origin=(),
+        apply_fn=apply_fn,
+        sort_key=lambda w: (len(w), w),
+        encode_fn=_tuple_encode,
+        of_words=lambda label, word_list: _free_action(
+            label, tuple(_apply_word(action, w, ()) for w in word_list)),
+    )
+    return action
+
+
 def free_group_action(rank: int) -> GroupAction:
     """The free group on `rank` letters acting on itself by left multiplication.
 
-    Points are reduced words stored as tuples of signed letter ids.
-    """
+    Points are reduced words, tuples of signed letter ids; a word action
+    over it multiplies a point by each word's reduced product in one step."""
     if rank < 1:
         raise InputError(f"free group rank must be >= 1, got {rank}")
     if rank > MAX_LATTICE_DIMENSION:
         raise InputError(
             f"free group rank must be at most {MAX_LATTICE_DIMENSION}, got {rank}"
         )
-
-    def apply_fn(g: int, w: tuple) -> tuple:
-        if w and w[0] == -g:
-            return w[1:]
-        return (g,) + w
-
-    return GroupAction(
-        name=f"free({rank})",
-        generator_count=rank,
-        origin=(),
-        apply_fn=apply_fn,
-        sort_key=lambda w: (len(w), w),
-        encode_fn=_tuple_encode,
-    )
+    return _free_action(f"free({rank})", tuple((k,) for k in range(1, rank + 1)))
 
 
 def _check_permutation(perm: tuple, degree: int, label: str) -> None:
@@ -210,28 +237,34 @@ def _check_permutation(perm: tuple, degree: int, label: str) -> None:
         raise InputError(f"{label} is not a permutation of 0..{degree - 1}: {perm!r}")
 
 
+def _permutation_action(name: str, degree: int, perms: tuple[tuple, ...]) -> GroupAction:
+    """{0..degree-1} with generator k looking x up in the table perms[k-1]."""
+    tables = {}
+    for k, p in enumerate(perms, 1):
+        tables[k], tables[-k] = p, permutation_inverse(p)
+
+    action = GroupAction(
+        name=name,
+        generator_count=len(perms),
+        origin=0,
+        apply_fn=lambda g, x: tables[g][x],
+        sort_key=lambda x: x,
+        encode_fn=str,
+        of_words=lambda label, word_list: _permutation_action(label, degree, tuple(
+            tuple(_apply_word(action, w, x) for x in range(degree)) for w in word_list)),
+    )
+    return action
+
+
 def finite_permutation_action(perms: Iterable[tuple], degree: int) -> GroupAction:
-    """An action on {0..degree-1} generated by explicit permutations."""
+    """An action on {0..degree-1} generated by explicit permutations; a word
+    action over it moves a point by one lookup in the word's composed table."""
     gens = tuple(tuple(p) for p in perms)
     if degree < 1:
         raise InputError(f"degree must be >= 1, got {degree}")
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")
-    inverses = tuple(permutation_inverse(p) for p in gens)
-
-    def apply_fn(g: int, x: int) -> int:
-        if g > 0:
-            return gens[g - 1][x]
-        return inverses[-g - 1][x]
-
-    return GroupAction(
-        name=f"perm(degree={degree},gens={len(gens)})",
-        generator_count=len(gens),
-        origin=0,
-        apply_fn=apply_fn,
-        sort_key=lambda x: x,
-        encode_fn=str,
-    )
+    return _permutation_action(f"perm(degree={degree},gens={len(gens)})", degree, gens)
 
 
 def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
@@ -258,16 +291,6 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     return _translation_action(f"free_quotient({vecs})", dim, vecs)
 
 
-def net_displacement(carrier: GroupAction, word: Iterable[int]) -> tuple[int, ...]:
-    """Net translation vector of a word in a translation action's generators."""
-    net = [0] * len(carrier.origin)
-    for letter in word:
-        v = carrier.translation_vectors[abs(letter) - 1]
-        sign = 1 if letter > 0 else -1
-        net = [c + sign * d for c, d in zip(net, v)]
-    return tuple(net)
-
-
 def word_action(
     carrier: GroupAction,
     words: Iterable[tuple[int, ...]],
@@ -278,38 +301,15 @@ def word_action(
     Generator k applies words[k-1] (leftmost letter last); its inverse
     applies the reversed, negated word.  An empty word list is allowed
     and yields the action with no generators (every set is invariant).
-    Over a carrier with translation_vectors, generator k is the
-    translation by the net displacement of words[k-1], and apply_fn is
-    built from those translation_vectors: one step per word.  Otherwise
-    apply_fn applies the word letter by letter through the carrier.
+    carrier.of_words builds it in the carrier's family, composing each
+    word once (a net displacement, a reduced word or a table), so every
+    generator moves a point in one step.
     """
     word_list = tuple(tuple(w) for w in words)
     for w in word_list:
         for letter in w:
             carrier.check_generator(letter)
-    name = name or f"words({len(word_list)} over {carrier.name})"
-    if carrier.translation_vectors is not None:
-        vectors = tuple(net_displacement(carrier, w) for w in word_list)
-        return _translation_action(name, len(carrier.origin), vectors)
-    # acting[g] lists g's letters in the order they act, rightmost first
-    acting = {}
-    for k, w in enumerate(word_list, 1):
-        acting[k], acting[-k] = w[::-1], tuple(-letter for letter in w)
-    step = carrier.apply_fn
-
-    def apply_fn(g: int, x: Any) -> Any:
-        for letter in acting[g]:
-            x = step(letter, x)
-        return x
-
-    return GroupAction(
-        name=name,
-        generator_count=len(word_list),
-        origin=carrier.origin,
-        apply_fn=apply_fn,
-        sort_key=carrier.sort_key,
-        encode_fn=carrier.encode_fn,
-    )
+    return carrier.of_words(name or f"words({len(word_list)} over {carrier.name})", word_list)
 
 
 # ---------------------------------------------------------------------------

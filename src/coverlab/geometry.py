@@ -27,9 +27,9 @@ from .actions import (
     DEFAULT_POINT_BUDGET,
     GroupAction,
     _action_step,
+    _apply_word,
     bfs_depths,
     finite_permutation_action,
-    net_displacement,
     word_action,
 )
 from .errors import BudgetExceededError, InputError
@@ -214,7 +214,7 @@ class VoltageCover:
     def _word_marker(self, word: tuple[int, ...]):
         if self.carrier.translation_vectors is None:
             return word
-        return net_displacement(self.carrier, word)
+        return _apply_word(self.carrier, word, self.carrier.origin)
 
     def ball(self, radius: int) -> tuple:
         """Cover vertices within hop-radius of the origin tile, sorted.
@@ -245,10 +245,11 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
     Voltages are given per base edge (either orientation; the reversed
     orientation gets the inverted word) as words in the carrier's
     generators.  Identity (empty) words are dropped.  Connectivity is
-    checked on the window of tiles within two fiber steps of the root:
-    every tile vertex there must be reachable inside the window.  This
-    rejects covers that fall apart (for example a voltage on a bridge),
-    while infinite covers are otherwise taken on faith per window.
+    checked on the window of tiles within two fiber steps of the root,
+    an InputError past DEFAULT_POINT_BUDGET cover vertices: every tile
+    vertex there must be reachable inside the window.  This rejects
+    covers that fall apart (for example a voltage on a bridge), while
+    infinite covers are otherwise taken on faith per window.
     """
     canon: dict[tuple[int, int], tuple[int, ...]] = {}
     edge_set = {(u, v) for u, v, _w in base.edges}
@@ -277,7 +278,12 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
 
 def _check_window_connectivity(cover: VoltageCover) -> None:
     fiber = cover.fiber_action
-    window = bfs_depths([fiber.origin], _action_step(fiber), radius=2)
+    try:  # the overflow message is the fiber step reached
+        window = bfs_depths([fiber.origin], _action_step(fiber), 2,
+                            DEFAULT_POINT_BUDGET // cover.base.vertex_count, str)
+    except BudgetExceededError as exc:
+        raise InputError(f"connectivity window exceeds {DEFAULT_POINT_BUDGET} cover vertices "
+                         f"at fiber step {exc}") from None
     root = (0, fiber.origin)
     seen = bfs_depths([root], lambda p: [q for q, _w in cover.neighbors(p) if q[1] in window])
     inner = [x for x, d in window.items() if d <= 1]

@@ -17,7 +17,6 @@ from coverlab import (
     cover_form_parts,
     min_eigenvalue,
 )
-from coverlab.actions import net_displacement
 from coverlab.spectrum import StabilityInterval
 
 
@@ -32,6 +31,15 @@ def apply_word(carrier, word, point):
     for letter in reversed(word):
         point = apply(carrier, letter, point)
     return point
+
+
+def net_displacement(carrier, word):
+    """Net translation of a word, summed from the carrier's translation_vectors."""
+    net = [0] * len(carrier.origin)
+    for letter in word:
+        sign = 1 if letter > 0 else -1
+        net = [c + sign * d for c, d in zip(net, carrier.translation_vectors[abs(letter) - 1])]
+    return tuple(net)
 
 
 def set_ratios(action, members):

@@ -91,14 +91,20 @@ TRANSLATION_CARRIERS = {
     "non_primitive": free_quotient_lattice_action([(2, 4), (0, 3)]),
     "negative": free_quotient_lattice_action([(-1, 2), (3, -5)]),
 }
-# multi-letter, repeated-letter and cancelling words; on a one-generator
-# carrier the letter 2 folds onto 1
-CONTRACT_WORDS = [(1, 2, -1), (2, 2), (1, -1)]
+# multi-letter, repeated-letter, cancelling, non-reduced and repeated
+# words; on a one-generator carrier the letter 2 folds onto 1
+CONTRACT_WORDS = [(1, 2, -1), (2, 2), (1, -1), (1, 2, -2), (1, 2, -1)]
 
 
 def _contract_words(carrier):
     n = carrier.generator_count
     return [tuple(min(g, n) if g > 0 else max(g, -n) for g in w) for w in CONTRACT_WORDS]
+
+
+def _signed_word(words, g):
+    """Generator g's word: words[g-1], or for -g that word reversed and negated."""
+    w = words[abs(g) - 1]
+    return w if g > 0 else tuple(-c for c in reversed(w))
 
 
 def _seeded_points(carrier, seed):
@@ -133,15 +139,82 @@ def test_translation_word_action_moves_by_net_displacement_in_one_step(key):
     assert act.generator_count == len(words)
 
     def through_carrier(g, x):
-        # generator -k applies word k reversed and negated
-        w = words[abs(g) - 1]
-        return apply_word(carrier, w if g > 0 else tuple(-c for c in reversed(w)), x)
+        return apply_word(carrier, _signed_word(words, g), x)
 
     _assert_translation_contract(act, _seeded_points(carrier, 1), through_carrier)
     # a cancelling word is the zero translation
     assert act.translation_vectors[2] == carrier.origin
     empty = word_action(carrier, [])
     assert empty.translation_vectors == ()
+    assert empty.generators() == ()
+    assert empty.origin == carrier.origin
+
+
+def _reduced(word):
+    """Free reduction with a stack: the reference for reduced-word moves."""
+    out = []
+    for c in word:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _free_points(rank, seed):
+    rng = random.Random(seed)
+    letters = [g for k in range(1, rank + 1) for g in (k, -k)]
+    return [()] + [_reduced(rng.choices(letters, k=rng.randint(1, 8))) for _ in range(12)]
+
+
+FIVE_GENS = [(1, 2, 3, 4, 0), (0, 1, 2, 4, 3), (0, 1, 2, 3, 4)]
+# each carrier with its seeded points, and its tables for a permutation carrier
+WORD_CARRIERS = {
+    **{f"free{n}": (free_group_action(n), _free_points(n, n), None) for n in (1, 2, 3)},
+    "s3": (finite_permutation_action(S3_GENS, 3), range(3), S3_GENS),
+    "five": (finite_permutation_action(FIVE_GENS, 5), range(5), FIVE_GENS),
+}
+
+
+def _assert_word_contract(action, points, oracle):
+    for g in action.generators():
+        for x in points:
+            y = action.apply_fn(g, x)
+            assert y == oracle(g, x)
+            assert action.apply_fn(-g, y) == x
+            if action.origin == ():
+                assert y == _reduced(y)
+
+
+@pytest.mark.parametrize("key", sorted(WORD_CARRIERS))
+def test_free_and_permutation_carriers_move_by_their_rule(key):
+    carrier, points, tables = WORD_CARRIERS[key]
+
+    def rule(g, x):
+        if tables is None:
+            return _reduced((g,) + x)
+        table = tables[abs(g) - 1]
+        return table[x] if g > 0 else table.index(x)
+
+    _assert_word_contract(carrier, points, rule)
+
+
+@pytest.mark.parametrize("key", sorted(WORD_CARRIERS))
+def test_free_and_permutation_word_actions_move_by_the_composed_word(key):
+    carrier, points, _tables = WORD_CARRIERS[key]
+    words = _contract_words(carrier)
+    act = word_action(carrier, words)
+    assert act.generator_count == len(words)
+    assert act.origin == carrier.origin
+    assert [act.encode_fn(x) for x in points] == [carrier.encode_fn(x) for x in points]
+    _assert_word_contract(act, points,
+                          lambda g, x: apply_word(carrier, _signed_word(words, g), x))
+    # a word action composes words over its own generators the same way
+    outer = [(1, -2, 3), (4, 4), (-5,)]
+    nested = word_action(act, outer)
+    _assert_word_contract(nested, points,
+                          lambda g, x: apply_word(act, _signed_word(outer, g), x))
+    empty = word_action(carrier, [])
     assert empty.generators() == ()
     assert empty.origin == carrier.origin
 

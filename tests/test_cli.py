@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +198,35 @@ def test_run_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+def complete_graph_cover(m):
+    """K_m with a star of identity edges at 0 and one free letter on every other edge."""
+    edges = [[u, v, "1"] for u in range(m) for v in range(u + 1, m)]
+    voltages = [[u, v, [k]] for k, (u, v, _w) in enumerate(edges[m - 1:], 1)]
+    return {
+        "name": f"k{m}_cover", "task": "spectrum", "seed": 0,
+        "base": {"mu": ["1"] * m, "edges": edges},
+        "potential": ["0"] * m,
+        "fiber": {"kind": "free_group", "rank": len(voltages)},
+        "voltages": voltages,
+        "params": {"a_samples": ["1"], "radii": [1]},
+    }
+
+
+def test_connectivity_window_over_budget_is_refused(tmp_path, capsys):
+    # K20's 171 letters: a radius-2 window of 116,965 tiles, 2,339,300 cover
+    # vertices; before its budget the check ran about 40 s and 320 MB
+    path = write_json(tmp_path / "k20.json", complete_graph_cover(20))
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: {path}: scenario.voltages: connectivity window exceeds 1000000 "
+        "cover vertices at fiber step 2\n")
+    # K10's 36 letters: 5,185 tiles, 51,850 cover vertices
+    k10 = load_scenario(write_json(tmp_path / "k10.json", complete_graph_cover(10)))
+    assert k10.cover.fiber_action.generator_count == 36
 
 
 def test_run_input_error_exit_1(tmp_path, capsys):

@@ -190,20 +190,34 @@ def test_every_public_definition_has_a_reader_in_the_package():
 
 
 TRANSLATION_CONSTRUCTOR = "_translation_action"
+FAMILY_CONSTRUCTORS = (TRANSLATION_CONSTRUCTOR, "_free_action", "_permutation_action")
+
+
+def calls_outside(source: str, allowed, matches) -> list[str]:
+    """Every call that matches(call), except inside the top-level
+    functions named in allowed."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        found += [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and matches(node)]
+    return found
 
 
 def translation_action_sites(source: str) -> list[str]:
-    """Every call that passes ``translation_vectors=``, except inside the
-    top-level function named TRANSLATION_CONSTRUCTOR, which builds every
-    translation action and the one move rule they share."""
-    found = []
-    for top in ast.parse(source).body:
-        if isinstance(top, ast.FunctionDef) and top.name == TRANSLATION_CONSTRUCTOR:
-            continue
-        found += [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(top)
-                  if isinstance(node, ast.Call)
-                  and any(kw.arg == "translation_vectors" for kw in node.keywords)]
-    return found
+    """Every call that passes ``translation_vectors=``, except inside
+    TRANSLATION_CONSTRUCTOR, which builds every translation action and
+    the one move rule they share."""
+    return calls_outside(source, (TRANSLATION_CONSTRUCTOR,), lambda call: any(
+        kw.arg == "translation_vectors" for kw in call.keywords))
+
+
+def group_action_sites(source: str) -> list[str]:
+    """Every ``GroupAction(...)`` call, except inside FAMILY_CONSTRUCTORS,
+    which build every carrier and every word action over it."""
+    return calls_outside(source, FAMILY_CONSTRUCTORS, lambda call: (
+        ast.unparse(call.func).split(".")[-1] == "GroupAction"))
 
 
 def test_translation_site_checker_flags_a_second_constructor():
@@ -223,6 +237,29 @@ def test_translation_site_checker_flags_a_second_constructor():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_translation_actions_are_built_by_one_constructor(path):
     assert translation_action_sites(path.read_text(encoding="utf-8")) == []
+
+
+def test_group_action_site_checker_flags_a_fourth_constructor():
+    source = textwrap.dedent("""\
+        def _translation_action(name, dimension, vectors):
+            return GroupAction(name, len(vectors), translation_vectors=vectors)
+        def _free_action(name, words):
+            return GroupAction(name, len(words))
+        def _permutation_action(name, degree, perms):
+            return actions.GroupAction(name, len(perms))
+        def word_action(carrier, words):
+            return carrier.of_words("words", words) or actions.GroupAction("words", 0)
+        class Orbit:
+            def action(self):
+                return GroupAction("orbit", 1)
+        """)
+    assert group_action_sites(source) == [
+        "actions.GroupAction (line 8)", "GroupAction (line 11)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_group_actions_are_built_by_the_family_constructors(path):
+    assert group_action_sites(path.read_text(encoding="utf-8")) == []
 
 
 def solver_imports(source: str, allowed: str | None = None) -> list[str]:
