@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from . import __version__
+from . import __version__, spectrum, transfer
 from .errors import (
     BudgetExceededError,
     FolnerVerificationError,
@@ -32,13 +32,6 @@ from .errors import (
 )
 from .folner import SearchBudget, folner_sequence
 from .scenario import Scenario, load_scenario
-from .spectrum import corollary_check, dirichlet_window
-from .transfer import (
-    counterexample_check,
-    easy_direction_check,
-    interval_comparison,
-    transfer_negativity,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -175,7 +168,7 @@ def _run_folner(scn: Scenario):
 
 
 def _run_spectrum(scn: Scenario):
-    report = easy_direction_check(
+    report = transfer.easy_direction_check(
         scn.cover, scn.potential, scn.params["a_samples"], scn.params["radii"],
         seed=scn.seed,
     )
@@ -191,7 +184,7 @@ def _run_spectrum(scn: Scenario):
 
 
 def _run_interval(scn: Scenario):
-    report = interval_comparison(
+    report = transfer.interval_comparison(
         scn.cover, scn.potential, scn.params["a_samples"], scn.params["radius"],
         seed=scn.seed,
         **_given(scn, alpha="alpha", tol="tolerance", budget="budget"),
@@ -225,13 +218,14 @@ def _witness_payload(cover, rep) -> dict:
 
 def _run_transfer(scn: Scenario):
     a = scn.params["a"]
-    out = transfer_negativity(
+    out = transfer.transfer_negativity(
         scn.cover, scn.potential, a, scn.params["alpha"], seed=scn.seed,
         **_given(scn, budget="budget"),
     )
     window = None
     if "radius" in scn.params:
-        window = dirichlet_window(scn.cover, scn.params["radius"], scn.potential, a, scn.seed)
+        window = spectrum.dirichlet_window(scn.cover, scn.params["radius"], scn.potential, a,
+                                           scn.seed)
     rep = out.report
     payload = {
         **_fields(out, "witness"),
@@ -262,7 +256,7 @@ def _run_transfer(scn: Scenario):
 
 def _run_counterexample(scn: Scenario):
     a = scn.params["a"]
-    report = counterexample_check(
+    report = transfer.counterexample_check(
         scn.cover, scn.potential, a, scn.params["alpha"], scn.params["radii"],
         seed=scn.seed, **_given(scn, budget="budget"),
     )
@@ -290,7 +284,7 @@ def _run_counterexample(scn: Scenario):
 
 
 def _run_corollary(scn: Scenario):
-    report = corollary_check(
+    report = spectrum.corollary_check(
         scn.base, scn.potential, seed=scn.seed,
         **_given(scn, a_samples="a_samples", tol="tolerance"),
     )

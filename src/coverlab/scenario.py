@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
+from . import geometry, spectrum, transfer
 from .actions import (
     GroupAction,
     finite_permutation_action,
@@ -26,8 +27,6 @@ from .actions import (
 )
 from .errors import InputError
 from .folner import SearchBudget, exact_fraction
-from .geometry import VoltageCover, WeightedGraph, build_cover
-from .spectrum import load_solvers
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -171,12 +170,12 @@ def _under(path: str, build, *args):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _parse_base(node: Any, path: str) -> WeightedGraph:
+def _parse_base(node: Any, path: str) -> geometry.WeightedGraph:
     obj = _expect_dict(node, path)
     _check_keys(obj, path, ("mu", "edges"), ())
     mu = _list_of(_expect_real)(obj["mu"], f"{path}.mu")
     edges = _list_of(_edge_row("weight", _expect_real))(obj["edges"], f"{path}.edges")
-    return _under(path, WeightedGraph, mu, edges)
+    return _under(path, geometry.WeightedGraph, mu, edges)
 
 
 def _parse_fiber(node: Any, path: str) -> GroupAction:
@@ -290,10 +289,10 @@ class Scenario:
     name: str
     task: str
     seed: int
-    base: Optional[WeightedGraph]
+    base: Optional[geometry.WeightedGraph]
     potential: Optional[tuple[float, ...]]
     fiber: Optional[GroupAction]
-    cover: Optional[VoltageCover]
+    cover: Optional[geometry.VoltageCover]
     params: dict
 
 
@@ -313,8 +312,13 @@ def parse_scenario(obj: Any) -> Scenario:
 
     sections = _TASK_SECTIONS[task]
     if "potential" in sections:
-        # a task with a potential solves; load its solvers while setting up
-        load_solvers()
+        # a task with a potential solves: run the lazily loaded spectral
+        # modules, then load the solvers, while setting up.  Reading any
+        # attribute of a lazy module runs it, and transfer's imports run
+        # geometry and spectrum; running them before numpy and scipy load,
+        # as an eager import did, keeps peak RSS where it was
+        transfer.__name__
+        spectrum.load_solvers()
     for key in _SECTION_PARSERS:
         if key in root and key not in sections:
             raise InputError(f"scenario.{key}: not used by the {task} task")
@@ -328,7 +332,7 @@ def parse_scenario(obj: Any) -> Scenario:
     fiber = parsed.get("fiber")
     cover = None
     if "voltages" in parsed:
-        cover = _under("scenario.voltages", build_cover, base, fiber, parsed["voltages"])
+        cover = _under("scenario.voltages", geometry.build_cover, base, fiber, parsed["voltages"])
 
     if potential is not None and len(potential) != base.vertex_count:
         raise InputError(

@@ -3,7 +3,8 @@
 bench/tests is outside the tier-1 test paths, so this loads
 bench/tracer.py by path and installs it: a rename in src/ of a traced
 function, or of VoltageCover._ball_cache, fails here, and so does a
-counter hook that no longer reads its result.
+counter hook that no longer reads its result, or a traced coverlab
+module that is not in sys.modules after the worker's imports.
 """
 
 import importlib.util
@@ -70,16 +71,50 @@ def test_traced_bundled_runs_match_untraced_and_record_every_span():
     assert tracer.apply_calls[0] > 0
 
 
-# bench/worker.py's order: the package, cli and scenario are imported and
-# the tracer is installed before anything has loaded numpy or scipy
-INSTALL_BEFORE_SOLVERS = """
+def run_with_tracer(script: str) -> str:
+    """Run script in a new interpreter from the repository root, with src
+    on PYTHONPATH and bench/tracer.py's path as its one argument; return
+    what it printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(TRACER)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# bench/worker.py's imports, then load_tracer's steps
+WORKER_IMPORTS = """
 import importlib.util, json, sys
 import coverlab
-from coverlab import cli, scenario, spectrum
-solvers_loaded = "scipy" in sys.modules
+from coverlab import cli, scenario
+"""
+LOAD_TRACER = """
 spec = importlib.util.spec_from_file_location("coverlab_bench_tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_module)
+"""
+
+
+def test_tracer_installs_after_the_worker_imports():
+    # install reads every module it wraps from sys.modules, so geometry,
+    # spectrum and transfer are there before their code has run
+    script = WORKER_IMPORTS + LOAD_TRACER + """
+tracer = tracer_module.Tracer()
+tracer.install()
+tracer.uninstall()
+print("uninstalled")
+"""
+    assert run_with_tracer(script) == "uninstalled\n"
+
+
+# bench/worker.py's order: the package, cli and scenario are imported and
+# the tracer is installed before anything has loaded numpy or scipy
+INSTALL_BEFORE_SOLVERS = WORKER_IMPORTS + """
+from coverlab import spectrum
+solvers_loaded = "scipy" in sys.modules
+""" + LOAD_TRACER + """
 
 
 def run():
@@ -105,13 +140,7 @@ print(json.dumps({
 
 
 def test_tracer_installed_before_the_solvers_load_still_traces_them():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", INSTALL_BEFORE_SOLVERS, str(TRACER)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    result = json.loads(run_with_tracer(INSTALL_BEFORE_SOLVERS).splitlines()[-1])
     assert result.pop("dense_spans") >= 1
     assert result == {"solvers_loaded_before_install": False, "same_report": True,
                       "eigh_restored": True}

@@ -18,6 +18,7 @@ import pytest
 
 from coverlab import (
     FolnerVerificationError,
+    InputError,
     finite_permutation_action,
     folner_sequence,
     free_group_action,
@@ -227,6 +228,25 @@ def test_connectivity_window_over_budget_is_refused(tmp_path, capsys):
     # K10's 36 letters: 5,185 tiles, 51,850 cover vertices
     k10 = load_scenario(write_json(tmp_path / "k10.json", complete_graph_cover(10)))
     assert k10.cover.fiber_action.generator_count == 36
+
+
+@pytest.mark.xfail(strict=True, raises=InputError,
+                   reason="the connectivity check searches only a radius-2 fiber window")
+def test_connected_cover_whose_walks_leave_the_window_parses(tmp_path):
+    # C5 with net voltage 1 around its cycle covers the bi-infinite path, so
+    # the cover is connected; but every walk from 0@0 to 0@1 passes vertex 3
+    # at fiber step 3, outside the window, and the check refuses the cover
+    obj = {
+        "name": "c5_path", "task": "spectrum", "seed": 0,
+        "base": {"mu": ["1"] * 5,
+                 "edges": [[0, 1, "1"], [1, 2, "1"], [2, 3, "1"], [3, 4, "1"], [0, 4, "1"]]},
+        "potential": ["0"] * 5,
+        "fiber": {"kind": "lattice", "dimension": 1},
+        "voltages": [[0, 1, [1]], [1, 2, [1]], [2, 3, [1]], [3, 4, [-1]], [4, 0, [-1]]],
+        "params": {"a_samples": ["1"], "radii": [1]},
+    }
+    scn = load_scenario(write_json(tmp_path / "c5_path.json", obj))
+    assert scn.cover.base.vertex_count == 5
 
 
 def test_run_input_error_exit_1(tmp_path, capsys):

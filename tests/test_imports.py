@@ -1,5 +1,6 @@
-"""Import boundaries: unused names, and numpy and scipy only where a solve needs them;
-and the README example, run in a fresh interpreter."""
+"""Import boundaries: unused names; numpy, scipy and coverlab's lazily loaded
+geometry, spectrum and transfer only where a solve needs them; and the public
+names and the README example, each checked in a fresh interpreter."""
 
 import ast
 import json
@@ -17,6 +18,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coverlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SOLVER_PACKAGES = ("numpy", "scipy")
+# the modules coverlab/__init__.py loads lazily, and the table of the
+# names it re-exports from them
+LAZY_MODULES = ("geometry", "spectrum", "transfer")
+LAZY_EXPORTS = "_LAZY_EXPORTS"
 FOLNER_SCENARIOS = ("f2_on_z_folner.json", "z2_folner.json", "z_folner.json")
 
 
@@ -109,7 +114,9 @@ def read_names(module_sources: list[str]) -> set[str]:
 
     A read is a name loaded anywhere in a module outside the top-level
     statement that defines that same name, so a function that only calls
-    itself, or a class that only names itself, has no reader.
+    itself, or a class that only names itself, has no reader.  An
+    attribute read through one of LAZY_MODULES, as in ``geometry.X``, is
+    a read of X; an attribute read through any other name is not.
     """
     read = set()
     for source in module_sources:
@@ -122,13 +129,29 @@ def read_names(module_sources: list[str]) -> set[str]:
                 own = set()
             read |= {node.id for node in ast.walk(top)
                      if isinstance(node, ast.Name) and node.id not in own}
+            read |= {node.attr for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in LAZY_MODULES}
     return read
+
+
+def exported_names(init_source: str) -> list[str]:
+    """Names that ``__init__`` re-exports: those it imports from a module,
+    and every string in its LAZY_EXPORTS table."""
+    exported = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom):
+            exported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == LAZY_EXPORTS for t in node.targets):
+            exported += [item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant) and isinstance(item.value, str)]
+    return exported
 
 
 def unreferenced_exports(init_source: str, module_sources: list[str]) -> list[str]:
     """Names that ``__init__`` re-exports and no module reads."""
-    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = exported_names(init_source)
     read = read_names(module_sources)
     return sorted(name for name in exported if name not in read)
 
@@ -144,7 +167,8 @@ def unread_definitions(module_sources: list[str]) -> list[str]:
 
 
 def test_export_checker_flags_names_without_a_reader():
-    init = "from .a import f, g, h, K\nfrom .b import k\n"
+    init = ("from .a import f, g, h, K\nfrom .b import k\n"
+            "_LAZY_EXPORTS = {**dict.fromkeys(('m', 'p', 'q'), geometry)}\n")
     a = textwrap.dedent("""\
         from .b import k
         K = 3
@@ -156,10 +180,10 @@ def test_export_checker_flags_names_without_a_reader():
             def copy(self) -> h:
                 return h()
         def main():
-            return g(1)
+            return g(1) + geometry.m + other.p
         """)
     b = "def k(x):\n    return x\n"
-    assert unreferenced_exports(init, [a, b]) == ["f", "h"]
+    assert unreferenced_exports(init, [a, b]) == ["f", "h", "p", "q"]
 
 
 def test_every_export_has_a_reader_in_the_package():
@@ -330,15 +354,22 @@ def test_readme_example_prints_its_results():
     assert run_script(block) == "transferred -1.4916666666666671\n1600 1/20\n"
 
 
-LOADED = """
-import json, sys
-print(json.dumps({"loaded": sorted(m for m in sys.modules
-                                   if m.split(".")[0] in ("numpy", "scipy"))}))
+# the solver modules loaded, and the lazy coverlab modules whose code ran:
+# LazyLoader swaps a module's class for types.ModuleType when it runs the
+# module, and type() reads no attribute, so the check runs none of them
+LOADED = f"""
+import json, sys, types
+print(json.dumps({{
+    "loaded": sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")),
+    "ran": [m for m in {LAZY_MODULES!r}
+            if type(sys.modules["coverlab." + m]) is types.ModuleType],
+}}))
 """
+NOTHING_LOADED = {"loaded": [], "ran": []}
 
 
 def test_importing_the_package_loads_no_solver():
-    assert run_fresh("import coverlab, coverlab.cli\n", LOADED) == {"loaded": []}
+    assert run_fresh("import coverlab, coverlab.cli\n", LOADED) == NOTHING_LOADED
 
 
 def test_folner_run_loads_no_solver():
@@ -348,7 +379,7 @@ def test_folner_run_loads_no_solver():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["run", "scenarios/z2_folner.json"]) == 0
         """
-    assert run_fresh(code, LOADED) == {"loaded": []}
+    assert run_fresh(code, LOADED) == NOTHING_LOADED
 
 
 def test_folner_batch_loads_no_solver(tmp_path):
@@ -360,18 +391,55 @@ def test_folner_batch_loads_no_solver(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["batch", {str(tmp_path)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
         """
-    assert run_fresh(code, LOADED) == {"loaded": []}
+    assert run_fresh(code, LOADED) == NOTHING_LOADED
     assert len(list((tmp_path / "out").glob("*.json"))) == len(FOLNER_SCENARIOS)
 
 
 def test_parsing_a_spectral_scenario_loads_the_solvers():
     code = """
-        import json, sys
         from coverlab import scenario
         scenario.load_scenario("scenarios/k4_tree_spectrum.json")
-        print(json.dumps({m: m in sys.modules for m in ("scipy.linalg", "scipy.sparse.linalg")}))
         """
-    assert run_fresh(code) == {"scipy.linalg": True, "scipy.sparse.linalg": True}
+    loaded = run_fresh(code, LOADED)
+    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(loaded["loaded"])
+    assert loaded["ran"] == list(LAZY_MODULES)
+
+
+# every name coverlab/__init__.py exported while it still imported all of
+# its modules eagerly, by the module that defines it
+PUBLIC_API = {
+    "actions": ("CosetDualityReport", "GroupAction", "OrbitGraph", "all_subgroups",
+                "boundary", "coset_duality_check", "free_group_action",
+                "free_quotient_lattice_action", "finite_permutation_action",
+                "generate_group", "lattice_action", "orbit_ball", "word_action"),
+    "errors": ("BudgetExceededError", "CoverlabError", "FolnerVerificationError",
+               "InequalityViolation", "InputError", "NumericalError"),
+    "folner": ("FolnerCertificate", "SearchBudget", "SearchReport", "exact_fraction",
+               "folner_sequence", "search_folner", "verify_certificate"),
+    "geometry": ("CompactFunction", "CutoffFunction", "VoltageCover", "WeightedGraph",
+                 "as_potential", "base_function", "build_cover", "cover_form_parts",
+                 "cutoff"),
+    "spectrum": ("CorollaryReport", "SpectralResult", "StabilityInterval", "WindowValue",
+                 "corollary_check", "dirichlet_lambda0", "dirichlet_window",
+                 "min_eigenvalue", "regular_tree_dirichlet_value", "stability_interval"),
+    "transfer": ("CounterexampleReport", "EasyDirectionReport", "IntervalComparisonReport",
+                 "TransferOutcome", "WitnessReport", "build_witness", "counterexample_check",
+                 "easy_direction_check", "interval_comparison", "required_ratio",
+                 "transfer_negativity"),
+}
+
+
+def test_every_public_name_resolves_to_its_definition():
+    assert sum(map(len, PUBLIC_API.values())) == 56
+    code = f"""
+        import json, sys
+        import coverlab
+        print(json.dumps([f"{{module}}.{{name}}"
+                          for module, names in {PUBLIC_API!r}.items() for name in names
+                          if getattr(coverlab, name, None)
+                          is not getattr(sys.modules["coverlab." + module], name)]))
+        """
+    assert run_fresh(code) == []
 
 
 TRIANGLE = """
