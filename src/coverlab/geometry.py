@@ -32,7 +32,17 @@ from .actions import (
     finite_permutation_action,
     word_action,
 )
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, NumericalError
+
+
+def checked_fsum(terms: Iterable[float], name: str) -> float:
+    """fsum of the terms, or a NumericalError naming the sum when it leaves
+    float range: fsum raises OverflowError once a partial sum does, even
+    if every term is finite, and ValueError on inf - inf."""
+    try:
+        return fsum(terms)
+    except (OverflowError, ValueError):
+        raise NumericalError(f"{name} overflows float range") from None
 
 
 def _check_real(value, label: str, positive: bool = False) -> float:
@@ -95,7 +105,8 @@ class WeightedGraph:
         return self._adjacency[v]
 
     def weighted_degree(self, v: int) -> float:
-        return fsum(w for _u, w in self._adjacency[v])
+        return checked_fsum((w for _u, w in self._adjacency[v]),
+                            f"weighted degree of vertex {v}")
 
     @cached_property
     def trivial_cover(self) -> VoltageCover:
@@ -479,7 +490,8 @@ def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) ->
                 if p[0] < q[0] or q not in values:
                     yield w * (fp - values.get(q, 0.0)) ** 2
 
-    grad = fsum(grad_terms())
-    pot_term = fsum(pot[v] * fp ** 2 * mu[v] for (v, _x), fp in values.items())
+    grad = checked_fsum(grad_terms(), "gradient part of the cover form")
+    pot_term = checked_fsum((pot[v] * fp ** 2 * mu[v] for (v, _x), fp in values.items()),
+                            "potential part of the cover form")
     return grad, a * pot_term
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from . import geometry, spectrum, transfer
+from . import geometry, transfer
 from .actions import (
     GroupAction,
     finite_permutation_action,
@@ -312,13 +312,9 @@ def parse_scenario(obj: Any) -> Scenario:
 
     sections = _TASK_SECTIONS[task]
     if "potential" in sections:
-        # a task with a potential solves: run the lazily loaded spectral
-        # modules, then load the solvers, while setting up.  Reading any
-        # attribute of a lazy module runs it, and transfer's imports run
-        # geometry and spectrum; running them before numpy and scipy load,
-        # as an eager import did, keeps peak RSS where it was
+        # a task with a potential solves: run transfer while setting up; its
+        # imports run geometry and spectrum, which imports numpy and scipy
         transfer.__name__
-        spectrum.load_solvers()
     for key in _SECTION_PARSERS:
         if key in root and key not in sections:
             raise InputError(f"scenario.{key}: not used by the {task} task")

@@ -11,9 +11,6 @@ explicit residual and is rejected past 100 n eps ||A||_1, or when it is
 not a number.
 A stability-interval bisection needs only the sign of lambda_min at each
 probe, which a Cholesky factorization decides up to DENSE_LIMIT vertices.
-
-numpy and scipy are loaded by ``load_solvers``, not at import, so a task
-that never solves (a Folner search) never pays for them.
 """
 
 from __future__ import annotations
@@ -22,6 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
+from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dpotrf
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import eigsh
 
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import VoltageCover, WeightedGraph, as_potential
@@ -38,34 +41,6 @@ RESIDUAL_FACTOR = 100
 AUDIT_TOLERANCE = 1e-12
 # a Dirichlet window refutes cover positivity only below this noise floor
 REFUTE_FLOOR = -1e-9
-
-_SOLVER_NAMES = ("np", "eigh", "eigh_tridiagonal", "dpotrf", "csc_matrix", "eigsh")
-
-
-def load_solvers() -> None:
-    """Import numpy and the scipy solvers and bind them as module globals.
-
-    A name that is already bound is kept, so a patched or traced solver
-    survives a later call; every call after the first is a few lookups.
-    """
-    import numpy as np
-    from scipy.linalg import eigh, eigh_tridiagonal
-    from scipy.linalg.lapack import dpotrf
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import eigsh
-
-    bound = globals()
-    for name, value in zip(_SOLVER_NAMES, (np, eigh, eigh_tridiagonal, dpotrf,
-                                           csc_matrix, eigsh)):
-        bound.setdefault(name, value)
-
-
-def __getattr__(name: str):
-    # PEP 562: serves the solver names to readers outside the module
-    if name in _SOLVER_NAMES:
-        load_solvers()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +69,6 @@ class _Operator:
     """
 
     def __init__(self, cover: VoltageCover, points: Sequence, V):
-        load_solvers()
         base = cover.base
         pot = as_potential(V, base)
         index = {p: i for i, p in enumerate(points)}
@@ -268,7 +242,6 @@ def regular_tree_dirichlet_value(degree: int, vertex_radius: int) -> float:
         raise InputError(f"tree degree must be >= 2, got {degree}")
     if vertex_radius < 0:
         raise InputError(f"radius must be nonnegative, got {vertex_radius}")
-    load_solvers()
     m = vertex_radius + 1
     diag = np.full(m, float(degree))
     if m == 1:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
@@ -26,6 +25,7 @@ from .geometry import (
     WeightedGraph,
     as_potential,
     base_function,
+    checked_fsum,
     collar_counts,
     cover_form_parts,
     cutoff,
@@ -132,10 +132,11 @@ def _base_sums(graph: WeightedGraph, func: CompactFunction, V, a: float, alpha: 
     """The base sums S_f2, S_df2, S_Vf2, S_neg, then Q_base and the r* bracket."""
     pot = as_potential(V, graph)
     support = sorted(func.support)
-    s_f2 = fsum(func(v) ** 2 * graph.mu[v] for v in support)
-    s_df2 = fsum(w * (func(u) - func(v)) ** 2 for u, v, w in graph.edges)
-    s_vf2 = fsum(pot[v] * func(v) ** 2 * graph.mu[v] for v in support)
-    s_neg = fsum(max(0.0, -a * pot[v]) * func(v) ** 2 * graph.mu[v] for v in support)
+    s_f2 = checked_fsum((func(v) ** 2 * graph.mu[v] for v in support), "S_f2")
+    s_df2 = checked_fsum((w * (func(u) - func(v)) ** 2 for u, v, w in graph.edges), "S_df2")
+    s_vf2 = checked_fsum((pot[v] * func(v) ** 2 * graph.mu[v] for v in support), "S_Vf2")
+    s_neg = checked_fsum((max(0.0, -a * pot[v]) * func(v) ** 2 * graph.mu[v]
+                          for v in support), "S_neg")
     q_base = s_df2 + a * s_vf2
     bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
     return s_f2, s_df2, s_vf2, s_neg, q_base, bracket

@@ -310,6 +310,36 @@ def test_run_nonfinite_operator_is_violation(tmp_path):
     assert b"Warning" not in proc.stderr
 
 
+# a bundled scenario with one field changed so that a sum of finite terms
+# leaves float range, and the sum the run names
+OVERFLOWING_SUMS = {
+    "triangle_transfer": (("potential",), ["1e308", "1e308", "-1e308"],
+                          "potential part of the cover form"),
+    "k4_tree_spectrum": (("base", "edges"),
+                         [[0, 1, "1e308"], [0, 2, "1e308"], [0, 3, "1"], [1, 2, "1"],
+                          [1, 3, "1"], [2, 3, "1"]],
+                         "weighted degree of vertex 0"),
+    "triangle_interval": (("potential",), ["1e308", "-1e308", "0"],
+                          "potential part of the cover form"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS))
+def test_run_overflowing_sum_is_violation(tmp_path, name):
+    keys, value, sum_name = OVERFLOWING_SUMS[name]
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    owner = obj
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = value
+    proc = run_cli("run", str(write_json(tmp_path / f"{name}.json", obj)))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "violation"
+    assert report["outcome"]["error"] == f"{sum_name} overflows float range"
+    assert b"Traceback" not in proc.stderr
+
+
 def test_batch_nonfinite_operator_is_violation(tmp_path, capsys):
     src = tmp_path / "jobs"
     src.mkdir()

@@ -13,6 +13,7 @@ from coverlab import (
     BudgetExceededError,
     InequalityViolation,
     InputError,
+    NumericalError,
     SearchBudget,
     WeightedGraph,
     build_cover,
@@ -49,6 +50,16 @@ def test_required_ratio_rejections(triangle):
         required_ratio(triangle, (0.0,) * 3, 2, FLAT_V3, 1.0)
     with pytest.raises(InputError):
         required_ratio(triangle, (1.0,) * 3, 2, (0.05, 0.05, 0.05), 1.0)
+
+
+@pytest.mark.parametrize("f, V, name", [
+    ((1e154,) * 3, FLAT_V3, "S_f2"),
+    ((1.0,) * 3, (1e308, 1e308, -1e308), "S_Vf2"),
+])
+def test_required_ratio_reports_a_base_sum_past_float_range(triangle, f, V, name):
+    # every term is finite, but a partial sum is not
+    with pytest.raises(NumericalError, match=f"^{name} overflows float range$"):
+        required_ratio(triangle, f, 2, V, 1.0)
 
 
 def test_witness_chain_hand_values(triangle_cover):
