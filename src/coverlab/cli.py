@@ -93,9 +93,24 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (payload, columns, rows, status, headline);
-# a payload with a result dataclass's keys is built by asdict, or by _fields
-# when some of its fields hold points to encode
+# task handlers: each returns (payload, rows, status, headline), its rows
+# under the task's _COLUMNS; a payload with a result dataclass's keys is
+# built by asdict, or by _fields when some of its fields hold points to encode
+
+_COLUMNS = {
+    "folner": ["scenario", "epsilon", "outcome", "set_size", "max_ratio",
+               "boundary_ratio", "sets_examined", "radius_reached"],
+    "spectrum": ["scenario", "a", "lambda_min_base", "base_nonnegative",
+                 "radius", "window_value", "window_size"],
+    "interval": ["scenario", "a", "lambda_min_base", "window_value", "cover_refuted",
+                 "transfer_status", "interval_lower", "interval_upper"],
+    "transfer": ["scenario", "a", "lambda_min_base", "r_star", "epsilon_used",
+                 "b", "c", "Q_cover", "final_bound", "outcome"],
+    "counterexample": ["scenario", "a", "lambda_min_base", "r_star", "transfer_status",
+                       "best_ratio", "radius", "window_value", "outcome"],
+    "corollary": ["scenario", "a", "rayleigh_constant", "lambda_min",
+                  "interval_lower", "interval_upper", "endpoint_tolerance"],
+}
 
 
 def _given(scn: Scenario, **keywords) -> dict:
@@ -153,18 +168,14 @@ def _run_folner(scn: Scenario):
         "runs": runs,
         "exhausted": exhausted,
     }
-    columns = ["scenario", "epsilon", "outcome", "set_size", "max_ratio",
-               "boundary_ratio", "sets_examined", "radius_reached"]
     status = "inconclusive" if exhausted else "ok"
     last = reports[-1]
     if exhausted:
-        headline = f"exhausted at epsilon={runs[-1]['epsilon']}"
-        if last.best_ratio is not None:
-            headline += f" best_ratio={last.best_ratio}"
+        headline = f"exhausted at epsilon={runs[-1]['epsilon']} best_ratio={last.best_ratio}"
     else:
         cert = last.certificate
         headline = f"size={cert.size} max_ratio={cert.max_ratio}"
-    return payload, columns, rows, status, headline
+    return payload, rows, status, headline
 
 
 def _run_spectrum(scn: Scenario):
@@ -176,11 +187,8 @@ def _run_spectrum(scn: Scenario):
              win.radius, win.value, win.size]
             for row in report.rows for win in row.windows]
     payload = asdict(report)
-    columns = ["scenario", "a", "lambda_min_base", "base_nonnegative",
-               "radius", "window_value", "window_size"]
-    smallest = min((w.value for r in report.rows for w in r.windows), default=None)
-    headline = f"min_window={_num(smallest)}" if smallest is not None else "no windows"
-    return payload, columns, rows, "ok", headline
+    headline = "min_window=" + _num(min(w.value for r in report.rows for w in r.windows))
+    return payload, rows, "ok", headline
 
 
 def _run_interval(scn: Scenario):
@@ -195,12 +203,9 @@ def _run_interval(scn: Scenario):
             for row in report.rows]
     # a breach of the inclusion raises, so the key is always true
     payload = {**asdict(report), "inclusion_ok": True}
-    columns = ["scenario", "a", "lambda_min_base", "window_value",
-               "cover_refuted", "transfer_status", "interval_lower",
-               "interval_upper"]
     headline = (f"interval=[{_num(report.interval.lower)}, "
                 f"{_num(report.interval.upper)}]")
-    return payload, columns, rows, "ok", headline
+    return payload, rows, "ok", headline
 
 
 def _witness_payload(cover, rep) -> dict:
@@ -237,8 +242,6 @@ def _run_transfer(scn: Scenario):
                      for w in out.attempts],
         "window": asdict(window) if window is not None else None,
     }
-    columns = ["scenario", "a", "lambda_min_base", "r_star", "epsilon_used",
-               "b", "c", "Q_cover", "final_bound", "outcome"]
     rows = [[
         scn.name, a, out.lambda_min_base, out.r_star, out.epsilon_used,
         rep.b if rep else None, rep.c if rep else None,
@@ -249,9 +252,8 @@ def _run_transfer(scn: Scenario):
     if out.status == "transferred":
         headline = f"b/c={rep.collar_ratio} Q_cover={_num(rep.Q_cover)}"
     else:
-        headline = (f"inconclusive best_ratio={out.best_collar_ratio}"
-                    if out.best_collar_ratio is not None else "inconclusive")
-    return payload, columns, rows, status, headline
+        headline = f"inconclusive best_ratio={out.best_collar_ratio}"
+    return payload, rows, status, headline
 
 
 def _run_counterexample(scn: Scenario):
@@ -274,13 +276,11 @@ def _run_counterexample(scn: Scenario):
         "windows": [asdict(w) for w in report.windows],
         "outcome": outcome,
     }
-    columns = ["scenario", "a", "lambda_min_base", "r_star", "transfer_status",
-               "best_ratio", "radius", "window_value", "outcome"]
     rows = [[scn.name, a, out.lambda_min_base, out.r_star, out.status,
              out.best_collar_ratio, w.radius, w.value, outcome]
             for w in report.windows]
     headline = f"{outcome}; min_window=" + _num(min(w.value for w in report.windows))
-    return payload, columns, rows, "ok", headline
+    return payload, rows, "ok", headline
 
 
 def _run_corollary(scn: Scenario):
@@ -290,8 +290,6 @@ def _run_corollary(scn: Scenario):
     )
     outcome = "full line" if report.zero_potential else "interval pinned to zero"
     payload = {**asdict(report), "outcome": outcome}
-    columns = ["scenario", "a", "rayleigh_constant", "lambda_min",
-               "interval_lower", "interval_upper", "endpoint_tolerance"]
     interval = report.interval
     if report.zero_potential:
         rows = [[scn.name, None, None, None, interval.lower, interval.upper,
@@ -303,7 +301,7 @@ def _run_corollary(scn: Scenario):
                                               report.lambda_samples)]
     headline = (f"interval=[{_num(interval.lower)}, {_num(interval.upper)}]"
                 f" ({outcome})")
-    return payload, columns, rows, "ok", headline
+    return payload, rows, "ok", headline
 
 
 _HANDLERS = {
@@ -320,13 +318,13 @@ def execute_scenario(scn: Scenario):
     """Run one scenario; returns (report, columns, rows, status, headline).
 
     Input errors propagate (nothing trustworthy to report); everything
-    else is folded into the report status so batches keep going.
+    else is folded into the report status so batches keep going.  The
+    columns are the task's whatever the status; a failed run has no rows.
     """
     handler = _HANDLERS[scn.task]
-    columns: list[str] = []
     rows: list[list] = []
     try:
-        payload, columns, rows, status, headline = handler(scn)
+        payload, rows, status, headline = handler(scn)
     except (InequalityViolation, FolnerVerificationError, NumericalError) as exc:
         payload = {"error": str(exc)}
         status = "violation"
@@ -343,7 +341,7 @@ def execute_scenario(scn: Scenario):
         "status": status,
         "outcome": payload,
     }
-    return report, columns, rows, status, headline
+    return report, _COLUMNS[scn.task], rows, status, headline
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ moves each point by each signed generator once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,14 +51,25 @@ def exact_fraction(value) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as an exact ratio")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
-    """Resource limits for Folner searches."""
+    """Resource limits for Folner searches; a bad field raises InputError naming it."""
 
     max_points: int = DEFAULT_POINT_BUDGET
     max_radius: int = 12
     subset_size_cap: int = 14
     max_subsets: int = 200_000
+
+    def __post_init__(self):
+        # a zero radius is a real (if tiny) search, zero points or subsets is
+        # none: so every search scores at least the radius-0 ball
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{f.name}: expected an integer, got {value!r}")
+            minimum = 0 if f.name == "max_radius" else 1
+            if value < minimum:
+                raise InputError(f"{f.name}: must be at least {minimum}, got {value}")
 
 
 @dataclass
@@ -117,8 +128,8 @@ def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> Folne
 class SearchReport:
     outcome: str  # "found" or "exhausted"
     certificate: FolnerCertificate | None
-    best_ratio: Fraction | None
-    best_set: tuple | None
+    best_ratio: Fraction
+    best_set: tuple
     sets_examined: int
     radius_reached: int
 
@@ -277,8 +288,6 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
     n = action.generator_count
     apply_fn = action.apply_fn
     key = action.sort_key
-    if max_subsets < 1:
-        return
     # ids[x] is the id of point x and points[i] the point with id i;
     # images[i] and order[i] are filled when point i is first added
     ids = {root: 0}
@@ -379,8 +388,8 @@ def search_folner(
             return found
 
     examined = 0
-    best_ratio: Fraction | None = None
-    best_set: tuple | None = None
+    # set by the first set scored, at least the radius-0 ball
+    best_ratio = best_set = None
     radius_reached = 0
 
     def candidates():

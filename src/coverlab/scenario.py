@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -115,9 +115,12 @@ def _int_at_least(minimum: int):
 def _expect_fraction(node: Any, path: str) -> Fraction:
     _expect_real(node, path)
     try:
-        return exact_fraction(node)
+        value = exact_fraction(node)
     except (InputError, ValueError):
         raise InputError(f"{path}: {node!r} is not an exact decimal") from None
+    if value < 0:
+        raise InputError(f"{path}: must be at least 0, got {node!r}")
+    return value
 
 
 def _check_keys(node: dict, path: str, required: tuple, optional: tuple) -> None:
@@ -211,19 +214,13 @@ def _parse_voltages(node: Any, path: str) -> dict:
     return voltages
 
 
-# smallest accepted value of each budget field; a zero radius is a real
-# (if tiny) search, zero points or subsets is none
-_BUDGET_MINIMA = {
-    "max_points": 1, "max_radius": 0, "subset_size_cap": 1, "max_subsets": 1,
-}
-
-
 def _parse_budget(node: Any, path: str) -> SearchBudget:
     obj = _expect_dict(node, path)
-    _check_keys(obj, path, (), tuple(_BUDGET_MINIMA))
-    return SearchBudget(**{
-        key: _int_at_least(_BUDGET_MINIMA[key])(obj[key], f"{path}.{key}") for key in obj
-    })
+    _check_keys(obj, path, (), tuple(f.name for f in fields(SearchBudget)))
+    try:
+        return SearchBudget(**obj)
+    except InputError as exc:
+        raise InputError(f"{path}.{exc}") from None
 
 
 # every params field with its one parser, shared by all tasks that take

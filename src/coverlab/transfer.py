@@ -228,7 +228,7 @@ class TransferOutcome:
     witness: Optional[CompactFunction]
     report: Optional[WitnessReport]
     attempts: tuple
-    best_collar_ratio: Optional[Fraction]
+    best_collar_ratio: Fraction
     message: str
 
 
@@ -284,11 +284,11 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
             break
         eps = eps / 2
 
-    # every attempt before a winner scored at least r*, so the minimum is the winner's
-    best = min((w.collar_ratio for w in attempts), default=None)
-    if best is None and exhausted is not None and exhausted.best_set:
-        # no certificate to build a witness over: count b/c from the collar sweep
-        best = Fraction(*collar_counts(cover, exhausted.best_set, alpha))
+    # every attempt before a winner scored at least r*, so the minimum is the
+    # winner's; with no certificate to build a witness over, the search
+    # exhausted, and b/c of its best set is counted by the collar sweep
+    best = (min(w.collar_ratio for w in attempts) if attempts
+            else Fraction(*collar_counts(cover, exhausted.best_set, alpha)))
     report = attempts[-1] if attempts else None
     if witness is not None:
         message = (f"collar ratio {report.collar_ratio} < r* = {r_star:.6g}; "
@@ -296,8 +296,8 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     else:
         detail = ("the Folner search exhausted its budget" if exhausted is not None
                   else f"{MAX_HALVINGS} epsilon halvings after the first search never beat r*")
-        message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}"
-                   + (f"; best ratio seen {best}" if best is not None else ""))
+        message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}; "
+                   f"best ratio seen {best}")
     return TransferOutcome(
         status="transferred" if witness is not None else "inconclusive",
         lambda_min_base=sr.lambda_min,

@@ -340,6 +340,27 @@ def test_run_overflowing_sum_is_violation(tmp_path, name):
     assert b"Traceback" not in proc.stderr
 
 
+# triangle_transfer with one param or section changed, and the status its
+# run ends in; a failed run's CSV is its task's header and no rows
+FAILED_TRANSFERS = {
+    "violation": ("potential", ["1e308", "1e308", "-1e308"], 2),
+    "budget-exceeded": ("alpha", 10**9, 3),
+}
+
+
+@pytest.mark.parametrize("status", sorted(FAILED_TRANSFERS))
+def test_failed_run_csv_is_the_task_header(tmp_path, status):
+    key, value, exit_code = FAILED_TRANSFERS[status]
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    (obj["params"] if key in obj["params"] else obj)[key] = value
+    path = write_json(tmp_path / "triangle_transfer.json", obj)
+    proc = run_cli("run", str(path), "--format", "csv")
+    assert proc.returncode == exit_code
+    assert proc.stdout == (b"scenario,a,lambda_min_base,r_star,epsilon_used,"
+                           b"b,c,Q_cover,final_bound,outcome\n")
+    assert f"triangle_transfer: {status} (".encode() in proc.stderr
+
+
 def test_batch_nonfinite_operator_is_violation(tmp_path, capsys):
     src = tmp_path / "jobs"
     src.mkdir()
@@ -639,6 +660,22 @@ def test_override_flags_have_help_in_both_commands(command, capsys):
     for text in ("override the scenario seed", "override max_points and max_subsets",
                  "replace the scenario radius or radii"):
         assert text in out
+
+
+def test_batch_refuses_a_negative_epsilon_before_any_run(tmp_path, capsys):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    shutil.copy(SCENARIOS / "torus_corollary.json", src / "torus_corollary.json")
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["params"]["epsilon"] = "-0.5"
+    write_json(src / "z_folner.json", obj)
+    out = tmp_path / "out"
+    code = main(["batch", str(src), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {src / 'z_folner.json'}: "
+                   "scenario.params.epsilon: must be at least 0, got '-0.5'\n")
+    assert not out.exists()
 
 
 def test_batch_has_no_jobs_option(tmp_path, capsys):

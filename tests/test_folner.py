@@ -650,3 +650,47 @@ def test_verifier_names_first_failing_generator(dim, epsilon, generator, ratio):
     with pytest.raises(FolnerVerificationError) as err:
         verify_certificate(lattice_action(dim), segment, epsilon)
     assert (err.value.generator, err.value.ratio) == (generator, ratio)
+
+
+BUDGET_MINIMA = {"max_points": 1, "max_radius": 0, "subset_size_cap": 1, "max_subsets": 1}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_MINIMA))
+def test_budget_refuses_a_field_below_its_minimum(name):
+    least = BUDGET_MINIMA[name]
+    assert getattr(SearchBudget(**{name: least}), name) == least
+    with pytest.raises(InputError) as err:
+        SearchBudget(**{name: least - 1})
+    assert str(err.value) == f"{name}: must be at least {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "3"])
+@pytest.mark.parametrize("name", sorted(BUDGET_MINIMA))
+def test_budget_refuses_a_field_that_is_not_an_integer(name, value):
+    with pytest.raises(InputError) as err:
+        SearchBudget(**{name: value})
+    assert str(err.value) == f"{name}: expected an integer, got {value!r}"
+
+
+def test_budget_is_frozen():
+    budget = SearchBudget()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        budget.max_points = 5
+    assert budget.max_points == SearchBudget().max_points
+
+
+SMALLEST_BUDGET = SearchBudget(max_points=1, max_radius=0, subset_size_cap=1, max_subsets=1)
+
+
+@pytest.mark.parametrize("action, epsilon", [
+    (lattice_action(2), Fraction(0)),
+    (free_group_action(2), Fraction(1, 2)),
+    (finite_permutation_action([(1, 2, 0), (1, 0, 2)], 3), Fraction(0)),
+    (free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)]), Fraction(0)),
+], ids=["lattice", "free_group", "permutation", "quotient"])
+def test_the_smallest_budget_still_leaves_a_best_set(action, epsilon):
+    # every budget scores at least the radius-0 ball
+    rep = search_folner(action, epsilon, SMALLEST_BUDGET)
+    assert rep.outcome == "exhausted"
+    assert isinstance(rep.best_ratio, Fraction)
+    assert rep.best_set == (action.origin,)

@@ -186,6 +186,13 @@ def test_folner_rejects_base():
         parse_scenario(obj)
 
 
+def test_zero_epsilon_parses():
+    # epsilon 0 asks for an invariant set, which is searched
+    obj = valid_scenario("folner")
+    obj["params"] = {"epsilons": ["0", "-0"]}
+    assert parse_scenario(obj).params["epsilons"] == (0, 0)
+
+
 def test_epsilon_and_epsilons_conflict():
     obj = {
         "name": "f",
@@ -376,6 +383,7 @@ PARAM_FAULTS = [
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
     ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
     ("spectrum", "radii", [2, -1], "scenario.params.radii[1]: must be at least 0, got -1"),
+    ("folner", "epsilon", "-0.5", "scenario.params.epsilon: must be at least 0, got '-0.5'"),
 ]
 
 # the folner epsilon list, given on its own
@@ -384,6 +392,7 @@ EPSILONS_FAULTS = [
     (["0.1", 1], 'scenario.params.epsilons[1]: reals must be decimal strings like "1", got 1'),
     (["0.1", "x"], "scenario.params.epsilons[1]: 'x' is not a decimal number"),
     ("0.1", "scenario.params.epsilons: expected a list, got str"),
+    (["0.5", "-0.1"], "scenario.params.epsilons[1]: must be at least 0, got '-0.1'"),
 ]
 
 # (task, top-level section, bad value, exact message)

@@ -267,6 +267,14 @@ def test_interval_comparison_balanced(triangle_cover):
 TREE_BUDGET = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
 
 
+def test_the_smallest_budget_still_leaves_a_best_collar_ratio(tree_cover):
+    budget = SearchBudget(max_points=1, max_radius=0, subset_size_cap=1, max_subsets=1)
+    outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
+    assert outcome.status == "inconclusive"
+    assert isinstance(outcome.best_collar_ratio, Fraction)
+    assert outcome.message.endswith(f"; best ratio seen {outcome.best_collar_ratio}")
+
+
 def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover):
     # at a = 1 the base is negative, the radius-2 window is positive and the search exhausts
     report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2,
