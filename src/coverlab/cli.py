@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
 )
 from .folner import SearchBudget, folner_sequence
-from .scenario import Scenario, load_scenario
+from .scenario import TASKS, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,32 +93,11 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# task handlers: each returns (payload, rows, status, headline), its rows
-# under the task's _COLUMNS; a payload with a result dataclass's keys is
-# built by asdict, or by _fields when some of its fields hold points to encode
-
-_COLUMNS = {
-    "folner": ["scenario", "epsilon", "outcome", "set_size", "max_ratio",
-               "boundary_ratio", "sets_examined", "radius_reached"],
-    "spectrum": ["scenario", "a", "lambda_min_base", "base_nonnegative",
-                 "radius", "window_value", "window_size"],
-    "interval": ["scenario", "a", "lambda_min_base", "window_value", "cover_refuted",
-                 "transfer_status", "interval_lower", "interval_upper"],
-    "transfer": ["scenario", "a", "lambda_min_base", "r_star", "epsilon_used",
-                 "b", "c", "Q_cover", "final_bound", "outcome"],
-    "counterexample": ["scenario", "a", "lambda_min_base", "r_star", "transfer_status",
-                       "best_ratio", "radius", "window_value", "outcome"],
-    "corollary": ["scenario", "a", "rayleigh_constant", "lambda_min",
-                  "interval_lower", "interval_upper", "endpoint_tolerance"],
-}
-
-
-def _given(scn: Scenario, **keywords) -> dict:
-    """Library keyword -> params value, for the params the scenario gives.
-
-    Each absent param is left to its library default, stated there once.
-    """
-    return {kw: scn.params[key] for kw, key in keywords.items() if key in scn.params}
+# task handlers: each calls its library function with the scenario's params
+# as keyword arguments and returns (payload, rows, status, headline), its
+# rows under the task's columns in _RUNNERS; a payload with a result
+# dataclass's keys is built by asdict, or by _fields when some of its fields
+# hold points to encode
 
 
 def _fields(result, *omit: str) -> dict:
@@ -144,7 +123,7 @@ def _certificate_payload(cert) -> dict:
 
 def _run_folner(scn: Scenario):
     action = scn.fiber
-    reports = folner_sequence(action, scn.params["epsilons"], **_given(scn, budget="budget"))
+    reports = folner_sequence(action, **scn.params)
     exhausted = reports[-1].outcome != "found"
     runs = []
     rows = []
@@ -179,10 +158,8 @@ def _run_folner(scn: Scenario):
 
 
 def _run_spectrum(scn: Scenario):
-    report = transfer.easy_direction_check(
-        scn.cover, scn.potential, scn.params["a_samples"], scn.params["radii"],
-        seed=scn.seed,
-    )
+    report = transfer.easy_direction_check(scn.cover, scn.potential, seed=scn.seed,
+                                           **scn.params)
     rows = [[scn.name, row.a, row.lambda_min_base, row.base_nonnegative,
              win.radius, win.value, win.size]
             for row in report.rows for win in row.windows]
@@ -192,11 +169,8 @@ def _run_spectrum(scn: Scenario):
 
 
 def _run_interval(scn: Scenario):
-    report = transfer.interval_comparison(
-        scn.cover, scn.potential, scn.params["a_samples"], scn.params["radius"],
-        seed=scn.seed,
-        **_given(scn, alpha="alpha", tol="tolerance", budget="budget"),
-    )
+    report = transfer.interval_comparison(scn.cover, scn.potential, seed=scn.seed,
+                                          **scn.params)
     rows = [[scn.name, row.a, row.lambda_min_base, row.window.value,
              row.cover_refuted, row.transfer_status,
              report.interval.lower, report.interval.upper]
@@ -222,15 +196,13 @@ def _witness_payload(cover, rep) -> dict:
 
 
 def _run_transfer(scn: Scenario):
-    a = scn.params["a"]
-    out = transfer.transfer_negativity(
-        scn.cover, scn.potential, a, scn.params["alpha"], seed=scn.seed,
-        **_given(scn, budget="budget"),
-    )
+    params = dict(scn.params)
+    radius = params.pop("radius", None)
+    a = params["a"]
+    out = transfer.transfer_negativity(scn.cover, scn.potential, seed=scn.seed, **params)
     window = None
-    if "radius" in scn.params:
-        window = spectrum.dirichlet_window(scn.cover, scn.params["radius"], scn.potential, a,
-                                           scn.seed)
+    if radius is not None:
+        window = spectrum.dirichlet_window(scn.cover, radius, scn.potential, a, scn.seed)
     rep = out.report
     payload = {
         **_fields(out, "witness"),
@@ -258,10 +230,8 @@ def _run_transfer(scn: Scenario):
 
 def _run_counterexample(scn: Scenario):
     a = scn.params["a"]
-    report = transfer.counterexample_check(
-        scn.cover, scn.potential, a, scn.params["alpha"], scn.params["radii"],
-        seed=scn.seed, **_given(scn, budget="budget"),
-    )
+    report = transfer.counterexample_check(scn.cover, scn.potential, seed=scn.seed,
+                                           **scn.params)
     out = report.transfer
     # counterexample_check raises unless the inclusion is strict
     outcome = "strict inclusion"
@@ -284,10 +254,7 @@ def _run_counterexample(scn: Scenario):
 
 
 def _run_corollary(scn: Scenario):
-    report = spectrum.corollary_check(
-        scn.base, scn.potential, seed=scn.seed,
-        **_given(scn, a_samples="a_samples", tol="tolerance"),
-    )
+    report = spectrum.corollary_check(scn.base, scn.potential, seed=scn.seed, **scn.params)
     outcome = "full line" if report.zero_potential else "interval pinned to zero"
     payload = {**asdict(report), "outcome": outcome}
     interval = report.interval
@@ -304,13 +271,22 @@ def _run_corollary(scn: Scenario):
     return payload, rows, "ok", headline
 
 
-_HANDLERS = {
-    "folner": _run_folner,
-    "spectrum": _run_spectrum,
-    "interval": _run_interval,
-    "transfer": _run_transfer,
-    "counterexample": _run_counterexample,
-    "corollary": _run_corollary,
+# every task's handler and CSV columns
+_RUNNERS = {
+    "folner": (_run_folner, ["scenario", "epsilon", "outcome", "set_size", "max_ratio",
+                             "boundary_ratio", "sets_examined", "radius_reached"]),
+    "spectrum": (_run_spectrum, ["scenario", "a", "lambda_min_base", "base_nonnegative",
+                                 "radius", "window_value", "window_size"]),
+    "interval": (_run_interval, ["scenario", "a", "lambda_min_base", "window_value",
+                                 "cover_refuted", "transfer_status", "interval_lower",
+                                 "interval_upper"]),
+    "transfer": (_run_transfer, ["scenario", "a", "lambda_min_base", "r_star", "epsilon_used",
+                                 "b", "c", "Q_cover", "final_bound", "outcome"]),
+    "counterexample": (_run_counterexample, ["scenario", "a", "lambda_min_base", "r_star",
+                                             "transfer_status", "best_ratio", "radius",
+                                             "window_value", "outcome"]),
+    "corollary": (_run_corollary, ["scenario", "a", "rayleigh_constant", "lambda_min",
+                                   "interval_lower", "interval_upper", "endpoint_tolerance"]),
 }
 
 
@@ -321,7 +297,7 @@ def execute_scenario(scn: Scenario):
     else is folded into the report status so batches keep going.  The
     columns are the task's whatever the status; a failed run has no rows.
     """
-    handler = _HANDLERS[scn.task]
+    handler, columns = _RUNNERS[scn.task]
     rows: list[list] = []
     try:
         payload, rows, status, headline = handler(scn)
@@ -341,7 +317,7 @@ def execute_scenario(scn: Scenario):
         "status": status,
         "outcome": payload,
     }
-    return report, _COLUMNS[scn.task], rows, status, headline
+    return report, columns, rows, status, headline
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +338,12 @@ def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],
               radius: Optional[int]) -> Scenario:
     """A copy of scn with the --seed, --budget and --radius flags applied.
 
-    --budget replaces the Folner search's max_points and max_subsets;
-    --radius replaces a scalar radius and collapses radii to (radius,).
-    scn itself is left as it is.
+    --budget replaces the Folner search's max_points and max_subsets, in
+    the tasks that search; --radius replaces a scalar radius and collapses
+    radii to (radius,).  scn itself is left as it is.
     """
     params = dict(scn.params)
-    if budget is not None:
+    if budget is not None and "budget" in TASKS[scn.task].optional:
         params["budget"] = replace(params.get("budget", SearchBudget()),
                                    max_points=budget, max_subsets=budget)
     if radius is not None:
@@ -489,7 +465,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_batch(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

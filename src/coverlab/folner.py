@@ -142,18 +142,31 @@ def _translate(point: tuple, vector: tuple[int, ...], times: int) -> tuple:
     return tuple(c + times * d for c, d in zip(point, vector))
 
 
-def _rank(vectors: list[tuple[int, ...]]) -> int:
-    """Exact rank over the rationals, by Gaussian elimination."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    rank = 0
+def _independent(vectors: list[tuple[int, ...]]):
+    """Yield one pivot row per independent vector, by fraction-free elimination.
+
+    Each cleared row is divided by the gcd of its entries, so entries stay
+    small integers, and a caller that stops early pays only for its pivots.
+    """
+    rows = [list(v) for v in vectors]
     while rows:
         pivot = rows.pop()
         col = next((j for j, c in enumerate(pivot) if c), None)
-        if col is not None:
-            rank += 1
-            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)]
-                    if r[col] else r for r in rows]
-    return rank
+        if col is None:
+            continue
+        yield pivot
+        p = pivot[col]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c:
+                row = [p * x - c * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row) or 1
+                rows[i] = [x // g for x in row]
+
+
+def _rank(vectors: list[tuple[int, ...]]) -> int:
+    """Exact rank over the rationals."""
+    return sum(1 for _pivot in _independent(vectors))
 
 
 def translation_box(action: GroupAction, side: int, max_points: int) -> frozenset:
@@ -218,7 +231,9 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
     give |E_c|^((r-1)/r) <= (1/r) sum_i |P_i(E_c)|.  Lines never cross
     cosets, and t^((r-1)/r) is subadditive, so summed over c this reads
     |E|^((r-1)/r) <= eps |E| / 2, that is |E| >= (2/eps)^r.  A floor
-    over max_points raises BudgetExceededError before any point is built.
+    over max_points raises BudgetExceededError before any point is built,
+    naming the first rank the elimination reaches with (2/eps)^rank over
+    max_points: a lower bound on r, so the floor it names holds too.
 
     Else the box of side ceil(2n / eps) is A + [0, side) v_i for each
     generator i: every coset line of Z v_i meets it in runs of at least
@@ -230,16 +245,18 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
         return None
     moving = [v for v in action.translation_vectors if any(v)]
     base = 2 / eps
-    # r <= len(moving), so the elimination runs only past this cheap test
+    # r <= len(moving): without this test a floor that cannot cross the
+    # budget (eps >= 2, say) would eliminate the whole family for nothing;
+    # past it, the elimination stops at the first rank where the floor crosses
     if base ** len(moving) > max_points:
-        r = _rank(moving)
-        if base ** r > max_points:
-            shown = str(base) if base.denominator == 1 else f"({base})"
-            raise BudgetExceededError(
-                f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
-                f"{shown}^{r} points, above the point budget {max_points}",
-                partial_count=0,
-            )
+        for r, _pivot in enumerate(_independent(moving), 1):
+            if base ** r > max_points:
+                shown = str(base) if base.denominator == 1 else f"({base})"
+                raise BudgetExceededError(
+                    f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
+                    f"{shown}^{r} points, above the point budget {max_points}",
+                    partial_count=0,
+                )
     side = max(1, math.ceil(2 * action.generator_count / eps))
     try:
         box = translation_box(action, side, max_points)

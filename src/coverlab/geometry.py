@@ -255,7 +255,8 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
 
     Voltages are given per base edge (either orientation; the reversed
     orientation gets the inverted word) as words in the carrier's
-    generators.  Identity (empty) words are dropped.  Connectivity is
+    generators, at most one per edge.  Identity (empty) words are
+    dropped once that is checked.  Connectivity is
     checked on the window of tiles within two fiber steps of the root,
     an InputError past DEFAULT_POINT_BUDGET cover vertices: every tile
     vertex there must be reachable inside the window.  This rejects
@@ -280,9 +281,8 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
             raise InputError(f"voltage on nonexistent edge {key!r}")
         if (cu, cv) in canon:
             raise InputError(f"duplicate voltage for edge ({cu}, {cv})")
-        if cword:
-            canon[(cu, cv)] = cword
-    cover = VoltageCover(base, carrier, canon)
+        canon[(cu, cv)] = cword
+    cover = VoltageCover(base, carrier, {edge: word for edge, word in canon.items() if word})
     _check_window_connectivity(cover)
     return cover
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -224,8 +225,7 @@ def _parse_budget(node: Any, path: str) -> SearchBudget:
 
 
 # every params field with its one parser, shared by all tasks that take
-# it; fields are parsed in this order.  'epsilon' is the one-item form of
-# 'epsilons' and is stored under that key.
+# it; fields are parsed in this order
 _PARAM_PARSERS = {
     "epsilon": lambda node, path: (_expect_fraction(node, path),),
     "epsilons": _nonempty_list(_expect_fraction),
@@ -238,31 +238,11 @@ _PARAM_PARSERS = {
     "budget": _parse_budget,
 }
 
-_PARAM_FIELDS = {
-    "folner": ((), ("epsilon", "epsilons", "budget")),
-    "spectrum": (("a_samples", "radii"), ()),
-    "interval": (("a_samples", "radius"), ("alpha", "tolerance", "budget")),
-    "transfer": (("a", "alpha"), ("radius", "budget")),
-    "counterexample": (("a", "alpha", "radii"), ("budget",)),
-    "corollary": ((), ("a_samples", "tolerance")),
-}
-TASKS = tuple(_PARAM_FIELDS)
+# a params field is stored under the keyword its task's library call
+# takes; 'epsilon' is the one-item form of 'epsilons'
+_KEYWORDS = {"epsilon": "epsilons", "tolerance": "tol"}
 
-
-def _parse_params(task: str, node: Any, path: str) -> dict:
-    obj = _expect_dict(node, path) if node is not None else {}
-    required, optional = _PARAM_FIELDS[task]
-    _check_keys(obj, path, required, optional)
-    if task == "folner" and ("epsilon" in obj) == ("epsilons" in obj):
-        raise InputError(f"{path}: give exactly one of 'epsilon' or 'epsilons'")
-    return {
-        "epsilons" if key == "epsilon" else key: parse(obj[key], f"{path}.{key}")
-        for key, parse in _PARAM_PARSERS.items() if key in obj
-    }
-
-
-# every top-level section with its parser, in parse order, and the
-# sections each task reads; a task refuses every other section
+# every top-level section with its parser, in parse order
 _SECTION_PARSERS = {
     "base": _parse_base,
     "potential": _nonempty_list(_expect_real),
@@ -270,15 +250,30 @@ _SECTION_PARSERS = {
     "voltages": _parse_voltages,
 }
 
-_COVER_SECTIONS = tuple(_SECTION_PARSERS)
-_TASK_SECTIONS = {
-    "folner": ("fiber",),
-    "spectrum": _COVER_SECTIONS,
-    "interval": _COVER_SECTIONS,
-    "transfer": _COVER_SECTIONS,
-    "counterexample": _COVER_SECTIONS,
-    "corollary": ("base", "potential"),
+
+# every task: the sections it reads and its required and optional params;
+# it refuses every other section and param
+_Task = namedtuple("_Task", "sections required optional")
+TASKS = {
+    "folner": _Task(("fiber",), (), ("epsilon", "epsilons", "budget")),
+    "spectrum": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radii"), ()),
+    "interval": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radius"),
+                     ("alpha", "tolerance", "budget")),
+    "transfer": _Task(tuple(_SECTION_PARSERS), ("a", "alpha"), ("radius", "budget")),
+    "counterexample": _Task(tuple(_SECTION_PARSERS), ("a", "alpha", "radii"), ("budget",)),
+    "corollary": _Task(("base", "potential"), (), ("a_samples", "tolerance")),
 }
+
+
+def _parse_params(task: str, node: Any, path: str) -> dict:
+    obj = _expect_dict(node, path) if node is not None else {}
+    _check_keys(obj, path, TASKS[task].required, TASKS[task].optional)
+    if task == "folner" and ("epsilon" in obj) == ("epsilons" in obj):
+        raise InputError(f"{path}: give exactly one of 'epsilon' or 'epsilons'")
+    return {
+        _KEYWORDS.get(key, key): parse(obj[key], f"{path}.{key}")
+        for key, parse in _PARAM_PARSERS.items() if key in obj
+    }
 
 
 @dataclass
@@ -290,7 +285,7 @@ class Scenario:
     potential: Optional[tuple[float, ...]]
     fiber: Optional[GroupAction]
     cover: Optional[geometry.VoltageCover]
-    params: dict
+    params: dict  # keyed by the task's library keywords (see _KEYWORDS)
 
 
 def parse_scenario(obj: Any) -> Scenario:
@@ -307,7 +302,7 @@ def parse_scenario(obj: Any) -> Scenario:
     if seed < 0:
         raise InputError(f"scenario.seed: must be nonnegative, got {seed}")
 
-    sections = _TASK_SECTIONS[task]
+    sections = TASKS[task].sections
     if "potential" in sections:
         # a task with a potential solves: run transfer while setting up; its
         # imports run geometry and spectrum, which imports numpy and scipy
@@ -343,7 +338,10 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"scenario file not found: {p}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         obj = json.loads(text, parse_float=_bare_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -28,7 +29,16 @@ from coverlab import (
     search_folner,
     verify_certificate,
 )
-from coverlab import WitnessReport, folner, geometry, transfer_negativity
+from coverlab import (
+    WitnessReport,
+    corollary_check,
+    counterexample_check,
+    easy_direction_check,
+    folner,
+    geometry,
+    interval_comparison,
+    transfer_negativity,
+)
 from coverlab.folner import SearchBudget
 from coverlab.cli import (
     _certificate_payload,
@@ -38,7 +48,7 @@ from coverlab.cli import (
     main,
 )
 from oracles import folner_boundary_bound
-from coverlab.scenario import load_scenario
+from coverlab.scenario import _KEYWORDS, TASKS, load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -585,7 +595,7 @@ def test_radius_override_leaves_scenario_unchanged():
     changed = _override(scn, 5, 50, 1)
     assert changed.seed == 5
     assert changed.params["radii"] == (1,)
-    assert changed.params["budget"] == SearchBudget(max_points=50, max_subsets=50)
+    assert "budget" not in changed.params
     assert _override(scn, None, None, None) == scn
     overridden = execute_scenario(changed)[0]
     plain = execute_scenario(scn)[0]
@@ -596,6 +606,48 @@ def test_radius_override_leaves_scenario_unchanged():
         assert [w["radius"] for w in row["windows"]] == [1]
     for row in plain["outcome"]["rows"]:
         assert [w["radius"] for w in row["windows"]] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["k4_tree_spectrum", "torus_corollary"])
+def test_budget_flag_leaves_a_task_that_does_not_search_as_it_is(name):
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    changed = _override(scn, None, 50, None)
+    assert "budget" not in changed.params
+    assert changed == scn
+    assert execute_scenario(changed)[3] == "ok"
+
+
+@pytest.mark.parametrize("name", ["z_folner", "triangle_interval", "triangle_transfer",
+                                  "tree_counterexample"])
+def test_budget_flag_sets_the_budget_of_a_task_that_searches(name):
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    budget = _override(scn, None, 50, None).params["budget"]
+    assert budget == dataclasses.replace(scn.params.get("budget", SearchBudget()),
+                                         max_points=50, max_subsets=50)
+
+
+# each task's library call; its handler passes the scenario's params to it
+LIBRARY_CALLS = {
+    "folner": folner_sequence,
+    "spectrum": easy_direction_check,
+    "interval": interval_comparison,
+    "transfer": transfer_negativity,
+    "counterexample": counterexample_check,
+    "corollary": corollary_check,
+}
+
+
+def test_every_stored_param_is_a_keyword_of_its_library_call():
+    assert LIBRARY_CALLS.keys() == TASKS.keys()
+    for task, spec in TASKS.items():
+        stored = {_KEYWORDS.get(key, key) for key in spec.required + spec.optional}
+        if task == "transfer":
+            stored.remove("radius")  # the handler's own Dirichlet window
+        keywords = inspect.signature(LIBRARY_CALLS[task]).parameters
+        assert stored <= keywords.keys(), (task, stored - keywords.keys())
+    # only the search tasks take a budget, so only they get --budget
+    assert [task for task, spec in TASKS.items() if "budget" in spec.optional] == [
+        "folner", "interval", "transfer", "counterexample"]
 
 
 def test_radius_override_replaces_a_scalar_radius(capsys):
@@ -676,6 +728,34 @@ def test_batch_refuses_a_negative_epsilon_before_any_run(tmp_path, capsys):
     assert err == (f"error: {src / 'z_folner.json'}: "
                    "scenario.params.epsilon: must be at least 0, got '-0.5'\n")
     assert not out.exists()
+
+
+def test_run_out_in_a_missing_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["run", str(SCENARIOS / "z_folner.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert not out.parent.exists()
+
+
+def test_batch_out_that_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["batch", str(SCENARIOS), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_scenario_that_is_not_utf8_exits_1(command, tmp_path, capsys):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    path = src / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    target = path if command == "run" else src
+    assert main([command, str(target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n")
 
 
 def test_batch_has_no_jobs_option(tmp_path, capsys):

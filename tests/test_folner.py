@@ -385,7 +385,8 @@ def test_independent_box_refused_before_it_is_built(monkeypatch):
 
 
 def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
-    # every 1/2-Folner set of Z^20 has at least 4^20 points, far over the budget
+    # every 1/2-Folner set of Z^20 has at least 4^20 points, far over the budget;
+    # the refusal names the rank at which the floor crossed it, 4^10
     def unreachable(*args, **kwargs):
         raise AssertionError("a set was built below the size floor")
 
@@ -396,7 +397,7 @@ def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
         search_folner(lattice_action(20), Fraction(1, 2))
     assert time.perf_counter() - started < 1.0
     assert str(info.value) == ("every 1/2-Folner set of lattice(20) has at least "
-                               "(2/epsilon)^20 = 4^20 points, above the point budget 1000000")
+                               "(2/epsilon)^10 = 4^10 points, above the point budget 1000000")
     # (20/3)^2 is just over 44
     with pytest.raises(BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
         search_folner(lattice_action(2), Fraction(3, 10), SearchBudget(max_points=44))
@@ -524,6 +525,19 @@ def test_rank_of_a_unit_basis_is_fast():
     start = time.perf_counter()
     assert folner._rank(basis) == 300
     assert time.perf_counter() - start < 10.0
+
+
+def test_floor_over_a_dense_family_stops_at_the_rank_where_it_crosses():
+    # a full elimination of 300 dense vectors takes seconds; at epsilon 1/2 the
+    # floor crosses the default budget at rank 10, where the elimination stops
+    rng = random.Random(3)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(300)) for _ in range(300)]
+    action = free_quotient_lattice_action(vectors)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"\(2/epsilon\)\^10 = 4\^10 points, above the point budget 1000000$"):
+        search_folner(action, Fraction(1, 2))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_box_matches_layered_construction():

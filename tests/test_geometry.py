@@ -126,6 +126,13 @@ def test_voltage_rejections(triangle):
         build_cover(triangle, lattice_action(1), {(0, 1): (5,)})
 
 
+@pytest.mark.parametrize("voltages", [{(0, 1): (), (1, 0): (1,)}, {(1, 0): (1,), (0, 1): ()},
+                                      {(1, 0): (), (0, 1): ()}])
+def test_second_voltage_for_an_edge_is_refused_even_when_a_word_is_empty(triangle, voltages):
+    with pytest.raises(InputError, match=r"^duplicate voltage for edge \(0, 1\)$"):
+        build_cover(triangle, lattice_action(1), voltages)
+
+
 def test_bridge_voltage_disconnects():
     # voltage on the only edge tears the cover into a perfect matching
     edge = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])

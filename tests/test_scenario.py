@@ -7,7 +7,7 @@ import re
 import pytest
 
 from coverlab import InputError
-from coverlab.scenario import _PARAM_FIELDS, load_scenario, parse_scenario
+from coverlab.scenario import TASKS, load_scenario, parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -468,6 +468,11 @@ SECTION_FAULTS = [
      "scenario.fiber.dimension: expected an integer, got '2'"),
     ("folner", "fiber", {"kind": "free_group", "rank": 1.0},
      "scenario.fiber.rank: expected an integer, got 1.0"),
+    # an edge takes one voltage in either orientation, even an empty word
+    ("spectrum", "voltages", [[0, 1, []], [1, 0, [1]]],
+     "scenario.voltages: duplicate voltage for edge (0, 1)"),
+    ("spectrum", "voltages", [[1, 0, [1]], [0, 1, []]],
+     "scenario.voltages: duplicate voltage for edge (0, 1)"),
 ]
 
 
@@ -535,6 +540,5 @@ def schema_param_fields():
 
 def test_params_table_matches_schema():
     assert schema_param_fields() == {
-        task: (set(required), set(optional))
-        for task, (required, optional) in _PARAM_FIELDS.items()
+        task: (set(t.required), set(t.optional)) for task, t in TASKS.items()
     }
