@@ -276,6 +276,8 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     built here.  Both the vector count and the dimension are capped at
     MAX_LATTICE_DIMENSION, as the lattice dimension and free rank are.
     Its apply_fn is built from translation_vectors, the vectors given.
+    Its name lists the vectors while that takes at most 200 characters,
+    and past that gives their count and dimension.
     """
     vecs = tuple(tuple(int(c) for c in v) for v in vectors)
     if not vecs:
@@ -288,7 +290,10 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
             f"quotient takes at most {MAX_LATTICE_DIMENSION} vectors of dimension at most "
             f"{MAX_LATTICE_DIMENSION}, got {len(vecs)} of dimension {dim}"
         )
-    return _translation_action(f"free_quotient({vecs})", dim, vecs)
+    name = f"free_quotient({vecs})"
+    if len(name) > 200:
+        name = f"free_quotient({len(vecs)} vectors of dimension {dim})"
+    return _translation_action(name, dim, vecs)
 
 
 def word_action(

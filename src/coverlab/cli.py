@@ -5,7 +5,7 @@ ratio as a numerator/denominator pair, with sorted keys, so identical
 (scenario, seed) inputs produce byte-identical files.  Wall-clock timing
 goes to stderr only, never into a report.
 
-Exit codes: 0 success, 1 input error, 2 audited inequality violated
+Exit codes: 0 success, 1 input or usage error, 2 audited inequality violated
 (a bug, not a refutation), 3 budget exhausted or search inconclusive.
 """
 
@@ -430,8 +430,16 @@ def _cmd_batch(args) -> int:
     return _worst_exit(codes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverlab",
         description="Folner certificates, voltage covers, and spectral "
                     "positivity audits from scenario files.",

@@ -30,6 +30,7 @@ moves each point by each signed generator once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
@@ -42,13 +43,18 @@ def exact_fraction(value) -> Fraction:
     """Coerce a ratio-like value to an exact Fraction.
 
     Strings are parsed as exact decimals; a float is refused, since the
-    decimal it was written as is already lost.
+    decimal it was written as is already lost, and so is a ratio that, or
+    whose 2/epsilon, has a part too long to print (int-to-str digit limit).
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise InputError(f"cannot interpret {value!r} as an exact ratio")
+        value = Fraction(value)
+    if not isinstance(value, Fraction):
+        raise InputError(f"cannot interpret {value!r} as an exact ratio")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 2 * max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise InputError(f"a ratio whose numerator or denominator, doubled, has more than "
+                         f"{limit} digits cannot be printed")
+    return value
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,18 @@ def _independent(vectors: list[tuple[int, ...]]):
                 rows[i] = [x // g for x in row]
 
 
-def _rank(vectors: list[tuple[int, ...]]) -> int:
-    """Exact rank over the rationals."""
-    return sum(1 for _pivot in _independent(vectors))
+def _crossing_rank(vectors: list[tuple[int, ...]], base, limit) -> int | None:
+    """The first r >= 0 with base**r > limit, or None if the vectors' rank stays below it.
+
+    Powers grow one factor at a time and pivots come one at a time, so
+    none past r is formed, and no pivot at all when r > len(vectors).
+    """
+    r, power = 0, 1
+    while power <= limit:
+        if base <= 1 or r == len(vectors):
+            return None
+        r, power = r + 1, power * base
+    return r if sum(1 for _ in zip(range(r), _independent(vectors))) == r else None
 
 
 def translation_box(action: GroupAction, side: int, max_points: int) -> frozenset:
@@ -182,18 +197,19 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
 
     A layer whose merged runs exceed max_points is refused with
     BudgetExceededError before it is built; partial_count is its size.
-    When the nonzero vectors are linearly independent the image has
-    exactly side**m points, so an oversized box is refused before any
-    point is built.
+    Any r independent vectors already put side**r distinct points in the
+    image, so a box is refused before any point is built, partial_count
+    0, once side**r exceeds max_points for some r up to the rank.
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     if side < 1:
         raise InputError(f"box side must be >= 1, got {side}")
     moving = [v for v in action.translation_vectors if any(v)]
-    refusal = f"translation box of side {side} exceeds {max_points} points"
-    if side ** len(moving) > max_points and _rank(moving) == len(moving):
-        raise BudgetExceededError(refusal, partial_count=0)
+    # formatted only when raised: a side too long to print still builds one point
+    refusal = "translation box of side {} exceeds {} points".format
+    if _crossing_rank(moving, side, max_points) is not None:
+        raise BudgetExceededError(refusal(side, max_points), partial_count=0)
     points = [action.origin]
     for vector in moving:
         i = next(j for j, c in enumerate(vector) if c)
@@ -213,7 +229,7 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
             runs.append((anchor, lo, hi))
         size = sum(hi - lo for _anchor, lo, hi in runs)
         if size > max_points:
-            raise BudgetExceededError(refusal, partial_count=size)
+            raise BudgetExceededError(refusal(side, max_points), partial_count=size)
         points = [_translate(anchor, vector, t) for anchor, lo, hi in runs for t in range(lo, hi)]
     return frozenset(points)
 
@@ -245,18 +261,14 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
         return None
     moving = [v for v in action.translation_vectors if any(v)]
     base = 2 / eps
-    # r <= len(moving): without this test a floor that cannot cross the
-    # budget (eps >= 2, say) would eliminate the whole family for nothing;
-    # past it, the elimination stops at the first rank where the floor crosses
-    if base ** len(moving) > max_points:
-        for r, _pivot in enumerate(_independent(moving), 1):
-            if base ** r > max_points:
-                shown = str(base) if base.denominator == 1 else f"({base})"
-                raise BudgetExceededError(
-                    f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
-                    f"{shown}^{r} points, above the point budget {max_points}",
-                    partial_count=0,
-                )
+    r = _crossing_rank(moving, base, max_points)
+    if r is not None:
+        shown = str(base) if base.denominator == 1 else f"({base})"
+        raise BudgetExceededError(
+            f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
+            f"{shown}^{r} points, above the point budget {max_points}",
+            partial_count=0,
+        )
     side = max(1, math.ceil(2 * action.generator_count / eps))
     try:
         box = translation_box(action, side, max_points)

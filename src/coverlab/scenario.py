@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -33,7 +34,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
 class _Refused:
-    """What the decoder leaves for a bare float or a key named twice."""
+    """What the decoder leaves for a bare float, an overlong integer or a key named twice."""
 
     __slots__ = ("reason",)
 
@@ -43,6 +44,14 @@ class _Refused:
 
 def _bare_float(text: str) -> _Refused:
     return _Refused(f"real numbers must be decimal strings, got bare {text}")
+
+
+def _bare_int(text: str) -> int | _Refused:
+    try:
+        return int(text)
+    except ValueError:  # past the int-to-str digit limit, so the limit exists
+        return _Refused(f"integer of {len(text.lstrip('-'))} digits, above the limit of "
+                        f"{sys.get_int_max_str_digits()} digits")
 
 
 def _unique_keys(pairs: list) -> Any:
@@ -117,7 +126,9 @@ def _expect_fraction(node: Any, path: str) -> Fraction:
     _expect_real(node, path)
     try:
         value = exact_fraction(node)
-    except (InputError, ValueError):
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except ValueError:
         raise InputError(f"{path}: {node!r} is not an exact decimal") from None
     if value < 0:
         raise InputError(f"{path}: must be at least 0, got {node!r}")
@@ -343,7 +354,8 @@ def load_scenario(path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        obj = json.loads(text, parse_float=_bare_float, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, parse_float=_bare_float, parse_int=_bare_int,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     try:

@@ -253,6 +253,21 @@ def test_quotient_vector_limits():
         free_quotient_lattice_action([(1,) * 1001, (0,) * 1001])
 
 
+def test_quotient_name_lists_its_vectors_only_while_short():
+    # the bundled f2_on_z_folner and the benchmark's quotient_box keep their names
+    assert free_quotient_lattice_action([(1,), (0,)]).name == "free_quotient(((1,), (0,)))"
+    assert (free_quotient_lattice_action([(1, 0), (0, -1), (1, -1)]).name
+            == "free_quotient(((1, 0), (0, -1), (1, -1)))")
+    # 200 characters is the longest listed name
+    listed = free_quotient_lattice_action([(1,)] * 29 + [(100000,)])
+    assert len(listed.name) == 200
+    assert listed.name.startswith("free_quotient(((1,), ")
+    assert (free_quotient_lattice_action([(1,)] * 29 + [(1000000,)]).name
+            == "free_quotient(30 vectors of dimension 1)")
+    assert (free_quotient_lattice_action([(1,) * 1000] * 1000).name
+            == "free_quotient(1000 vectors of dimension 1000)")
+
+
 def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
         orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)

@@ -759,11 +759,85 @@ def test_scenario_that_is_not_utf8_exits_1(command, tmp_path, capsys):
 
 
 def test_batch_has_no_jobs_option(tmp_path, capsys):
-    # batch runs one scenario at a time; --jobs is an argparse error
+    # batch runs one scenario at a time; --jobs is a usage error, exit 1
     with pytest.raises(SystemExit) as exc:
         main(["batch", str(tmp_path), "--jobs", "2"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--budget", "abc", "scenarios/z_folner.json"],
+     "coverlab run: error: argument --budget: invalid int value: 'abc'"),
+    (["run"], "coverlab run: error: the following arguments are required: path"),
+    (["batch", "scenarios", "--jobs", "2"], "coverlab: error: unrecognized arguments: --jobs 2"),
+])
+def test_usage_error_exits_1(args, message):
+    # 2 is reserved for an audited inequality that failed
+    proc = run_cli(*args)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith("usage: coverlab")
+    assert err.endswith(message + "\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_integer_past_the_digit_limit_exits_1(command, tmp_path):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    path = src / "z_folner.json"
+    text = (SCENARIOS / "z_folner.json").read_text()
+    path.write_text(text.replace('"seed": 0', '"seed": 1' + "0" * 5000))
+    proc = run_cli(command, str(path if command == "run" else src))
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err == (f"error: {path}: scenario.seed: integer of 5001 digits, "
+                   "above the limit of 4300 digits\n")
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"epsilon": "1e-4300"}, "scenario.params.epsilon"),
+    ({"epsilons": ["0.5", "1.6e-4300"]}, "scenario.params.epsilons[1]"),
+])
+def test_epsilon_too_long_to_print_exits_1(params, field, tmp_path):
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["params"] = params
+    path = write_json(tmp_path / "z_folner.json", obj)
+    proc = run_cli("run", str(path))
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err == (f"error: {path}: {field}: a ratio whose numerator or denominator, "
+                   "doubled, has more than 4300 digits cannot be printed\n")
+
+
+def test_longest_printable_epsilon_runs(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["params"] = {"epsilon": "1e-4299"}
+    assert main(["run", str(write_json(tmp_path / "z_folner.json", obj))]) == 3
+    error = json.loads(capsys.readouterr().out)["outcome"]["error"]
+    assert error.endswith(f"= {2 * 10**4299}^1 points, above the point budget 1000000")
+
+
+def test_dense_quotient_refusal_is_short(tmp_path, capsys):
+    # the quotient is named by its vector count once its listing is long
+    rng = random.Random(3)
+    vectors = [[rng.randint(-3, 3) for _ in range(300)] for _ in range(300)]
+    obj = {"name": "dense", "task": "folner", "fiber": {"kind": "quotient", "vectors": vectors},
+           "params": {"epsilon": "0.5"}}
+    out = tmp_path / "dense_report.json"
+    assert main(["run", str(write_json(tmp_path / "dense.json", obj)), "--out", str(out)]) == 3
+    error = json.loads(out.read_text())["outcome"]["error"]
+    assert error == ("every 1/2-Folner set of free_quotient(300 vectors of dimension 300) has "
+                     "at least (2/epsilon)^10 = 4^10 points, above the point budget 1000000")
+    assert len(out.read_text()) < 1000
 
 
 def test_batch_duplicate_names(tmp_path, capsys):

@@ -464,7 +464,7 @@ def layered_box(action, side, max_points):
     # the box as it was first built: each layer swept one step at a time,
     # translating the whole partial image per step
     moving = [v for v in action.translation_vectors if any(v)]
-    if side ** len(moving) > max_points and folner._rank(moving) == len(moving):
+    if side ** len(moving) > max_points and rank_by_full_elimination(moving) == len(moving):
         raise BudgetExceededError("refused before it is built", partial_count=0)
     points = {action.origin}
     for vector in moving:
@@ -504,7 +504,19 @@ def box_families(count=40, seed=20):
     return families
 
 
-def test_rank_matches_full_elimination():
+def test_crossing_rank_matches_full_elimination(monkeypatch):
+    # 2^r > 2^k - 1 first at r = k, so the crossing is k while the rank reaches
+    # it; the elimination stops there, having taken k pivots and no more, and
+    # a crossing past the vector count is answered without any pivot
+    independent = folner._independent
+    taken = []
+
+    def counted(vectors):
+        for pivot in independent(vectors):
+            taken.append(pivot)
+            yield pivot
+
+    monkeypatch.setattr(folner, "_independent", counted)
     rng = random.Random(7)
     for _ in range(300):
         dim = rng.randint(1, 6)
@@ -516,15 +528,32 @@ def test_rank_matches_full_elimination():
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
             vectors.insert(rng.randrange(len(vectors) + 1),
                            tuple(s * x + t * y for x, y in zip(u, v)))
-        assert folner._rank(vectors) == rank_by_full_elimination(vectors), vectors
+        rank = rank_by_full_elimination(vectors)
+        for k in range(len(vectors) + 2):
+            taken.clear()
+            crossing = folner._crossing_rank(vectors, 2, 2**k - 1)
+            assert crossing == (k if k <= rank else None), (vectors, k)
+            assert len(taken) == (min(k, rank) if k <= len(vectors) else 0), (vectors, k)
 
 
-def test_rank_of_a_unit_basis_is_fast():
+def test_crossing_rank_of_a_unit_basis_is_fast():
     # a row whose pivot-column entry is 0 is left as it is, not rebuilt
     basis = list(lattice_action(300).translation_vectors)
     start = time.perf_counter()
-    assert folner._rank(basis) == 300
+    assert folner._crossing_rank(basis, 2, 2**300 - 1) == 300
+    assert folner._crossing_rank(basis, 2, 2**300) is None
     assert time.perf_counter() - start < 10.0
+
+
+def test_crossing_rank_forms_no_power_past_the_crossing():
+    # a base of 4001 digits crosses any budget at once, and one under 1 never
+    vectors = list(lattice_action(1000).translation_vectors)
+    assert folner._crossing_rank(vectors, Fraction(2 * 10**4000), 10**6) == 1
+    assert folner._crossing_rank(vectors, Fraction(1, 2), 10**6) is None
+    assert folner._crossing_rank(vectors, 1, 10**6) is None
+    # one point is over a budget under 1, so the crossing is rank 0
+    assert folner._crossing_rank(vectors, 1, 0) == 0
+    assert folner._crossing_rank([(0, 0)], 5, 0) == 0
 
 
 def test_floor_over_a_dense_family_stops_at_the_rank_where_it_crosses():
@@ -544,7 +573,7 @@ def test_box_matches_layered_construction():
     for vectors in box_families():
         action = free_quotient_lattice_action(vectors)
         moving = [v for v in vectors if any(v)]
-        independent = folner._rank(moving) == len(moving)
+        rank = rank_by_full_elimination(moving)
         for side in range(1, 8):
             image = layered_box(action, side, 10**9)
             assert translation_box(action, side, 10**9) == image, (vectors, side)
@@ -554,15 +583,18 @@ def test_box_matches_layered_construction():
             except BudgetExceededError:
                 with pytest.raises(BudgetExceededError) as info:
                     translation_box(action, side, len(image) - 1)
-                # every layer outgrows the last, so only the full one is refused
-                assert info.value.partial_count == (0 if independent else len(image))
+                # side**rank points of the image already overflow, so the box is
+                # refused unbuilt, dependent or not; else every layer outgrows
+                # the last, so only the full one is refused
+                unbuilt = side**rank > len(image) - 1
+                assert info.value.partial_count == (0 if unbuilt else len(image))
             else:
                 # the oracle sweeps nothing for a dependent family at side 1;
-                # the box still refuses its one point under a zero budget
-                assert (side, independent) == (1, False)
+                # the box refuses its one point under a zero budget unbuilt
+                assert (side, rank == len(moving)) == (1, False)
                 with pytest.raises(BudgetExceededError) as info:
                     translation_box(action, 1, 0)
-                assert info.value.partial_count == 1
+                assert info.value.partial_count == 0
 
 
 def test_box_ratio_is_at_most_two_over_side():
@@ -602,13 +634,60 @@ def test_subset_table_stops_at_the_point_budget(monkeypatch):
 
 
 def test_one_point_box_needs_one_point_of_budget():
+    # one point is over a zero budget, so every family is refused unbuilt
     origin = (0, 0)
-    for vectors, partial in (([(1, 0), (2, 0)], 1), ([(1, 0), (0, 1)], 0), ([(0, 0)], 0)):
+    for vectors in ([(1, 0), (2, 0)], [(1, 0), (0, 1)], [(0, 0)]):
         action = free_quotient_lattice_action(vectors)
         with pytest.raises(BudgetExceededError) as info:
             translation_box(action, 1, max_points=0)
-        assert info.value.partial_count == partial, vectors
+        assert info.value.partial_count == 0, vectors
         assert translation_box(action, 1, max_points=1) == {origin}
+
+
+def test_dense_box_is_refused_unbuilt(monkeypatch):
+    # 200 dense vectors: the first three pivots put 200^3 points over the budget
+    rng = random.Random(0)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(200)) for _ in range(200)]
+    action = free_quotient_lattice_action(vectors)
+
+    def no_points(*args):
+        raise AssertionError("an oversized box must not be built")
+
+    monkeypatch.setattr(folner, "_translate", no_points)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        translation_box(action, 200, 10**6)
+    assert time.perf_counter() - started < 0.2
+    assert info.value.partial_count == 0
+
+
+def test_dependent_box_is_refused_unbuilt(monkeypatch):
+    # rank 2 of three vectors: 10^2 points of the image overflow a budget of 99
+    monkeypatch.setattr(folner, "_translate", lambda *args: pytest.fail("box was built"))
+    action = free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)])
+    with pytest.raises(BudgetExceededError) as info:
+        translation_box(action, 10, 99)
+    assert str(info.value) == "translation box of side 10 exceeds 99 points"
+    assert info.value.partial_count == 0
+
+
+def test_tiny_epsilon_floor_names_rank_1_at_once():
+    # (2/epsilon)^1 alone is 4001 digits; no power of it is formed past rank 1
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        search_folner(lattice_action(1000), Fraction(1, 10**4000))
+    assert time.perf_counter() - started < 0.5
+    assert str(info.value).endswith(
+        f"has at least (2/epsilon)^1 = {2 * 10**4000}^1 points, above the point budget 1000000")
+
+
+def test_zero_vectors_box_with_a_long_side_is_found():
+    # side ceil(10 / epsilon) has 4301 digits; the box is the origin, and the
+    # refusal message that cannot print it is never worded
+    action = free_quotient_lattice_action([(0,)] * 5)
+    rep = search_folner(action, Fraction(1, 10**4299))
+    assert rep.outcome == "found"
+    assert rep.certificate.members == ((0,),)
 
 
 def verifier_sets():
@@ -708,3 +787,13 @@ def test_the_smallest_budget_still_leaves_a_best_set(action, epsilon):
     assert rep.outcome == "exhausted"
     assert isinstance(rep.best_ratio, Fraction)
     assert rep.best_set == (action.origin,)
+
+
+def test_epsilon_too_long_to_print_is_refused():
+    # 10^4299 has 4300 digits and twice it still 4300; 10^4300 has 4301
+    assert exact_fraction("1e-4299") == Fraction(1, 10**4299)
+    for value in ("1e-4300", "1.6e-4300", Fraction(10**4300), 5 * 10**4299):
+        with pytest.raises(InputError, match="has more than 4300 digits cannot be printed"):
+            exact_fraction(value)
+    with pytest.raises(InputError, match="4300 digits"):
+        search_folner(lattice_action(1), Fraction(1, 10**4300))
