@@ -69,7 +69,6 @@ _LAZY_EXPORTS = {
         "VoltageCover",
         "WeightedGraph",
         "as_potential",
-        "base_function",
         "build_cover",
         "cover_form_parts",
         "cutoff",

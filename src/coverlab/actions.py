@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _echo
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -56,7 +56,7 @@ class GroupAction:
     def check_generator(self, g: int) -> None:
         if not isinstance(g, int) or g == 0 or abs(g) > self.generator_count:
             raise InputError(
-                f"generator id {g!r} out of range for {self.name} "
+                f"generator id {_echo(g)} out of range for {self.name} "
                 f"(expected nonzero integer with |g| <= {self.generator_count})"
             )
 
@@ -234,7 +234,7 @@ def free_group_action(rank: int) -> GroupAction:
 def _check_permutation(perm: tuple, degree: int, label: str) -> None:
     # the length first, so a huge degree never builds its range
     if len(perm) != degree or sorted(perm) != list(range(degree)):
-        raise InputError(f"{label} is not a permutation of 0..{degree - 1}: {perm!r}")
+        raise InputError(f"{label} is not a permutation of 0..{degree - 1}: {_echo(perm)}")
 
 
 def _permutation_action(name: str, degree: int, perms: tuple[tuple, ...]) -> GroupAction:
@@ -284,7 +284,7 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
         raise InputError("at least one generator vector is required")
     dim = len(vecs[0])
     if dim < 1 or any(len(v) != dim for v in vecs):
-        raise InputError(f"generator vectors must share a positive dimension: {vecs!r}")
+        raise InputError(f"generator vectors must share a positive dimension: {_echo(vecs)}")
     if max(len(vecs), dim) > MAX_LATTICE_DIMENSION:
         raise InputError(
             f"quotient takes at most {MAX_LATTICE_DIMENSION} vectors of dimension at most "

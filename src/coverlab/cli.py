@@ -23,12 +23,14 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import __version__, spectrum, transfer
+from .actions import DEFAULT_POINT_BUDGET
 from .errors import (
     BudgetExceededError,
     FolnerVerificationError,
     InequalityViolation,
     InputError,
     NumericalError,
+    _echo,
 )
 from .folner import SearchBudget, folner_sequence
 from .scenario import TASKS, Scenario, load_scenario
@@ -325,13 +327,17 @@ def execute_scenario(scn: Scenario):
 
 
 def _check_flags(args) -> None:
-    """Refuse a nonpositive --budget and a negative --seed or --radius."""
+    """Refuse a --budget outside 1..DEFAULT_POINT_BUDGET, the range of
+    max_points, and a negative --seed or --radius."""
     if args.budget is not None and args.budget <= 0:
-        raise InputError(f"--budget must be positive, got {args.budget}")
+        raise InputError(f"--budget must be positive, got {_echo(args.budget)}")
+    if args.budget is not None and args.budget > DEFAULT_POINT_BUDGET:
+        raise InputError(f"--budget must be at most {DEFAULT_POINT_BUDGET}, "
+                         f"got {_echo(args.budget)}")
     for flag in ("seed", "radius"):
         value = getattr(args, flag)
         if value is not None and value < 0:
-            raise InputError(f"--{flag} must be nonnegative, got {value}")
+            raise InputError(f"--{flag} must be nonnegative, got {_echo(value)}")
 
 
 def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],

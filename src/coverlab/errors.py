@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message shows an input."""
+
+# a message shows at most this many characters of an input value
+_ECHO_LIMIT = 200
+
+
+def _echo(value, show=repr) -> str:
+    """show(value), cut after _ECHO_LIMIT characters and marked '...' there,
+    so a message echoes a bounded prefix of any input."""
+    try:
+        text = show(value)
+    except ValueError:  # an int past the int-to-str digit limit, maybe inside value
+        return f"<{type(value).__name__} past the int-to-str digit limit>"
+    return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}..."
 
 
 class CoverlabError(Exception):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
-from .errors import BudgetExceededError, FolnerVerificationError, InputError
+from .errors import BudgetExceededError, FolnerVerificationError, InputError, _echo
 
 
 def exact_fraction(value) -> Fraction:
@@ -49,7 +49,7 @@ def exact_fraction(value) -> Fraction:
     if isinstance(value, (int, str)):
         value = Fraction(value)
     if not isinstance(value, Fraction):
-        raise InputError(f"cannot interpret {value!r} as an exact ratio")
+        raise InputError(f"cannot interpret {_echo(value)} as an exact ratio")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and 2 * max(abs(value.numerator), value.denominator) >= 10**limit:
         raise InputError(f"a ratio whose numerator or denominator, doubled, has more than "
@@ -59,7 +59,11 @@ def exact_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource limits for Folner searches; a bad field raises InputError naming it."""
+    """Resource limits for Folner searches; a bad field raises InputError naming it.
+
+    max_points may lower its default, the point budget DEFAULT_POINT_BUDGET,
+    never raise it.
+    """
 
     max_points: int = DEFAULT_POINT_BUDGET
     max_radius: int = 12
@@ -72,10 +76,12 @@ class SearchBudget:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{f.name}: expected an integer, got {value!r}")
+                raise InputError(f"{f.name}: expected an integer, got {_echo(value)}")
             minimum = 0 if f.name == "max_radius" else 1
             if value < minimum:
-                raise InputError(f"{f.name}: must be at least {minimum}, got {value}")
+                raise InputError(f"{f.name}: must be at least {minimum}, got {_echo(value)}")
+            if f.name == "max_points" and value > f.default:
+                raise InputError(f"max_points: must be at most {f.default}, got {_echo(value)}")
 
 
 @dataclass

@@ -19,7 +19,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import fsum
 from typing import Iterable, KeysView, Mapping, Sequence
 
@@ -29,10 +28,9 @@ from .actions import (
     _action_step,
     _apply_word,
     bfs_depths,
-    finite_permutation_action,
     word_action,
 )
-from .errors import BudgetExceededError, InputError, NumericalError
+from .errors import BudgetExceededError, InputError, NumericalError, _echo
 
 
 def checked_fsum(terms: Iterable[float], name: str) -> float:
@@ -49,7 +47,7 @@ def _check_real(value, label: str, positive: bool = False) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"{label} is not a real number: {value!r}") from None
+        raise InputError(f"{label} is not a real number: {_echo(value)}") from None
     if not math.isfinite(x):
         raise InputError(f"{label} must be finite, got {x!r}")
     if positive and x <= 0:
@@ -75,11 +73,11 @@ class WeightedGraph:
             try:
                 u, v, w = edge
             except (TypeError, ValueError):
-                raise InputError(f"edge {k} is not a (u, v, w) triple: {edge!r}") from None
+                raise InputError(f"edge {k} is not a (u, v, w) triple: {_echo(edge)}") from None
             if not (isinstance(u, int) and isinstance(v, int)):
-                raise InputError(f"edge {k} endpoints must be integers: {edge!r}")
+                raise InputError(f"edge {k} endpoints must be integers: {_echo(edge)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {k} endpoint out of range 0..{n - 1}: {edge!r}")
+                raise InputError(f"edge {k} endpoint out of range 0..{n - 1}: {_echo(edge)}")
             if u == v:
                 raise InputError(f"edge {k} is a loop at vertex {u}")
             key = (min(u, v), max(u, v))
@@ -108,24 +106,19 @@ class WeightedGraph:
         return checked_fsum((w for _u, w in self._adjacency[v]),
                             f"weighted degree of vertex {v}")
 
-    @cached_property
-    def trivial_cover(self) -> VoltageCover:
-        """The graph as its own cover: one tile over a one-point fiber.
 
-        Built on first read and kept, so every operator on this graph
-        (one per min_eigenvalue call, one per stability interval) shares it.
-        """
-        return VoltageCover(self, finite_permutation_action((), 1), {})
+def _per_vertex(values, graph: WeightedGraph, label: str, noun: str) -> tuple[float, ...]:
+    """One checked finite real per base vertex: entry i is label[i], and
+    a wrong length is refused as '<noun> has N entries for M vertices'."""
+    vec = tuple(_check_real(x, f"{label}[{i}]") for i, x in enumerate(values))
+    if len(vec) != graph.vertex_count:
+        raise InputError(f"{noun} has {len(vec)} entries for {graph.vertex_count} vertices")
+    return vec
 
 
 def as_potential(V, graph: WeightedGraph) -> tuple[float, ...]:
     """V as one checked finite real per base vertex."""
-    pot = tuple(_check_real(v, f"V[{i}]") for i, v in enumerate(V))
-    if len(pot) != graph.vertex_count:
-        raise InputError(
-            f"potential has {len(pot)} entries for {graph.vertex_count} vertices"
-        )
-    return pot
+    return _per_vertex(V, graph, "V", "potential")
 
 
 class CompactFunction:
@@ -136,7 +129,7 @@ class CompactFunction:
         for point, value in values.items():
             x = float(value)
             if not math.isfinite(x):
-                raise InputError(f"function value at {point!r} is not finite")
+                raise InputError(f"function value at {_echo(point)} is not finite")
             if x != 0.0:
                 clean[point] = x
         self.values = clean
@@ -144,13 +137,6 @@ class CompactFunction:
 
     def __call__(self, point) -> float:
         return self.values.get(point, 0.0)
-
-
-def base_function(f: Sequence, graph: WeightedGraph) -> CompactFunction:
-    """f, one value per base vertex, as a function keyed by base vertex."""
-    if len(f) != graph.vertex_count:
-        raise InputError(f"function has {len(f)} entries for {graph.vertex_count} vertices")
-    return CompactFunction(dict(enumerate(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +255,7 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
         try:
             u, v = key
         except (TypeError, ValueError):
-            raise InputError(f"voltage key {key!r} is not a vertex pair") from None
+            raise InputError(f"voltage key {_echo(key)} is not a vertex pair") from None
         word = tuple(word)
         for letter in word:
             carrier.check_generator(letter)
@@ -278,7 +264,7 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
         elif (v, u) in edge_set:
             cu, cv, cword = v, u, tuple(-g for g in reversed(word))
         else:
-            raise InputError(f"voltage on nonexistent edge {key!r}")
+            raise InputError(f"voltage on nonexistent edge {_echo(key)}")
         if (cu, cv) in canon:
             raise InputError(f"duplicate voltage for edge ({cu}, {cv})")
         canon[(cu, cv)] = cword
@@ -354,7 +340,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
     if not isinstance(alpha, int) or alpha < 1:
-        raise InputError(f"alpha must be a positive integer, got {alpha!r}")
+        raise InputError(f"alpha must be a positive integer, got {_echo(alpha)}")
     nv = cover.base.vertex_count
     size = len(member_list) * nv
     if size > DEFAULT_POINT_BUDGET:

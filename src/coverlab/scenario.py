@@ -27,10 +27,13 @@ from .actions import (
     free_quotient_lattice_action,
     lattice_action,
 )
-from .errors import InputError
+from .errors import InputError, _echo
 from .folner import SearchBudget, exact_fraction
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+
+# a scenario nests at most 4 levels deep; past this many it is refused
+_MAX_DEPTH = 100
 
 
 class _Refused:
@@ -43,7 +46,7 @@ class _Refused:
 
 
 def _bare_float(text: str) -> _Refused:
-    return _Refused(f"real numbers must be decimal strings, got bare {text}")
+    return _Refused(f"real numbers must be decimal strings, got bare {_echo(text, str)}")
 
 
 def _bare_int(text: str) -> int | _Refused:
@@ -55,20 +58,29 @@ def _bare_int(text: str) -> int | _Refused:
 
 
 def _unique_keys(pairs: list) -> Any:
-    keys = [key for key, _value in pairs]
-    dupes = [key for i, key in enumerate(keys) if key in keys[:i]]
-    return _Refused(f"duplicate field '{dupes[0]}'") if dupes else dict(pairs)
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _value in pairs:
+        if key in seen:
+            return _Refused(f"duplicate field '{_echo(key, str)}'")
+        seen.add(key)
 
 
-def _reject_refused(node: Any, path: str) -> None:
+def _reject_refused(node: Any, path: str, depth: int = 0) -> None:
+    """Refuse the first _Refused in document order, and any list or object
+    nested _MAX_DEPTH levels below the root."""
     if isinstance(node, _Refused):
-        raise InputError(f"{path}: {node.reason}")
+        raise InputError(f"{_echo(path, str)}: {node.reason}")
+    if isinstance(node, (dict, list)) and depth == _MAX_DEPTH:
+        raise InputError(f"values nest more than {_MAX_DEPTH} levels deep")
     if isinstance(node, dict):
         for key, value in node.items():
-            _reject_refused(value, f"{path}.{key}")
+            _reject_refused(value, f"{path}.{key}", depth + 1)
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            _reject_refused(value, f"{path}[{i}]")
+            _reject_refused(value, f"{path}[{i}]", depth + 1)
 
 
 def _expect_dict(node: Any, path: str) -> dict:
@@ -85,30 +97,31 @@ def _expect_list(node: Any, path: str) -> list:
 
 def _expect_int(node: Any, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise InputError(f"{path}: expected an integer, got {node!r}")
+        raise InputError(f"{path}: expected an integer, got {_echo(node)}")
     return node
 
 
 def _expect_real(node: Any, path: str) -> float:
     if isinstance(node, bool) or isinstance(node, int):
         raise InputError(
-            f"{path}: reals must be decimal strings like \"{node}\", got {node!r}"
+            f"{path}: reals must be decimal strings like \"{_echo(node, str)}\", "
+            f"got {_echo(node)}"
         )
     if not isinstance(node, str):
-        raise InputError(f"{path}: expected a decimal string, got {node!r}")
+        raise InputError(f"{path}: expected a decimal string, got {_echo(node)}")
     try:
         value = float(node)
     except ValueError:
-        raise InputError(f"{path}: {node!r} is not a decimal number") from None
+        raise InputError(f"{path}: {_echo(node)} is not a decimal number") from None
     if not math.isfinite(value):
-        raise InputError(f"{path}: {node!r} is not a finite number")
+        raise InputError(f"{path}: {_echo(node)} is not a finite number")
     return value
 
 
 def _expect_positive_real(node: Any, path: str) -> float:
     value = _expect_real(node, path)
     if value <= 0:
-        raise InputError(f"{path}: must be positive, got {node!r}")
+        raise InputError(f"{path}: must be positive, got {_echo(node)}")
     return value
 
 
@@ -117,7 +130,7 @@ def _int_at_least(minimum: int):
     def parse(node: Any, path: str) -> int:
         value = _expect_int(node, path)
         if value < minimum:
-            raise InputError(f"{path}: must be at least {minimum}, got {value}")
+            raise InputError(f"{path}: must be at least {minimum}, got {_echo(value)}")
         return value
     return parse
 
@@ -129,9 +142,9 @@ def _expect_fraction(node: Any, path: str) -> Fraction:
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     except ValueError:
-        raise InputError(f"{path}: {node!r} is not an exact decimal") from None
+        raise InputError(f"{path}: {_echo(node)} is not an exact decimal") from None
     if value < 0:
-        raise InputError(f"{path}: must be at least 0, got {node!r}")
+        raise InputError(f"{path}: must be at least 0, got {_echo(node)}")
     return value
 
 
@@ -142,7 +155,7 @@ def _check_keys(node: dict, path: str, required: tuple, optional: tuple) -> None
     allowed = set(required) | set(optional)
     for key in node:
         if key not in allowed:
-            raise InputError(f"{path}: unknown field '{key}'")
+            raise InputError(f"{path}: unknown field '{_echo(key, str)}'")
 
 
 def _list_of(parse):
@@ -213,7 +226,7 @@ def _parse_fiber(node: Any, path: str) -> GroupAction:
         return _under(path, free_quotient_lattice_action, vectors)
     raise InputError(
         f"{path}.kind: expected one of lattice, free_group, finite_permutation, "
-        f"quotient; got {kind!r}"
+        f"quotient; got {_echo(kind)}"
     )
 
 
@@ -221,7 +234,7 @@ def _parse_voltages(node: Any, path: str) -> dict:
     voltages = {}
     for i, (u, v, word) in enumerate(_list_of(_edge_row("word", _int_list))(node, path)):
         if (u, v) in voltages:
-            raise InputError(f"{path}[{i}]: duplicate voltage for edge ({u}, {v})")
+            raise InputError(f"{path}[{i}]: duplicate voltage for edge {_echo((u, v))}")
         voltages[(u, v)] = word
     return voltages
 
@@ -305,13 +318,13 @@ def parse_scenario(obj: Any) -> Scenario:
     _check_keys(root, "scenario", ("name", "task"), ("seed", *_SECTION_PARSERS, "params"))
     name = root["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise InputError(f"scenario.name: {name!r} is not a valid identifier")
+        raise InputError(f"scenario.name: {_echo(name)} is not a valid identifier")
     task = root["task"]
     if task not in TASKS:
-        raise InputError(f"scenario.task: {task!r} is not one of {', '.join(TASKS)}")
+        raise InputError(f"scenario.task: {_echo(task)} is not one of {', '.join(TASKS)}")
     seed = _expect_int(root.get("seed", 0), "scenario.seed")
     if seed < 0:
-        raise InputError(f"scenario.seed: must be nonnegative, got {seed}")
+        raise InputError(f"scenario.seed: must be nonnegative, got {_echo(seed)}")
 
     sections = TASKS[task].sections
     if "potential" in sections:
@@ -358,6 +371,8 @@ def load_scenario(path) -> Scenario:
                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:  # the decoder recurses once per level, far past _MAX_DEPTH
+        raise InputError(f"{p}: values nest more than {_MAX_DEPTH} levels deep") from None
     try:
         return parse_scenario(obj)
     except InputError as exc:

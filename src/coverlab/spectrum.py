@@ -26,6 +26,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from .actions import finite_permutation_action
 from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
 from .geometry import VoltageCover, WeightedGraph, as_potential
 
@@ -174,7 +175,7 @@ def _base_operator(graph: WeightedGraph, V) -> _Operator:
             f"graph has {n} vertices, above the eigensolve budget {DEFAULT_SIZE_LIMIT}",
             partial_count=n,
         )
-    trivial = graph.trivial_cover
+    trivial = VoltageCover(graph, finite_permutation_action((), 1), {})
     return _Operator(trivial, trivial.tile(0), V)
 
 

@@ -17,14 +17,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
-from .errors import InequalityViolation, InputError
+from .errors import InequalityViolation, InputError, _echo
 from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
 from .geometry import (
     CompactFunction,
     VoltageCover,
     WeightedGraph,
+    _per_vertex,
     as_potential,
-    base_function,
     checked_fsum,
     collar_counts,
     cover_form_parts,
@@ -128,15 +128,16 @@ class WitnessReport:
         return self
 
 
-def _base_sums(graph: WeightedGraph, func: CompactFunction, V, a: float, alpha: int):
-    """The base sums S_f2, S_df2, S_Vf2, S_neg, then Q_base and the r* bracket."""
-    pot = as_potential(V, graph)
-    support = sorted(func.support)
-    s_f2 = checked_fsum((func(v) ** 2 * graph.mu[v] for v in support), "S_f2")
-    s_df2 = checked_fsum((w * (func(u) - func(v)) ** 2 for u, v, w in graph.edges), "S_df2")
-    s_vf2 = checked_fsum((pot[v] * func(v) ** 2 * graph.mu[v] for v in support), "S_Vf2")
-    s_neg = checked_fsum((max(0.0, -a * pot[v]) * func(v) ** 2 * graph.mu[v]
-                          for v in support), "S_neg")
+def _base_sums(graph: WeightedGraph, f: tuple, V, a: float, alpha: int):
+    """The base sums S_f2, S_df2, S_Vf2, S_neg, then Q_base and the r* bracket;
+    f holds one checked value per base vertex, and where it vanishes no term is summed."""
+    pot, mu = as_potential(V, graph), graph.mu
+    support = [(v, x) for v, x in enumerate(f) if x]
+    s_f2 = checked_fsum((x ** 2 * mu[v] for v, x in support), "S_f2")
+    s_df2 = checked_fsum((w * (f[u] - f[v]) ** 2 for u, v, w in graph.edges), "S_df2")
+    s_vf2 = checked_fsum((pot[v] * x ** 2 * mu[v] for v, x in support), "S_Vf2")
+    s_neg = checked_fsum((max(0.0, -a * pot[v]) * x ** 2 * mu[v] for v, x in support),
+                         "S_neg")
     q_base = s_df2 + a * s_vf2
     bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
     return s_f2, s_df2, s_vf2, s_neg, q_base, bracket
@@ -150,11 +151,11 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     dominates -Q_base term by term.
     """
     if not isinstance(alpha, int) or alpha < 1:
-        raise InputError(f"alpha must be a positive integer, got {alpha!r}")
-    func = base_function(f, graph)
-    if not func.values:
+        raise InputError(f"alpha must be a positive integer, got {_echo(alpha)}")
+    f = _per_vertex(f, graph, "f", "function")
+    if not any(f):
         raise InputError("required ratio needs a nonzero base function")
-    *_, q_base, bracket = _base_sums(graph, func, V, a, alpha)
+    *_, q_base, bracket = _base_sums(graph, f, V, a, alpha)
     if q_base >= 0.0:
         raise InputError(
             f"base energy {q_base!r} is nonnegative; there is no negativity "
@@ -174,16 +175,16 @@ def build_witness(cover: VoltageCover, f, cert: FolnerCertificate, alpha: int, V
     raises InequalityViolation.
     """
     members = cert.members
-    func = base_function(f, cover.base)
-    if not func.values:
+    f = _per_vertex(f, cover.base, "f", "function")
+    if not any(f):
         raise InputError("cannot build a witness from the zero function")
 
     xi = cutoff(cover, members, alpha)
-    witness = CompactFunction({p: float(x) * func(p[0]) for p, x in xi.values.items()})
+    witness = CompactFunction({p: float(x) * f[p[0]] for p, x in xi.values.items()})
     term_grad, term_pot = cover_form_parts(cover, V, a, witness)
     q_cover = term_grad + term_pot
 
-    s_f2, s_df2, s_vf2, s_neg, q_base, bracket = _base_sums(cover.base, func, V, a, alpha)
+    s_f2, s_df2, s_vf2, s_neg, q_base, bracket = _base_sums(cover.base, f, V, a, alpha)
     c = len(members)
     b = len(xi.collar_tiles)
     bound_grad = (

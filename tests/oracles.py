@@ -12,9 +12,10 @@ import numpy as np
 from coverlab import (
     CompactFunction,
     InputError,
-    base_function,
     boundary,
+    build_cover,
     cover_form_parts,
+    finite_permutation_action,
     min_eigenvalue,
 )
 from coverlab.spectrum import StabilityInterval
@@ -85,14 +86,17 @@ def rank_by_full_elimination(vectors):
     return rank
 
 
+def trivial_cover(graph):
+    """The graph as its own cover: one tile, over the one-point fiber 0."""
+    return build_cover(graph, finite_permutation_action([], 1), {})
+
+
 def lift_function(cover, f, tiles):
-    """Lift of a base function to finitely many tiles, zero elsewhere."""
-    func = base_function(f, cover.base)
-    values = {}
-    for x in set(tiles):
-        for v in func.support:
-            values[(v, x)] = func(v)
-    return CompactFunction(values)
+    """Lift of a base function, one value per base vertex, to finitely many
+    tiles, zero elsewhere."""
+    if len(f) != cover.base.vertex_count:
+        raise InputError(f"function has {len(f)} entries for {cover.base.vertex_count} vertices")
+    return CompactFunction({(v, x): fv for x in set(tiles) for v, fv in enumerate(f)})
 
 
 def cover_quadratic_form(cover, V, a, func):
@@ -103,10 +107,10 @@ def cover_quadratic_form(cover, V, a, func):
 
 def rayleigh(graph, V, a, f):
     """The trivial cover's form on the lift of f, over the mu-weighted square norm of f."""
-    func = base_function(f, graph)
-    norm = math.fsum(func(v) ** 2 * graph.mu[v] for v in sorted(func.support))
-    lift = CompactFunction({(v, 0): x for v, x in func.values.items()})
-    return cover_quadratic_form(graph.trivial_cover, V, a, lift) / norm
+    cover = trivial_cover(graph)
+    lift = lift_function(cover, f, [0])
+    norm = math.fsum(x ** 2 * graph.mu[v] for (v, _x), x in lift.values.items())
+    return cover_quadratic_form(cover, V, a, lift) / norm
 
 
 def positive_definite_exactly(graph, V, a):

@@ -20,6 +20,7 @@ from coverlab import (
     word_action,
 )
 from coverlab.actions import bfs_depths, permutation_compose, permutation_inverse
+from coverlab.errors import _echo
 from oracles import apply, apply_word
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -332,3 +333,26 @@ def test_all_subgroups_duality_smoke():
     for sub in all_subgroups(S3_GENS):
         report = coset_duality_check(S3_GENS, sorted(sub))
         assert report.ok
+
+
+def test_echo_keeps_a_short_value_and_cuts_a_long_one():
+    assert _echo("a" * 198) == repr("a" * 198)
+    assert _echo("a" * 199) == "'" + "a" * 199 + "..."
+    assert _echo(12, str) == "12"
+    assert _echo(10**5000) == "<int past the int-to-str digit limit>"
+
+
+@pytest.mark.parametrize("build, prefix", [
+    (lambda: free_quotient_lattice_action([(1,) * 1000] * 999 + [(1,) * 999]),
+     "generator vectors must share a positive dimension: ((1, 1, "),
+    (lambda: finite_permutation_action([(0,) + tuple(range(1, 99_999)) + (0,)], 100_000),
+     "generator 1 is not a permutation of 0..99999: (0, 1, 2, "),
+])
+def test_refusals_echo_a_bounded_prefix(build, prefix):
+    # these echoed every entry: 3,002,048 and 688,936 characters
+    with pytest.raises(InputError) as info:
+        build()
+    message = str(info.value)
+    assert message.startswith(prefix)
+    assert message.endswith("...")
+    assert len(message) < 300

@@ -102,14 +102,14 @@ def nonfinite_triangle_scenario(tmp_path):
     return write_json(tmp_path / "nonfinite_triangle.json", obj)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
         [sys.executable, "-m", "coverlab.cli", *args],
-        capture_output=True, env=env, cwd=ROOT, timeout=600,
+        capture_output=True, env=env, cwd=ROOT, timeout=timeout,
     )
 
 
@@ -890,6 +890,9 @@ def test_run_deep_enumeration_exit_3(tmp_path, capsys):
 BAD_FLAGS = [
     pytest.param("--budget", "0", "--budget must be positive, got 0", id="0"),
     pytest.param("--budget", "-5", "--budget must be positive, got -5", id="-5"),
+    # a budget sets max_points, which may not exceed the point budget
+    pytest.param("--budget", "1000001", "--budget must be at most 1000000, got 1000001",
+                 id="1000001"),
     pytest.param("--seed", "-5", "--seed must be nonnegative, got -5", id="seed-5"),
     pytest.param("--radius", "-1", "--radius must be nonnegative, got -1", id="radius-1"),
 ]
@@ -1026,3 +1029,44 @@ def test_permutation_family_moves_and_fixes_orbit_points():
     images = [action.apply_fn(2, x) for x in orbit]
     assert any(y == x for x, y in zip(orbit, images))
     assert any(y != x for x, y in zip(orbit, images))
+
+
+def _z_folner_text(**fields):
+    """z_folner.json as text, with each given top-level field's JSON text."""
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    for key in fields:
+        obj[key] = f"@{key}@"
+    text = json.dumps(obj)
+    for key, value in fields.items():
+        text = text.replace(f'"@{key}@"', value)
+    return text
+
+
+# scenario texts that each used to end in a traceback, a run past memory
+# or an error message of millions of characters
+UNBOUNDED_INPUTS = {
+    "deep-nesting": _z_folner_text(seed="[" * 100_000 + "]" * 100_000),
+    "quotient-shape": _z_folner_text(fiber=json.dumps(
+        {"kind": "quotient", "vectors": [[1] * 1000] * 999 + [[1] * 999]})),
+    "repeated-permutation-entry": _z_folner_text(fiber=json.dumps(
+        {"kind": "finite_permutation", "degree": 100_000,
+         "generators": [[0] + list(range(1, 100_000))[:-1] + [0]]})),
+    "seed-list": _z_folner_text(seed=json.dumps([0] * 10**6)),
+    "max-points-past-memory": _z_folner_text(params=(
+        '{"epsilon": "1e-4290", "budget": {"max_points": ' + "9" * 4299 + "}}")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED_INPUTS))
+def test_unbounded_input_is_refused_quickly_and_briefly(name, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(UNBOUNDED_INPUTS[name])
+    # a run past the bound is killed, so a box past memory cannot fill it
+    proc = run_cli("run", str(path), timeout=5)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert len(proc.stderr) < 2000
+    assert len(err.removeprefix(f"error: {path}: ")) < 1000
+

@@ -27,6 +27,7 @@ from coverlab import (
     word_action,
 )
 from coverlab import folner
+from coverlab.actions import DEFAULT_POINT_BUDGET
 from coverlab.folner import _connected_subsets, translation_box
 from oracles import folner_boundary_bound, rank_by_full_elimination, set_ratios
 
@@ -763,6 +764,18 @@ def test_budget_refuses_a_field_that_is_not_an_integer(name, value):
     with pytest.raises(InputError) as err:
         SearchBudget(**{name: value})
     assert str(err.value) == f"{name}: expected an integer, got {value!r}"
+
+
+def test_budget_can_lower_the_point_budget_but_not_raise_it():
+    assert SearchBudget(max_points=DEFAULT_POINT_BUDGET).max_points == DEFAULT_POINT_BUDGET
+    with pytest.raises(InputError) as err:
+        SearchBudget(max_points=DEFAULT_POINT_BUDGET + 1)
+    assert str(err.value) == f"max_points: must be at most {DEFAULT_POINT_BUDGET}, got 1000001"
+    # a value too long to print is named, not printed
+    with pytest.raises(InputError) as err:
+        SearchBudget(max_points=10**5000)
+    assert str(err.value) == ("max_points: must be at most 1000000, "
+                              "got <int past the int-to-str digit limit>")
 
 
 def test_budget_is_frozen():

@@ -28,6 +28,7 @@ from coverlab import (
 )
 from coverlab.geometry import collar_counts
 from coverlab.scenario import load_scenario
+import oracles
 from oracles import cover_quadratic_form, lift_function, rayleigh
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -71,7 +72,7 @@ def test_quadratic_form_hand_value():
     # the base form is the trivial cover's, on f keyed at its one tile 0
     graph = WeightedGraph((1.0, 2.0), [(0, 1, 3.0)])
     f = CompactFunction({(0, 0): 1.0, (1, 0): 2.0})
-    grad, pot = cover_form_parts(graph.trivial_cover, (0.5, -1.0), 2.0, f)
+    grad, pot = cover_form_parts(oracles.trivial_cover(graph), (0.5, -1.0), 2.0, f)
     # 3*(1-2)^2 + 2*(0.5*1*1 + (-1)*4*2) = 3 - 15
     assert (grad, pot) == (3.0, -15.0)
     assert grad + pot == -12.0
@@ -524,3 +525,14 @@ def test_form_parts_keep_no_visited_set(triangle_cover):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+def test_an_edge_is_echoed_up_to_a_prefix():
+    # a 10^6-entry edge used to put 7,888,924 characters in the message
+    edge = tuple(range(10**6))
+    with pytest.raises(InputError) as info:
+        WeightedGraph((1.0, 1.0), [edge])
+    assert str(info.value) == f"edge 0 is not a (u, v, w) triple: {repr(edge)[:200]}..."
+    with pytest.raises(InputError) as info:
+        WeightedGraph((1.0, 1.0), [(0, 1)])
+    assert str(info.value) == "edge 0 is not a (u, v, w) triple: (0, 1)"

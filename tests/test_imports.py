@@ -447,7 +447,7 @@ PUBLIC_API = {
     "folner": ("FolnerCertificate", "SearchBudget", "SearchReport", "exact_fraction",
                "folner_sequence", "search_folner", "verify_certificate"),
     "geometry": ("CompactFunction", "CutoffFunction", "VoltageCover", "WeightedGraph",
-                 "as_potential", "base_function", "build_cover", "cover_form_parts",
+                 "as_potential", "build_cover", "cover_form_parts",
                  "cutoff"),
     "spectrum": ("CorollaryReport", "SpectralResult", "StabilityInterval", "WindowValue",
                  "corollary_check", "dirichlet_lambda0", "dirichlet_window",
@@ -460,7 +460,7 @@ PUBLIC_API = {
 
 
 def test_every_public_name_resolves_to_its_definition():
-    assert sum(map(len, PUBLIC_API.values())) == 56
+    assert sum(map(len, PUBLIC_API.values())) == 55
     code = f"""
         import json, sys
         import coverlab

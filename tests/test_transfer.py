@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from coverlab import (
 )
 from coverlab.cli import main
 from coverlab.scenario import load_scenario
+import oracles
 from oracles import cover_quadratic_form, lift_function
 
 FLAT_V3 = (-0.05, -0.05, -0.05)
@@ -50,6 +52,58 @@ def test_required_ratio_rejections(triangle):
         required_ratio(triangle, (0.0,) * 3, 2, FLAT_V3, 1.0)
     with pytest.raises(InputError):
         required_ratio(triangle, (1.0,) * 3, 2, (0.05, 0.05, 0.05), 1.0)
+
+
+@pytest.mark.parametrize("f, message", [
+    (("x", 1, 1), "f[0] is not a real number: 'x'"),
+    ((1, None, 1), "f[1] is not a real number: None"),
+    ((1, 1, float("nan")), "f[2] must be finite, got nan"),
+    ((1, 1), "function has 2 entries for 3 vertices"),
+])
+def test_base_function_is_checked_per_vertex(triangle_cover, f, message):
+    # a non-numeric entry used to escape as a bare ValueError
+    cert = verify_certificate(triangle_cover.fiber_action, [(0,)], 2)
+    for call in (lambda: required_ratio(triangle_cover.base, f, 2, FLAT_V3, 1.0),
+                 lambda: build_witness(triangle_cover, f, cert, 2, FLAT_V3, 1.0)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def support_only_sums(graph, f, V, a, alpha):
+    """The base sums as they were taken over the support of f alone."""
+    values = {v: float(x) for v, x in enumerate(f) if float(x) != 0.0}
+
+    def func(v):
+        return values.get(v, 0.0)
+
+    support = sorted(values)
+    s_f2 = math.fsum(func(v) ** 2 * graph.mu[v] for v in support)
+    s_df2 = math.fsum(w * (func(u) - func(v)) ** 2 for u, v, w in graph.edges)
+    s_vf2 = math.fsum(V[v] * func(v) ** 2 * graph.mu[v] for v in support)
+    s_neg = math.fsum(max(0.0, -a * V[v]) * func(v) ** 2 * graph.mu[v] for v in support)
+    q_base = s_df2 + a * s_vf2
+    bracket = s_f2 / alpha**2 + (2.0 / alpha) * math.sqrt(s_df2 * s_f2) + s_neg
+    return s_f2, s_df2, s_vf2, s_neg, q_base, bracket
+
+
+def test_base_sums_over_the_vector_equal_the_support_sums():
+    rng = random.Random(11)
+    for n in (3, 6, 10):
+        graph = WeightedGraph([rng.uniform(0.1, 3.0) for _ in range(n)],
+                              [(v, (v + 1) % n, rng.uniform(0.1, 3.0)) for v in range(n)]
+                              + [(0, k, rng.uniform(0.1, 3.0)) for k in range(2, n - 1)])
+        for _ in range(20):
+            f = tuple(rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-1e-8, 1e-8)])
+                      for _ in range(n))
+            V = tuple(rng.uniform(-3, 3) for _ in range(n))
+            a, alpha = rng.uniform(-2, 2), rng.randint(1, 5)
+            assert transfer._base_sums(graph, f, V, a, alpha) == \
+                support_only_sums(graph, f, V, a, alpha)
+    # where f vanishes, a product that overflows adds no term
+    graph = WeightedGraph([1.0, 1.0], [(0, 1, 1.0)])
+    f, V = (1.0, 0.0), (-1.0, -1e308)
+    assert transfer._base_sums(graph, f, V, 1e10, 1) == support_only_sums(graph, f, V, 1e10, 1)
 
 
 @pytest.mark.parametrize("f, V, name", [
@@ -85,7 +139,7 @@ def test_witness_chain_hand_values(triangle_cover):
     assert report.Q_cover == cover_quadratic_form(
         triangle_cover, FLAT_V3, 1.0, witness
     )
-    trivial = triangle_cover.base.trivial_cover
+    trivial = oracles.trivial_cover(triangle_cover.base)
     assert report.Q_base == cover_quadratic_form(
         trivial, FLAT_V3, 1.0, lift_function(trivial, (1.0, 1.0, 1.0), [0])
     )
