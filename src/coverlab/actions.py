@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .errors import BudgetExceededError, InputError, _echo
+from .errors import BudgetExceededError, InputError, _check_int, _echo
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -70,12 +70,15 @@ class OrbitGraph:
 
 def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | None = None,
                max_points: int | None = None, overflow: Callable[[int], str] | None = None) -> dict:
-    """Hop depth of each point within radius of the roots (radius None: the closure).
+    """Hop depth of each point within radius of the roots (radius None: the
+    closure; else an integer of at least 0, checked before any step).
 
     step(x) lists the neighbors of x; points are keyed in the order reached.
     Past max_points points it raises BudgetExceededError(overflow(d)), d
     the hop of the point that overflowed, with the count reached so far.
     """
+    if radius is not None:
+        radius = _check_int(radius, "radius", 0)
     seen = dict.fromkeys(roots, 0)
     queue = deque(seen)
     while queue:
@@ -110,8 +113,6 @@ def orbit_ball(
     Raises BudgetExceededError (with the partial count) if the ball
     grows past max_points before the radius is exhausted.
     """
-    if radius < 0:
-        raise InputError(f"radius must be nonnegative, got {radius}")
     seen = bfs_depths(
         [center], _action_step(action), radius, max_points,
         lambda d: f"orbit ball around {action.encode_fn(center)} exceeded "
@@ -178,12 +179,7 @@ def _translation_action(name: str, dimension: int,
 def lattice_action(dimension: int) -> GroupAction:
     """Z^n acting on itself; generator i translates coordinate i by one.
     Its apply_fn is built from translation_vectors, the standard basis."""
-    if dimension < 1:
-        raise InputError(f"lattice dimension must be >= 1, got {dimension}")
-    if dimension > MAX_LATTICE_DIMENSION:
-        raise InputError(
-            f"lattice dimension must be at most {MAX_LATTICE_DIMENSION}, got {dimension}"
-        )
+    dimension = _check_int(dimension, "lattice dimension", 1, MAX_LATTICE_DIMENSION)
     basis = tuple((0,) * i + (1,) + (0,) * (dimension - 1 - i) for i in range(dimension))
     return _translation_action(f"lattice({dimension})", dimension, basis)
 
@@ -222,12 +218,7 @@ def free_group_action(rank: int) -> GroupAction:
 
     Points are reduced words, tuples of signed letter ids; a word action
     over it multiplies a point by each word's reduced product in one step."""
-    if rank < 1:
-        raise InputError(f"free group rank must be >= 1, got {rank}")
-    if rank > MAX_LATTICE_DIMENSION:
-        raise InputError(
-            f"free group rank must be at most {MAX_LATTICE_DIMENSION}, got {rank}"
-        )
+    rank = _check_int(rank, "free group rank", 1, MAX_LATTICE_DIMENSION)
     return _free_action(f"free({rank})", tuple((k,) for k in range(1, rank + 1)))
 
 
@@ -260,8 +251,7 @@ def finite_permutation_action(perms: Iterable[tuple], degree: int) -> GroupActio
     """An action on {0..degree-1} generated by explicit permutations; a word
     action over it moves a point by one lookup in the word's composed table."""
     gens = tuple(tuple(p) for p in perms)
-    if degree < 1:
-        raise InputError(f"degree must be >= 1, got {degree}")
+    degree = _check_int(degree, "degree", 1)
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")
     return _permutation_action(f"perm(degree={degree},gens={len(gens)})", degree, gens)

@@ -30,7 +30,7 @@ from .errors import (
     InequalityViolation,
     InputError,
     NumericalError,
-    _echo,
+    _check_int,
 )
 from .folner import SearchBudget, folner_sequence
 from .scenario import TASKS, Scenario, load_scenario
@@ -329,15 +329,11 @@ def execute_scenario(scn: Scenario):
 def _check_flags(args) -> None:
     """Refuse a --budget outside 1..DEFAULT_POINT_BUDGET, the range of
     max_points, and a negative --seed or --radius."""
-    if args.budget is not None and args.budget <= 0:
-        raise InputError(f"--budget must be positive, got {_echo(args.budget)}")
-    if args.budget is not None and args.budget > DEFAULT_POINT_BUDGET:
-        raise InputError(f"--budget must be at most {DEFAULT_POINT_BUDGET}, "
-                         f"got {_echo(args.budget)}")
-    for flag in ("seed", "radius"):
+    for flag, minimum, maximum in (("budget", 1, DEFAULT_POINT_BUDGET), ("seed", 0, None),
+                                   ("radius", 0, None)):
         value = getattr(args, flag)
-        if value is not None and value < 0:
-            raise InputError(f"--{flag} must be nonnegative, got {_echo(value)}")
+        if value is not None:
+            setattr(args, flag, _check_int(value, f"--{flag}", minimum, maximum))
 
 
 def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],

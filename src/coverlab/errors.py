@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and how a message shows an input."""
+"""Exception types shared across the package, how a message shows an input,
+and the one rule for an integer argument."""
+
+import operator
 
 # a message shows at most this many characters of an input value
 _ECHO_LIMIT = 200
@@ -12,6 +15,20 @@ def _echo(value, show=repr) -> str:
     except ValueError:  # an int past the int-to-str digit limit, maybe inside value
         return f"<{type(value).__name__} past the int-to-str digit limit>"
     return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}..."
+
+
+def _check_int(value, label: str, minimum: int | None = None,
+               maximum: int | None = None) -> int:
+    """operator.index(value), refused as an InputError naming label unless
+    value is an integer (never a bool) within minimum..maximum."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InputError(f"{label}: expected an integer, got {_echo(value)}")
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise InputError(f"{label}: must be at least {minimum}, got {_echo(value)}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{label}: must be at most {maximum}, got {_echo(value)}")
+    return value
 
 
 class CoverlabError(Exception):

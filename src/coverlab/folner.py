@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
-from .errors import BudgetExceededError, FolnerVerificationError, InputError, _echo
+from .errors import BudgetExceededError, FolnerVerificationError, InputError, _check_int, _echo
 
 
 def exact_fraction(value) -> Fraction:
@@ -74,14 +74,9 @@ class SearchBudget:
         # a zero radius is a real (if tiny) search, zero points or subsets is
         # none: so every search scores at least the radius-0 ball
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{f.name}: expected an integer, got {_echo(value)}")
-            minimum = 0 if f.name == "max_radius" else 1
-            if value < minimum:
-                raise InputError(f"{f.name}: must be at least {minimum}, got {_echo(value)}")
-            if f.name == "max_points" and value > f.default:
-                raise InputError(f"max_points: must be at most {f.default}, got {_echo(value)}")
+            object.__setattr__(self, f.name, _check_int(
+                getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1,
+                f.default if f.name == "max_points" else None))
 
 
 @dataclass
@@ -209,8 +204,7 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
-    if side < 1:
-        raise InputError(f"box side must be >= 1, got {side}")
+    side = _check_int(side, "box side", 1)
     moving = [v for v in action.translation_vectors if any(v)]
     # formatted only when raised: a side too long to print still builds one point
     refusal = "translation box of side {} exceeds {} points".format
@@ -414,7 +408,7 @@ def search_folner(
     """
     eps = exact_fraction(epsilon)
     if eps < 0:
-        raise InputError(f"epsilon must be nonnegative, got {eps}")
+        raise InputError(f"epsilon: must be at least 0, got {eps}")
     budget = budget or SearchBudget()
 
     if action.translation_vectors is not None:

@@ -30,7 +30,7 @@ from .actions import (
     bfs_depths,
     word_action,
 )
-from .errors import BudgetExceededError, InputError, NumericalError, _echo
+from .errors import BudgetExceededError, InputError, NumericalError, _check_int, _echo
 
 
 def checked_fsum(terms: Iterable[float], name: str) -> float:
@@ -48,6 +48,8 @@ def _check_real(value, label: str, positive: bool = False) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise InputError(f"{label} is not a real number: {_echo(value)}") from None
+    except OverflowError:
+        raise InputError(f"{label} is outside float range: {_echo(value)}") from None
     if not math.isfinite(x):
         raise InputError(f"{label} must be finite, got {x!r}")
     if positive and x <= 0:
@@ -127,9 +129,7 @@ class CompactFunction:
     def __init__(self, values: Mapping):
         clean = {}
         for point, value in values.items():
-            x = float(value)
-            if not math.isfinite(x):
-                raise InputError(f"function value at {_echo(point)} is not finite")
+            x = _check_real(value, f"function value at {_echo(point)}")
             if x != 0.0:
                 clean[point] = x
         self.values = clean
@@ -220,8 +220,7 @@ class VoltageCover:
         Results are memoized by radius; a ball over budget raises before
         it is stored.
         """
-        if radius < 0:
-            raise InputError(f"radius must be nonnegative, got {radius}")
+        radius = _check_int(radius, "radius", 0)  # before the memo, where True == 1
         hit = self._ball_cache.get(radius)
         if hit is not None:
             return hit
@@ -339,8 +338,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     """
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
-    if not isinstance(alpha, int) or alpha < 1:
-        raise InputError(f"alpha must be a positive integer, got {_echo(alpha)}")
+    alpha = _check_int(alpha, "alpha", 1)
     nv = cover.base.vertex_count
     size = len(member_list) * nv
     if size > DEFAULT_POINT_BUDGET:

@@ -16,6 +16,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional
 
@@ -27,10 +28,11 @@ from .actions import (
     free_quotient_lattice_action,
     lattice_action,
 )
-from .errors import InputError, _echo
+from .errors import InputError, _check_int, _echo
 from .folner import SearchBudget, exact_fraction
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+# at most 200 characters, so <name>.json always fits a file name
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,199}")
 
 # a scenario nests at most 4 levels deep; past this many it is refused
 _MAX_DEPTH = 100
@@ -95,12 +97,6 @@ def _expect_list(node: Any, path: str) -> list:
     return node
 
 
-def _expect_int(node: Any, path: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise InputError(f"{path}: expected an integer, got {_echo(node)}")
-    return node
-
-
 def _expect_real(node: Any, path: str) -> float:
     if isinstance(node, bool) or isinstance(node, int):
         raise InputError(
@@ -123,16 +119,6 @@ def _expect_positive_real(node: Any, path: str) -> float:
     if value <= 0:
         raise InputError(f"{path}: must be positive, got {_echo(node)}")
     return value
-
-
-def _int_at_least(minimum: int):
-    """Parser for an integer of at least `minimum`."""
-    def parse(node: Any, path: str) -> int:
-        value = _expect_int(node, path)
-        if value < minimum:
-            raise InputError(f"{path}: must be at least {minimum}, got {_echo(value)}")
-        return value
-    return parse
 
 
 def _expect_fraction(node: Any, path: str) -> Fraction:
@@ -175,7 +161,7 @@ def _nonempty_list(parse):
     return parse_list
 
 
-_int_list = _list_of(_expect_int)
+_int_list = _list_of(_check_int)
 _int_rows = _list_of(_int_list)
 
 
@@ -185,7 +171,7 @@ def _edge_row(label: str, parse_third):
         item = _expect_list(node, path)
         if len(item) != 3:
             raise InputError(f"{path}: expected [u, v, {label}]")
-        return (_expect_int(item[0], f"{path}[0]"), _expect_int(item[1], f"{path}[1]"),
+        return (_check_int(item[0], f"{path}[0]"), _check_int(item[1], f"{path}[1]"),
                 parse_third(item[2], f"{path}[2]"))
     return parse_row
 
@@ -211,13 +197,13 @@ def _parse_fiber(node: Any, path: str) -> GroupAction:
     kind = obj.get("kind")
     if kind == "lattice":
         _check_keys(obj, path, ("kind", "dimension"), ())
-        return _under(path, lattice_action, _expect_int(obj["dimension"], f"{path}.dimension"))
+        return _under(path, lattice_action, _check_int(obj["dimension"], f"{path}.dimension"))
     if kind == "free_group":
         _check_keys(obj, path, ("kind", "rank"), ())
-        return _under(path, free_group_action, _expect_int(obj["rank"], f"{path}.rank"))
+        return _under(path, free_group_action, _check_int(obj["rank"], f"{path}.rank"))
     if kind == "finite_permutation":
         _check_keys(obj, path, ("kind", "degree", "generators"), ())
-        degree = _expect_int(obj["degree"], f"{path}.degree")
+        degree = _check_int(obj["degree"], f"{path}.degree")
         perms = _int_rows(obj["generators"], f"{path}.generators")
         return _under(path, finite_permutation_action, perms, degree)
     if kind == "quotient":
@@ -255,9 +241,9 @@ _PARAM_PARSERS = {
     "epsilons": _nonempty_list(_expect_fraction),
     "a": _expect_real,
     "a_samples": _nonempty_list(_expect_real),
-    "alpha": _int_at_least(1),
-    "radius": _int_at_least(0),
-    "radii": _nonempty_list(_int_at_least(0)),
+    "alpha": partial(_check_int, minimum=1),
+    "radius": partial(_check_int, minimum=0),
+    "radii": _nonempty_list(partial(_check_int, minimum=0)),
     "tolerance": _expect_positive_real,
     "budget": _parse_budget,
 }
@@ -317,14 +303,12 @@ def parse_scenario(obj: Any) -> Scenario:
     root = _expect_dict(obj, "scenario")
     _check_keys(root, "scenario", ("name", "task"), ("seed", *_SECTION_PARSERS, "params"))
     name = root["name"]
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise InputError(f"scenario.name: {_echo(name)} is not a valid identifier")
     task = root["task"]
     if task not in TASKS:
         raise InputError(f"scenario.task: {_echo(task)} is not one of {', '.join(TASKS)}")
-    seed = _expect_int(root.get("seed", 0), "scenario.seed")
-    if seed < 0:
-        raise InputError(f"scenario.seed: must be nonnegative, got {_echo(seed)}")
+    seed = _check_int(root.get("seed", 0), "scenario.seed", 0)
 
     sections = TASKS[task].sections
     if "potential" in sections:
@@ -345,12 +329,8 @@ def parse_scenario(obj: Any) -> Scenario:
     cover = None
     if "voltages" in parsed:
         cover = _under("scenario.voltages", geometry.build_cover, base, fiber, parsed["voltages"])
-
-    if potential is not None and len(potential) != base.vertex_count:
-        raise InputError(
-            f"scenario.potential: length {len(potential)} does not match the "
-            f"{base.vertex_count}-vertex base"
-        )
+    if potential is not None:
+        potential = _under("scenario.potential", geometry.as_potential, potential, base)
     params = _parse_params(task, root.get("params"), "scenario.params")
     return Scenario(
         name=name, task=task, seed=seed, base=base, potential=potential,

@@ -27,7 +27,8 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import eigsh
 
 from .actions import finite_permutation_action
-from .errors import BudgetExceededError, InequalityViolation, InputError, NumericalError
+from .errors import (BudgetExceededError, InequalityViolation, InputError, NumericalError,
+                     _check_int)
 from .geometry import VoltageCover, WeightedGraph, as_potential
 
 DENSE_LIMIT = 2000
@@ -239,10 +240,8 @@ def regular_tree_dirichlet_value(degree: int, vertex_radius: int) -> float:
     converges to the tree's bottom of spectrum d - 2 sqrt(d-1) as the
     radius grows.
     """
-    if degree < 2:
-        raise InputError(f"tree degree must be >= 2, got {degree}")
-    if vertex_radius < 0:
-        raise InputError(f"radius must be nonnegative, got {vertex_radius}")
+    degree = _check_int(degree, "tree degree", 2)
+    vertex_radius = _check_int(vertex_radius, "radius", 0)
     m = vertex_radius + 1
     diag = np.full(m, float(degree))
     if m == 1:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
-from .errors import InequalityViolation, InputError, _echo
+from .errors import InequalityViolation, InputError, _check_int
 from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
 from .geometry import (
     CompactFunction,
@@ -63,9 +63,11 @@ class WitnessReport:
 
     c counts member tiles, b counts collar tiles (both sides of the
     taper), and collar_ball_bound is the size of the radius-alpha ball
-    around the members' inner boundary.  Every term_* is recomputed from
-    the witness function itself; every bound_* comes from the base sums
-    alone, so verify() confronts the two derivations at each step.
+    around the members' inner boundary.  b may exceed c: final_bound,
+    c * Q_base + b * (the r* bracket), holds for every b.  Every term_*
+    is recomputed from the witness function itself; every bound_* comes
+    from the base sums alone, so verify() confronts the two derivations
+    at each step.
     """
 
     c: int
@@ -93,10 +95,6 @@ class WitnessReport:
 
     def verify(self) -> "WitnessReport":
         """Re-check every inequality in the chain; raise on any breach."""
-        if not 0 <= self.b <= self.c:
-            raise InequalityViolation(
-                f"collar count b={self.b} is outside [0, c={self.c}]"
-            )
         if self.b > self.collar_ball_bound:
             raise InequalityViolation(
                 f"collar count b={self.b} exceeds the boundary ball bound "
@@ -150,8 +148,7 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     meaningful only when Q_base < 0, and always <= 1 because the bracket
     dominates -Q_base term by term.
     """
-    if not isinstance(alpha, int) or alpha < 1:
-        raise InputError(f"alpha must be a positive integer, got {_echo(alpha)}")
+    alpha = _check_int(alpha, "alpha", 1)
     f = _per_vertex(f, graph, "f", "function")
     if not any(f):
         raise InputError("required ratio needs a nonzero base function")

@@ -231,13 +231,13 @@ def test_orbit_ball_sizes():
 def test_lattice_dimension_limit():
     assert actions.MAX_LATTICE_DIMENSION == 1000
     # 1001 is refused before its 1001 x 1001 basis is built
-    with pytest.raises(InputError, match="^lattice dimension must be at most 1000, got 1001$"):
+    with pytest.raises(InputError, match="^lattice dimension: must be at most 1000, got 1001$"):
         lattice_action(1001)
 
 
 def test_free_group_rank_limit():
     assert free_group_action(1000).generator_count == 1000
-    with pytest.raises(InputError, match="^free group rank must be at most 1000, got 1001$"):
+    with pytest.raises(InputError, match="^free group rank: must be at most 1000, got 1001$"):
         free_group_action(1001)
 
 

@@ -888,13 +888,13 @@ def test_run_deep_enumeration_exit_3(tmp_path, capsys):
 
 
 BAD_FLAGS = [
-    pytest.param("--budget", "0", "--budget must be positive, got 0", id="0"),
-    pytest.param("--budget", "-5", "--budget must be positive, got -5", id="-5"),
+    pytest.param("--budget", "0", "--budget: must be at least 1, got 0", id="0"),
+    pytest.param("--budget", "-5", "--budget: must be at least 1, got -5", id="-5"),
     # a budget sets max_points, which may not exceed the point budget
-    pytest.param("--budget", "1000001", "--budget must be at most 1000000, got 1000001",
+    pytest.param("--budget", "1000001", "--budget: must be at most 1000000, got 1000001",
                  id="1000001"),
-    pytest.param("--seed", "-5", "--seed must be nonnegative, got -5", id="seed-5"),
-    pytest.param("--radius", "-1", "--radius must be nonnegative, got -1", id="radius-1"),
+    pytest.param("--seed", "-5", "--seed: must be at least 0, got -5", id="seed-5"),
+    pytest.param("--radius", "-1", "--radius: must be at least 0, got -1", id="radius-1"),
 ]
 
 
@@ -1029,6 +1029,24 @@ def test_permutation_family_moves_and_fixes_orbit_points():
     images = [action.apply_fn(2, x) for x in orbit]
     assert any(y == x for x, y in zip(orbit, images))
     assert any(y != x for x, y in zip(orbit, images))
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_overlong_name_is_refused_briefly(command, tmp_path):
+    # <name>.json must fit a file name; batch used to run the scenario and
+    # then fail writing its report, echoing the name twice
+    src = tmp_path / "jobs"
+    src.mkdir()
+    path = src / "long.json"
+    path.write_text(_z_folner_text(name=json.dumps("n" * 100_000)))
+    proc = run_cli(command, str(path if command == "run" else src), timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "is not a valid identifier" in err
+    assert len(proc.stderr) < 1000
+    assert proc.stdout == b""
+    assert sorted(p.name for p in src.iterdir()) == ["long.json"]
 
 
 def _z_folner_text(**fields):

@@ -86,13 +86,35 @@ def test_potential_length_mismatch(triangle):
     assert as_potential([1, -2, 0.5], triangle) == (1.0, -2.0, 0.5)
 
 
+HUGE = 10**400  # an int past float range
+
+
+@pytest.mark.parametrize("build, label", [
+    (lambda g: WeightedGraph([HUGE, 1.0, 1.0], g.edges), "mu[0]"),
+    (lambda g: WeightedGraph(g.mu, [(0, 1, 1.0), (0, 2, HUGE), (1, 2, 1.0)]), "w[1]"),
+    (lambda g: as_potential([HUGE, 0, 0], g), "V[0]"),
+    (lambda g: geometry._per_vertex([1, 1, HUGE], g, "f", "function"), "f[2]"),
+    (lambda g: CompactFunction({(0, 0): HUGE}), "function value at (0, 0)"),
+])
+def test_real_past_float_range_is_an_input_error(triangle, build, label):
+    # float() of such an int raises OverflowError, which used to escape bare
+    with pytest.raises(InputError) as info:
+        build(triangle)
+    # the message echoes the first 200 digits
+    assert str(info.value) == f"{label} is outside float range: 1{'0' * 199}..."
+
+
 def test_compact_function_drops_zeros():
     f = CompactFunction({0: 1.0, 1: 0.0, 2: -2.0})
     assert f.support == frozenset({0, 2})
     assert f(1) == 0.0
     assert not CompactFunction({0: 0.0}).values
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^function value at 0 must be finite, got inf$"):
         CompactFunction({0: math.inf})
+    # a value that is not a number used to escape as a bare ValueError
+    with pytest.raises(InputError,
+                       match=r"^function value at \(0, 0\) is not a real number: 'x'$"):
+        CompactFunction({(0, 0): "x"})
 
 
 def test_support_and_omega_are_views_of_the_values(triangle_cover):

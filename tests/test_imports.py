@@ -286,6 +286,50 @@ def test_group_actions_are_built_by_the_family_constructors(path):
     assert group_action_sites(path.read_text(encoding="utf-8")) == []
 
 
+INTEGER_RULE = "_check_int"
+INTEGER_RULE_PHRASES = ("expected an integer", "must be >=", "must be nonnegative",
+                        "must be a positive integer")
+
+
+def integer_rule_copies(source: str, rule_allowed: bool = False) -> list[str]:
+    """Every string holding one of INTEGER_RULE_PHRASES, the wordings of an
+    integer check, except inside the top-level INTEGER_RULE when
+    ``rule_allowed``."""
+    found = []
+    for top in ast.parse(source).body:
+        if rule_allowed and isinstance(top, ast.FunctionDef) and top.name == INTEGER_RULE:
+            continue
+        found += [f"{phrase} (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  for phrase in INTEGER_RULE_PHRASES if phrase in node.value]
+    return found
+
+
+def test_integer_rule_checker_flags_a_second_copy():
+    source = textwrap.dedent("""\
+        def _check_int(value, label):
+            raise InputError(f"{label}: expected an integer, got {value!r}")
+        def lattice_action(d):
+            if d < 1:
+                raise InputError(f"lattice dimension must be >= 1, got {d}")
+        class Budget:
+            def check(self, n):
+                \"""n must be nonnegative.\"""
+                return "alpha must be a positive integer"
+        """)
+    assert integer_rule_copies(source, rule_allowed=True) == [
+        "must be >= (line 5)", "must be nonnegative (line 8)",
+        "must be a positive integer (line 9)"]
+    assert integer_rule_copies(source)[0] == "expected an integer (line 2)"
+
+
+# errors._check_int is the one rule for an integer argument
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_integers_are_checked_by_one_rule(path):
+    assert integer_rule_copies(path.read_text(encoding="utf-8"),
+                               rule_allowed=path.name == "errors.py") == []
+
+
 def solver_imports(source: str, top_level_allowed: bool = False) -> list[str]:
     """Every numpy or scipy import, except the module's own top-level import
     statements when ``top_level_allowed``."""

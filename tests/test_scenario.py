@@ -115,6 +115,21 @@ def test_bad_name():
         parse_scenario(obj)
 
 
+@pytest.mark.parametrize("name, valid", [
+    ("n" * 200, True),
+    ("n" * 201, False),
+    ("t\n", False),  # a trailing newline is not part of an identifier
+], ids=["200-characters", "201-characters", "trailing-newline"])
+def test_name_fits_a_file_name(name, valid):
+    obj = minimal_transfer()
+    obj["name"] = name
+    if valid:
+        assert parse_scenario(obj).name == name
+    else:
+        with pytest.raises(InputError, match="^scenario.name: .* is not a valid identifier$"):
+            parse_scenario(obj)
+
+
 def test_bad_seed():
     obj = minimal_transfer()
     obj["seed"] = -1
@@ -427,14 +442,14 @@ SECTION_FAULTS = [
      "scenario.base.mu[1]: 'inf' is not a finite number"),
     # one past the largest lattice whose basis fits the default point budget
     ("folner", "fiber", {"kind": "lattice", "dimension": 1001},
-     "scenario.fiber: lattice dimension must be at most 1000, got 1001"),
+     "scenario.fiber: lattice dimension: must be at most 1000, got 1001"),
     ("folner", "fiber", {"kind": "lattice", "dimension": 0},
-     "scenario.fiber: lattice dimension must be >= 1, got 0"),
+     "scenario.fiber: lattice dimension: must be at least 1, got 0"),
     ("folner", "fiber", {"kind": "free_group", "rank": 0},
-     "scenario.fiber: free group rank must be >= 1, got 0"),
+     "scenario.fiber: free group rank: must be at least 1, got 0"),
     # the same bound holds for a free group's rank
     ("folner", "fiber", {"kind": "free_group", "rank": 1001},
-     "scenario.fiber: free group rank must be at most 1000, got 1001"),
+     "scenario.fiber: free group rank: must be at most 1000, got 1001"),
     # [u, v, x] rows and integer lists, item by item
     ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, 1]]},
      "scenario.base.edges[0]: expected [u, v, weight]"),

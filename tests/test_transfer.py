@@ -24,6 +24,7 @@ from coverlab import (
     easy_direction_check,
     interval_comparison,
     lattice_action,
+    orbit_ball,
     required_ratio,
     search_folner,
     transfer_negativity,
@@ -155,13 +156,24 @@ def test_witness_accepts_certificate(triangle_cover):
     assert report.c == search.certificate.size
 
 
-def test_witness_collar_overflow_on_tree(tree_cover):
-    members = [tree_cover.carrier.origin]
-    cert = verify_certificate(tree_cover.fiber_action, members, 2)
-    with pytest.raises(InequalityViolation, match="b=7 is outside"):
-        build_witness(tree_cover, (1.0,) * 4, cert, 1, FLAT_V4, 1.0)
-    xi = cutoff(tree_cover, members, 1)
-    assert (len(xi.collar_tiles), len(xi.members)) == (7, 1)
+@pytest.mark.parametrize("cover_name, radius, f, V, c, b", [
+    ("triangle_cover", 0, (1.0,) * 3, FLAT_V3, 1, 3),
+    ("tree_cover", 0, (1.0,) * 4, FLAT_V4, 1, 7),
+    ("tree_cover", 1, (1.0,) * 4, FLAT_V4, 7, 36),
+], ids=["z-one-tile", "f3-one-tile", "f3-radius-1-ball"])
+def test_witness_with_more_collar_than_member_tiles_verifies(cover_name, radius, f, V, c, b,
+                                                              request):
+    # final_bound = c Q_base + b bracket holds for every b, so b > c is no breach
+    cover = request.getfixturevalue(cover_name)
+    members = orbit_ball(cover.fiber_action, cover.carrier.origin, radius).points
+    cert = verify_certificate(cover.fiber_action, members, 2)
+    witness, report = build_witness(cover, f, cert, 1, V, 1.0)
+    assert (report.c, report.b) == (c, b)
+    assert report.b <= report.collar_ball_bound
+    assert report.Q_cover == pytest.approx(cover_quadratic_form(cover, V, 1.0, witness))
+    assert report.Q_cover <= report.final_bound
+    xi = cutoff(cover, members, 1)
+    assert (len(xi.collar_tiles), len(xi.members)) == (b, c)
 
 
 def test_exhausted_search_counts_ratio_without_witness(tree_cover, monkeypatch):
@@ -189,7 +201,7 @@ def test_exhausted_search_counts_ratio_without_witness(tree_cover, monkeypatch):
 
 
 def test_verify_checks_collar_ball_bound(triangle_cover, monkeypatch):
-    # the tree overflow above trips b <= c first; this reaches b <= ball
+    # a witness whose collar count exceeds the boundary ball is a breach
     search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
     monkeypatch.setattr(transfer, "_boundary_ball", lambda *_args: 0)
     with pytest.raises(InequalityViolation, match="boundary ball bound 0"):
