@@ -53,12 +53,15 @@ class GroupAction:
         n = self.generator_count
         return tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
 
-    def check_generator(self, g: int) -> None:
-        if not isinstance(g, int) or g == 0 or abs(g) > self.generator_count:
+    def check_generator(self, g: int) -> int:
+        """g as an int, refused unless it is a signed generator id."""
+        g = _check_int(g, "generator id")
+        if g == 0 or abs(g) > self.generator_count:
             raise InputError(
                 f"generator id {_echo(g)} out of range for {self.name} "
                 f"(expected nonzero integer with |g| <= {self.generator_count})"
             )
+        return g
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,8 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     Its name lists the vectors while that takes at most 200 characters,
     and past that gives their count and dimension.
     """
-    vecs = tuple(tuple(int(c) for c in v) for v in vectors)
+    vecs = tuple(tuple(_check_int(c, f"vectors[{k}][{i}]") for i, c in enumerate(v))
+                 for k, v in enumerate(vectors))
     if not vecs:
         raise InputError("at least one generator vector is required")
     dim = len(vecs[0])
@@ -300,10 +304,7 @@ def word_action(
     word once (a net displacement, a reduced word or a table), so every
     generator moves a point in one step.
     """
-    word_list = tuple(tuple(w) for w in words)
-    for w in word_list:
-        for letter in w:
-            carrier.check_generator(letter)
+    word_list = tuple(tuple(carrier.check_generator(letter) for letter in w) for w in words)
     return carrier.of_words(name or f"words({len(word_list)} over {carrier.name})", word_list)
 
 

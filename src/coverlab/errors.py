@@ -1,6 +1,7 @@
 """Exception types shared across the package, how a message shows an input,
-and the one rule for an integer argument."""
+and the one rule each for an integer and a real argument."""
 
+import math
 import operator
 
 # a message shows at most this many characters of an input value
@@ -29,6 +30,24 @@ def _check_int(value, label: str, minimum: int | None = None,
     if maximum is not None and value > maximum:
         raise InputError(f"{label}: must be at most {maximum}, got {_echo(value)}")
     return value
+
+
+def _check_real(value, label: str, positive: bool = False) -> float:
+    """float(value), refused as an InputError naming label unless value is a
+    real number (never a bool) that is finite, and above 0 when positive."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{label}: expected a real number, got {_echo(value)}") from None
+    except OverflowError:  # an int past float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{label}: must be finite, got {_echo(value)}")
+    if positive and x <= 0:
+        raise InputError(f"{label}: must be positive, got {_echo(value)}")
+    return x
 
 
 class CoverlabError(Exception):

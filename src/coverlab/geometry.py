@@ -15,7 +15,6 @@ cover is enumerated lazily around the origin tile, never materialized.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,8 @@ from .actions import (
     bfs_depths,
     word_action,
 )
-from .errors import BudgetExceededError, InputError, NumericalError, _check_int, _echo
+from .errors import (BudgetExceededError, InputError, NumericalError, _check_int, _check_real,
+                     _echo)
 
 
 def checked_fsum(terms: Iterable[float], name: str) -> float:
@@ -41,20 +41,6 @@ def checked_fsum(terms: Iterable[float], name: str) -> float:
         return fsum(terms)
     except (OverflowError, ValueError):
         raise NumericalError(f"{name} overflows float range") from None
-
-
-def _check_real(value, label: str, positive: bool = False) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{label} is not a real number: {_echo(value)}") from None
-    except OverflowError:
-        raise InputError(f"{label} is outside float range: {_echo(value)}") from None
-    if not math.isfinite(x):
-        raise InputError(f"{label} must be finite, got {x!r}")
-    if positive and x <= 0:
-        raise InputError(f"{label} must be positive, got {x!r}")
-    return x
 
 
 class WeightedGraph:
@@ -76,10 +62,7 @@ class WeightedGraph:
                 u, v, w = edge
             except (TypeError, ValueError):
                 raise InputError(f"edge {k} is not a (u, v, w) triple: {_echo(edge)}") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise InputError(f"edge {k} endpoints must be integers: {_echo(edge)}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {k} endpoint out of range 0..{n - 1}: {_echo(edge)}")
+            u, v = (_check_int(x, f"edge {k} endpoint", 0, n - 1) for x in (u, v))
             if u == v:
                 raise InputError(f"edge {k} is a loop at vertex {u}")
             key = (min(u, v), max(u, v))
@@ -255,9 +238,7 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
             u, v = key
         except (TypeError, ValueError):
             raise InputError(f"voltage key {_echo(key)} is not a vertex pair") from None
-        word = tuple(word)
-        for letter in word:
-            carrier.check_generator(letter)
+        word = tuple(carrier.check_generator(letter) for letter in word)
         if (u, v) in edge_set:
             cu, cv, cword = u, v, word
         elif (v, u) in edge_set:

@@ -10,7 +10,6 @@ errors name the offending field by path.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from collections import namedtuple
@@ -28,7 +27,7 @@ from .actions import (
     free_quotient_lattice_action,
     lattice_action,
 )
-from .errors import InputError, _check_int, _echo
+from .errors import InputError, _check_int, _check_real, _echo
 from .folner import SearchBudget, exact_fraction
 
 # at most 200 characters, so <name>.json always fits a file name
@@ -97,28 +96,10 @@ def _expect_list(node: Any, path: str) -> list:
     return node
 
 
-def _expect_real(node: Any, path: str) -> float:
-    if isinstance(node, bool) or isinstance(node, int):
-        raise InputError(
-            f"{path}: reals must be decimal strings like \"{_echo(node, str)}\", "
-            f"got {_echo(node)}"
-        )
+def _expect_real(node: Any, path: str, positive: bool = False) -> float:
     if not isinstance(node, str):
         raise InputError(f"{path}: expected a decimal string, got {_echo(node)}")
-    try:
-        value = float(node)
-    except ValueError:
-        raise InputError(f"{path}: {_echo(node)} is not a decimal number") from None
-    if not math.isfinite(value):
-        raise InputError(f"{path}: {_echo(node)} is not a finite number")
-    return value
-
-
-def _expect_positive_real(node: Any, path: str) -> float:
-    value = _expect_real(node, path)
-    if value <= 0:
-        raise InputError(f"{path}: must be positive, got {_echo(node)}")
-    return value
+    return _check_real(node, path, positive)
 
 
 def _expect_fraction(node: Any, path: str) -> Fraction:
@@ -244,7 +225,7 @@ _PARAM_PARSERS = {
     "alpha": partial(_check_int, minimum=1),
     "radius": partial(_check_int, minimum=0),
     "radii": _nonempty_list(partial(_check_int, minimum=0)),
-    "tolerance": _expect_positive_real,
+    "tolerance": partial(_expect_real, positive=True),
     "budget": _parse_budget,
 }
 
@@ -306,7 +287,7 @@ def parse_scenario(obj: Any) -> Scenario:
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise InputError(f"scenario.name: {_echo(name)} is not a valid identifier")
     task = root["task"]
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise InputError(f"scenario.task: {_echo(task)} is not one of {', '.join(TASKS)}")
     seed = _check_int(root.get("seed", 0), "scenario.seed", 0)
 

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import eigsh
 
 from .actions import finite_permutation_action
 from .errors import (BudgetExceededError, InequalityViolation, InputError, NumericalError,
-                     _check_int)
+                     _check_int, _check_real)
 from .geometry import VoltageCover, WeightedGraph, as_potential
 
 DENSE_LIMIT = 2000
@@ -328,8 +328,7 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     in-place Cholesky factorization up to DENSE_LIMIT vertices, an
     eigensolve above it.
     """
-    if not tol > 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    tol = _check_real(tol, "tolerance", positive=True)
     pot = as_potential(V, graph)
     if not any(pot):
         return StabilityInterval(-math.inf, math.inf, 0.0)

@@ -300,6 +300,17 @@ def test_run_bad_interval_field_exit_1(tmp_path, capsys, field, value, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("task", ["[]", "{}"])
+def test_run_refuses_a_task_that_is_not_a_string(task, tmp_path, capsys):
+    # an unhashable task used to end in a TypeError traceback
+    path = tmp_path / "z_folner.json"
+    path.write_text(_z_folner_text(task=task))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: scenario.task: {task} is not one of folner, ")
+
+
 def test_run_violation_exit_2(tmp_path, capsys):
     code = main(["run", str(heavy_triangle_scenario(tmp_path))])
     out = capsys.readouterr().out

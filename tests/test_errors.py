@@ -1,6 +1,8 @@
-"""One rule for an integer argument: errors._check_int and every library site that uses it."""
+"""One rule each for an integer and a real argument: errors._check_int,
+errors._check_real and every library site that uses them."""
 
 import dataclasses
+import math
 import pathlib
 import time
 
@@ -8,21 +10,26 @@ import numpy as np
 import pytest
 
 from coverlab import (
+    CompactFunction,
     InputError,
     SearchBudget,
     WeightedGraph,
+    as_potential,
     build_cover,
     cutoff,
     dirichlet_window,
     finite_permutation_action,
     free_group_action,
+    free_quotient_lattice_action,
     lattice_action,
     orbit_ball,
     regular_tree_dirichlet_value,
     required_ratio,
+    stability_interval,
+    word_action,
 )
 from coverlab import geometry
-from coverlab.errors import _check_int
+from coverlab.errors import _check_int, _check_real
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
 
@@ -133,3 +140,98 @@ def test_fractional_radius_is_refused_before_any_search(monkeypatch):
         orbit_ball(action, action.origin, 2.5)
     assert time.perf_counter() - start < 0.1
     assert steps == []
+
+
+def test_check_real_accepts_a_finite_real():
+    assert _check_real(2, "x") == 2.0 and type(_check_real(2, "x")) is float
+    value = _check_real(np.float64(-1.5), "x")
+    assert value == -1.5 and type(value) is float
+    assert _check_real("1e-320", "x", positive=True) == 1e-320
+
+
+@pytest.mark.parametrize("value", [True, "x", None, 1j, [1.0]])
+def test_check_real_refuses_what_is_not_a_real_number(value):
+    with pytest.raises(InputError) as err:
+        _check_real(value, "x")
+    assert str(err.value) == f"x: expected a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, "1e400", np.float64(math.inf)])
+def test_check_real_refuses_what_is_not_finite(value):
+    with pytest.raises(InputError) as err:
+        _check_real(value, "x")
+    assert str(err.value) == f"x: must be finite, got {value!r}"
+
+
+def test_check_real_words_positivity_and_bounds_its_echo():
+    assert _check_real(0.0, "x") == 0.0
+    for value in (0, -0.0, -1e-300):
+        with pytest.raises(InputError) as err:
+            _check_real(value, "x", positive=True)
+        assert str(err.value) == f"x: must be positive, got {value!r}"
+    # an int past float range is not finite; its echo is cut at 200 digits
+    with pytest.raises(InputError) as err:
+        _check_real(10**400, "x")
+    assert str(err.value) == f"x: must be finite, got 1{'0' * 199}..."
+
+
+# every library site of the real rule: its label, and a call that takes
+# the checked real x (valid at 2) and returns something comparable
+REAL_SITES = {
+    "WeightedGraph mu": ("mu[0]", lambda x: WeightedGraph([x, 1.0], [(0, 1, 1.0)]).mu),
+    "WeightedGraph w": ("w[0]", lambda x: WeightedGraph([1.0, 1.0], [(0, 1, x)]).edges),
+    "as_potential": ("V[0]", lambda x: as_potential([x, 0.0, 0.0], _triangle())),
+    "required_ratio": (
+        "f[0]", lambda x: required_ratio(_triangle(), (x, 2.0, 2.0), 2, FLAT_V3, 1.0)),
+    "CompactFunction": ("function value at 0", lambda x: CompactFunction({0: x}).values),
+    "stability_interval": (
+        "tolerance", lambda x: stability_interval(_triangle(), (1.0, -1.0, 0.0), tol=x)),
+}
+
+
+@pytest.mark.parametrize("value", [True, "x"])
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_site_refuses_a_value_that_is_not_a_real_number(site, value):
+    label, call = REAL_SITES[site]
+    with pytest.raises(InputError) as err:
+        call(value)
+    assert str(err.value) == f"{label}: expected a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_site_takes_a_numpy_float_as_the_float(site):
+    _label, call = REAL_SITES[site]
+    assert call(np.float64(2)) == call(2.0)
+
+
+def test_edge_endpoints_follow_the_integer_rule():
+    with pytest.raises(InputError, match="^edge 0 endpoint: expected an integer, got False$"):
+        WeightedGraph([1, 1], [(False, True, 1.0)])
+    with pytest.raises(InputError, match="^edge 0 endpoint: must be at most 1, got 2$"):
+        WeightedGraph([1, 1], [(0, 2, 1.0)])
+    graph = WeightedGraph([1, 1], [(np.int64(1), np.int64(0), 1.0)])
+    assert graph.edges == ((0, 1, 1.0),)
+    assert all(type(u) is int and type(v) is int for u, v, _w in graph.edges)
+
+
+def test_generators_follow_the_integer_rule():
+    for build in (lambda g: word_action(lattice_action(1), [(g,)]),
+                  lambda g: build_cover(_triangle(), lattice_action(1), {(0, 1): [g]})):
+        with pytest.raises(InputError, match="^generator id: expected an integer, got True$"):
+            build(True)
+    words = word_action(lattice_action(2), [(np.int64(1), np.int64(-2))])
+    assert words.translation_vectors == ((1, -1),)
+    cover = build_cover(_triangle(), lattice_action(1), {(0, 1): [np.int64(1)]})
+    assert [type(g) for g in cover.voltages[(0, 1)]] == [int]
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ([(2.7, True)], "vectors[0][0]: expected an integer, got 2.7"),
+    ([(1, 0), (0, True)], "vectors[1][1]: expected an integer, got True"),
+    ([("3",)], "vectors[0][0]: expected an integer, got '3'"),
+])
+def test_quotient_vectors_are_not_truncated(vectors, message):
+    # each entry used to go through int(), so 2.7 became 2 and '3' became 3
+    with pytest.raises(InputError) as err:
+        free_quotient_lattice_action(vectors)
+    assert str(err.value) == message

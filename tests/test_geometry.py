@@ -81,7 +81,7 @@ def test_quadratic_form_hand_value():
 def test_potential_length_mismatch(triangle):
     with pytest.raises(InputError, match="potential has 2 entries for 3 vertices"):
         as_potential((1.0, 2.0), triangle)
-    with pytest.raises(InputError, match=r"V\[1\] must be finite"):
+    with pytest.raises(InputError, match=r"^V\[1\]: must be finite, got inf$"):
         as_potential((1.0, math.inf, 0.0), triangle)
     assert as_potential([1, -2, 0.5], triangle) == (1.0, -2.0, 0.5)
 
@@ -101,7 +101,7 @@ def test_real_past_float_range_is_an_input_error(triangle, build, label):
     with pytest.raises(InputError) as info:
         build(triangle)
     # the message echoes the first 200 digits
-    assert str(info.value) == f"{label} is outside float range: 1{'0' * 199}..."
+    assert str(info.value) == f"{label}: must be finite, got 1{'0' * 199}..."
 
 
 def test_compact_function_drops_zeros():
@@ -109,11 +109,11 @@ def test_compact_function_drops_zeros():
     assert f.support == frozenset({0, 2})
     assert f(1) == 0.0
     assert not CompactFunction({0: 0.0}).values
-    with pytest.raises(InputError, match="^function value at 0 must be finite, got inf$"):
+    with pytest.raises(InputError, match="^function value at 0: must be finite, got inf$"):
         CompactFunction({0: math.inf})
     # a value that is not a number used to escape as a bare ValueError
     with pytest.raises(InputError,
-                       match=r"^function value at \(0, 0\) is not a real number: 'x'$"):
+                       match=r"^function value at \(0, 0\): expected a real number, got 'x'$"):
         CompactFunction({(0, 0): "x"})
 
 

@@ -286,22 +286,28 @@ def test_group_actions_are_built_by_the_family_constructors(path):
     assert group_action_sites(path.read_text(encoding="utf-8")) == []
 
 
-INTEGER_RULE = "_check_int"
-INTEGER_RULE_PHRASES = ("expected an integer", "must be >=", "must be nonnegative",
-                        "must be a positive integer")
+# each argument rule in errors.py, with the wordings of its checks; a
+# wording may stand only inside its own rule
+RULE_PHRASES = {
+    "_check_int": ("expected an integer", "must be >=", "must be nonnegative",
+                   "must be a positive integer"),
+    "_check_real": ("expected a real number", "is not a real number", "is not a decimal number",
+                    "is not a finite number", "must be finite", "must be positive",
+                    "is outside float range"),
+}
 
 
-def integer_rule_copies(source: str, rule_allowed: bool = False) -> list[str]:
-    """Every string holding one of INTEGER_RULE_PHRASES, the wordings of an
-    integer check, except inside the top-level INTEGER_RULE when
+def rule_copies(source: str, rule: str, rule_allowed: bool = False) -> list[str]:
+    """Every string holding one of RULE_PHRASES[rule], the wordings of that
+    rule's checks, except inside the top-level function `rule` when
     ``rule_allowed``."""
     found = []
     for top in ast.parse(source).body:
-        if rule_allowed and isinstance(top, ast.FunctionDef) and top.name == INTEGER_RULE:
+        if rule_allowed and isinstance(top, ast.FunctionDef) and top.name == rule:
             continue
         found += [f"{phrase} (line {node.lineno})" for node in ast.walk(top)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  for phrase in INTEGER_RULE_PHRASES if phrase in node.value]
+                  for phrase in RULE_PHRASES[rule] if phrase in node.value]
     return found
 
 
@@ -317,17 +323,39 @@ def test_integer_rule_checker_flags_a_second_copy():
                 \"""n must be nonnegative.\"""
                 return "alpha must be a positive integer"
         """)
-    assert integer_rule_copies(source, rule_allowed=True) == [
+    assert rule_copies(source, "_check_int", rule_allowed=True) == [
         "must be >= (line 5)", "must be nonnegative (line 8)",
         "must be a positive integer (line 9)"]
-    assert integer_rule_copies(source)[0] == "expected an integer (line 2)"
+    assert rule_copies(source, "_check_int")[0] == "expected an integer (line 2)"
+
+
+def test_real_rule_checker_flags_a_second_copy():
+    source = textwrap.dedent("""\
+        def _check_real(value, label):
+            raise InputError(f"{label}: must be finite, got {value!r}")
+        def stability_interval(tol):
+            if not tol > 0:
+                raise InputError(f"tolerance must be positive, got {tol}")
+        def _check_int(value, label):
+            return f"{label} is not a real number"
+        """)
+    assert rule_copies(source, "_check_real", rule_allowed=True) == [
+        "must be positive (line 5)", "is not a real number (line 7)"]
+    assert rule_copies(source, "_check_real")[0] == "must be finite (line 2)"
 
 
 # errors._check_int is the one rule for an integer argument
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_integers_are_checked_by_one_rule(path):
-    assert integer_rule_copies(path.read_text(encoding="utf-8"),
-                               rule_allowed=path.name == "errors.py") == []
+    assert rule_copies(path.read_text(encoding="utf-8"), "_check_int",
+                       rule_allowed=path.name == "errors.py") == []
+
+
+# errors._check_real is the one rule for a real argument
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_reals_are_checked_by_one_rule(path):
+    assert rule_copies(path.read_text(encoding="utf-8"), "_check_real",
+                       rule_allowed=path.name == "errors.py") == []
 
 
 def solver_imports(source: str, top_level_allowed: bool = False) -> list[str]:

@@ -354,7 +354,7 @@ def test_valid_scenario_parses(task):
 # (task, params field, bad value, exact message); messages recorded on the
 # per-task parser that the field table replaced
 PARAM_FAULTS = [
-    ("folner", "epsilon", "1/0", "scenario.params.epsilon: '1/0' is not a decimal number"),
+    ("folner", "epsilon", "1/0", "scenario.params.epsilon: expected a real number, got '1/0'"),
     ("folner", "epsilon", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "epsilons", ["0.1"], "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "budget", {"max_points": 0},
@@ -363,13 +363,13 @@ PARAM_FAULTS = [
     ("spectrum", "radii", ["1"], "scenario.params.radii[0]: expected an integer, got '1'"),
     ("spectrum", "radii", DROP, "scenario.params: missing required field 'radii'"),
     ("interval", "a_samples", ["1", 2],
-     'scenario.params.a_samples[1]: reals must be decimal strings like "2", got 2'),
+     "scenario.params.a_samples[1]: expected a decimal string, got 2"),
     ("interval", "radius", "1", "scenario.params.radius: expected an integer, got '1'"),
     ("interval", "alpha", True, "scenario.params.alpha: expected an integer, got True"),
     ("interval", "tolerance", 1,
-     'scenario.params.tolerance: reals must be decimal strings like "1", got 1'),
+     "scenario.params.tolerance: expected a decimal string, got 1"),
     ("interval", "budget", [], "scenario.params.budget: expected an object, got list"),
-    ("transfer", "a", 1, 'scenario.params.a: reals must be decimal strings like "1", got 1'),
+    ("transfer", "a", 1, "scenario.params.a: expected a decimal string, got 1"),
     ("transfer", "a", DROP, "scenario.params: missing required field 'a'"),
     ("transfer", "alpha", "2", "scenario.params.alpha: expected an integer, got '2'"),
     ("transfer", "radius", 1.5, "scenario.params.radius: expected an integer, got 1.5"),
@@ -377,7 +377,7 @@ PARAM_FAULTS = [
     ("transfer", "max_halvings", 1, "scenario.params: unknown field 'max_halvings'"),
     ("transfer", "budget", {"max_subsets": "3"},
      "scenario.params.budget.max_subsets: expected an integer, got '3'"),
-    ("counterexample", "a", "one", "scenario.params.a: 'one' is not a decimal number"),
+    ("counterexample", "a", "one", "scenario.params.a: expected a real number, got 'one'"),
     ("counterexample", "alpha", None, "scenario.params.alpha: expected an integer, got None"),
     ("counterexample", "radii", 3, "scenario.params.radii: expected a list, got int"),
     ("counterexample", "budget", {"depth": 1}, "scenario.params.budget: unknown field 'depth'"),
@@ -386,15 +386,15 @@ PARAM_FAULTS = [
      "scenario.params.tolerance: expected a decimal string, got [1]"),
     ("corollary", "radius", 1, "scenario.params: unknown field 'radius'"),
     # non-finite reals and out-of-range integers, refused with their field path
-    ("transfer", "a", "nan", "scenario.params.a: 'nan' is not a finite number"),
-    ("counterexample", "a", "-inf", "scenario.params.a: '-inf' is not a finite number"),
+    ("transfer", "a", "nan", "scenario.params.a: must be finite, got 'nan'"),
+    ("counterexample", "a", "-inf", "scenario.params.a: must be finite, got '-inf'"),
     ("spectrum", "a_samples", ["1e400"],
-     "scenario.params.a_samples[0]: '1e400' is not a finite number"),
+     "scenario.params.a_samples[0]: must be finite, got '1e400'"),
     ("interval", "a_samples", ["1", "inf"],
-     "scenario.params.a_samples[1]: 'inf' is not a finite number"),
-    ("interval", "tolerance", "nan", "scenario.params.tolerance: 'nan' is not a finite number"),
+     "scenario.params.a_samples[1]: must be finite, got 'inf'"),
+    ("interval", "tolerance", "nan", "scenario.params.tolerance: must be finite, got 'nan'"),
     ("corollary", "tolerance", "0", "scenario.params.tolerance: must be positive, got '0'"),
-    ("folner", "epsilon", "inf", "scenario.params.epsilon: 'inf' is not a finite number"),
+    ("folner", "epsilon", "inf", "scenario.params.epsilon: must be finite, got 'inf'"),
     ("transfer", "alpha", 0, "scenario.params.alpha: must be at least 1, got 0"),
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
     ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
@@ -405,8 +405,8 @@ PARAM_FAULTS = [
 # the folner epsilon list, given on its own
 EPSILONS_FAULTS = [
     ([], "scenario.params.epsilons: list must be nonempty"),
-    (["0.1", 1], 'scenario.params.epsilons[1]: reals must be decimal strings like "1", got 1'),
-    (["0.1", "x"], "scenario.params.epsilons[1]: 'x' is not a decimal number"),
+    (["0.1", 1], "scenario.params.epsilons[1]: expected a decimal string, got 1"),
+    (["0.1", "x"], "scenario.params.epsilons[1]: expected a real number, got 'x'"),
     ("0.1", "scenario.params.epsilons: expected a list, got str"),
     (["0.5", "-0.1"], "scenario.params.epsilons[1]: must be at least 0, got '-0.1'"),
 ]
@@ -415,7 +415,7 @@ EPSILONS_FAULTS = [
 SECTION_FAULTS = [
     ("spectrum", "base", {"mu": ["1"]}, "scenario.base: missing required field 'edges'"),
     ("spectrum", "potential", ["1", "x", "1"],
-     "scenario.potential[1]: 'x' is not a decimal number"),
+     "scenario.potential[1]: expected a real number, got 'x'"),
     ("spectrum", "fiber", {"kind": "torus"},
      "scenario.fiber.kind: expected one of lattice, free_group, finite_permutation, "
      "quotient; got 'torus'"),
@@ -437,9 +437,9 @@ SECTION_FAULTS = [
     ("folner", "voltages", [], "scenario.voltages: not used by the folner task"),
     ("folner", "params", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("spectrum", "potential", ["1", "nan", "1"],
-     "scenario.potential[1]: 'nan' is not a finite number"),
+     "scenario.potential[1]: must be finite, got 'nan'"),
     ("spectrum", "base", {"mu": ["1", "inf", "1"], "edges": TRIANGLE["edges"]},
-     "scenario.base.mu[1]: 'inf' is not a finite number"),
+     "scenario.base.mu[1]: must be finite, got 'inf'"),
     # one past the largest lattice whose basis fits the default point budget
     ("folner", "fiber", {"kind": "lattice", "dimension": 1001},
      "scenario.fiber: lattice dimension: must be at most 1000, got 1001"),
@@ -456,7 +456,7 @@ SECTION_FAULTS = [
     ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, "1", "1"]]},
      "scenario.base.edges[0][1]: expected an integer, got '1'"),
     ("spectrum", "base", {"mu": ["1", "1"], "edges": [[0, 1, 1]]},
-     'scenario.base.edges[0][2]: reals must be decimal strings like "1", got 1'),
+     "scenario.base.edges[0][2]: expected a decimal string, got 1"),
     ("spectrum", "voltages", [[0, 1]], "scenario.voltages[0]: expected [u, v, word]"),
     ("spectrum", "voltages", [[0, 1, ["1"]]],
      "scenario.voltages[0][2][0]: expected an integer, got '1'"),

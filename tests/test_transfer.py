@@ -56,9 +56,9 @@ def test_required_ratio_rejections(triangle):
 
 
 @pytest.mark.parametrize("f, message", [
-    (("x", 1, 1), "f[0] is not a real number: 'x'"),
-    ((1, None, 1), "f[1] is not a real number: None"),
-    ((1, 1, float("nan")), "f[2] must be finite, got nan"),
+    (("x", 1, 1), "f[0]: expected a real number, got 'x'"),
+    ((1, None, 1), "f[1]: expected a real number, got None"),
+    ((1, 1, float("nan")), "f[2]: must be finite, got nan"),
     ((1, 1), "function has 2 entries for 3 vertices"),
 ])
 def test_base_function_is_checked_per_vertex(triangle_cover, f, message):
