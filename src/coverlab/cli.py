@@ -33,7 +33,7 @@ from .errors import (
     _check_int,
 )
 from .folner import SearchBudget, folner_sequence
-from .scenario import TASKS, Scenario, load_scenario
+from .scenario import TASKS, Scenario, _under, load_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -201,7 +201,8 @@ def _run_transfer(scn: Scenario):
     params = dict(scn.params)
     radius = params.pop("radius", None)
     a = params["a"]
-    out = transfer.transfer_negativity(scn.cover, scn.potential, seed=scn.seed, **params)
+    out = _under("scenario.params.a", transfer.transfer_negativity, scn.cover, scn.potential,
+                 seed=scn.seed, **params)
     window = None
     if radius is not None:
         window = spectrum.dirichlet_window(scn.cover, radius, scn.potential, a, scn.seed)
@@ -232,8 +233,8 @@ def _run_transfer(scn: Scenario):
 
 def _run_counterexample(scn: Scenario):
     a = scn.params["a"]
-    report = transfer.counterexample_check(scn.cover, scn.potential, seed=scn.seed,
-                                           **scn.params)
+    report = _under("scenario.params.a", transfer.counterexample_check, scn.cover,
+                    scn.potential, seed=scn.seed, **scn.params)
     out = report.transfer
     # counterexample_check raises unless the inclusion is strict
     outcome = "strict inclusion"
@@ -256,7 +257,8 @@ def _run_counterexample(scn: Scenario):
 
 
 def _run_corollary(scn: Scenario):
-    report = spectrum.corollary_check(scn.base, scn.potential, seed=scn.seed, **scn.params)
+    report = _under("scenario.potential", spectrum.corollary_check, scn.base, scn.potential,
+                    seed=scn.seed, **scn.params)
     outcome = "full line" if report.zero_potential else "interval pinned to zero"
     payload = {**asdict(report), "outcome": outcome}
     interval = report.interval
@@ -375,7 +377,7 @@ def _cmd_run(args) -> int:
     scn = _override(load_scenario(args.path), args.seed, args.budget, args.radius)
     report, columns, rows, status, headline = _execute_logged(scn)
     if report is None:
-        raise InputError(headline)
+        raise InputError(f"{Path(args.path)}: {headline}")
     if args.format == "csv":
         text = render_csv(columns, rows)
     else:

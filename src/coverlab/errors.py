@@ -2,6 +2,7 @@
 and the one rule each for an integer and a real argument."""
 
 import math
+import numbers
 import operator
 
 # a message shows at most this many characters of an input value
@@ -34,14 +35,12 @@ def _check_int(value, label: str, minimum: int | None = None,
 
 def _check_real(value, label: str, positive: bool = False) -> float:
     """float(value), refused as an InputError naming label unless value is a
-    real number (never a bool) that is finite, and above 0 when positive."""
+    numbers.Real (never a bool) that is finite, and above 0 when positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{label}: expected a real number, got {_echo(value)}")
     try:
-        if isinstance(value, bool):
-            raise TypeError
         x = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{label}: expected a real number, got {_echo(value)}") from None
-    except OverflowError:  # an int past float range
+    except OverflowError:  # an int or a Fraction past float range
         x = math.inf
     if not math.isfinite(x):
         raise InputError(f"{label}: must be finite, got {_echo(value)}")

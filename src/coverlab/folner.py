@@ -30,6 +30,8 @@ moves each point by each signed generator once.
 from __future__ import annotations
 
 import math
+import numbers
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -39,22 +41,27 @@ from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
 from .errors import BudgetExceededError, FolnerVerificationError, InputError, _check_int, _echo
 
 
-def exact_fraction(value) -> Fraction:
-    """Coerce a ratio-like value to an exact Fraction.
-
-    Strings are parsed as exact decimals; a float is refused, since the
-    decimal it was written as is already lost, and so is a ratio that, or
-    whose 2/epsilon, has a part too long to print (int-to-str digit limit).
-    """
-    if isinstance(value, (int, str)):
-        value = Fraction(value)
-    if not isinstance(value, Fraction):
-        raise InputError(f"cannot interpret {_echo(value)} as an exact ratio")
+def exact_fraction(value, label: str = "epsilon") -> Fraction:
+    """value as an exact Fraction, refused as an InputError naming label
+    unless it is a string Fraction() reads or a rational (never a bool), at
+    least 0 and printable with its 2/value.  A float is refused: the decimal
+    it was written as is already lost."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and 2 * max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise InputError(f"a ratio whose numerator or denominator, doubled, has more than "
-                         f"{limit} digits cannot be printed")
-    return value
+    if isinstance(value, str) and limit and re.search(rf"\d{{{limit + 1}}}", value):
+        raise InputError(f"{label}: has a digit run above the limit of {limit} digits")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Rational)):
+            raise ValueError
+        ratio = Fraction(value) if isinstance(value, str) else Fraction(
+            int(value.numerator), int(value.denominator))
+    except ValueError:
+        raise InputError(f"{label}: expected an exact ratio, got {_echo(value)}") from None
+    if ratio < 0:
+        raise InputError(f"{label}: must be at least 0, got {_echo(value)}")
+    if limit and 2 * max(ratio.numerator, ratio.denominator) >= 10**limit:
+        raise InputError(f"{label}: a ratio whose numerator or denominator, doubled, has "
+                         f"more than {limit} digits cannot be printed")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -407,8 +414,6 @@ def search_folner(
     BudgetExceededError when its size floor exceeds budget.max_points.
     """
     eps = exact_fraction(epsilon)
-    if eps < 0:
-        raise InputError(f"epsilon: must be at least 0, got {eps}")
     budget = budget or SearchBudget()
 
     if action.translation_vectors is not None:
@@ -471,7 +476,7 @@ def folner_sequence(
     budget: SearchBudget | None = None,
 ) -> tuple[SearchReport, ...]:
     """One search per requested ratio, in order, stopping after the first miss."""
-    eps_list = [exact_fraction(e) for e in epsilons]
+    eps_list = [exact_fraction(e, f"epsilons[{k}]") for k, e in enumerate(epsilons)]
     if not eps_list:
         raise InputError("at least one epsilon is required")
     reports = []

@@ -36,18 +36,18 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,199}")
 # a scenario nests at most 4 levels deep; past this many it is refused
 _MAX_DEPTH = 100
 
+# a scenario real: ASCII digits with an optional sign, point and exponent,
+# which float() and Fraction() both read as the same number
+_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
 
 class _Refused:
-    """What the decoder leaves for a bare float, an overlong integer or a key named twice."""
+    """What the decoder leaves for an overlong integer or a key named twice."""
 
     __slots__ = ("reason",)
 
     def __init__(self, reason: str):
         self.reason = reason
-
-
-def _bare_float(text: str) -> _Refused:
-    return _Refused(f"real numbers must be decimal strings, got bare {_echo(text, str)}")
 
 
 def _bare_int(text: str) -> int | _Refused:
@@ -97,22 +97,14 @@ def _expect_list(node: Any, path: str) -> list:
 
 
 def _expect_real(node: Any, path: str, positive: bool = False) -> float:
-    if not isinstance(node, str):
+    if not isinstance(node, str) or not _DECIMAL_RE.fullmatch(node):
         raise InputError(f"{path}: expected a decimal string, got {_echo(node)}")
-    return _check_real(node, path, positive)
+    return _check_real(float(node), path, positive)
 
 
 def _expect_fraction(node: Any, path: str) -> Fraction:
     _expect_real(node, path)
-    try:
-        value = exact_fraction(node)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    except ValueError:
-        raise InputError(f"{path}: {_echo(node)} is not an exact decimal") from None
-    if value < 0:
-        raise InputError(f"{path}: must be at least 0, got {_echo(node)}")
-    return value
+    return exact_fraction(node, path)
 
 
 def _check_keys(node: dict, path: str, required: tuple, optional: tuple) -> None:
@@ -157,10 +149,10 @@ def _edge_row(label: str, parse_third):
     return parse_row
 
 
-def _under(path: str, build, *args):
-    """build(*args), with any InputError it raises put under the field path."""
+def _under(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with any InputError it raises put under the field path."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -328,8 +320,7 @@ def load_scenario(path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        obj = json.loads(text, parse_float=_bare_float, parse_int=_bare_int,
-                         object_pairs_hook=_unique_keys)
+        obj = json.loads(text, parse_int=_bare_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:  # the decoder recurses once per level, far past _MAX_DEPTH

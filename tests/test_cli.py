@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -102,7 +103,19 @@ def nonfinite_triangle_scenario(tmp_path):
     return write_json(tmp_path / "nonfinite_triangle.json", obj)
 
 
+def run_main(capsys, *args):
+    """`coverlab` with these arguments, in process: (exit code, stdout, stderr)."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 def run_cli(*args, timeout=600):
+    """`python -m coverlab.cli` with these arguments, in a fresh interpreter:
+    for the entry point itself and for a run that a time limit must kill."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -188,8 +201,9 @@ def test_corollary_refuses_floats_that_balance_only_as_decimals(tmp_path, capsys
     # balanced as decimals, but the parsed floats sum to 5.55e-19
     path = corollary_scenario(tmp_path, ["0.3", "0.3", "2.5"], ["0.7", "0.5", "-0.144"])
     assert main(["run", path]) == 1
-    assert ("error: potential is not balanced: sum V mu = 5.551115123125788e-19"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.endswith(
+        f"error: {path}: scenario.potential: potential is not balanced: "
+        "sum V mu = 5.551115123125788e-19\n")
 
 
 def test_corollary_sample_at_zero_coupling_is_nonnegative(tmp_path, capsys):
@@ -320,15 +334,17 @@ def test_run_violation_exit_2(tmp_path, capsys):
     assert "gradient term" in report["outcome"]["error"]
 
 
-def test_run_nonfinite_operator_is_violation(tmp_path):
-    proc = run_cli("run", str(nonfinite_triangle_scenario(tmp_path)))
-    assert proc.returncode == 2
-    report = json.loads(proc.stdout)
+def test_run_nonfinite_operator_is_violation(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(capsys, "run", str(nonfinite_triangle_scenario(tmp_path)))
+    assert code == 2
+    report = json.loads(out)
     assert report["status"] == "violation"
     assert report["outcome"]["error"] == (
         "operator entry inf in row 0 (vertex (0, 0)) is not finite")
-    assert b"Traceback" not in proc.stderr
-    assert b"Warning" not in proc.stderr
+    assert "Traceback" not in err
+    assert "Warning" not in err and caught == []
 
 
 # a bundled scenario with one field changed so that a sum of finite terms
@@ -346,19 +362,19 @@ OVERFLOWING_SUMS = {
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS))
-def test_run_overflowing_sum_is_violation(tmp_path, name):
+def test_run_overflowing_sum_is_violation(tmp_path, capsys, name):
     keys, value, sum_name = OVERFLOWING_SUMS[name]
     obj = json.loads((SCENARIOS / f"{name}.json").read_text())
     owner = obj
     for key in keys[:-1]:
         owner = owner[key]
     owner[keys[-1]] = value
-    proc = run_cli("run", str(write_json(tmp_path / f"{name}.json", obj)))
-    assert proc.returncode == 2
-    report = json.loads(proc.stdout)
+    code, out, err = run_main(capsys, "run", str(write_json(tmp_path / f"{name}.json", obj)))
+    assert code == 2
+    report = json.loads(out)
     assert report["status"] == "violation"
     assert report["outcome"]["error"] == f"{sum_name} overflows float range"
-    assert b"Traceback" not in proc.stderr
+    assert "Traceback" not in err
 
 
 # triangle_transfer with one param or section changed, and the status its
@@ -370,16 +386,16 @@ FAILED_TRANSFERS = {
 
 
 @pytest.mark.parametrize("status", sorted(FAILED_TRANSFERS))
-def test_failed_run_csv_is_the_task_header(tmp_path, status):
+def test_failed_run_csv_is_the_task_header(tmp_path, capsys, status):
     key, value, exit_code = FAILED_TRANSFERS[status]
     obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
     (obj["params"] if key in obj["params"] else obj)[key] = value
     path = write_json(tmp_path / "triangle_transfer.json", obj)
-    proc = run_cli("run", str(path), "--format", "csv")
-    assert proc.returncode == exit_code
-    assert proc.stdout == (b"scenario,a,lambda_min_base,r_star,epsilon_used,"
-                           b"b,c,Q_cover,final_bound,outcome\n")
-    assert f"triangle_transfer: {status} (".encode() in proc.stderr
+    code, out, err = run_main(capsys, "run", str(path), "--format", "csv")
+    assert code == exit_code
+    assert out == ("scenario,a,lambda_min_base,r_star,epsilon_used,"
+                   "b,c,Q_cover,final_bound,outcome\n")
+    assert f"triangle_transfer: {status} (" in err
 
 
 def test_batch_nonfinite_operator_is_violation(tmp_path, capsys):
@@ -501,12 +517,11 @@ def test_run_refuses_max_halvings_field(tmp_path, capsys):
     assert "scenario.params: unknown field 'max_halvings'" in capsys.readouterr().err
 
 
-def test_run_refuses_oversized_quotient_exit_1(tmp_path):
+def test_run_refuses_oversized_quotient_exit_1(tmp_path, capsys):
     obj = json.loads((SCENARIOS / "z_folner.json").read_text())
     obj["fiber"] = {"kind": "quotient", "vectors": [[1]] * 1001}
-    proc = run_cli("run", str(write_json(tmp_path / "quotient.json", obj)))
-    assert proc.returncode == 1
-    err = proc.stderr.decode()
+    code, _out, err = run_main(capsys, "run", str(write_json(tmp_path / "quotient.json", obj)))
+    assert code == 1
     assert ("scenario.fiber: quotient takes at most 1000 vectors of dimension at most "
             "1000, got 1001 of dimension 1") in err
     assert "Traceback" not in err
@@ -715,6 +730,44 @@ def test_run_and_batch_log_a_runtime_input_error_alike(tmp_path, capsys):
     assert len(line.findall(capsys.readouterr().err)) == 1
 
 
+def _bundled_with(name, **params):
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj["params"].update(params)
+    return obj
+
+
+NOTHING_TO_TRANSFER = (r"scenario\.params\.a: base lambda_min = \S+ is nonnegative; "
+                       "nothing to transfer")
+
+# scenarios that parse but are refused once they run, with the detail
+# (field path and message) their refusal reads, as a pattern
+RUN_TIME_REFUSALS = {
+    "corollary": ({"name": "unbalanced", "task": "corollary", "base": triangle_base(),
+                   "potential": ["1", "-1", "-1"]},
+                  re.escape("scenario.potential: potential is not balanced: sum V mu = -1.0")),
+    "transfer": (_bundled_with("triangle_transfer", a="0"), NOTHING_TO_TRANSFER),
+    "counterexample": (_bundled_with("tree_counterexample", a="0"), NOTHING_TO_TRANSFER),
+}
+
+
+@pytest.mark.parametrize("task", sorted(RUN_TIME_REFUSALS))
+def test_run_time_refusal_names_its_file_and_field(task, tmp_path, capsys):
+    # run printed only the library's message, with neither file nor field
+    obj, detail = RUN_TIME_REFUSALS[task]
+    src = tmp_path / "jobs"
+    src.mkdir()
+    path = write_json(src / f"{obj['name']}.json", obj)
+    code, _out, err = run_main(capsys, "run", str(path))
+    assert code == 1
+    assert re.fullmatch(f"error: {re.escape(str(path))}: {detail}", err.splitlines()[-1])
+    code, _out, _err = run_main(capsys, "batch", str(src), "--out", str(tmp_path / "out"))
+    assert code == 1
+    with open(tmp_path / "out" / "summary.csv", newline="", encoding="utf-8") as fh:
+        [row] = csv.DictReader(fh)
+    assert row["status"] == "input-error"
+    assert re.fullmatch(detail, row["detail"])
+
+
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_override_flags_have_help_in_both_commands(command, capsys):
     with pytest.raises(SystemExit):
@@ -783,11 +836,10 @@ def test_batch_has_no_jobs_option(tmp_path, capsys):
     (["run"], "coverlab run: error: the following arguments are required: path"),
     (["batch", "scenarios", "--jobs", "2"], "coverlab: error: unrecognized arguments: --jobs 2"),
 ])
-def test_usage_error_exits_1(args, message):
+def test_usage_error_exits_1(args, message, capsys):
     # 2 is reserved for an audited inequality that failed
-    proc = run_cli(*args)
-    err = proc.stderr.decode()
-    assert proc.returncode == 1
+    code, _out, err = run_main(capsys, *args)
+    assert code == 1
     assert err.startswith("usage: coverlab")
     assert err.endswith(message + "\n")
     assert "Traceback" not in err
@@ -801,15 +853,14 @@ def test_help_and_version_exit_0(args, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "batch"])
-def test_integer_past_the_digit_limit_exits_1(command, tmp_path):
+def test_integer_past_the_digit_limit_exits_1(command, tmp_path, capsys):
     src = tmp_path / "jobs"
     src.mkdir()
     path = src / "z_folner.json"
     text = (SCENARIOS / "z_folner.json").read_text()
     path.write_text(text.replace('"seed": 0', '"seed": 1' + "0" * 5000))
-    proc = run_cli(command, str(path if command == "run" else src))
-    err = proc.stderr.decode()
-    assert proc.returncode == 1
+    code, _out, err = run_main(capsys, command, str(path if command == "run" else src))
+    assert code == 1
     assert err == (f"error: {path}: scenario.seed: integer of 5001 digits, "
                    "above the limit of 4300 digits\n")
 
@@ -818,13 +869,12 @@ def test_integer_past_the_digit_limit_exits_1(command, tmp_path):
     ({"epsilon": "1e-4300"}, "scenario.params.epsilon"),
     ({"epsilons": ["0.5", "1.6e-4300"]}, "scenario.params.epsilons[1]"),
 ])
-def test_epsilon_too_long_to_print_exits_1(params, field, tmp_path):
+def test_epsilon_too_long_to_print_exits_1(params, field, tmp_path, capsys):
     obj = json.loads((SCENARIOS / "z_folner.json").read_text())
     obj["params"] = params
     path = write_json(tmp_path / "z_folner.json", obj)
-    proc = run_cli("run", str(path))
-    err = proc.stderr.decode()
-    assert proc.returncode == 1
+    code, _out, err = run_main(capsys, "run", str(path))
+    assert code == 1
     assert err == (f"error: {path}: {field}: a ratio whose numerator or denominator, "
                    "doubled, has more than 4300 digits cannot be printed\n")
 
@@ -942,8 +992,9 @@ def reference_digests():
 
 @pytest.fixture(scope="session")
 def batch_reports(tmp_path_factory):
-    """One `coverlab batch` subprocess over the bundled scenarios: name ->
-    (exit code from summary.csv, report bytes, empty when none was written)."""
+    """One `coverlab batch` over the bundled scenarios, through the entry
+    point in a fresh interpreter as the benchmark runs it: name -> (exit
+    code from summary.csv, report bytes, empty when none was written)."""
     out = tmp_path_factory.mktemp("batch_reports")
     run_cli("batch", str(SCENARIOS), "--out", str(out))
     with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
@@ -1043,20 +1094,19 @@ def test_permutation_family_moves_and_fixes_orbit_points():
 
 
 @pytest.mark.parametrize("command", ["run", "batch"])
-def test_overlong_name_is_refused_briefly(command, tmp_path):
+def test_overlong_name_is_refused_briefly(command, tmp_path, capsys):
     # <name>.json must fit a file name; batch used to run the scenario and
     # then fail writing its report, echoing the name twice
     src = tmp_path / "jobs"
     src.mkdir()
     path = src / "long.json"
     path.write_text(_z_folner_text(name=json.dumps("n" * 100_000)))
-    proc = run_cli(command, str(path if command == "run" else src), timeout=60)
-    err = proc.stderr.decode()
-    assert proc.returncode == 1
+    code, out, err = run_main(capsys, command, str(path if command == "run" else src))
+    assert code == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and "is not a valid identifier" in err
-    assert len(proc.stderr) < 1000
-    assert proc.stdout == b""
+    assert len(err.encode()) < 1000
+    assert out == ""
     assert sorted(p.name for p in src.iterdir()) == ["long.json"]
 
 

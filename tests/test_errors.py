@@ -5,6 +5,8 @@ import dataclasses
 import math
 import pathlib
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from coverlab import (
     word_action,
 )
 from coverlab import geometry
-from coverlab.errors import _check_int, _check_real
+from coverlab.errors import _check_int, _check_real, _echo
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
 
@@ -146,7 +148,8 @@ def test_check_real_accepts_a_finite_real():
     assert _check_real(2, "x") == 2.0 and type(_check_real(2, "x")) is float
     value = _check_real(np.float64(-1.5), "x")
     assert value == -1.5 and type(value) is float
-    assert _check_real("1e-320", "x", positive=True) == 1e-320
+    assert _check_real(1e-320, "x", positive=True) == 1e-320
+    assert _check_real(Fraction(1, 3), "x") == 1 / 3
 
 
 @pytest.mark.parametrize("value", [True, "x", None, 1j, [1.0]])
@@ -156,11 +159,29 @@ def test_check_real_refuses_what_is_not_a_real_number(value):
     assert str(err.value) == f"x: expected a real number, got {value!r}"
 
 
-@pytest.mark.parametrize("value", [math.nan, -math.inf, "1e400", np.float64(math.inf)])
+@pytest.mark.parametrize("value", [math.nan, -math.inf,
+                                   pytest.param(Fraction(10**400), id="1e400"),
+                                   np.float64(math.inf)])
 def test_check_real_refuses_what_is_not_finite(value):
     with pytest.raises(InputError) as err:
         _check_real(value, "x")
-    assert str(err.value) == f"x: must be finite, got {value!r}"
+    assert str(err.value) == f"x: must be finite, got {_echo(value)}"
+
+
+@pytest.mark.parametrize("value", ["2", np.True_, Decimal("1")],
+                         ids=["str", "np.True_", "Decimal"])
+def test_check_real_takes_numbers_only(value):
+    # a decimal string is read by the scenario parser alone
+    with pytest.raises(InputError) as err:
+        _check_real(value, "x")
+    assert str(err.value) == f"x: expected a real number, got {value!r}"
+
+
+def test_library_graph_refuses_decimal_strings():
+    # float() used to read them, so this built with mu = (1.0, 1.0) and w = 2.0
+    with pytest.raises(InputError) as err:
+        WeightedGraph(["1", "1"], [(0, 1, "2")])
+    assert str(err.value) == "mu[0]: expected a real number, got '1'"
 
 
 def test_check_real_words_positivity_and_bounds_its_echo():

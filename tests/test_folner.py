@@ -7,6 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coverlab import (
@@ -38,8 +39,40 @@ def test_exact_fraction_decimal_and_float():
     assert exact_fraction(3) == Fraction(3)
     # a float has lost the decimal it was written as, so it is refused
     for value in (0.1, float("nan")):
-        with pytest.raises(InputError, match="as an exact ratio"):
+        with pytest.raises(InputError, match="^epsilon: expected an exact ratio, got "):
             exact_fraction(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "epsilon: expected an exact ratio, got True"),
+    ("abc", "epsilon: expected an exact ratio, got 'abc'"),
+    (-1, "epsilon: must be at least 0, got -1"),
+    ("-0.5", "epsilon: must be at least 0, got '-0.5'"),
+    ("1." + "0" * 5000, "epsilon: has a digit run above the limit of 4300 digits"),
+], ids=["bool", "unreadable", "negative", "negative-string", "digit-run"])
+def test_exact_fraction_is_the_one_ratio_rule(value, message):
+    with pytest.raises(InputError) as err:
+        exact_fraction(value)
+    assert str(err.value) == message
+
+
+def test_exact_fraction_echo_is_bounded_and_takes_numpy_integers():
+    # Fraction()'s own ValueError repeated the whole string: 1,000,032 characters
+    with pytest.raises(InputError) as err:
+        search_folner(lattice_action(1), "x" * 10**6)
+    assert str(err.value) == f"epsilon: expected an exact ratio, got '{'x' * 199}..."
+    value = exact_fraction(np.int64(3))
+    assert value == 3 and type(value.numerator) is int
+
+
+def test_every_ratio_is_refused_below_zero_by_the_one_rule():
+    # verify_certificate raised FolnerVerificationError, on the first generator
+    with pytest.raises(InputError, match="^epsilon: must be at least 0, got -1$"):
+        verify_certificate(lattice_action(1), [(0,)], -1)
+    with pytest.raises(InputError, match="^epsilon: must be at least 0, got Fraction"):
+        search_folner(lattice_action(1), Fraction(-1, 2))
+    with pytest.raises(InputError, match=r"^epsilons\[1\]: must be at least 0, got '-0.1'$"):
+        folner_sequence(lattice_action(1), ["0.5", "-0.1"])
 
 
 def test_interval_ratios_exact():

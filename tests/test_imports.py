@@ -286,15 +286,21 @@ def test_group_actions_are_built_by_the_family_constructors(path):
     assert group_action_sites(path.read_text(encoding="utf-8")) == []
 
 
-# each argument rule in errors.py, with the wordings of its checks; a
-# wording may stand only inside its own rule
+# each number rule, with the wordings of its checks; a wording may stand
+# only inside its own rule
 RULE_PHRASES = {
     "_check_int": ("expected an integer", "must be >=", "must be nonnegative",
                    "must be a positive integer"),
     "_check_real": ("expected a real number", "is not a real number", "is not a decimal number",
                     "is not a finite number", "must be finite", "must be positive",
                     "is outside float range"),
+    "exact_fraction": ("expected an exact ratio", "as an exact ratio", "is not an exact decimal"),
+    "_expect_real": ("expected a decimal string", "must be decimal strings"),
 }
+
+# the module that holds each rule
+RULE_MODULES = {"_check_int": "errors.py", "_check_real": "errors.py",
+                "exact_fraction": "folner.py", "_expect_real": "scenario.py"}
 
 
 def rule_copies(source: str, rule: str, rule_allowed: bool = False) -> list[str]:
@@ -342,6 +348,35 @@ def test_real_rule_checker_flags_a_second_copy():
     assert rule_copies(source, "_check_real", rule_allowed=True) == [
         "must be positive (line 5)", "is not a real number (line 7)"]
     assert rule_copies(source, "_check_real")[0] == "must be finite (line 2)"
+
+
+@pytest.mark.parametrize("rule, source, copies", [
+    ("exact_fraction", """\
+        def exact_fraction(value, label):
+            raise InputError(f"{label}: expected an exact ratio, got {value!r}")
+        def _expect_fraction(node, path):
+            raise InputError(f"{path}: {node!r} is not an exact decimal")
+        """, ["is not an exact decimal (line 4)"]),
+    ("_expect_real", """\
+        def _expect_real(node, path):
+            raise InputError(f"{path}: expected a decimal string, got {node!r}")
+        def _bare_float(text):
+            return _Refused(f"real numbers must be decimal strings, got bare {text}")
+        """, ["must be decimal strings (line 4)"]),
+], ids=["exact_fraction", "_expect_real"])
+def test_ratio_and_decimal_rule_checkers_flag_a_second_copy(rule, source, copies):
+    source = textwrap.dedent(source)
+    assert rule_copies(source, rule, rule_allowed=True) == copies
+    assert rule_copies(source, rule)[0].endswith("(line 2)")
+
+
+# exact_fraction is the one rule for an exact ratio, and scenario._expect_real
+# the one reader of a decimal string
+@pytest.mark.parametrize("rule", ["exact_fraction", "_expect_real"])
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_ratios_and_decimal_strings_are_read_by_one_rule(path, rule):
+    assert rule_copies(path.read_text(encoding="utf-8"), rule,
+                       rule_allowed=path.name == RULE_MODULES[rule]) == []
 
 
 # errors._check_int is the one rule for an integer argument

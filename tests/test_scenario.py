@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +47,32 @@ def test_raw_float_rejected():
     with pytest.raises(InputError) as info:
         parse_scenario(obj)
     assert "base.mu[0]" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [
+    " 1_0 ", "\u0661", "\uff11", "1/3", "inf", "nan", "1e", ".", "",
+], ids=["underscore-and-blanks", "arabic-indic-digit", "fullwidth-digit", "ratio", "inf", "nan",
+        "bare-exponent", "bare-point", "empty"])
+def test_real_that_is_not_an_ascii_decimal_is_refused(value):
+    # float() read " 1_0 " as 10.0 and both digits as 1.0
+    obj = minimal_transfer()
+    obj["params"]["a"] = value
+    with pytest.raises(InputError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == f"scenario.params.a: expected a decimal string, got {value!r}"
+
+
+def test_decimal_strings_read_as_their_exact_value():
+    # one grammar, so the float read is the exact decimal, correctly rounded
+    for text in ("1", "-1.", "+.5", "0.1", "1e-3", "2.5E+2", "-0.144", "1e-320",
+                 "12345678901234567890"):
+        obj = minimal_transfer()
+        obj["params"]["a"] = text
+        assert parse_scenario(obj).params["a"] == float(Fraction(text))
+    # a subnormal tolerance is still positive
+    obj = valid_scenario("corollary")
+    obj["params"]["tolerance"] = "1e-320"
+    assert parse_scenario(obj).params["tol"] == 1e-320
 
 
 def test_raw_float_rejected_from_text(tmp_path):
@@ -354,7 +381,7 @@ def test_valid_scenario_parses(task):
 # (task, params field, bad value, exact message); messages recorded on the
 # per-task parser that the field table replaced
 PARAM_FAULTS = [
-    ("folner", "epsilon", "1/0", "scenario.params.epsilon: expected a real number, got '1/0'"),
+    ("folner", "epsilon", "1/0", "scenario.params.epsilon: expected a decimal string, got '1/0'"),
     ("folner", "epsilon", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "epsilons", ["0.1"], "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "budget", {"max_points": 0},
@@ -377,7 +404,7 @@ PARAM_FAULTS = [
     ("transfer", "max_halvings", 1, "scenario.params: unknown field 'max_halvings'"),
     ("transfer", "budget", {"max_subsets": "3"},
      "scenario.params.budget.max_subsets: expected an integer, got '3'"),
-    ("counterexample", "a", "one", "scenario.params.a: expected a real number, got 'one'"),
+    ("counterexample", "a", "one", "scenario.params.a: expected a decimal string, got 'one'"),
     ("counterexample", "alpha", None, "scenario.params.alpha: expected an integer, got None"),
     ("counterexample", "radii", 3, "scenario.params.radii: expected a list, got int"),
     ("counterexample", "budget", {"depth": 1}, "scenario.params.budget: unknown field 'depth'"),
@@ -385,16 +412,18 @@ PARAM_FAULTS = [
     ("corollary", "tolerance", [1],
      "scenario.params.tolerance: expected a decimal string, got [1]"),
     ("corollary", "radius", 1, "scenario.params: unknown field 'radius'"),
-    # non-finite reals and out-of-range integers, refused with their field path
-    ("transfer", "a", "nan", "scenario.params.a: must be finite, got 'nan'"),
-    ("counterexample", "a", "-inf", "scenario.params.a: must be finite, got '-inf'"),
+    # non-finite reals, which are not decimal strings or read past float
+    # range, and out-of-range numbers, refused with their field path
+    ("transfer", "a", "nan", "scenario.params.a: expected a decimal string, got 'nan'"),
+    ("counterexample", "a", "-inf", "scenario.params.a: expected a decimal string, got '-inf'"),
     ("spectrum", "a_samples", ["1e400"],
-     "scenario.params.a_samples[0]: must be finite, got '1e400'"),
+     "scenario.params.a_samples[0]: must be finite, got inf"),
     ("interval", "a_samples", ["1", "inf"],
-     "scenario.params.a_samples[1]: must be finite, got 'inf'"),
-    ("interval", "tolerance", "nan", "scenario.params.tolerance: must be finite, got 'nan'"),
-    ("corollary", "tolerance", "0", "scenario.params.tolerance: must be positive, got '0'"),
-    ("folner", "epsilon", "inf", "scenario.params.epsilon: must be finite, got 'inf'"),
+     "scenario.params.a_samples[1]: expected a decimal string, got 'inf'"),
+    ("interval", "tolerance", "nan",
+     "scenario.params.tolerance: expected a decimal string, got 'nan'"),
+    ("corollary", "tolerance", "0", "scenario.params.tolerance: must be positive, got 0.0"),
+    ("folner", "epsilon", "inf", "scenario.params.epsilon: expected a decimal string, got 'inf'"),
     ("transfer", "alpha", 0, "scenario.params.alpha: must be at least 1, got 0"),
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
     ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
@@ -406,7 +435,7 @@ PARAM_FAULTS = [
 EPSILONS_FAULTS = [
     ([], "scenario.params.epsilons: list must be nonempty"),
     (["0.1", 1], "scenario.params.epsilons[1]: expected a decimal string, got 1"),
-    (["0.1", "x"], "scenario.params.epsilons[1]: expected a real number, got 'x'"),
+    (["0.1", "x"], "scenario.params.epsilons[1]: expected a decimal string, got 'x'"),
     ("0.1", "scenario.params.epsilons: expected a list, got str"),
     (["0.5", "-0.1"], "scenario.params.epsilons[1]: must be at least 0, got '-0.1'"),
 ]
@@ -415,7 +444,7 @@ EPSILONS_FAULTS = [
 SECTION_FAULTS = [
     ("spectrum", "base", {"mu": ["1"]}, "scenario.base: missing required field 'edges'"),
     ("spectrum", "potential", ["1", "x", "1"],
-     "scenario.potential[1]: expected a real number, got 'x'"),
+     "scenario.potential[1]: expected a decimal string, got 'x'"),
     ("spectrum", "fiber", {"kind": "torus"},
      "scenario.fiber.kind: expected one of lattice, free_group, finite_permutation, "
      "quotient; got 'torus'"),
@@ -437,9 +466,9 @@ SECTION_FAULTS = [
     ("folner", "voltages", [], "scenario.voltages: not used by the folner task"),
     ("folner", "params", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("spectrum", "potential", ["1", "nan", "1"],
-     "scenario.potential[1]: must be finite, got 'nan'"),
+     "scenario.potential[1]: expected a decimal string, got 'nan'"),
     ("spectrum", "base", {"mu": ["1", "inf", "1"], "edges": TRIANGLE["edges"]},
-     "scenario.base.mu[1]: must be finite, got 'inf'"),
+     "scenario.base.mu[1]: expected a decimal string, got 'inf'"),
     # one past the largest lattice whose basis fits the default point budget
     ("folner", "fiber", {"kind": "lattice", "dimension": 1001},
      "scenario.fiber: lattice dimension: must be at most 1000, got 1001"),
@@ -622,9 +651,16 @@ def test_refused_keys_and_values_are_echoed_up_to_a_prefix(tmp_path):
     with pytest.raises(InputError) as info:
         parse_scenario(obj)
     assert str(info.value) == f"scenario: unknown field '{'k' * 200}...'"
+    obj = minimal_transfer()
+    obj["potential"][0] = "1_" * 2500
+    with pytest.raises(InputError) as info:
+        parse_scenario(obj)
+    assert str(info.value) == (f"scenario.potential[0]: expected a decimal string, "
+                               f"got '{'1_' * 99}1...")
+    # a bare float is refused by its field's rule, however long its text
     path = tmp_path / "float.json"
-    path.write_text(json.dumps(minimal_transfer())[:-1] + ', "extra": 1.' + "0" * 5000 + "}")
+    path.write_text(json.dumps(minimal_transfer()).replace('"-0.05"', "-0.0" + "5" * 5000, 1))
     with pytest.raises(InputError) as info:
         load_scenario(path)
-    assert str(info.value) == (f"{path}: scenario.extra: real numbers must be decimal strings, "
-                               f"got bare {('1.' + '0' * 198)}...")
+    assert str(info.value) == (f"{path}: scenario.potential[0]: expected a decimal string, "
+                               f"got -0.05555555555555555")
