@@ -143,6 +143,11 @@ def _tuple_encode(point: tuple) -> str:
     return ",".join(str(c) for c in point)
 
 
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a word: its letters reversed, each one inverted."""
+    return tuple(-g for g in reversed(word))
+
+
 def _apply_word(action: GroupAction, word: tuple[int, ...], x: Any) -> Any:
     """x moved by a word, rightmost letter first; composes words at build time."""
     for letter in reversed(word):
@@ -192,7 +197,7 @@ def _free_action(name: str, words: tuple[tuple[int, ...], ...]) -> GroupAction:
     the left by the reduced word words[k-1]."""
     # only a point starting with -u[-1] cancels against u; no point starts with 0
     moves = {g: (u, -u[-1] if u else 0) for k, w in enumerate(words, 1)
-             for g, u in ((k, w), (-k, tuple(-c for c in reversed(w))))}
+             for g, u in ((k, w), (-k, _inverse(w)))}
 
     def apply_fn(g: int, x: tuple) -> tuple:
         u, cancel = moves[g]

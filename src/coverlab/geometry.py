@@ -16,6 +16,7 @@ cover is enumerated lazily around the origin tile, never materialized.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -24,8 +25,8 @@ from typing import Iterable, KeysView, Mapping, Sequence
 from .actions import (
     DEFAULT_POINT_BUDGET,
     GroupAction,
-    _action_step,
     _apply_word,
+    _inverse,
     bfs_depths,
     word_action,
 )
@@ -136,7 +137,7 @@ class VoltageCover:
     generator per distinct word up to inverses (per distinct net
     displacement on a translation carrier), and neighbors moves fiber
     points only through it.  Build through build_cover, which validates
-    voltages and checks connectivity on a window.
+    the voltages and gauges them on a spanning tree.
     """
 
     def __init__(self, base: WeightedGraph, carrier: GroupAction,
@@ -155,7 +156,7 @@ class VoltageCover:
             if not word:
                 continue
             marker = self._word_marker(word)
-            inverse = self._word_marker(tuple(-g for g in reversed(word)))
+            inverse = self._word_marker(_inverse(word))
             if marker in generator_of:
                 g = generator_of[marker]
             elif inverse in generator_of:
@@ -219,17 +220,18 @@ class VoltageCover:
 
 def build_cover(base: WeightedGraph, carrier: GroupAction,
                 voltages: Mapping[tuple[int, int], Iterable[int]]) -> VoltageCover:
-    """Assemble a voltage cover and sanity-check it on a small window.
+    """Assemble a voltage cover in the gauge of a spanning tree T.
 
     Voltages are given per base edge (either orientation; the reversed
     orientation gets the inverted word) as words in the carrier's
-    generators, at most one per edge.  Identity (empty) words are
-    dropped once that is checked.  Connectivity is
-    checked on the window of tiles within two fiber steps of the root,
-    an InputError past DEFAULT_POINT_BUDGET cover vertices: every tile
-    vertex there must be reachable inside the window.  This rejects
-    covers that fall apart (for example a voltage on a bridge), while
-    infinite covers are otherwise taken on faith per window.
+    generators, at most one per edge.  T comes from a 0/1 breadth-first
+    search from vertex 0 over the sorted adjacency, an edge without a
+    voltage weighing 0, so T keeps to such edges whenever they span the
+    base.  With p_v the word of the T-path from 0 to v, a non-tree edge
+    (u, v) with word s carries inverse(p_v) + s + p_u, a tree edge none.
+    (v, x) -> (v, p_v^-1 x) maps the origin tile's component onto the
+    cover, so it is connected: an input whose derived graph falls apart
+    is read as that component (a voltage on a bridge gives the base).
     """
     canon: dict[tuple[int, int], tuple[int, ...]] = {}
     edge_set = {(u, v) for u, v, _w in base.edges}
@@ -242,35 +244,28 @@ def build_cover(base: WeightedGraph, carrier: GroupAction,
         if (u, v) in edge_set:
             cu, cv, cword = u, v, word
         elif (v, u) in edge_set:
-            cu, cv, cword = v, u, tuple(-g for g in reversed(word))
+            cu, cv, cword = v, u, _inverse(word)
         else:
             raise InputError(f"voltage on nonexistent edge {_echo(key)}")
         if (cu, cv) in canon:
             raise InputError(f"duplicate voltage for edge ({cu}, {cv})")
         canon[(cu, cv)] = cword
-    cover = VoltageCover(base, carrier, {edge: word for edge, word in canon.items() if word})
-    _check_window_connectivity(cover)
-    return cover
-
-
-def _check_window_connectivity(cover: VoltageCover) -> None:
-    fiber = cover.fiber_action
-    try:  # the overflow message is the fiber step reached
-        window = bfs_depths([fiber.origin], _action_step(fiber), 2,
-                            DEFAULT_POINT_BUDGET // cover.base.vertex_count, str)
-    except BudgetExceededError as exc:
-        raise InputError(f"connectivity window exceeds {DEFAULT_POINT_BUDGET} cover vertices "
-                         f"at fiber step {exc}") from None
-    root = (0, fiber.origin)
-    seen = bfs_depths([root], lambda p: [q for q, _w in cover.neighbors(p) if q[1] in window])
-    inner = [x for x, d in window.items() if d <= 1]
-    missing = [(v, x) for x in inner for v in range(cover.base.vertex_count) if (v, x) not in seen]
-    if missing:
-        sample = cover.encode(min(missing, key=cover.sort_key))
-        raise InputError(
-            f"cover is disconnected on the checked window: {sample} unreachable "
-            f"from {cover.encode(root)}"
-        )
+    paths, tree = {}, set()
+    queue = deque([(0, (), None)])  # (vertex, path word, tree edge reaching it)
+    while queue:
+        v, path, edge = queue.popleft()
+        if v in paths:
+            continue
+        paths[v] = path
+        tree.add(edge)
+        for u, _w in base.neighbors(v):
+            key = (min(u, v), max(u, v))
+            word = canon.get(key, ())
+            (queue.append if word else queue.appendleft)(
+                (u, (word if v < u else _inverse(word)) + path, key))
+    gauged = {(u, v): _inverse(paths[v]) + canon.get((u, v), ()) + paths[u]
+              for u, v, _w in base.edges if (u, v) not in tree}
+    return VoltageCover(base, carrier, {edge: word for edge, word in gauged.items() if word})
 
 
 @dataclass(frozen=True)
@@ -319,7 +314,7 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     """
     if not member_list:
         raise InputError("cutoff needs a nonempty tile set")
-    alpha = _check_int(alpha, "alpha", 1)
+    alpha = _check_int(alpha, "alpha", 1, DEFAULT_POINT_BUDGET)
     nv = cover.base.vertex_count
     size = len(member_list) * nv
     if size > DEFAULT_POINT_BUDGET:

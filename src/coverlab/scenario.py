@@ -21,6 +21,7 @@ from typing import Any, Optional
 
 from . import geometry, transfer
 from .actions import (
+    DEFAULT_POINT_BUDGET,
     GroupAction,
     finite_permutation_action,
     free_group_action,
@@ -214,7 +215,7 @@ _PARAM_PARSERS = {
     "epsilons": _nonempty_list(_expect_fraction),
     "a": _expect_real,
     "a_samples": _nonempty_list(_expect_real),
-    "alpha": partial(_check_int, minimum=1),
+    "alpha": partial(_check_int, minimum=1, maximum=DEFAULT_POINT_BUDGET),
     "radius": partial(_check_int, minimum=0),
     "radii": _nonempty_list(partial(_check_int, minimum=0)),
     "tolerance": partial(_expect_real, positive=True),

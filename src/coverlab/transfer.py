@@ -148,7 +148,7 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     meaningful only when Q_base < 0, and always <= 1 because the bracket
     dominates -Q_base term by term.
     """
-    alpha = _check_int(alpha, "alpha", 1)
+    alpha = _check_int(alpha, "alpha", 1, DEFAULT_POINT_BUDGET)
     f = _per_vertex(f, graph, "f", "function")
     if not any(f):
         raise InputError("required ratio needs a nonzero base function")

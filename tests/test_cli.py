@@ -20,7 +20,6 @@ import pytest
 
 from coverlab import (
     FolnerVerificationError,
-    InputError,
     finite_permutation_action,
     folner_sequence,
     free_group_action,
@@ -239,27 +238,21 @@ def complete_graph_cover(m):
     }
 
 
-def test_connectivity_window_over_budget_is_refused(tmp_path, capsys):
-    # K20's 171 letters: a radius-2 window of 116,965 tiles, 2,339,300 cover
-    # vertices; before its budget the check ran about 40 s and 320 MB
-    path = write_json(tmp_path / "k20.json", complete_graph_cover(20))
-    start = time.perf_counter()
-    assert main(["run", str(path)]) == 1
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        f"error: {path}: scenario.voltages: connectivity window exceeds 1000000 "
-        "cover vertices at fiber step 2\n")
-    # K10's 36 letters: 5,185 tiles, 51,850 cover vertices
-    k10 = load_scenario(write_json(tmp_path / "k10.json", complete_graph_cover(10)))
-    assert k10.cover.fiber_action.generator_count == 36
+def test_large_complete_graph_covers_parse_quickly(tmp_path):
+    # the star of identity edges at 0 is the spanning tree, so each of the
+    # m(m-1)/2 - (m-1) letters is one fiber generator
+    for m, letters in ((10, 36), (20, 171), (46, 990)):
+        path = write_json(tmp_path / f"k{m}.json", complete_graph_cover(m))
+        start = time.perf_counter()
+        scn = load_scenario(path)
+        assert time.perf_counter() - start < 1.0
+        assert scn.cover.fiber_action.generator_count == letters
 
 
-@pytest.mark.xfail(strict=True, raises=InputError,
-                   reason="the connectivity check searches only a radius-2 fiber window")
 def test_connected_cover_whose_walks_leave_the_window_parses(tmp_path):
-    # C5 with net voltage 1 around its cycle covers the bi-infinite path, so
-    # the cover is connected; but every walk from 0@0 to 0@1 passes vertex 3
-    # at fiber step 3, outside the window, and the check refuses the cover
+    # C5 with net voltage 1 around its cycle covers the bi-infinite path;
+    # every walk from 0@0 to 0@1 passes vertex 3 at fiber step 3, and the
+    # gauged word of the one non-tree edge (2, 3) moves the fiber by 1
     obj = {
         "name": "c5_path", "task": "spectrum", "seed": 0,
         "base": {"mu": ["1"] * 5,
@@ -271,6 +264,38 @@ def test_connected_cover_whose_walks_leave_the_window_parses(tmp_path):
     }
     scn = load_scenario(write_json(tmp_path / "c5_path.json", obj))
     assert scn.cover.base.vertex_count == 5
+    assert list(scn.cover.voltages) == [(2, 3)]
+    assert scn.cover.fiber_action.translation_vectors == ((1,),)
+
+
+def test_gauge_relabelled_triangle_transfers_as_the_bundled_one(tmp_path, capsys):
+    # shifting vertex 2's fiber coordinates by 3 gives the same cover; the
+    # tree gauge moves its net voltage 1 onto the non-tree edge (1, 2)
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    obj["voltages"] = [[0, 1, [1]], [0, 2, [1, 1, 1]], [1, 2, [1, 1, 1]]]
+    path = write_json(tmp_path / "triangle_transfer.json", obj)
+    assert load_scenario(path).cover.voltages == {(1, 2): (-1, -1, -1, 1, 1, 1, 1)}
+    rows = []
+    for scenario in (SCENARIOS / "triangle_transfer.json", path):
+        code, out, _err = run_main(capsys, "run", str(scenario), "--format", "csv")
+        assert code == 0
+        rows.append(next(csv.DictReader(out.splitlines())))
+    bundled, relabelled = rows
+    assert relabelled["outcome"] == "transferred"
+    assert (relabelled["b"], relabelled["c"]) == ("4", "37")
+    assert float(relabelled.pop("Q_cover")) == pytest.approx(
+        float(bundled.pop("Q_cover")), rel=1e-12, abs=0)
+    assert relabelled == bundled
+
+
+def test_alpha_past_the_point_budget_exits_1(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    obj["params"]["alpha"] = 10**400
+    path = write_json(tmp_path / "triangle_transfer.json", obj)
+    code, out, err = run_main(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: scenario.params.alpha: must be at most 1000000, "
+                   f"got 1{'0' * 199}...\n")
 
 
 def test_run_input_error_exit_1(tmp_path, capsys):
@@ -381,7 +406,7 @@ def test_run_overflowing_sum_is_violation(tmp_path, capsys, name):
 # run ends in; a failed run's CSV is its task's header and no rows
 FAILED_TRANSFERS = {
     "violation": ("potential", ["1e308", "1e308", "-1e308"], 2),
-    "budget-exceeded": ("alpha", 10**9, 3),
+    "budget-exceeded": ("alpha", 10**6, 3),
 }
 
 

@@ -286,6 +286,46 @@ def test_group_actions_are_built_by_the_family_constructors(path):
     assert group_action_sites(path.read_text(encoding="utf-8")) == []
 
 
+def inverse_word_sites(source: str, helper_allowed: bool = False) -> list[str]:
+    """Every comprehension that negates the letters of a reversed word
+    (``reversed(w)`` or ``w[::-1]``), except inside the top-level function
+    ``_inverse`` when ``helper_allowed``."""
+    found = []
+    for top in ast.parse(source).body:
+        if helper_allowed and isinstance(top, ast.FunctionDef) and top.name == "_inverse":
+            continue
+        found += [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(top)
+                  if isinstance(node, (ast.GeneratorExp, ast.ListComp))
+                  and isinstance(node.elt, ast.UnaryOp) and isinstance(node.elt.op, ast.USub)
+                  and any(ast.unparse(gen.iter).startswith("reversed(")
+                          or ast.unparse(gen.iter).endswith("[::-1]") for gen in node.generators)]
+    return found
+
+
+def test_inverse_word_checker_flags_a_second_copy():
+    source = textwrap.dedent("""\
+        def _inverse(word):
+            return tuple(-g for g in reversed(word))
+        def build_cover(word):
+            return tuple(-g for g in reversed(word))
+        class VoltageCover:
+            def inverse(self, word):
+                return [-c for c in word[::-1]]
+        def neither(word):
+            return tuple(-g for g in word), tuple(reversed(word))
+        """)
+    assert inverse_word_sites(source, helper_allowed=True) == [
+        "(-g for g in reversed(word)) (line 4)", "[-c for c in word[::-1]] (line 7)"]
+    assert inverse_word_sites(source)[0].endswith("(line 2)")
+
+
+# actions._inverse is the one rule for an inverse word
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_words_are_inverted_by_one_rule(path):
+    assert inverse_word_sites(path.read_text(encoding="utf-8"),
+                              helper_allowed=path.name == "actions.py") == []
+
+
 # each number rule, with the wordings of its checks; a wording may stand
 # only inside its own rule
 RULE_PHRASES = {

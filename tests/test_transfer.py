@@ -55,6 +55,17 @@ def test_required_ratio_rejections(triangle):
         required_ratio(triangle, (1.0,) * 3, 2, (0.05, 0.05, 0.05), 1.0)
 
 
+def test_alpha_past_the_point_budget_is_refused(triangle_cover):
+    # an alpha whose square is past float range used to overflow the base
+    # sums' division with a bare OverflowError
+    alpha = 10**400
+    message = rf"^alpha: must be at most 1000000, got 1{'0' * 199}\.\.\.$"
+    for call in (lambda: required_ratio(triangle_cover.base, (1.0,) * 3, alpha, FLAT_V3, 1.0),
+                 lambda: cutoff(triangle_cover, [(0,)], alpha)):
+        with pytest.raises(InputError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("f, message", [
     (("x", 1, 1), "f[0]: expected a real number, got 'x'"),
     ((1, None, 1), "f[1]: expected a real number, got None"),
