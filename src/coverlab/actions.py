@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .errors import BudgetExceededError, InputError, _check_int, _echo
+from .errors import BudgetExceededError, InputError, _check_int, _check_nonempty, _echo
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -126,9 +126,7 @@ def orbit_ball(
 
 def boundary(action: GroupAction, members: Iterable) -> frozenset:
     """Points of the set that some signed generator maps outside it."""
-    E = frozenset(members)
-    if not E:
-        raise InputError("boundary of the empty set is undefined")
+    E = _check_nonempty(frozenset(members), "members")
     gens = action.generators()
     return frozenset(
         x for x in E if any(action.apply_fn(g, x) not in E for g in gens)
@@ -277,10 +275,9 @@ def free_quotient_lattice_action(vectors: Iterable[tuple]) -> GroupAction:
     Its name lists the vectors while that takes at most 200 characters,
     and past that gives their count and dimension.
     """
-    vecs = tuple(tuple(_check_int(c, f"vectors[{k}][{i}]") for i, c in enumerate(v))
-                 for k, v in enumerate(vectors))
-    if not vecs:
-        raise InputError("at least one generator vector is required")
+    vecs = _check_nonempty(tuple(tuple(_check_int(c, f"vectors[{k}][{i}]")
+                                       for i, c in enumerate(v))
+                                 for k, v in enumerate(vectors)), "vectors")
     dim = len(vecs[0])
     if dim < 1 or any(len(v) != dim for v in vecs):
         raise InputError(f"generator vectors must share a positive dimension: {_echo(vecs)}")
@@ -331,9 +328,7 @@ def permutation_inverse(p: tuple) -> tuple:
 
 def generate_group(generators: Iterable[tuple]) -> frozenset:
     """Close a set of permutations under composition, up to MAX_GROUP_ORDER elements."""
-    gens = [tuple(p) for p in generators]
-    if not gens:
-        raise InputError("a permutation group needs at least one generator")
+    gens = _check_nonempty([tuple(p) for p in generators], "generators")
     degree = len(gens[0])
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")

@@ -1,5 +1,5 @@
 """Exception types shared across the package, how a message shows an input,
-and the one rule each for an integer and a real argument."""
+and the one rule each for an integer, a real and a nonempty argument."""
 
 import math
 import numbers
@@ -47,6 +47,13 @@ def _check_real(value, label: str, positive: bool = False) -> float:
     if positive and x <= 0:
         raise InputError(f"{label}: must be positive, got {_echo(value)}")
     return x
+
+
+def _check_nonempty(items, label: str):
+    """items, refused as an InputError naming label when it is empty."""
+    if not items:
+        raise InputError(f"{label}: must be nonempty")
+    return items
 
 
 class CoverlabError(Exception):

@@ -38,7 +38,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
-from .errors import BudgetExceededError, FolnerVerificationError, InputError, _check_int, _echo
+from .errors import (BudgetExceededError, FolnerVerificationError, InputError, _check_int,
+                     _check_nonempty, _echo)
 
 
 def exact_fraction(value, label: str = "epsilon") -> Fraction:
@@ -120,9 +121,7 @@ def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> Folne
     over epsilon.
     """
     eps = exact_fraction(epsilon)
-    E = frozenset(members)
-    if not E:
-        raise InputError("a Folner set must be nonempty")
+    E = _check_nonempty(frozenset(members), "members")
     apply_fn = action.apply_fn
     exits = {g: {x for x in E if apply_fn(g, x) not in E} for g in action.generators()}
     ratios = {g: Fraction(2 * len(exits[-g]), len(E)) for g in exits}
@@ -476,9 +475,8 @@ def folner_sequence(
     budget: SearchBudget | None = None,
 ) -> tuple[SearchReport, ...]:
     """One search per requested ratio, in order, stopping after the first miss."""
-    eps_list = [exact_fraction(e, f"epsilons[{k}]") for k, e in enumerate(epsilons)]
-    if not eps_list:
-        raise InputError("at least one epsilon is required")
+    eps_list = _check_nonempty(
+        [exact_fraction(e, f"epsilons[{k}]") for k, e in enumerate(epsilons)], "epsilons")
     reports = []
     for eps in eps_list:
         reports.append(search_folner(action, eps, budget))

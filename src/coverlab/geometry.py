@@ -15,6 +15,7 @@ cover is enumerated lazily around the origin tile, never materialized.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -30,8 +31,8 @@ from .actions import (
     bfs_depths,
     word_action,
 )
-from .errors import (BudgetExceededError, InputError, NumericalError, _check_int, _check_real,
-                     _echo)
+from .errors import (BudgetExceededError, InputError, NumericalError, _check_int,
+                     _check_nonempty, _check_real, _echo)
 
 
 def checked_fsum(terms: Iterable[float], name: str) -> float:
@@ -45,7 +46,7 @@ def checked_fsum(terms: Iterable[float], name: str) -> float:
 
 
 class WeightedGraph:
-    """Finite connected simple graph with mu > 0 and conductances w > 0.
+    """Finite connected simple graph with mu >= sys.float_info.min and conductances w > 0.
 
     Vertices are 0..n-1.  Edges are stored canonically as (u, v, w) with
     u < v; loops and parallel edges are rejected, as is any graph that
@@ -53,10 +54,12 @@ class WeightedGraph:
     """
 
     def __init__(self, mu: Sequence, edges: Iterable[tuple]):
-        self.mu = tuple(_check_real(m, f"mu[{i}]", positive=True) for i, m in enumerate(mu))
+        self.mu = _check_nonempty(
+            tuple(_check_real(m, f"mu[{i}]", positive=True) for i, m in enumerate(mu)), "mu")
+        for i, m in enumerate(self.mu):
+            if m < sys.float_info.min:  # else an operator entry w / mu overflows at w of order 1
+                raise InputError(f"mu[{i}]: must be at least {sys.float_info.min}, got {_echo(m)}")
         n = len(self.mu)
-        if n == 0:
-            raise InputError("a graph needs at least one vertex")
         canon = {}
         for k, edge in enumerate(edges):
             try:
@@ -312,8 +315,6 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     refused with BudgetExceededError before anything is allocated; with
     no outside tile held, that count bounds the sweep's whole state.
     """
-    if not member_list:
-        raise InputError("cutoff needs a nonempty tile set")
     alpha = _check_int(alpha, "alpha", 1, DEFAULT_POINT_BUDGET)
     nv = cover.base.vertex_count
     size = len(member_list) * nv
@@ -391,7 +392,7 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     at most k - 1 inverse moves per outside pair, for k signed fiber
     generators.
     """
-    member_list = tuple(sorted(set(members), key=cover.carrier.sort_key))
+    member_list = _check_nonempty(tuple(sorted(set(members), key=cover.carrier.sort_key)), "members")
     depth, reached, owned = _rim_sweep(cover, member_list, alpha)
     nv = cover.base.vertex_count
     move = cover.fiber_action.apply_fn
@@ -427,7 +428,7 @@ def collar_counts(cover: VoltageCover, members: Iterable, alpha: int) -> tuple[i
     that owns it (see _rim_sweep), for at most k - 1 inverse moves per
     outside pair, k the number of signed fiber generators.
     """
-    member_list = tuple(set(members))
+    member_list = _check_nonempty(tuple(set(members)), "members")
     _depth, reached, owned = _rim_sweep(cover, member_list, alpha)
     return sum(map(len, owned.values())) + len(reached), len(member_list)
 

@@ -28,7 +28,7 @@ from .actions import (
     free_quotient_lattice_action,
     lattice_action,
 )
-from .errors import InputError, _check_int, _check_real, _echo
+from .errors import InputError, _check_int, _check_nonempty, _check_real, _echo
 from .folner import SearchBudget, exact_fraction
 
 # at most 200 characters, so <name>.json always fits a file name
@@ -127,12 +127,7 @@ def _list_of(parse):
 
 def _nonempty_list(parse):
     """Parser for a nonempty list whose items all parse with `parse`."""
-    def parse_list(node: Any, path: str) -> tuple:
-        items = _list_of(parse)(node, path)
-        if not items:
-            raise InputError(f"{path}: list must be nonempty")
-        return items
-    return parse_list
+    return lambda node, path: _check_nonempty(_list_of(parse)(node, path), path)
 
 
 _int_list = _list_of(_check_int)

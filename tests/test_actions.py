@@ -324,6 +324,11 @@ def test_coset_duality_s3_transposition():
     assert report.bijective and report.equivariant and report.ok
 
 
+def test_coset_duality_refuses_subgroup_generators_outside_the_group():
+    with pytest.raises(InputError, match="^subgroup generators leave the ambient group$"):
+        coset_duality_check([(1, 0, 2)], [(0, 2, 1)])
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(S3_GENS)) == 6
     assert len(all_subgroups(S4_GENS)) == 30

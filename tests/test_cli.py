@@ -951,6 +951,23 @@ def test_batch_empty_dir(tmp_path, capsys):
     assert main(["batch", str(src)]) == 1
 
 
+def test_batch_on_a_file_exits_1(capsys):
+    path = SCENARIOS / "z_folner.json"
+    assert main(["batch", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: not a directory: {path}\n"
+
+
+def test_subnormal_mu_exits_1_naming_its_field(tmp_path, capsys):
+    # it used to parse, then end as a violation: operator entry inf in row 1
+    obj = json.loads((SCENARIOS / "triangle_transfer.json").read_text())
+    obj["base"]["mu"][1] = "1e-320"
+    path = write_json(tmp_path / "triangle_transfer.json", obj)
+    code, out, err = run_main(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: scenario.base: mu[1]: must be at least "
+                   f"2.2250738585072014e-308, got 1e-320\n")
+
+
 def test_run_deep_enumeration_exit_3(tmp_path, capsys):
     # a subset size cap far beyond the interpreter's recursion limit
     obj = {

@@ -1,9 +1,12 @@
-"""One rule each for an integer and a real argument: errors._check_int,
-errors._check_real and every library site that uses them."""
+"""One rule each for an integer, a real and a nonempty argument:
+errors._check_int, errors._check_real, errors._check_nonempty and every
+library site that uses them."""
 
 import dataclasses
 import math
 import pathlib
+import re
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -17,21 +20,25 @@ from coverlab import (
     SearchBudget,
     WeightedGraph,
     as_potential,
+    boundary,
     build_cover,
     cutoff,
     dirichlet_window,
     finite_permutation_action,
+    folner_sequence,
     free_group_action,
     free_quotient_lattice_action,
+    generate_group,
     lattice_action,
     orbit_ball,
     regular_tree_dirichlet_value,
     required_ratio,
     stability_interval,
+    verify_certificate,
     word_action,
 )
-from coverlab import geometry
-from coverlab.errors import _check_int, _check_real, _echo
+from coverlab import geometry, scenario
+from coverlab.errors import _check_int, _check_nonempty, _check_real, _echo
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
 
@@ -256,3 +263,52 @@ def test_quotient_vectors_are_not_truncated(vectors, message):
     with pytest.raises(InputError) as err:
         free_quotient_lattice_action(vectors)
     assert str(err.value) == message
+
+
+def test_check_nonempty_returns_the_items_or_names_the_label():
+    items = [0]
+    assert _check_nonempty(items, "xs") is items
+    for empty in ((), [], frozenset(), {}):
+        with pytest.raises(InputError) as err:
+            _check_nonempty(empty, "xs")
+        assert str(err.value) == "xs: must be nonempty"
+
+
+# every site of the emptiness rule: its label, and a call that takes the
+# collection (nonempty in the valid case) and returns something comparable
+EMPTY_SITES = {
+    "WeightedGraph": ("mu", lambda xs: WeightedGraph([1.0] * len(xs), []).mu),
+    "cutoff": ("members", lambda xs: cutoff(_triangle_cover(), xs, 1).values),
+    "collar_counts": ("members", lambda xs: geometry.collar_counts(_triangle_cover(), xs, 1)),
+    "boundary": ("members", lambda xs: boundary(lattice_action(1), xs)),
+    "verify_certificate": (
+        "members", lambda xs: verify_certificate(lattice_action(1), xs, 2).members),
+    "folner_sequence": (
+        "epsilons", lambda xs: folner_sequence(lattice_action(1), [2] * len(xs))[0].outcome),
+    "generate_group": ("generators", lambda xs: generate_group([(1, 0)] * len(xs))),
+    "free_quotient_lattice_action": (
+        "vectors", lambda xs: free_quotient_lattice_action([(1,)] * len(xs)).name),
+    "scenario list": (
+        "scenario.params.a_samples",
+        lambda xs: scenario._nonempty_list(scenario._expect_real)(
+            ["1"] * len(xs), "scenario.params.a_samples")),
+}
+
+
+@pytest.mark.parametrize("site", sorted(EMPTY_SITES))
+def test_site_refuses_an_empty_collection(site):
+    label, call = EMPTY_SITES[site]
+    assert call([(0,)])
+    with pytest.raises(InputError, match=rf"^{re.escape(label)}: must be nonempty$"):
+        call([])
+
+
+def test_mu_below_the_smallest_normal_float_is_refused():
+    # a subnormal mu used to parse, then overflow the operator's w / mu
+    tiny = sys.float_info.min
+    with pytest.raises(InputError) as err:
+        WeightedGraph([1.0, 1e-320], [(0, 1, 1.0)])
+    assert str(err.value) == f"mu[1]: must be at least {tiny!r}, got 1e-320"
+    assert WeightedGraph([tiny, 1.0], [(0, 1, 1.0)]).mu == (tiny, 1.0)
+    # a subnormal weight stays legal
+    assert WeightedGraph([1.0, 1.0], [(0, 1, 1e-320)]).edges == ((0, 1, 1e-320),)

@@ -418,6 +418,11 @@ def test_independent_box_refused_before_it_is_built(monkeypatch):
     assert len(translation_box(lattice_action(3), 10, 1000)) == 1000
 
 
+def test_translation_box_refuses_an_action_that_is_not_translation():
+    with pytest.raises(InputError, match=r"^free\(2\) is not a translation action$"):
+        translation_box(free_group_action(2), 3, 100)
+
+
 def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
     # every 1/2-Folner set of Z^20 has at least 4^20 points, far over the budget;
     # the refusal names the rank at which the floor crossed it, 4^10

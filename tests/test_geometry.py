@@ -151,6 +151,11 @@ def test_voltage_rejections(triangle):
         build_cover(triangle, lattice_action(1), {(0, 1): (5,)})
 
 
+def test_voltage_key_that_is_not_a_vertex_pair_is_refused(triangle):
+    with pytest.raises(InputError, match="^voltage key 0 is not a vertex pair$"):
+        build_cover(triangle, lattice_action(1), {0: (1,)})
+
+
 @pytest.mark.parametrize("voltages", [{(0, 1): (), (1, 0): (1,)}, {(1, 0): (1,), (0, 1): ()},
                                       {(1, 0): (), (0, 1): ()}])
 def test_second_voltage_for_an_edge_is_refused_even_when_a_word_is_empty(triangle, voltages):

@@ -326,7 +326,7 @@ def test_words_are_inverted_by_one_rule(path):
                               helper_allowed=path.name == "actions.py") == []
 
 
-# each number rule, with the wordings of its checks; a wording may stand
+# each argument rule, with the wordings of its checks; a wording may stand
 # only inside its own rule
 RULE_PHRASES = {
     "_check_int": ("expected an integer", "must be >=", "must be nonnegative",
@@ -336,11 +336,13 @@ RULE_PHRASES = {
                     "is outside float range"),
     "exact_fraction": ("expected an exact ratio", "as an exact ratio", "is not an exact decimal"),
     "_expect_real": ("expected a decimal string", "must be decimal strings"),
+    "_check_nonempty": ("must be nonempty", "at least one", "needs a nonempty", "empty set"),
 }
 
 # the module that holds each rule
 RULE_MODULES = {"_check_int": "errors.py", "_check_real": "errors.py",
-                "exact_fraction": "folner.py", "_expect_real": "scenario.py"}
+                "exact_fraction": "folner.py", "_expect_real": "scenario.py",
+                "_check_nonempty": "errors.py"}
 
 
 def rule_copies(source: str, rule: str, rule_allowed: bool = False) -> list[str]:
@@ -431,6 +433,43 @@ def test_integers_are_checked_by_one_rule(path):
 def test_reals_are_checked_by_one_rule(path):
     assert rule_copies(path.read_text(encoding="utf-8"), "_check_real",
                        rule_allowed=path.name == "errors.py") == []
+
+
+def test_nonempty_rule_checker_flags_a_second_copy():
+    # the eight hand-written refusals that the rule replaced, in their own words
+    source = textwrap.dedent("""\
+        def _check_nonempty(items, label):
+            raise InputError(f"{label}: must be nonempty")
+        class WeightedGraph:
+            def __init__(self, mu, edges):
+                raise InputError("a graph needs at least one vertex")
+        def _rim_sweep(cover, member_list, alpha):
+            raise InputError("cutoff needs a nonempty tile set")
+        def boundary(action, members):
+            raise InputError("boundary of the empty set is undefined")
+        def verify_certificate(action, members, epsilon):
+            raise InputError("a Folner set must be nonempty")
+        def folner_sequence(action, epsilons):
+            raise InputError("at least one epsilon is required")
+        def generate_group(generators):
+            raise InputError("a permutation group needs at least one generator")
+        def free_quotient_lattice_action(vectors):
+            raise InputError("at least one generator vector is required")
+        def _nonempty_list(parse):
+            raise InputError(f"{path}: list must be nonempty")
+        """)
+    assert rule_copies(source, "_check_nonempty", rule_allowed=True) == [
+        "at least one (line 5)", "needs a nonempty (line 7)", "empty set (line 9)",
+        "must be nonempty (line 11)", "at least one (line 13)", "at least one (line 15)",
+        "at least one (line 17)", "must be nonempty (line 19)"]
+    assert rule_copies(source, "_check_nonempty")[0] == "must be nonempty (line 2)"
+
+
+# errors._check_nonempty is the one rule for a collection that must not be empty
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_emptiness_is_refused_by_one_rule(path):
+    assert rule_copies(path.read_text(encoding="utf-8"), "_check_nonempty",
+                       rule_allowed=path.name == RULE_MODULES["_check_nonempty"]) == []
 
 
 def solver_imports(source: str, top_level_allowed: bool = False) -> list[str]:

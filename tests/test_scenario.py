@@ -386,7 +386,7 @@ PARAM_FAULTS = [
     ("folner", "epsilons", ["0.1"], "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "budget", {"max_points": 0},
      "scenario.params.budget.max_points: must be at least 1, got 0"),
-    ("spectrum", "a_samples", [], "scenario.params.a_samples: list must be nonempty"),
+    ("spectrum", "a_samples", [], "scenario.params.a_samples: must be nonempty"),
     ("spectrum", "radii", ["1"], "scenario.params.radii[0]: expected an integer, got '1'"),
     ("spectrum", "radii", DROP, "scenario.params: missing required field 'radii'"),
     ("interval", "a_samples", ["1", 2],
@@ -433,7 +433,7 @@ PARAM_FAULTS = [
 
 # the folner epsilon list, given on its own
 EPSILONS_FAULTS = [
-    ([], "scenario.params.epsilons: list must be nonempty"),
+    ([], "scenario.params.epsilons: must be nonempty"),
     (["0.1", 1], "scenario.params.epsilons[1]: expected a decimal string, got 1"),
     (["0.1", "x"], "scenario.params.epsilons[1]: expected a decimal string, got 'x'"),
     ("0.1", "scenario.params.epsilons: expected a list, got str"),
@@ -454,7 +454,7 @@ SECTION_FAULTS = [
     ("counterexample", "base", DROP, "scenario.base: required for the counterexample task"),
     ("counterexample", "potential", DROP,
      "scenario.potential: required for the counterexample task"),
-    ("corollary", "potential", [], "scenario.potential: list must be nonempty"),
+    ("corollary", "potential", [], "scenario.potential: must be nonempty"),
     ("corollary", "base", DROP, "scenario.base: required for the corollary task"),
     ("corollary", "potential", DROP, "scenario.potential: required for the corollary task"),
     ("corollary", "fiber", {"kind": "lattice", "dimension": 1},
@@ -518,6 +518,13 @@ SECTION_FAULTS = [
      "scenario.voltages: duplicate voltage for edge (0, 1)"),
     ("spectrum", "voltages", [[1, 0, [1]], [0, 1, []]],
      "scenario.voltages: duplicate voltage for edge (0, 1)"),
+    # an empty collection, refused by the library under the section's path
+    ("spectrum", "base", {"mu": [], "edges": []}, "scenario.base: mu: must be nonempty"),
+    ("folner", "fiber", {"kind": "quotient", "vectors": []},
+     "scenario.fiber: vectors: must be nonempty"),
+    # a subnormal mu would overflow the operator, so it is refused by its field
+    ("spectrum", "base", {"mu": ["1", "1e-320", "1"], "edges": TRIANGLE["edges"]},
+     "scenario.base: mu[1]: must be at least 2.2250738585072014e-308, got 1e-320"),
 ]
 
 

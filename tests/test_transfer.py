@@ -281,6 +281,26 @@ def test_transfer_rejects_nonnegative_base(triangle_cover):
         transfer_negativity(triangle_cover, (0.05, 0.05, 0.05), 1.0, alpha=2)
 
 
+def test_witness_from_the_zero_function_is_refused(triangle_cover):
+    cert = verify_certificate(triangle_cover.fiber_action, [(0,)], 2)
+    with pytest.raises(InputError, match="^cannot build a witness from the zero function$"):
+        build_witness(triangle_cover, (0.0, 0.0, 0.0), cert, 2, FLAT_V3, 1.0)
+
+
+def test_transfer_audits_a_sub_r_star_witness_without_negative_energy(triangle_cover,
+                                                                       monkeypatch):
+    # the amenable triangle's witness beats r*, so only its energy can fail
+    real = transfer.build_witness
+
+    def zero_energy(*args):
+        witness, report = real(*args)
+        return witness, dataclasses.replace(report, Q_cover=0.0)
+
+    monkeypatch.setattr(transfer, "build_witness", zero_energy)
+    with pytest.raises(InequalityViolation, match="has nonnegative energy 0.0$"):
+        transfer_negativity(triangle_cover, FLAT_V3, 1.0, alpha=2)
+
+
 def test_transfer_inconclusive_on_tree(tree_cover):
     budget = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
     outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
