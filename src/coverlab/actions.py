@@ -66,9 +66,9 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class OrbitGraph:
-    """The points within a hop radius of a center, sorted by the action's key."""
+    """The set of points within a hop radius of a center."""
 
-    points: tuple
+    points: frozenset
 
 
 def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | None = None,
@@ -121,7 +121,7 @@ def orbit_ball(
         lambda d: f"orbit ball around {action.encode_fn(center)} exceeded "
                   f"{max_points} points at radius {d}",
     )
-    return OrbitGraph(points=tuple(sorted(seen, key=action.sort_key)))
+    return OrbitGraph(points=frozenset(seen))
 
 
 def boundary(action: GroupAction, members: Iterable) -> frozenset:

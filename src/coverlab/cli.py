@@ -107,13 +107,18 @@ def _fields(result, *omit: str) -> dict:
     return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in omit}
 
 
+def _encoded(action, points) -> list[str]:
+    """The points encoded, in the action's sort order: the one order a report lists points in."""
+    return [action.encode_fn(x) for x in sorted(points, key=action.sort_key)]
+
+
 def _certificate_payload(cert) -> dict:
     # every generator acts bijectively, so ratio_g |E| / 2 = |E \ g^{-1}E|
     signed_sum = sum(r * cert.size / 2 for r in cert.per_generator_ratios.values())
     return {
         "epsilon": cert.epsilon,
         "size": cert.size,
-        "members": [cert.action.encode_fn(x) for x in cert.members],
+        "members": _encoded(cert.action, cert.members),
         "max_ratio": cert.max_ratio,
         "boundary_ratio": cert.boundary_ratio,
         "per_generator_ratios": {str(g): r
@@ -185,12 +190,10 @@ def _run_interval(scn: Scenario):
 
 
 def _witness_payload(cover, rep) -> dict:
-    carrier = cover.carrier
     return {
         **_fields(rep),
-        "members": [carrier.encode_fn(x) for x in rep.members],
-        "collar_tiles": [carrier.encode_fn(x)
-                         for x in sorted(rep.collar_tiles, key=carrier.sort_key)],
+        "members": _encoded(cover.fiber_action, rep.members),
+        "collar_tiles": _encoded(cover.fiber_action, rep.collar_tiles),
         "collar_ratio": rep.collar_ratio,
         # build_witness raises on a breach, so the key is always true
         "verified": True,

@@ -89,10 +89,10 @@ class SearchBudget:
 
 @dataclass
 class FolnerCertificate:
-    """A verified finite set with its exact almost-invariance ratios."""
+    """A verified finite set of points with its exact almost-invariance ratios."""
 
     action: GroupAction = field(repr=False)
-    members: tuple
+    members: frozenset
     epsilon: Fraction
     per_generator_ratios: dict[int, Fraction]
     boundary_size: int
@@ -128,21 +128,17 @@ def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> Folne
     for g, ratio in ratios.items():
         if ratio > eps:
             raise FolnerVerificationError(g, ratio, eps)
-    return FolnerCertificate(
-        action=action,
-        members=tuple(sorted(E, key=action.sort_key)),
-        epsilon=eps,
-        per_generator_ratios=ratios,
-        boundary_size=len(set().union(*exits.values())),
-    )
+    return FolnerCertificate(action, E, eps, ratios, len(set().union(*exits.values())))
 
 
 @dataclass
 class SearchReport:
+    """One search's outcome; best_set is the set of points with the best ratio."""
+
     outcome: str  # "found" or "exhausted"
     certificate: FolnerCertificate | None
     best_ratio: Fraction
-    best_set: tuple
+    best_set: frozenset
     sets_examined: int
     radius_reached: int
 
@@ -432,17 +428,16 @@ def search_folner(
         inner = frozenset()
         for radius in range(budget.max_radius + 1):
             try:
-                ball = orbit_ball(action, action.origin, radius, max_points=budget.max_points)
+                E = orbit_ball(action, action.origin, radius, max_points=budget.max_points).points
             except BudgetExceededError:
                 break
             radius_reached = radius
-            E = frozenset(ball.points)
             # the previous ball moves into E, so only its new sphere can exit
             sphere = E - inner
             yield E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)
                       for g in range(1, action.generator_count + 1)]
             inner = E
-            if len(ball.points) >= budget.max_points:
+            if len(E) >= budget.max_points:
                 break
         yield from _connected_subsets(
             action, action.origin, budget.subset_size_cap, budget.max_subsets
@@ -461,7 +456,7 @@ def search_folner(
         if excess * best_size < best_excess * size:
             best_excess, best_size = excess, size
             best_ratio = Fraction(excess, size)
-            best_set = tuple(sorted(members, key=action.sort_key))
+            best_set = frozenset(members)  # a copy of the enumerator's live set
         if excess * eps_den <= eps_num * size:
             cert = verify_certificate(action, members, eps)
             return SearchReport("found", cert, cert.max_ratio, cert.members, examined, radius_reached)

@@ -74,7 +74,7 @@ class WitnessReport:
     b: int
     alpha: int
     epsilon_used: Fraction
-    members: tuple
+    members: frozenset
     collar_tiles: frozenset
     collar_ball_bound: int
     base_f2: float

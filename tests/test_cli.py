@@ -1119,11 +1119,37 @@ def test_certificate_counts_match_boundary_bound(name):
     action = CERTIFICATE_FAMILIES[name]
     rng = random.Random(5)
     sets = [orbit_ball(action, action.origin, r).points for r in range(4)]
-    pool = sets[-1]
+    # sampled in sort order, so the seeded draws are fixed
+    pool = sorted(sets[-1], key=action.sort_key)
     for _ in range(10):
         sets.append(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
     for members in sets:
         assert _payload_counts(action, members) == folner_boundary_bound(action, members)
+
+
+def in_sort_order(action, points):
+    """The points as the library hands them back, a set, checked to iterate
+    out of sort order, and then encoded in sort order."""
+    ordered = sorted(points, key=action.sort_key)
+    assert isinstance(points, frozenset) and list(points) != ordered
+    return [action.encode_fn(x) for x in ordered]
+
+
+def test_the_report_writer_orders_the_points_it_lists():
+    # the library hands back point sets; cli alone puts a report's lists in
+    # the fiber action's sort order
+    scn = load_scenario(SCENARIOS / "z2_folner.json")
+    cert = folner_sequence(scn.fiber, **scn.params)[-1].certificate
+    run = execute_scenario(scn)[0]["outcome"]["runs"][-1]
+    assert run["certificate"]["members"] == in_sort_order(scn.fiber, cert.members)
+
+    scn = load_scenario(SCENARIOS / "triangle_transfer.json")
+    params = {k: v for k, v in scn.params.items() if k != "radius"}
+    witness = transfer_negativity(scn.cover, scn.potential, seed=scn.seed, **params).report
+    report = execute_scenario(scn)[0]["outcome"]["report"]
+    fiber = scn.cover.fiber_action
+    assert report["members"] == in_sort_order(fiber, witness.members)
+    assert report["collar_tiles"] == in_sort_order(fiber, witness.collar_tiles)
 
 
 def test_permutation_family_moves_and_fixes_orbit_points():

@@ -472,6 +472,56 @@ def test_emptiness_is_refused_by_one_rule(path):
                        rule_allowed=path.name == RULE_MODULES["_check_nonempty"]) == []
 
 
+# the orders that feed arithmetic, by module: a cover ball's order is every
+# window operator's row order, the cutoff's member order is the witness's
+# summation order, and the subset enumeration's frontier order decides which
+# subsets are examined; every other order is a report's, applied in cli.py
+ARITHMETIC_ORDERS = {"geometry.py": ("VoltageCover.sort_key", "VoltageCover.ball", "cutoff"),
+                     "folner.py": ("_connected_subsets",)}
+
+
+def sort_key_reads(source: str, allowed: tuple = ()) -> list[str]:
+    """Every read of a ``sort_key`` attribute, except inside the top-level
+    functions and methods named in allowed, as ``f`` or ``Class.f``."""
+    found = []
+    for top in ast.parse(source).body:
+        units = ([(f"{top.name}.{getattr(item, 'name', '')}", item) for item in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
+        found += [f"{name} (line {node.lineno})" for name, unit in units if name not in allowed
+                  for node in ast.walk(unit)
+                  if isinstance(node, ast.Attribute) and node.attr == "sort_key"
+                  and isinstance(node.ctx, ast.Load)]
+    return found
+
+
+def test_sort_order_checker_flags_a_copy():
+    source = textwrap.dedent("""\
+        class VoltageCover:
+            sort_key: object = None
+            def sort_key(self, p):
+                return (p[0], self.carrier.sort_key(p[1]))
+            def tile(self, x):
+                return sorted(x, key=self.sort_key)
+        def orbit_ball(action, seen):
+            return tuple(sorted(seen, key=action.sort_key))
+        def cutoff(cover, members, alpha):
+            return sorted(members, key=cover.carrier.sort_key)
+        ACTION = GroupAction(sort_key=lambda x: x)
+        """)
+    assert sort_key_reads(source, ("VoltageCover.sort_key", "cutoff")) == [
+        "VoltageCover.tile (line 6)", "orbit_ball (line 8)"]
+    assert sort_key_reads(source)[0] == "VoltageCover.sort_key (line 4)"
+
+
+# a report lists points in an order that cli.py applies; the library hands
+# back point sets, and sorts only where ARITHMETIC_ORDERS says the order is arithmetic
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_report_order_is_applied_by_cli_alone(path):
+    assert sort_key_reads(path.read_text(encoding="utf-8"),
+                          ARITHMETIC_ORDERS.get(path.name, ())) == []
+
+
 def solver_imports(source: str, top_level_allowed: bool = False) -> list[str]:
     """Every numpy or scipy import, except the module's own top-level import
     statements when ``top_level_allowed``."""
