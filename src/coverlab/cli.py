@@ -2,8 +2,8 @@
 
 Reports serialize every real as a '.17g' decimal string and every exact
 ratio as a numerator/denominator pair, with sorted keys, so identical
-(scenario, seed) inputs produce byte-identical files.  Wall-clock timing
-goes to stderr only, never into a report.
+scenario files, a run's only input, produce byte-identical reports.
+Wall-clock timing goes to stderr only, never into a report.
 
 Exit codes: 0 success, 1 input or usage error, 2 audited inequality violated
 (a bug, not a refutation), 3 budget exhausted or search inconclusive.
@@ -17,23 +17,21 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from . import __version__, spectrum, transfer
-from .actions import DEFAULT_POINT_BUDGET
 from .errors import (
     BudgetExceededError,
     FolnerVerificationError,
     InequalityViolation,
     InputError,
     NumericalError,
-    _check_int,
 )
-from .folner import SearchBudget, folner_sequence
-from .scenario import TASKS, Scenario, _under, load_scenario
+from .folner import folner_sequence
+from .scenario import Scenario, _under, load_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -331,36 +329,6 @@ def execute_scenario(scn: Scenario):
 # commands
 
 
-def _check_flags(args) -> None:
-    """Refuse a --budget outside 1..DEFAULT_POINT_BUDGET, the range of
-    max_points, and a negative --seed or --radius."""
-    for flag, minimum, maximum in (("budget", 1, DEFAULT_POINT_BUDGET), ("seed", 0, None),
-                                   ("radius", 0, None)):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(args, flag, _check_int(value, f"--{flag}", minimum, maximum))
-
-
-def _override(scn: Scenario, seed: Optional[int], budget: Optional[int],
-              radius: Optional[int]) -> Scenario:
-    """A copy of scn with the --seed, --budget and --radius flags applied.
-
-    --budget replaces the Folner search's max_points and max_subsets, in
-    the tasks that search; --radius replaces a scalar radius and collapses
-    radii to (radius,).  scn itself is left as it is.
-    """
-    params = dict(scn.params)
-    if budget is not None and "budget" in TASKS[scn.task].optional:
-        params["budget"] = replace(params.get("budget", SearchBudget()),
-                                   max_points=budget, max_subsets=budget)
-    if radius is not None:
-        if "radius" in params:
-            params["radius"] = radius
-        if "radii" in params:
-            params["radii"] = (radius,)
-    return replace(scn, seed=scn.seed if seed is None else seed, params=params)
-
-
 def _execute_logged(scn: Scenario):
     """execute_scenario, with an input error as status "input-error" and
     report None; the status line and the wall time go to stderr."""
@@ -376,9 +344,7 @@ def _execute_logged(scn: Scenario):
 
 
 def _cmd_run(args) -> int:
-    _check_flags(args)
-    scn = _override(load_scenario(args.path), args.seed, args.budget, args.radius)
-    report, columns, rows, status, headline = _execute_logged(scn)
+    report, columns, rows, status, headline = _execute_logged(load_scenario(args.path))
     if report is None:
         raise InputError(f"{Path(args.path)}: {headline}")
     if args.format == "csv":
@@ -404,7 +370,6 @@ def _cmd_batch(args) -> int:
     if not paths:
         raise InputError(f"no scenario files (*.json) in {directory}")
 
-    _check_flags(args)
     scenarios: list[Scenario] = []
     seen: dict[str, Path] = {}
     for path in paths:
@@ -415,7 +380,7 @@ def _cmd_batch(args) -> int:
                 f"and {path.name}"
             )
         seen[scn.name] = path
-        scenarios.append(_override(scn, args.seed, args.budget, args.radius))
+        scenarios.append(scn)
 
     out_dir = Path(args.out) if args.out else directory / "_reports"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,21 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    overrides = argparse.ArgumentParser(add_help=False)
-    overrides.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
-    overrides.add_argument("--budget", type=int, default=None,
-                           help="override max_points and max_subsets")
-    overrides.add_argument("--radius", type=int, default=None,
-                           help="replace the scenario radius or radii")
-
-    run = sub.add_parser("run", parents=[overrides], help="run one scenario file")
+    run = sub.add_parser("run", help="run one scenario file")
     run.add_argument("path", help="scenario JSON file")
     run.add_argument("--out", help="write the report here instead of stdout")
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
-    batch = sub.add_parser("batch", parents=[overrides],
-                           help="run every scenario in a directory")
+    batch = sub.add_parser("batch", help="run every scenario in a directory")
     batch.add_argument("dir", help="directory of scenario JSON files")
     batch.add_argument("--out", help="report directory (default <dir>/_reports)")
     return parser

@@ -69,8 +69,10 @@ def exact_fraction(value, label: str = "epsilon") -> Fraction:
 class SearchBudget:
     """Resource limits for Folner searches; a bad field raises InputError naming it.
 
-    max_points may lower its default, the point budget DEFAULT_POINT_BUDGET,
-    never raise it.
+    max_points, subset_size_cap and max_subsets may lower their defaults,
+    never raise them: the point budget DEFAULT_POINT_BUDGET, 14 and 200,000.
+    max_radius has no ceiling: the balls stop once one is invariant or
+    fills max_points.
     """
 
     max_points: int = DEFAULT_POINT_BUDGET
@@ -84,7 +86,7 @@ class SearchBudget:
         for f in fields(self):
             object.__setattr__(self, f.name, _check_int(
                 getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1,
-                f.default if f.name == "max_points" else None))
+                None if f.name == "max_radius" else f.default))
 
 
 @dataclass

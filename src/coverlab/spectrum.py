@@ -2,13 +2,17 @@
 
 The generalized problem (L + a diag(V mu)) f = lambda diag(mu) f is
 symmetrized with M^{-1/2} so one standard symmetric eigensolve suffices;
-dense below DENSE_LIMIT vertices, shift-inverted Lanczos above.  The
-operator is assembled once per vertex list; only its diagonal depends
-on a.  Finiteness is checked on the assembled sparse entries before
-anything solves or factors them, and a dense branch holds one n x n
-array, which LAPACK factors in place.  Every eigenpair carries an
-explicit residual and is rejected past 100 n eps ||A||_1, or when it is
-not a number.
+dense below DENSE_LIMIT vertices, shift-inverted Lanczos above.  Only
+the operator's diagonal depends on a, so a stability-interval bisection
+assembles its base operator once and reads every probe from it.  Every
+other solve assembles its own: min_eigenvalue the base operator, and
+dirichlet_window its window, once per call, so easy_direction_check
+assembles each window once per coupling (20 assemblies for
+k4_tree_spectrum's 5 radii at 4 couplings).  Finiteness is checked on
+the assembled sparse entries before anything solves or factors them,
+and a dense branch holds one n x n array, which LAPACK factors in
+place.  Every eigenpair carries an explicit residual and is rejected
+past 100 n eps ||A||_1, or when it is not a number.
 A stability-interval bisection needs only the sign of lambda_min at each
 probe, which a Cholesky factorization decides up to DENSE_LIMIT vertices.
 """

@@ -39,10 +39,8 @@ from coverlab import (
     interval_comparison,
     transfer_negativity,
 )
-from coverlab.folner import SearchBudget
 from coverlab.cli import (
     _certificate_payload,
-    _override,
     _witness_payload,
     execute_scenario,
     main,
@@ -589,10 +587,12 @@ def test_failing_box_is_a_violation_not_a_retry(monkeypatch, capsys):
     assert len(sides) == 1
 
 
-def test_budget_flag_forces_exhaustion(capsys):
+def test_budget_flag_forces_exhaustion(tmp_path, capsys):
     # every 1/100-Folner set of Z has at least 200 points, so a budget of 50
     # is refused by the size floor before anything is searched
-    code = main(["run", str(SCENARIOS / "z_folner.json"), "--budget", "50"])
+    obj = json.loads((SCENARIOS / "z_folner.json").read_text())
+    obj["params"]["budget"] = {"max_points": 50}
+    code = main(["run", str(write_json(tmp_path / "z_folner.json", obj))])
     out = capsys.readouterr().out
     assert code == 3
     report = json.loads(out)
@@ -614,67 +614,13 @@ def test_cutoff_over_the_point_budget_exits_3(capsys, monkeypatch):
 
 
 def test_budget_environment_variable_is_ignored(capsys, monkeypatch):
-    # --budget is the only route to the search limits
+    # the scenario file is the only route to the search limits
     path = str(SCENARIOS / "z_folner.json")
     assert main(["run", path]) == 0
     plain = capsys.readouterr().out
     monkeypatch.setenv("COVERLAB_BUDGET", "50")
     assert main(["run", path]) == 0
     assert capsys.readouterr().out == plain
-
-
-def test_seed_override_reflected(capsys):
-    code = main(["run", str(SCENARIOS / "torus_corollary.json"), "--seed", "9"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["seed"] == 9
-
-
-def test_radius_override_collapses_profile(capsys):
-    code = main(["run", str(SCENARIOS / "k4_tree_spectrum.json"), "--radius", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    report = json.loads(out)
-    rows = report["outcome"]["rows"]
-    for row in rows:
-        assert [w["radius"] for w in row["windows"]] == [1]
-
-
-def test_radius_override_leaves_scenario_unchanged():
-    scn = load_scenario(SCENARIOS / "k4_tree_spectrum.json")
-    params = dict(scn.params)
-    changed = _override(scn, 5, 50, 1)
-    assert changed.seed == 5
-    assert changed.params["radii"] == (1,)
-    assert "budget" not in changed.params
-    assert _override(scn, None, None, None) == scn
-    overridden = execute_scenario(changed)[0]
-    plain = execute_scenario(scn)[0]
-    assert (scn.seed, scn.params) == (0, params)
-    assert (overridden["seed"], plain["seed"]) == (5, 0)
-    assert len(overridden["outcome"]["rows"]) == len(plain["outcome"]["rows"]) == 4
-    for row in overridden["outcome"]["rows"]:
-        assert [w["radius"] for w in row["windows"]] == [1]
-    for row in plain["outcome"]["rows"]:
-        assert [w["radius"] for w in row["windows"]] == [0, 1, 2, 3, 4]
-
-
-@pytest.mark.parametrize("name", ["k4_tree_spectrum", "torus_corollary"])
-def test_budget_flag_leaves_a_task_that_does_not_search_as_it_is(name):
-    scn = load_scenario(SCENARIOS / f"{name}.json")
-    changed = _override(scn, None, 50, None)
-    assert "budget" not in changed.params
-    assert changed == scn
-    assert execute_scenario(changed)[3] == "ok"
-
-
-@pytest.mark.parametrize("name", ["z_folner", "triangle_interval", "triangle_transfer",
-                                  "tree_counterexample"])
-def test_budget_flag_sets_the_budget_of_a_task_that_searches(name):
-    scn = load_scenario(SCENARIOS / f"{name}.json")
-    budget = _override(scn, None, 50, None).params["budget"]
-    assert budget == dataclasses.replace(scn.params.get("budget", SearchBudget()),
-                                         max_points=50, max_subsets=50)
 
 
 # each task's library call; its handler passes the scenario's params to it
@@ -696,18 +642,9 @@ def test_every_stored_param_is_a_keyword_of_its_library_call():
             stored.remove("radius")  # the handler's own Dirichlet window
         keywords = inspect.signature(LIBRARY_CALLS[task]).parameters
         assert stored <= keywords.keys(), (task, stored - keywords.keys())
-    # only the search tasks take a budget, so only they get --budget
+    # only the search tasks take a budget
     assert [task for task, spec in TASKS.items() if "budget" in spec.optional] == [
         "folner", "interval", "transfer", "counterexample"]
-
-
-def test_radius_override_replaces_a_scalar_radius(capsys):
-    assert main(["run", str(SCENARIOS / "triangle_transfer.json"), "--radius", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["outcome"]["window"]["radius"] == 3
-    assert main(["run", str(SCENARIOS / "triangle_interval.json"), "--radius", "2"]) == 0
-    rows = json.loads(capsys.readouterr().out)["outcome"]["rows"]
-    assert len(rows) == 5
-    assert [row["window"]["radius"] for row in rows] == [2] * 5
 
 
 def test_batch_directory(tmp_path, capsys):
@@ -794,13 +731,28 @@ def test_run_time_refusal_names_its_file_and_field(task, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "batch"])
-def test_override_flags_have_help_in_both_commands(command, capsys):
+def test_help_names_no_override(command, capsys):
+    # a run reads its scenario file and nothing else
     with pytest.raises(SystemExit):
         main([command, "--help"])
     out = capsys.readouterr().out
-    for text in ("override the scenario seed", "override max_points and max_subsets",
-                 "replace the scenario radius or radii"):
-        assert text in out
+    for text in ("--seed", "--budget", "--radius", "overrid"):
+        assert text not in out
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "9"), ("--budget", "50"),
+                                         ("--radius", "1")])
+def test_removed_override_flag_is_a_usage_error(flag, value, tmp_path, capsys):
+    src = tmp_path / "jobs"
+    src.mkdir()
+    path = shutil.copy(SCENARIOS / "z_folner.json", src / "z_folner.json")
+    for args in (["run", str(path), flag, value], ["batch", str(src), flag, value]):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: coverlab")
+        assert err.endswith(f"coverlab: error: unrecognized arguments: {flag} {value}\n")
+        assert "Traceback" not in err
+    assert not (src / "_reports").exists()
 
 
 def test_batch_refuses_a_negative_epsilon_before_any_run(tmp_path, capsys):
@@ -856,8 +808,8 @@ def test_batch_has_no_jobs_option(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["run", "--budget", "abc", "scenarios/z_folner.json"],
-     "coverlab run: error: argument --budget: invalid int value: 'abc'"),
+    (["run", "scenarios/z_folner.json", "--out"],
+     "coverlab run: error: argument --out: expected one argument"),
     (["run"], "coverlab run: error: the following arguments are required: path"),
     (["batch", "scenarios", "--jobs", "2"], "coverlab: error: unrecognized arguments: --jobs 2"),
 ])
@@ -968,57 +920,19 @@ def test_subnormal_mu_exits_1_naming_its_field(tmp_path, capsys):
                    f"2.2250738585072014e-308, got 1e-320\n")
 
 
-def test_run_deep_enumeration_exit_3(tmp_path, capsys):
-    # a subset size cap far beyond the interpreter's recursion limit
-    obj = {
-        "name": "deep_f1",
-        "task": "folner",
-        "seed": 0,
-        "fiber": {"kind": "free_group", "rank": 1},
-        "params": {
-            "epsilon": "0.001",
-            "budget": {"max_radius": 0, "subset_size_cap": 1500, "max_subsets": 3000},
-        },
-    }
-    code = main(["run", str(write_json(tmp_path / "deep_f1.json", obj))])
-    out = capsys.readouterr().out
-    assert code == 3
-    report = json.loads(out)
-    assert report["status"] == "inconclusive"
-    run = report["outcome"]["runs"][0]
-    assert run["sets_examined"] == 3001
-    assert run["best_ratio"] == {"numerator": 1, "denominator": 750}
-
-
-BAD_FLAGS = [
-    pytest.param("--budget", "0", "--budget: must be at least 1, got 0", id="0"),
-    pytest.param("--budget", "-5", "--budget: must be at least 1, got -5", id="-5"),
-    # a budget sets max_points, which may not exceed the point budget
-    pytest.param("--budget", "1000001", "--budget: must be at most 1000000, got 1000001",
-                 id="1000001"),
-    pytest.param("--seed", "-5", "--seed: must be at least 0, got -5", id="seed-5"),
-    pytest.param("--radius", "-1", "--radius: must be at least 0, got -1", id="radius-1"),
-]
-
-
-@pytest.mark.parametrize("flag, value, message", BAD_FLAGS)
-def test_run_rejects_nonpositive_budget_flag(flag, value, message, capsys):
-    code = main(["run", str(SCENARIOS / "k4_tree_spectrum.json"), flag, value])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"error: {message}\n" == err
-
-
-@pytest.mark.parametrize("flag, value, message", BAD_FLAGS)
-def test_batch_rejects_nonpositive_budget_flag(flag, value, message, tmp_path, capsys):
-    src = tmp_path / "jobs"
-    src.mkdir()
-    shutil.copy(SCENARIOS / "z_folner.json", src / "z_folner.json")
-    code = main(["batch", str(src), flag, value])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"error: {message}\n" == err
-    assert not (src / "_reports").exists()
+@pytest.mark.parametrize("field, value, maximum", [("subset_size_cap", 1500, 14),
+                                                   ("max_subsets", 200_001, 200_000)])
+def test_search_limit_above_its_default_exits_1(field, value, maximum, tmp_path, capsys):
+    # a search limit may lower its default, never raise it: max_subsets = 2^63
+    # on tree_counterexample ran for minutes before it was refused at parse
+    # (the value tested is the least refused one, so a regression runs briefly)
+    obj = json.loads((SCENARIOS / "tree_counterexample.json").read_text())
+    obj["params"]["budget"][field] = value
+    path = write_json(tmp_path / "tree_counterexample.json", obj)
+    code, out, err = run_main(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: scenario.params.budget.{field}: "
+                   f"must be at most {maximum}, got {value}\n")
 
 
 def reference_digests():

@@ -151,13 +151,22 @@ def test_subset_enumeration_counts_intervals():
     # the size floor nor the box answers first
     k = 6
     budget = SearchBudget(max_points=2, max_radius=0, subset_size_cap=k,
-                          max_subsets=10**9)
+                          max_subsets=200_000)
     rep = search_folner(free_group_action(1), Fraction(1, 10**9), budget)
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 1 + k * (k + 1) // 2
     # the best interval has size k and exact ratio 2/k
     assert rep.best_ratio == Fraction(2, k)
     assert len(rep.best_set) == k
+
+
+def test_connected_subsets_run_past_the_recursion_limit():
+    # a size cap far beyond the interpreter's recursion limit, which a
+    # search budget no longer admits: the enumerator runs on its own stack
+    sizes = [len(members) for members, _overlap
+             in _connected_subsets(free_group_action(1), (), 1500, 3000)]
+    assert len(sizes) == 3000
+    assert max(sizes) == 1500
 
 
 def test_f2_exhausts_with_large_best_ratio():

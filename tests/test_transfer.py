@@ -459,10 +459,14 @@ def test_counterexample_raises_on_negative_window(tree_cover, monkeypatch):
         counterexample_check(tree_cover, FLAT_V4, 1.0, alpha=4, radii=(0, 2), budget=budget)
 
 
-def test_cli_spectrum_negative_window_exit_2(monkeypatch, capsys):
+def test_cli_spectrum_negative_window_exit_2(monkeypatch, tmp_path, capsys):
     sink_windows(monkeypatch)
-    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "k4_tree_spectrum.json"
-    code = main(["run", str(path), "--radius", "1"])
+    bundled = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "k4_tree_spectrum.json"
+    obj = json.loads(bundled.read_text())
+    obj["params"]["radii"] = [1]
+    path = tmp_path / "k4_tree_spectrum.json"
+    path.write_text(json.dumps(obj))
+    code = main(["run", str(path)])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["status"] == "violation"
