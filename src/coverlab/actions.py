@@ -116,6 +116,7 @@ def orbit_ball(
     Raises BudgetExceededError (with the partial count) if the ball
     grows past max_points before the radius is exhausted.
     """
+    max_points = _check_int(max_points, "max_points", 0, DEFAULT_POINT_BUDGET)
     seen = bfs_depths(
         [center], _action_step(action), radius, max_points,
         lambda d: f"orbit ball around {action.encode_fn(center)} exceeded "
@@ -369,7 +370,8 @@ def coset_duality_check(
     Hs to H(s g^{-1}).  The map sH -> H s^{-1} must be a bijection that
     intertwines the two; this is verified exhaustively.
     """
-    G = generate_group(group_generators)
+    gens = [tuple(p) for p in group_generators]  # read once: it may be an iterator
+    G = generate_group(gens)
     H = generate_group(subgroup_generators)
     if not H <= G:
         raise InputError("subgroup generators leave the ambient group")
@@ -384,7 +386,6 @@ def coset_duality_check(
     bijective = images == right_cosets and len(images) == len(left_cosets)
 
     equivariant = True
-    gens = [tuple(p) for p in group_generators]
     for coset in left_cosets:
         for g in gens:
             moved_left = frozenset(permutation_compose(g, x) for x in coset)

@@ -14,7 +14,7 @@ them runs.
 The box is built one generator line at a time: each layer's points are
 grouped by their coset of Z v and every point of the swept lines is
 built once, so its cost is the size of its image.  The enumeration
-runs on an explicit stack over a private table of integer point ids:
+recurses, one call per member, over a private table of integer point ids:
 each point's images are computed once, the first time it is added,
 and membership is a flag per id, so the table holds at most 2n + 1 ids
 per distinct added point.  It carries each subset's per-generator
@@ -69,10 +69,8 @@ def exact_fraction(value, label: str = "epsilon") -> Fraction:
 class SearchBudget:
     """Resource limits for Folner searches; a bad field raises InputError naming it.
 
-    max_points, subset_size_cap and max_subsets may lower their defaults,
-    never raise them: the point budget DEFAULT_POINT_BUDGET, 14 and 200,000.
-    max_radius has no ceiling: the balls stop once one is invariant or
-    fills max_points.
+    Each field may lower its default, never raise it: the point budget
+    DEFAULT_POINT_BUDGET, 12, 14 and 200,000.
     """
 
     max_points: int = DEFAULT_POINT_BUDGET
@@ -85,8 +83,7 @@ class SearchBudget:
         # none: so every search scores at least the radius-0 ball
         for f in fields(self):
             object.__setattr__(self, f.name, _check_int(
-                getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1,
-                None if f.name == "max_radius" else f.default))
+                getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1, f.default))
 
 
 @dataclass
@@ -209,6 +206,7 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     side = _check_int(side, "box side", 1)
+    max_points = _check_int(max_points, "max_points", 0, DEFAULT_POINT_BUDGET)
     moving = [v for v in action.translation_vectors if any(v)]
     # formatted only when raised: a side too long to print still builds one point
     refusal = "translation box of side {} exceeds {} points".format
@@ -286,21 +284,20 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
 # strategy 3: truncated enumeration of connected subsets
 
 
-def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: int):
-    """Yield connected subsets of the Cayley graph containing the root.
+def _connected_subsets(action: GroupAction, size_cap: int, max_subsets: int, visit) -> bool:
+    """Call visit(members, overlap) on each connected subset of the Cayley
+    graph containing the origin; True at the first one visit accepts.
 
     Redelmeier's extension scheme with a forbidden set, run depth first
-    on an explicit stack, so size_cap is not bounded by the interpreter's
-    recursion limit.  Each qualifying subset is produced exactly once;
-    enumeration stops after max_subsets, or once the point table below
-    holds more than DEFAULT_POINT_BUDGET ids.
+    by a recursion at most size_cap calls deep.  Each qualifying subset
+    is visited exactly once; enumeration stops after max_subsets, or once
+    the point table below holds more than DEFAULT_POINT_BUDGET ids.
 
-    Each item is (members, overlap), where overlap[i - 1] is
-    |E intersect g_i^{-1} E| for the positive generator g_i; the signed
-    generator -g_i has the same overlap, and |E symdiff gE| is
-    2 (|E| - overlap).  The counts are updated in O(#generators) probes
-    per added point instead of rescored per subset.  Both objects are
-    the enumerator's live state: read them before resuming it.
+    overlap[i - 1] is |E intersect g_i^{-1} E| for the positive generator
+    g_i; the signed generator -g_i has the same overlap, and |E symdiff gE|
+    is 2 (|E| - overlap).  The counts are updated in O(#generators) probes
+    per added point instead of rescored per subset.  members is the
+    enumerator's live set: visit copies what it keeps.
 
     The search runs over a private point table.  A point gets an integer
     id when first seen; when first added, its 2n images are computed
@@ -323,17 +320,16 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
     key = action.sort_key
     # ids[x] is the id of point x and points[i] the point with id i;
     # images[i] and order[i] are filled when point i is first added
-    ids = {root: 0}
-    points = [root]
+    ids = {action.origin: 0}
+    points = [action.origin]
     images: list = [None]
     order: list = [None]
     in_members = bytearray(1)
     # members, forbidden and frontier points of the current branch
     in_seen = bytearray(b"\x01")
     members: set = set()
-    # the frontier of a stack frame is frontier[next:end]; a child's is
-    # the rest of its parent's followed by the points the child added
     frontier: list = []
+    emitted = 0
 
     def id_of(x) -> int:
         i = ids.get(x)
@@ -346,7 +342,10 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
             in_seen.append(0)
         return i
 
-    def add(v: int, overlap: tuple) -> tuple[tuple, list]:
+    def grow(v: int, start: int, overlap: tuple) -> bool:
+        # visit members + v, then extend it by each of frontier[start:] and
+        # the points v brings in turn; v leaves again unless visit accepts
+        nonlocal emitted
         img = images[v]
         if img is None:
             x = points[v]
@@ -359,42 +358,31 @@ def _connected_subsets(action: GroupAction, root, size_cap: int, max_subsets: in
         )
         in_members[v] = 1
         members.add(points[v])
-        fresh = []
+        emitted += 1
+        if visit(members, overlap):
+            return True
         if len(members) < size_cap:
             fresh = [u for u in order[v] if not in_seen[u]]
             for u in fresh:
                 in_seen[u] = 1
             frontier.extend(fresh)
-        return overlap, fresh
-
-    def remove(v: int, fresh: list) -> None:
+            for i in range(start, len(frontier)):
+                if emitted >= max_subsets or len(points) > DEFAULT_POINT_BUDGET:
+                    break
+                if grow(frontier[i], i + 1, overlap):
+                    return True
+            for u in fresh:
+                in_seen[u] = 0
+            del frontier[len(frontier) - len(fresh):]
         in_members[v] = 0
         members.remove(points[v])
-        for u in fresh:
-            in_seen[u] = 0
-        del frontier[len(frontier) - len(fresh):]
+        return False
 
-    overlap, fresh = add(0, (0,) * n)
-    yield members, overlap
-    emitted = 1
-    # frame: [next frontier index, frontier end, overlap, point id, its fresh ids]
-    stack = [[0, len(frontier), overlap, 0, fresh]]
-    while stack and emitted < max_subsets and len(points) <= DEFAULT_POINT_BUDGET:
-        frame = stack[-1]
-        i, end = frame[0], frame[1]
-        if i == end:
-            stack.pop()
-            remove(frame[3], frame[4])
-            continue
-        frame[0] = i + 1
-        v = frontier[i]
-        overlap, fresh = add(v, frame[2])
-        yield members, overlap
-        emitted += 1
-        if len(members) < size_cap:
-            stack.append([i + 1, len(frontier), overlap, v, fresh])
-        else:
-            remove(v, fresh)
+    found = grow(0, 0, (0,) * n)
+    # grow reaches itself through its closure cell, a reference cycle that
+    # would keep the point table alive until the next cyclic collection
+    del grow
+    return found
 
 
 def search_folner(
@@ -414,56 +402,51 @@ def search_folner(
     budget = budget or SearchBudget()
 
     if action.translation_vectors is not None:
-        found = _search_box(action, eps, budget.max_points)
-        if found is not None:
-            return found
+        boxed = _search_box(action, eps, budget.max_points)
+        if boxed is not None:
+            return boxed
 
-    examined = 0
-    # set by the first set scored, at least the radius-0 ball
-    best_ratio = best_set = None
-    radius_reached = 0
-
-    def candidates():
-        # orbit balls of growing radius, then connected subsets, each with
-        # overlap[i - 1] = |E intersect g_i^{-1} E| as _connected_subsets
-        nonlocal radius_reached
-        inner = frozenset()
-        for radius in range(budget.max_radius + 1):
-            try:
-                E = orbit_ball(action, action.origin, radius, max_points=budget.max_points).points
-            except BudgetExceededError:
-                break
-            radius_reached = radius
-            # the previous ball moves into E, so only its new sphere can exit
-            sphere = E - inner
-            yield E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)
-                      for g in range(1, action.generator_count + 1)]
-            inner = E
-            if len(E) >= budget.max_points:
-                break
-        yield from _connected_subsets(
-            action, action.origin, budget.subset_size_cap, budget.max_subsets
-        )
-
-    # the worst ratio over all signed generators is 2 (|E| - min overlap) / |E|,
-    # and 0 when there are none (tested inline: min's default= keyword triples
-    # the cost of a call made once per scored set); the best so far is
-    # best_excess / best_size, starting from 1 / 0 = infinity
-    best_excess, best_size = 1, 0
+    # the best so far is best_excess / best_size, starting from 1 / 0 = infinity
+    examined = radius_reached = 0
+    best_excess, best_size, best_set = 1, 0, None
     eps_num, eps_den = eps.numerator, eps.denominator
-    for members, overlap in candidates():
+
+    def score(members, overlap) -> bool:
+        # overlap[i - 1] = |E intersect g_i^{-1} E| as _connected_subsets; the
+        # worst ratio over all signed generators is 2 (|E| - min overlap) / |E|,
+        # and 0 when there are none (tested inline: min's default= keyword
+        # triples the cost of a call made once per scored set).  A set within
+        # eps is the new best, since every set scored before it was above eps
+        nonlocal examined, best_excess, best_size, best_set
         examined += 1
         size = len(members)
         excess = 2 * (size - (min(overlap) if overlap else size))
         if excess * best_size < best_excess * size:
             best_excess, best_size = excess, size
-            best_ratio = Fraction(excess, size)
             best_set = frozenset(members)  # a copy of the enumerator's live set
-        if excess * eps_den <= eps_num * size:
-            cert = verify_certificate(action, members, eps)
-            return SearchReport("found", cert, cert.max_ratio, cert.members, examined, radius_reached)
+        return excess * eps_den <= eps_num * size
 
-    return SearchReport("exhausted", None, best_ratio, best_set, examined, radius_reached)
+    # orbit balls of growing radius, then connected subsets
+    found = False
+    inner = frozenset()
+    for radius in range(budget.max_radius + 1):
+        try:
+            E = orbit_ball(action, action.origin, radius, max_points=budget.max_points).points
+        except BudgetExceededError:
+            break
+        radius_reached = radius
+        # the previous ball moves into E, so only its new sphere can exit
+        sphere = E - inner
+        found = score(E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)
+                          for g in range(1, action.generator_count + 1)])
+        if found or len(E) >= budget.max_points:
+            break
+        inner = E
+    if found or _connected_subsets(action, budget.subset_size_cap, budget.max_subsets, score):
+        cert = verify_certificate(action, best_set, eps)
+        return SearchReport("found", cert, cert.max_ratio, cert.members, examined, radius_reached)
+    return SearchReport("exhausted", None, Fraction(best_excess, best_size), best_set,
+                        examined, radius_reached)
 
 
 def folner_sequence(

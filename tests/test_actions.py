@@ -324,6 +324,24 @@ def test_coset_duality_s3_transposition():
     assert report.bijective and report.equivariant and report.ok
 
 
+def test_coset_duality_reads_iterator_generators_once(monkeypatch):
+    # a one-shot iterator read twice would leave the equivariance check no
+    # generator to run on, and it would still report equivariant
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return permutation_compose(p, q)
+
+    monkeypatch.setattr(actions, "permutation_compose", counting)
+    counts = []
+    for gens in (S3_GENS, iter(S3_GENS)):
+        calls.clear()
+        assert coset_duality_check(gens, [(1, 0, 2)]).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_coset_duality_refuses_subgroup_generators_outside_the_group():
     with pytest.raises(InputError, match="^subgroup generators leave the ambient group$"):
         coset_duality_check([(1, 0, 2)], [(0, 2, 1)])

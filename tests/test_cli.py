@@ -921,7 +921,8 @@ def test_subnormal_mu_exits_1_naming_its_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, maximum", [("subset_size_cap", 1500, 14),
-                                                   ("max_subsets", 200_001, 200_000)])
+                                                   ("max_subsets", 200_001, 200_000),
+                                                   ("max_radius", 13, 12)])
 def test_search_limit_above_its_default_exits_1(field, value, maximum, tmp_path, capsys):
     # a search limit may lower its default, never raise it: max_subsets = 2^63
     # on tree_counterexample ran for minutes before it was refused at parse

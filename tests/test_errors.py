@@ -86,6 +86,8 @@ SITES = {
     "finite_permutation_action": (
         "degree", lambda n: finite_permutation_action([(1, 0)], n).name),
     "orbit_ball": ("radius", lambda n: orbit_ball(lattice_action(1), (0,), n).points),
+    "orbit_ball max_points": (
+        "max_points", lambda n: orbit_ball(lattice_action(1), (0,), 0, max_points=n).points),
     "VoltageCover.ball": ("radius", lambda n: _triangle_cover().ball(n)),
     "dirichlet_window": (
         "radius", lambda n: dirichlet_window(_triangle_cover(), n, FLAT_V3, 1.0).size),
@@ -97,6 +99,8 @@ SITES = {
     "regular_tree_dirichlet_value radius": (
         "radius", lambda n: regular_tree_dirichlet_value(3, n)),
     "translation_box": ("box side", lambda n: translation_box(lattice_action(2), n, 100)),
+    "translation_box max_points": (
+        "max_points", lambda n: translation_box(lattice_action(1), 2, n)),
     "SearchBudget": ("max_radius", lambda n: SearchBudget(max_radius=n)),
 }
 

@@ -1,9 +1,12 @@
 """Folner machinery: exact ratios, searches, budgets, sequences."""
 
 import dataclasses
+import gc
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -160,15 +163,6 @@ def test_subset_enumeration_counts_intervals():
     assert len(rep.best_set) == k
 
 
-def test_connected_subsets_run_past_the_recursion_limit():
-    # a size cap far beyond the interpreter's recursion limit, which a
-    # search budget no longer admits: the enumerator runs on its own stack
-    sizes = [len(members) for members, _overlap
-             in _connected_subsets(free_group_action(1), (), 1500, 3000)]
-    assert len(sizes) == 3000
-    assert max(sizes) == 1500
-
-
 def test_f2_exhausts_with_large_best_ratio():
     budget = SearchBudget(max_radius=3, subset_size_cap=6, max_subsets=5000)
     rep = search_folner(free_group_action(2), Fraction(3, 10), budget)
@@ -245,6 +239,18 @@ def test_box_doubling_beats_pessimistic_side():
     assert again.per_generator_ratios == cert.per_generator_ratios
 
 
+def collected_subsets(action, size_cap, max_subsets):
+    # every subset the enumerator visits, copied, with its overlap counts
+    visited = []
+
+    def visit(members, overlap):
+        visited.append((frozenset(members), overlap))
+        return False
+
+    assert _connected_subsets(action, size_cap, max_subsets, visit) is False
+    return visited
+
+
 @pytest.mark.parametrize("action, size_cap", [
     (lattice_action(1), 9),
     (lattice_action(2), 6),
@@ -257,8 +263,7 @@ def test_box_doubling_beats_pessimistic_side():
 ], ids=lambda p: p.name if hasattr(p, "name") else str(p))
 def test_carried_overlaps_match_set_ratios(action, size_cap):
     seen = set()
-    for members, overlap in _connected_subsets(action, action.origin, size_cap, 3000):
-        E = frozenset(members)
+    for E, overlap in collected_subsets(action, size_cap, 3000):
         assert E not in seen and action.origin in E and len(E) <= size_cap
         seen.add(E)
         assert len(overlap) == action.generator_count
@@ -340,8 +345,7 @@ def test_table_enumeration_matches_rescanning_oracle(name):
     action = ENUMERATION_FAMILIES[name]
     for size_cap in range(1, 9):
         for max_subsets in (1, 2, 3000):
-            table = [(frozenset(m), ov) for m, ov in
-                     _connected_subsets(action, action.origin, size_cap, max_subsets)]
+            table = collected_subsets(action, size_cap, max_subsets)
             oracle = [(frozenset(m), ov) for m, ov in
                       rescanning_subsets(action, action.origin, size_cap, max_subsets)]
             assert table == oracle, (size_cap, max_subsets)
@@ -358,13 +362,74 @@ def test_table_enumeration_applies_each_generator_once_per_point():
     counted = dataclasses.replace(action, apply_fn=counting)
     added = set()
     items = 0
-    for members, _overlap in _connected_subsets(counted, counted.origin, 12, 50_000):
+    for members, _overlap in collected_subsets(counted, 12, 50_000):
         added |= members
         items += 1
     assert items == 50_000
     # 2n applications to every point ever added, and to no other point
     assert calls == {x: 6 for x in added}
     assert sum(calls.values()) == 8_622
+
+
+def test_an_accepting_visit_stops_the_enumeration_at_its_subset():
+    action = free_group_action(2)
+    every = collected_subsets(action, 6, 3000)
+    for stop in (0, 1, 17, len(every) - 1):
+        visited = []
+
+        def visit(members, overlap):
+            visited.append((frozenset(members), overlap))
+            return len(visited) > stop
+
+        assert _connected_subsets(action, 6, 3000, visit) is True
+        assert visited == every[:stop + 1]
+
+
+def test_enumeration_at_the_largest_cap_fits_a_low_recursion_limit():
+    # the recursion takes one call per member, so the largest cap a budget
+    # admits needs 14 frames and a few helpers' beyond its caller's
+    cap = SearchBudget().subset_size_cap
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        sizes = [len(E) for E, _overlap in collected_subsets(free_group_action(3), cap, 5000)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sizes) == 5000
+    assert max(sizes) == cap
+
+
+def test_enumeration_releases_its_point_table():
+    # the recursion reaches itself through a closure cell, a reference cycle
+    # that would keep the 1.1 MB point table alive until a cyclic collection;
+    # the frozen full collection empties the interpreter's free lists (of
+    # point and overlap tuples) and collects no cycle
+    action = free_group_action(3)
+    visits = 0
+
+    def visit(_members, _overlap):
+        nonlocal visits
+        visits += 1
+        return False
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _connected_subsets(action, 12, 50_000, visit)
+        gc.freeze()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
+        gc.enable()
+    assert visits == 50_000
+    assert left < 0.1 * 2**20
 
 
 def test_subset_search_pins_free3_enum_budget():
@@ -627,7 +692,7 @@ def test_box_matches_layered_construction():
         rank = rank_by_full_elimination(moving)
         for side in range(1, 8):
             image = layered_box(action, side, 10**9)
-            assert translation_box(action, side, 10**9) == image, (vectors, side)
+            assert translation_box(action, side, DEFAULT_POINT_BUDGET) == image, (vectors, side)
             assert translation_box(action, side, len(image)) == image
             try:
                 layered_box(action, side, len(image) - 1)
@@ -657,7 +722,7 @@ def test_box_ratio_is_at_most_two_over_side():
     for vectors in families:
         action = free_quotient_lattice_action(vectors)
         for side in range(1, 9):
-            box = translation_box(action, side, 10**9)
+            box = translation_box(action, side, DEFAULT_POINT_BUDGET)
             cert = verify_certificate(action, box, Fraction(2, side))
             reached += cert.max_ratio == Fraction(2, side)
     assert reached > 0
@@ -674,7 +739,7 @@ def test_subset_table_stops_at_the_point_budget(monkeypatch):
         return y
 
     counted = dataclasses.replace(action, apply_fn=recording)
-    emitted = sum(1 for _ in _connected_subsets(counted, action.origin, 14, 10**6))
+    emitted = len(collected_subsets(counted, 14, 10**6))
     # the table outgrew the bound by one added point's 2n images, no more
     assert 100 < len(table) <= 100 + 2 * action.generator_count
     assert emitted < 10**6
@@ -815,6 +880,15 @@ def test_budget_refuses_a_field_that_is_not_an_integer(name, value):
     with pytest.raises(InputError) as err:
         SearchBudget(**{name: value})
     assert str(err.value) == f"{name}: expected an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SearchBudget), ids=lambda f: f.name)
+def test_budget_field_may_lower_its_default_but_not_raise_it(field):
+    assert getattr(SearchBudget(**{field.name: field.default}), field.name) == field.default
+    with pytest.raises(InputError) as err:
+        SearchBudget(**{field.name: field.default + 1})
+    assert str(err.value) == (f"{field.name}: must be at most {field.default}, "
+                              f"got {field.default + 1}")
 
 
 def test_budget_can_lower_the_point_budget_but_not_raise_it():
