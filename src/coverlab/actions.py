@@ -77,12 +77,14 @@ def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | N
     closure; else an integer of at least 0, checked before any step).
 
     step(x) lists the neighbors of x; points are keyed in the order reached.
-    Past max_points points it raises BudgetExceededError(overflow(d)), d
-    the hop of the point that overflowed, with the count reached so far.
+    Past max_points points, roots included, it raises BudgetExceededError
+    (overflow(d)), d the overflowing point's hop, with the count so far.
     """
     if radius is not None:
         radius = _check_int(radius, "radius", 0)
     seen = dict.fromkeys(roots, 0)
+    if max_points is not None and len(seen) > max_points:
+        raise BudgetExceededError(overflow(0), partial_count=len(seen))
     queue = deque(seen)
     while queue:
         x = queue.popleft()

@@ -69,18 +69,17 @@ def exact_fraction(value, label: str = "epsilon") -> Fraction:
 class SearchBudget:
     """Resource limits for Folner searches; a bad field raises InputError naming it.
 
-    Each field may lower its default, never raise it: the point budget
-    DEFAULT_POINT_BUDGET, 12, 14 and 200,000.
+    Each field may lower its default, never raise it: 12, 14 and 200,000.
+    The point budget is DEFAULT_POINT_BUDGET, read each time it is spent.
     """
 
-    max_points: int = DEFAULT_POINT_BUDGET
     max_radius: int = 12
     subset_size_cap: int = 14
     max_subsets: int = 200_000
 
     def __post_init__(self):
-        # a zero radius is a real (if tiny) search, zero points or subsets is
-        # none: so every search scores at least the radius-0 ball
+        # a zero radius is a real (if tiny) search, zero subsets is none:
+        # so every search scores at least the radius-0 ball
         for f in fields(self):
             object.__setattr__(self, f.name, _check_int(
                 getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1, f.default))
@@ -186,7 +185,7 @@ def _crossing_rank(vectors: list[tuple[int, ...]], base, limit) -> int | None:
     return r if sum(1 for _ in zip(range(r), _independent(vectors))) == r else None
 
 
-def translation_box(action: GroupAction, side: int, max_points: int) -> frozenset:
+def translation_box(action: GroupAction, side: int) -> frozenset:
     """Image of the coordinate box [0, side)^n under the translation map.
 
     Built one layer per nonzero vector v: the layer is the previous one
@@ -197,21 +196,20 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
     built once, so degenerate families (repeated, zero or non-primitive
     vectors) cost the size of the true image, never side**n.
 
-    A layer whose merged runs exceed max_points is refused with
+    A layer whose merged runs exceed DEFAULT_POINT_BUDGET is refused with
     BudgetExceededError before it is built; partial_count is its size.
     Any r independent vectors already put side**r distinct points in the
     image, so a box is refused before any point is built, partial_count
-    0, once side**r exceeds max_points for some r up to the rank.
+    0, once side**r exceeds the budget for some r up to the rank.
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     side = _check_int(side, "box side", 1)
-    max_points = _check_int(max_points, "max_points", 0, DEFAULT_POINT_BUDGET)
     moving = [v for v in action.translation_vectors if any(v)]
     # formatted only when raised: a side too long to print still builds one point
     refusal = "translation box of side {} exceeds {} points".format
-    if _crossing_rank(moving, side, max_points) is not None:
-        raise BudgetExceededError(refusal(side, max_points), partial_count=0)
+    if _crossing_rank(moving, side, DEFAULT_POINT_BUDGET) is not None:
+        raise BudgetExceededError(refusal(side, DEFAULT_POINT_BUDGET), partial_count=0)
     points = [action.origin]
     for vector in moving:
         i = next(j for j, c in enumerate(vector) if c)
@@ -230,13 +228,13 @@ def translation_box(action: GroupAction, side: int, max_points: int) -> frozense
                 hi = q + side
             runs.append((anchor, lo, hi))
         size = sum(hi - lo for _anchor, lo, hi in runs)
-        if size > max_points:
-            raise BudgetExceededError(refusal(side, max_points), partial_count=size)
+        if size > DEFAULT_POINT_BUDGET:
+            raise BudgetExceededError(refusal(side, DEFAULT_POINT_BUDGET), partial_count=size)
         points = [_translate(anchor, vector, t) for anchor, lo, hi in runs for t in range(lo, hi)]
     return frozenset(points)
 
 
-def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchReport | None:
+def _search_box(action: GroupAction, eps: Fraction) -> SearchReport | None:
     """Answer a translation search in one step: found, refused, or None.
 
     None for eps 0.  Else let r be the rank of the nonzero vectors and
@@ -249,9 +247,9 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
     give |E_c|^((r-1)/r) <= (1/r) sum_i |P_i(E_c)|.  Lines never cross
     cosets, and t^((r-1)/r) is subadditive, so summed over c this reads
     |E|^((r-1)/r) <= eps |E| / 2, that is |E| >= (2/eps)^r.  A floor
-    over max_points raises BudgetExceededError before any point is built,
-    naming the first rank the elimination reaches with (2/eps)^rank over
-    max_points: a lower bound on r, so the floor it names holds too.
+    over DEFAULT_POINT_BUDGET raises BudgetExceededError before any point
+    is built, naming the first rank the elimination reaches with
+    (2/eps)^rank over it: a lower bound on r, so the floor it names holds.
 
     Else the box of side ceil(2n / eps) is A + [0, side) v_i for each
     generator i: every coset line of Z v_i meets it in runs of at least
@@ -263,17 +261,17 @@ def _search_box(action: GroupAction, eps: Fraction, max_points: int) -> SearchRe
         return None
     moving = [v for v in action.translation_vectors if any(v)]
     base = 2 / eps
-    r = _crossing_rank(moving, base, max_points)
+    r = _crossing_rank(moving, base, DEFAULT_POINT_BUDGET)
     if r is not None:
         shown = str(base) if base.denominator == 1 else f"({base})"
         raise BudgetExceededError(
             f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
-            f"{shown}^{r} points, above the point budget {max_points}",
+            f"{shown}^{r} points, above the point budget {DEFAULT_POINT_BUDGET}",
             partial_count=0,
         )
     side = max(1, math.ceil(2 * action.generator_count / eps))
     try:
-        box = translation_box(action, side, max_points)
+        box = translation_box(action, side)
     except BudgetExceededError:
         return None
     cert = verify_certificate(action, box, eps)
@@ -396,13 +394,13 @@ def search_folner(
     carries the best (smallest) maximal ratio among all sets examined,
     which for nonamenable actions stays bounded away from zero.  A
     translation action is answered first by _search_box, which raises
-    BudgetExceededError when its size floor exceeds budget.max_points.
+    BudgetExceededError when its size floor exceeds DEFAULT_POINT_BUDGET.
     """
     eps = exact_fraction(epsilon)
     budget = budget or SearchBudget()
 
     if action.translation_vectors is not None:
-        boxed = _search_box(action, eps, budget.max_points)
+        boxed = _search_box(action, eps)
         if boxed is not None:
             return boxed
 
@@ -431,7 +429,7 @@ def search_folner(
     inner = frozenset()
     for radius in range(budget.max_radius + 1):
         try:
-            E = orbit_ball(action, action.origin, radius, max_points=budget.max_points).points
+            E = orbit_ball(action, action.origin, radius, DEFAULT_POINT_BUDGET).points
         except BudgetExceededError:
             break
         radius_reached = radius
@@ -439,7 +437,7 @@ def search_folner(
         sphere = E - inner
         found = score(E, [len(E) - sum(1 for y in sphere if action.apply_fn(g, y) not in E)
                           for g in range(1, action.generator_count + 1)])
-        if found or len(E) >= budget.max_points:
+        if found or len(E) >= DEFAULT_POINT_BUDGET:
             break
         inner = E
     if found or _connected_subsets(action, budget.subset_size_cap, budget.max_subsets, score):

@@ -97,10 +97,10 @@ def _expect_list(node: Any, path: str) -> list:
     return node
 
 
-def _expect_real(node: Any, path: str, positive: bool = False) -> float:
+def _expect_real(node: Any, path: str) -> float:
     if not isinstance(node, str) or not _DECIMAL_RE.fullmatch(node):
         raise InputError(f"{path}: expected a decimal string, got {_echo(node)}")
-    return _check_real(float(node), path, positive)
+    return _check_real(float(node), path)
 
 
 def _expect_fraction(node: Any, path: str) -> Fraction:
@@ -213,13 +213,12 @@ _PARAM_PARSERS = {
     "alpha": partial(_check_int, minimum=1, maximum=DEFAULT_POINT_BUDGET),
     "radius": partial(_check_int, minimum=0),
     "radii": _nonempty_list(partial(_check_int, minimum=0)),
-    "tolerance": partial(_expect_real, positive=True),
     "budget": _parse_budget,
 }
 
 # a params field is stored under the keyword its task's library call
 # takes; 'epsilon' is the one-item form of 'epsilons'
-_KEYWORDS = {"epsilon": "epsilons", "tolerance": "tol"}
+_KEYWORDS = {"epsilon": "epsilons"}
 
 # every top-level section with its parser, in parse order
 _SECTION_PARSERS = {
@@ -236,11 +235,10 @@ _Task = namedtuple("_Task", "sections required optional")
 TASKS = {
     "folner": _Task(("fiber",), (), ("epsilon", "epsilons", "budget")),
     "spectrum": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radii"), ()),
-    "interval": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radius"),
-                     ("alpha", "tolerance", "budget")),
+    "interval": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radius", "alpha"), ("budget",)),
     "transfer": _Task(tuple(_SECTION_PARSERS), ("a", "alpha"), ("radius", "budget")),
     "counterexample": _Task(tuple(_SECTION_PARSERS), ("a", "alpha", "radii"), ("budget",)),
-    "corollary": _Task(("base", "potential"), (), ("a_samples", "tolerance")),
+    "corollary": _Task(("base", "potential"), (), ()),
 }
 
 

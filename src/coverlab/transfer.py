@@ -376,24 +376,23 @@ class IntervalComparisonReport:
 
 
 def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
-                        radius: int, alpha: Optional[int] = None,
-                        tol: float = 1e-6, budget: Optional[SearchBudget] = None,
+                        radius: int, alpha: int, budget: Optional[SearchBudget] = None,
                         seed: int = 0) -> IntervalComparisonReport:
     """Compare the base stability interval against cover evidence.
 
     For every sampled coupling the base operator is classified by its
     bottom eigenvalue and the cover by one Dirichlet window; nonnegative
-    base with a refuted cover is a violation.  When alpha is given and
-    the base is strictly negative, a transfer attempt supplies the other
-    inclusion; its failure leaves equality_evidence False rather than
-    raising, because windows and budgets only ever half-decide it.
+    base with a refuted cover is a violation.  Where the base is strictly
+    negative, a transfer attempt at alpha supplies the other inclusion;
+    its failure leaves equality_evidence False rather than raising,
+    because windows and budgets only ever half-decide it.
     """
-    interval = stability_interval(cover.base, V, tol=tol, seed=seed)
+    interval = stability_interval(cover.base, V, seed=seed)
     rows = []
     for a in a_samples:
         sr, (window,) = _sample(cover, V, a, (radius,), seed)
         status = ratio = None
-        if not sr.nonnegative and alpha is not None:
+        if not sr.nonnegative:
             outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
             status, ratio = outcome.status, outcome.best_collar_ratio
         rows.append(IntervalSampleRow(

@@ -286,14 +286,14 @@ def test_criterion_5_balanced_potentials():
         if all(x == 0 for x in ints):
             ints[0], ints[1] = 1, -1
         V = tuple(float(x) for x in ints)
-        report = corollary_check(graph, V, a_samples=(1.0, -1.0), tol=1e-6)
+        report = corollary_check(graph, V)
         assert not report.zero_potential
         for _a, lam in report.lambda_samples:
             assert lam < -1e-12
         checked += 1
     # the zero potential case: full line on a fresh random graph
     graph = random_unit_graph(rng)
-    zero_report = corollary_check(graph, (0.0,) * graph.vertex_count, tol=1e-6)
+    zero_report = corollary_check(graph, (0.0,) * graph.vertex_count)
     elapsed = time.perf_counter() - start
     ok = (
         checked == 100

@@ -299,6 +299,25 @@ def test_bfs_depths_overflow_names_the_callers_message():
     assert err.value.partial_count == 5
 
 
+def test_bfs_depths_counts_its_roots_against_the_budget():
+    # ten roots overflow a budget of 3 before any step is taken
+    def no_step(x):
+        raise AssertionError("a root over budget was stepped from")
+
+    with pytest.raises(BudgetExceededError, match="^10 roots at hop 0$") as err:
+        bfs_depths(range(10), no_step, None, 3, lambda d: f"10 roots at hop {d}")
+    assert err.value.partial_count == 10
+    assert bfs_depths(range(3), lambda x: [], None, 3, None) == dict.fromkeys(range(3), 0)
+
+
+def test_orbit_ball_center_needs_one_point_of_budget():
+    with pytest.raises(BudgetExceededError) as err:
+        orbit_ball(lattice_action(1), (0,), 0, max_points=0)
+    assert str(err.value) == "orbit ball around 0 exceeded 0 points at radius 0"
+    assert err.value.partial_count == 1
+    assert orbit_ball(lattice_action(1), (0,), 0, max_points=1).points == {(0,)}
+
+
 def test_boundary_of_interval():
     act = lattice_action(1)
     members = [(i,) for i in range(10)]

@@ -98,9 +98,7 @@ SITES = {
         "tree degree", lambda n: regular_tree_dirichlet_value(n, 2)),
     "regular_tree_dirichlet_value radius": (
         "radius", lambda n: regular_tree_dirichlet_value(3, n)),
-    "translation_box": ("box side", lambda n: translation_box(lattice_action(2), n, 100)),
-    "translation_box max_points": (
-        "max_points", lambda n: translation_box(lattice_action(1), 2, n)),
+    "translation_box": ("box side", lambda n: translation_box(lattice_action(2), n)),
     "SearchBudget": ("max_radius", lambda n: SearchBudget(max_radius=n)),
 }
 

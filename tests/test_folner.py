@@ -31,9 +31,15 @@ from coverlab import (
     word_action,
 )
 from coverlab import folner
-from coverlab.actions import DEFAULT_POINT_BUDGET
 from coverlab.folner import _connected_subsets, translation_box
 from oracles import folner_boundary_bound, rank_by_full_elimination, set_ratios
+
+
+def box_within(action, side, points):
+    """translation_box under a point budget of points instead of the default."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folner, "DEFAULT_POINT_BUDGET", points)
+        return translation_box(action, side)
 
 
 def test_exact_fraction_decimal_and_float():
@@ -153,8 +159,7 @@ def test_subset_enumeration_counts_intervals():
     # F1 is Z with one generator and no translation vectors, so neither
     # the size floor nor the box answers first
     k = 6
-    budget = SearchBudget(max_points=2, max_radius=0, subset_size_cap=k,
-                          max_subsets=200_000)
+    budget = SearchBudget(max_radius=0, subset_size_cap=k, max_subsets=200_000)
     rep = search_folner(free_group_action(1), Fraction(1, 10**9), budget)
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 1 + k * (k + 1) // 2
@@ -184,14 +189,14 @@ def test_ball_scores_pinned_on_f2():
     assert rep.radius_reached == 4
 
 
-@pytest.mark.parametrize("max_points, radius, examined, ratio", [
+@pytest.mark.parametrize("points, radius, examined, ratio", [
     (17, 2, 4, Fraction(18, 17)),  # the radius-2 ball fills the budget exactly
     (16, 1, 3, Fraction(6, 5)),  # the radius-2 ball is over budget
 ])
-def test_orbit_balls_stop_at_the_point_budget(max_points, radius, examined, ratio):
+def test_orbit_balls_stop_at_the_point_budget(monkeypatch, points, radius, examined, ratio):
     # the balls stop below max_radius; the one subset left is the root
-    budget = SearchBudget(max_points=max_points, max_radius=12, subset_size_cap=3,
-                          max_subsets=1)
+    monkeypatch.setattr(folner, "DEFAULT_POINT_BUDGET", points)
+    budget = SearchBudget(max_radius=12, subset_size_cap=3, max_subsets=1)
     rep = search_folner(free_group_action(2), "0.5", budget)
     assert rep.outcome == "exhausted"
     assert (rep.radius_reached, rep.sets_examined, rep.best_ratio) == (radius, examined, ratio)
@@ -457,10 +462,10 @@ def test_subset_search_pins_f2():
 
 
 def test_subset_search_pins_z3():
-    # the budget is the size floor 40^3 of a 1/20-Folner set in Z^3, so the
-    # search runs; the first box, 120^3 points, overruns it, so the subsets decide
-    budget = SearchBudget(max_points=64_000, max_radius=1, subset_size_cap=10,
-                          max_subsets=4000)
+    # the size floor 40^3 of a 1/20-Folner set in Z^3 is within the point
+    # budget, so the search runs; the first box, 120^3 points, overruns it,
+    # so the subsets decide
+    budget = SearchBudget(max_radius=1, subset_size_cap=10, max_subsets=4000)
     action = lattice_action(3)
     rep = search_folner(action, Fraction(1, 20), budget)
     assert rep.outcome == "exhausted"
@@ -488,16 +493,16 @@ def test_independent_box_refused_before_it_is_built(monkeypatch):
 
     monkeypatch.setattr(folner, "_translate", no_points)
     with pytest.raises(BudgetExceededError) as info:
-        translation_box(lattice_action(3), 120, 10**6)
+        translation_box(lattice_action(3), 120)
     assert str(info.value) == "translation box of side 120 exceeds 1000000 points"
     monkeypatch.undo()
-    # side**3 == max_points is within budget and still built
-    assert len(translation_box(lattice_action(3), 10, 1000)) == 1000
+    # side**3 == the point budget is within it and still built
+    assert len(box_within(lattice_action(3), 10, 1000)) == 1000
 
 
 def test_translation_box_refuses_an_action_that_is_not_translation():
     with pytest.raises(InputError, match=r"^free\(2\) is not a translation action$"):
-        translation_box(free_group_action(2), 3, 100)
+        translation_box(free_group_action(2), 3)
 
 
 def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
@@ -515,8 +520,10 @@ def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
     assert str(info.value) == ("every 1/2-Folner set of lattice(20) has at least "
                                "(2/epsilon)^10 = 4^10 points, above the point budget 1000000")
     # (20/3)^2 is just over 44
-    with pytest.raises(BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
-        search_folner(lattice_action(2), Fraction(3, 10), SearchBudget(max_points=44))
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(
+            BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
+        patch.setattr(folner, "DEFAULT_POINT_BUDGET", 44)
+        search_folner(lattice_action(2), Fraction(3, 10))
     # a dependent family is refused by its rank: three vectors of rank 2
     started = time.perf_counter()
     with pytest.raises(BudgetExceededError,
@@ -571,9 +578,9 @@ def test_degenerate_box_keeps_its_true_image():
         for a in range(side) for b in range(side) for c in range(side)
     }
     assert len(image) < side**3
-    assert translation_box(action, side, len(image)) == image
+    assert box_within(action, side, len(image)) == image
     with pytest.raises(BudgetExceededError):
-        translation_box(action, side, len(image) - 1)
+        box_within(action, side, len(image) - 1)
 
 
 def layered_box(action, side, max_points):
@@ -692,13 +699,13 @@ def test_box_matches_layered_construction():
         rank = rank_by_full_elimination(moving)
         for side in range(1, 8):
             image = layered_box(action, side, 10**9)
-            assert translation_box(action, side, DEFAULT_POINT_BUDGET) == image, (vectors, side)
-            assert translation_box(action, side, len(image)) == image
+            assert translation_box(action, side) == image, (vectors, side)
+            assert box_within(action, side, len(image)) == image
             try:
                 layered_box(action, side, len(image) - 1)
             except BudgetExceededError:
                 with pytest.raises(BudgetExceededError) as info:
-                    translation_box(action, side, len(image) - 1)
+                    box_within(action, side, len(image) - 1)
                 # side**rank points of the image already overflow, so the box is
                 # refused unbuilt, dependent or not; else every layer outgrows
                 # the last, so only the full one is refused
@@ -709,7 +716,7 @@ def test_box_matches_layered_construction():
                 # the box refuses its one point under a zero budget unbuilt
                 assert (side, rank == len(moving)) == (1, False)
                 with pytest.raises(BudgetExceededError) as info:
-                    translation_box(action, 1, 0)
+                    box_within(action, 1, 0)
                 assert info.value.partial_count == 0
 
 
@@ -722,7 +729,7 @@ def test_box_ratio_is_at_most_two_over_side():
     for vectors in families:
         action = free_quotient_lattice_action(vectors)
         for side in range(1, 9):
-            box = translation_box(action, side, DEFAULT_POINT_BUDGET)
+            box = translation_box(action, side)
             cert = verify_certificate(action, box, Fraction(2, side))
             reached += cert.max_ratio == Fraction(2, side)
     assert reached > 0
@@ -755,9 +762,9 @@ def test_one_point_box_needs_one_point_of_budget():
     for vectors in ([(1, 0), (2, 0)], [(1, 0), (0, 1)], [(0, 0)]):
         action = free_quotient_lattice_action(vectors)
         with pytest.raises(BudgetExceededError) as info:
-            translation_box(action, 1, max_points=0)
+            box_within(action, 1, 0)
         assert info.value.partial_count == 0, vectors
-        assert translation_box(action, 1, max_points=1) == {origin}
+        assert box_within(action, 1, 1) == {origin}
 
 
 def test_dense_box_is_refused_unbuilt(monkeypatch):
@@ -772,7 +779,7 @@ def test_dense_box_is_refused_unbuilt(monkeypatch):
     monkeypatch.setattr(folner, "_translate", no_points)
     started = time.perf_counter()
     with pytest.raises(BudgetExceededError) as info:
-        translation_box(action, 200, 10**6)
+        translation_box(action, 200)
     assert time.perf_counter() - started < 0.2
     assert info.value.partial_count == 0
 
@@ -781,8 +788,9 @@ def test_dependent_box_is_refused_unbuilt(monkeypatch):
     # rank 2 of three vectors: 10^2 points of the image overflow a budget of 99
     monkeypatch.setattr(folner, "_translate", lambda *args: pytest.fail("box was built"))
     action = free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(folner, "DEFAULT_POINT_BUDGET", 99)
     with pytest.raises(BudgetExceededError) as info:
-        translation_box(action, 10, 99)
+        translation_box(action, 10)
     assert str(info.value) == "translation box of side 10 exceeds 99 points"
     assert info.value.partial_count == 0
 
@@ -811,14 +819,14 @@ def verifier_sets():
     sets = []
     for dim in (1, 2, 3):
         act = lattice_action(dim)
-        sets.append((act, translation_box(act, 4, 64)))
+        sets.append((act, translation_box(act, 4)))
         sets.append((act, orbit_ball(act, act.origin, 3).points))
         for _ in range(6):
             sets.append((act, {tuple(rng.randrange(-3, 4) for _ in range(dim))
                                for _ in range(rng.randrange(1, 30))}))
     # the zero vector makes generator 2 fix every point
     quotient = free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)])
-    sets.append((quotient, translation_box(quotient, 5, 125)))
+    sets.append((quotient, translation_box(quotient, 5)))
     sets.append((quotient, orbit_ball(quotient, quotient.origin, 2).points))
     sets.append((quotient, {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(20)}))
     # generator 2 fixes 0, 1 and 2; generator 3 is the identity
@@ -862,7 +870,7 @@ def test_verifier_names_first_failing_generator(dim, epsilon, generator, ratio):
     assert (err.value.generator, err.value.ratio) == (generator, ratio)
 
 
-BUDGET_MINIMA = {"max_points": 1, "max_radius": 0, "subset_size_cap": 1, "max_subsets": 1}
+BUDGET_MINIMA = {"max_radius": 0, "subset_size_cap": 1, "max_subsets": 1}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET_MINIMA))
@@ -889,28 +897,21 @@ def test_budget_field_may_lower_its_default_but_not_raise_it(field):
         SearchBudget(**{field.name: field.default + 1})
     assert str(err.value) == (f"{field.name}: must be at most {field.default}, "
                               f"got {field.default + 1}")
-
-
-def test_budget_can_lower_the_point_budget_but_not_raise_it():
-    assert SearchBudget(max_points=DEFAULT_POINT_BUDGET).max_points == DEFAULT_POINT_BUDGET
-    with pytest.raises(InputError) as err:
-        SearchBudget(max_points=DEFAULT_POINT_BUDGET + 1)
-    assert str(err.value) == f"max_points: must be at most {DEFAULT_POINT_BUDGET}, got 1000001"
     # a value too long to print is named, not printed
     with pytest.raises(InputError) as err:
-        SearchBudget(max_points=10**5000)
-    assert str(err.value) == ("max_points: must be at most 1000000, "
+        SearchBudget(**{field.name: 10**5000})
+    assert str(err.value) == (f"{field.name}: must be at most {field.default}, "
                               "got <int past the int-to-str digit limit>")
 
 
 def test_budget_is_frozen():
     budget = SearchBudget()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        budget.max_points = 5
-    assert budget.max_points == SearchBudget().max_points
+        budget.max_subsets = 5
+    assert budget.max_subsets == SearchBudget().max_subsets
 
 
-SMALLEST_BUDGET = SearchBudget(max_points=1, max_radius=0, subset_size_cap=1, max_subsets=1)
+SMALLEST_BUDGET = SearchBudget(max_radius=0, subset_size_cap=1, max_subsets=1)
 
 
 @pytest.mark.parametrize("action, epsilon", [

@@ -69,10 +69,6 @@ def test_decimal_strings_read_as_their_exact_value():
         obj = minimal_transfer()
         obj["params"]["a"] = text
         assert parse_scenario(obj).params["a"] == float(Fraction(text))
-    # a subnormal tolerance is still positive
-    obj = valid_scenario("corollary")
-    obj["params"]["tolerance"] = "1e-320"
-    assert parse_scenario(obj).params["tol"] == 1e-320
 
 
 def test_raw_float_rejected_from_text(tmp_path):
@@ -316,9 +312,6 @@ def test_budget_parsing():
 
 
 @pytest.mark.parametrize("key, value, ok", [
-    ("max_points", 1, True),
-    ("max_points", 0, False),
-    ("max_points", -5, False),
     ("subset_size_cap", 0, False),
     ("max_subsets", 0, False),
     ("max_radius", 0, True),
@@ -347,15 +340,12 @@ def test_bundled_scenarios_parse():
 DROP = object()
 TRIANGLE = minimal_transfer()["base"]
 DEFAULT_PARAMS = {
-    "folner": {"epsilon": "0.1", "budget": {"max_points": 10}},
+    "folner": {"epsilon": "0.1", "budget": {"max_subsets": 10}},
     "spectrum": {"a_samples": ["1"], "radii": [1]},
-    "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2,
-                 "tolerance": "1e-6", "budget": {"max_points": 10}},
-    "transfer": {"a": "1", "alpha": 2, "radius": 1,
-                 "budget": {"max_points": 10}},
-    "counterexample": {"a": "1", "alpha": 2, "radii": [1],
-                       "budget": {"max_points": 10}},
-    "corollary": {"a_samples": ["1"], "tolerance": "1e-6"},
+    "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2, "budget": {"max_subsets": 10}},
+    "transfer": {"a": "1", "alpha": 2, "radius": 1, "budget": {"max_subsets": 10}},
+    "counterexample": {"a": "1", "alpha": 2, "radii": [1], "budget": {"max_subsets": 10}},
+    "corollary": {},
 }
 
 
@@ -384,8 +374,8 @@ PARAM_FAULTS = [
     ("folner", "epsilon", "1/0", "scenario.params.epsilon: expected a decimal string, got '1/0'"),
     ("folner", "epsilon", DROP, "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
     ("folner", "epsilons", ["0.1"], "scenario.params: give exactly one of 'epsilon' or 'epsilons'"),
-    ("folner", "budget", {"max_points": 0},
-     "scenario.params.budget.max_points: must be at least 1, got 0"),
+    # settings that no scenario set left the schema, so each is refused
+    ("folner", "budget", {"max_points": 10}, "scenario.params.budget: unknown field 'max_points'"),
     ("spectrum", "a_samples", [], "scenario.params.a_samples: must be nonempty"),
     ("spectrum", "radii", ["1"], "scenario.params.radii[0]: expected an integer, got '1'"),
     ("spectrum", "radii", DROP, "scenario.params: missing required field 'radii'"),
@@ -393,8 +383,7 @@ PARAM_FAULTS = [
      "scenario.params.a_samples[1]: expected a decimal string, got 2"),
     ("interval", "radius", "1", "scenario.params.radius: expected an integer, got '1'"),
     ("interval", "alpha", True, "scenario.params.alpha: expected an integer, got True"),
-    ("interval", "tolerance", 1,
-     "scenario.params.tolerance: expected a decimal string, got 1"),
+    ("interval", "tolerance", "1e-6", "scenario.params: unknown field 'tolerance'"),
     ("interval", "budget", [], "scenario.params.budget: expected an object, got list"),
     ("transfer", "a", 1, "scenario.params.a: expected a decimal string, got 1"),
     ("transfer", "a", DROP, "scenario.params: missing required field 'a'"),
@@ -408,9 +397,8 @@ PARAM_FAULTS = [
     ("counterexample", "alpha", None, "scenario.params.alpha: expected an integer, got None"),
     ("counterexample", "radii", 3, "scenario.params.radii: expected a list, got int"),
     ("counterexample", "budget", {"depth": 1}, "scenario.params.budget: unknown field 'depth'"),
-    ("corollary", "a_samples", "1", "scenario.params.a_samples: expected a list, got str"),
-    ("corollary", "tolerance", [1],
-     "scenario.params.tolerance: expected a decimal string, got [1]"),
+    ("corollary", "a_samples", ["1"], "scenario.params: unknown field 'a_samples'"),
+    ("corollary", "tolerance", "1e-6", "scenario.params: unknown field 'tolerance'"),
     ("corollary", "radius", 1, "scenario.params: unknown field 'radius'"),
     # non-finite reals, which are not decimal strings or read past float
     # range, and out-of-range numbers, refused with their field path
@@ -420,9 +408,8 @@ PARAM_FAULTS = [
      "scenario.params.a_samples[0]: must be finite, got inf"),
     ("interval", "a_samples", ["1", "inf"],
      "scenario.params.a_samples[1]: expected a decimal string, got 'inf'"),
-    ("interval", "tolerance", "nan",
-     "scenario.params.tolerance: expected a decimal string, got 'nan'"),
-    ("corollary", "tolerance", "0", "scenario.params.tolerance: must be positive, got 0.0"),
+    ("interval", "alpha", DROP, "scenario.params: missing required field 'alpha'"),
+    ("interval", "budget", {"max_points": 10}, "scenario.params.budget: unknown field 'max_points'"),
     ("folner", "epsilon", "inf", "scenario.params.epsilon: expected a decimal string, got 'inf'"),
     ("transfer", "alpha", 0, "scenario.params.alpha: must be at least 1, got 0"),
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),

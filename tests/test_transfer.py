@@ -365,7 +365,7 @@ TREE_BUDGET = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
 
 
 def test_the_smallest_budget_still_leaves_a_best_collar_ratio(tree_cover):
-    budget = SearchBudget(max_points=1, max_radius=0, subset_size_cap=1, max_subsets=1)
+    budget = SearchBudget(max_radius=0, subset_size_cap=1, max_subsets=1)
     outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
     assert outcome.status == "inconclusive"
     assert isinstance(outcome.best_collar_ratio, Fraction)
@@ -381,13 +381,6 @@ def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover):
     assert (negative.base_nonnegative, negative.cover_refuted) == (False, False)
     assert negative.transfer_status == "inconclusive"
     assert zero.base_nonnegative and zero.transfer_status is None
-
-
-def test_interval_evidence_fails_on_an_unrefuted_window_without_alpha(tree_cover):
-    report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2)
-    assert not report.equality_evidence
-    assert [row.transfer_status for row in report.rows] == [None, None]
-    assert not report.rows[0].cover_refuted
 
 
 def test_transfer_halves_epsilon_until_the_collar_ratio_beats_r_star():
@@ -448,7 +441,7 @@ def test_easy_direction_raises_on_negative_window(triangle_cover, monkeypatch):
 def test_interval_comparison_raises_on_negative_window(triangle_cover, monkeypatch):
     sink_windows(monkeypatch)
     with pytest.raises(InequalityViolation, match=INCLUSION_BREACH.format(3)):
-        interval_comparison(triangle_cover, (0.1, 0.1, 0.1), a_samples=(1.0,), radius=3)
+        interval_comparison(triangle_cover, (0.1, 0.1, 0.1), a_samples=(1.0,), radius=3, alpha=2)
 
 
 def test_counterexample_raises_on_negative_window(tree_cover, monkeypatch):
