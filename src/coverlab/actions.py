@@ -107,22 +107,16 @@ def _action_step(action: GroupAction) -> Callable[[Any], list]:
     return lambda x: [apply_fn(g, x) for g in gens]
 
 
-def orbit_ball(
-    action: GroupAction,
-    center: Any,
-    radius: int,
-    max_points: int = DEFAULT_POINT_BUDGET,
-) -> OrbitGraph:
-    """Breadth-first ball of the given hop radius around a point.
+def orbit_ball(action: GroupAction, radius: int) -> OrbitGraph:
+    """Breadth-first ball of the given hop radius around the action's origin.
 
     Raises BudgetExceededError (with the partial count) if the ball
-    grows past max_points before the radius is exhausted.
+    grows past DEFAULT_POINT_BUDGET points before the radius is exhausted.
     """
-    max_points = _check_int(max_points, "max_points", 0, DEFAULT_POINT_BUDGET)
     seen = bfs_depths(
-        [center], _action_step(action), radius, max_points,
-        lambda d: f"orbit ball around {action.encode_fn(center)} exceeded "
-                  f"{max_points} points at radius {d}",
+        [action.origin], _action_step(action), radius, DEFAULT_POINT_BUDGET,
+        lambda d: f"orbit ball around {action.encode_fn(action.origin)} exceeded "
+                  f"{DEFAULT_POINT_BUDGET} points at radius {d}",
     )
     return OrbitGraph(points=frozenset(seen))
 

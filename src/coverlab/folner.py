@@ -55,7 +55,7 @@ def exact_fraction(value, label: str = "epsilon") -> Fraction:
             raise ValueError
         ratio = Fraction(value) if isinstance(value, str) else Fraction(
             int(value.numerator), int(value.denominator))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # Fraction('1/0') raises the latter
         raise InputError(f"{label}: expected an exact ratio, got {_echo(value)}") from None
     if ratio < 0:
         raise InputError(f"{label}: must be at least 0, got {_echo(value)}")
@@ -171,14 +171,14 @@ def _independent(vectors: list[tuple[int, ...]]):
                 rows[i] = [x // g for x in row]
 
 
-def _crossing_rank(vectors: list[tuple[int, ...]], base, limit) -> int | None:
-    """The first r >= 0 with base**r > limit, or None if the vectors' rank stays below it.
+def _crossing_rank(vectors: list[tuple[int, ...]], base) -> int | None:
+    """The first r >= 0 with base**r > DEFAULT_POINT_BUDGET, or None if the rank stays below.
 
     Powers grow one factor at a time and pivots come one at a time, so
     none past r is formed, and no pivot at all when r > len(vectors).
     """
     r, power = 0, 1
-    while power <= limit:
+    while power <= DEFAULT_POINT_BUDGET:
         if base <= 1 or r == len(vectors):
             return None
         r, power = r + 1, power * base
@@ -208,7 +208,7 @@ def translation_box(action: GroupAction, side: int) -> frozenset:
     moving = [v for v in action.translation_vectors if any(v)]
     # formatted only when raised: a side too long to print still builds one point
     refusal = "translation box of side {} exceeds {} points".format
-    if _crossing_rank(moving, side, DEFAULT_POINT_BUDGET) is not None:
+    if _crossing_rank(moving, side) is not None:
         raise BudgetExceededError(refusal(side, DEFAULT_POINT_BUDGET), partial_count=0)
     points = [action.origin]
     for vector in moving:
@@ -261,7 +261,7 @@ def _search_box(action: GroupAction, eps: Fraction) -> SearchReport | None:
         return None
     moving = [v for v in action.translation_vectors if any(v)]
     base = 2 / eps
-    r = _crossing_rank(moving, base, DEFAULT_POINT_BUDGET)
+    r = _crossing_rank(moving, base)
     if r is not None:
         shown = str(base) if base.denominator == 1 else f"({base})"
         raise BudgetExceededError(
@@ -429,7 +429,7 @@ def search_folner(
     inner = frozenset()
     for radius in range(budget.max_radius + 1):
         try:
-            E = orbit_ball(action, action.origin, radius, DEFAULT_POINT_BUDGET).points
+            E = orbit_ball(action, radius).points
         except BudgetExceededError:
             break
         radius_reached = radius

@@ -441,6 +441,7 @@ def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) ->
     cover edge joins two over one base vertex).  The term order is free:
     fsum is correctly rounded, and (f(p) - f(q))^2 == (f(q) - f(p))^2.
     """
+    a = _check_real(a, "a")
     pot = as_potential(V, cover.base)
     mu = cover.base.mu
     values = func.values

@@ -47,6 +47,8 @@ RESIDUAL_FACTOR = 100
 AUDIT_TOLERANCE = 1e-12
 # a Dirichlet window refutes cover positivity only below this noise floor
 REFUTE_FLOOR = -1e-9
+# a stability-interval endpoint is bisected to a bracket this wide
+INTERVAL_WIDTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,7 @@ def min_eigenvalue(graph: WeightedGraph, V, a: float, seed: int = 0) -> Spectral
     Connectivity is enforced by WeightedGraph itself; this only guards
     the size budget DEFAULT_SIZE_LIMIT and the solver tolerance.
     """
+    a, seed = _check_real(a, "a"), _check_int(seed, "seed", 0)
     lam, f, residual, rounding = _smallest_pair(_base_operator(graph, V), a, seed)
     return SpectralResult(lam, tuple(float(x) for x in f), residual, rounding)
 
@@ -215,6 +218,7 @@ def dirichlet_window(cover: VoltageCover, radius: int, V, a: float,
     the radius and never certifies positivity of the infinite cover,
     only refutes it (``WindowValue.refutes``).
     """
+    a, seed = _check_real(a, "a"), _check_int(seed, "seed", 0)
     window = cover.ball(radius)
     lam, *_ = _smallest_pair(_Operator(cover, window, V), a, seed)
     return WindowValue(radius=radius, value=lam, size=len(window))
@@ -307,8 +311,7 @@ def _doubling_bracket(fails) -> tuple[float, float]:
     return math.ldexp(1.0, good), math.ldexp(1.0, bad)
 
 
-def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
-                       seed: int = 0) -> StabilityInterval:
+def stability_interval(graph: WeightedGraph, V, seed: int = 0) -> StabilityInterval:
     """Endpoints of {a : lambda_min(a) >= 0} by sign bisection.
 
     lambda_min is a minimum of functions affine in a, hence concave, and
@@ -318,11 +321,11 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     fractions) the constant function puts lambda_min(a) at or below
     a sum V mu / sum mu, strictly below 0 as V != 0, so every probe
     there is known negative and none is factored: a balanced V gives
-    exactly [-h, h] at every tol.  Other endpoints are bracketed in
+    exactly [-h, h], h = 2^-21.  Other endpoints are bracketed in
     [0, 1], or between consecutive powers of two (_doubling_bracket),
-    and bisected to width tol, or to adjacent floats; the half-width
-    reached is the endpoint tolerance.  The doubling stops by itself:
-    once |a V(v)| mu(v) exceeds deg(v) at a vertex where a V is
+    and bisected to width INTERVAL_WIDTH, or to adjacent floats; the
+    half-width reached is the endpoint tolerance.  The doubling stops by
+    itself: once |a V(v)| mu(v) exceeds deg(v) at a vertex where a V is
     negative, that diagonal entry is negative.  An endpoint beyond float
     range raises NumericalError on the non-finite operator entry
     (V = (1, 1, -5e-324) on the unit triangle).  No probe repeats: the
@@ -332,7 +335,7 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
     in-place Cholesky factorization up to DENSE_LIMIT vertices, an
     eigensolve above it.
     """
-    tol = _check_real(tol, "tolerance", positive=True)
+    seed = _check_int(seed, "seed", 0)
     pot = as_potential(V, graph)
     if not any(pot):
         return StabilityInterval(-math.inf, math.inf, 0.0)
@@ -348,7 +351,7 @@ def stability_interval(graph: WeightedGraph, V, tol: float = 1e-6,
             return known_negative or not _is_nonnegative(op, sign * a, seed)
 
         lo, hi = (0.0, 1.0) if fails(1.0) else _doubling_bracket(fails)
-        while hi - lo > tol:
+        while hi - lo > INTERVAL_WIDTH:
             mid = (lo + hi) / 2.0
             if mid in (lo, hi):  # adjacent floats: the resolution is reached
                 break
@@ -378,10 +381,10 @@ def corollary_check(graph: WeightedGraph, V, seed: int = 0) -> CorollaryReport:
     constant function then has zero energy at every a, so each
     rayleigh_constant row is 0 and lambda_min(a) <= 0; a nonzero
     balanced V has entries of both signs, so the interval is the exact
-    [-h, h] of ``stability_interval`` at its default width.  What is
-    audited is the sign of lambda_min at the couplings 1, -1, 0.5 and
-    -0.5: strictly negative at each.  A zero V gives the full line and
-    no samples.
+    [-h, h], h = 2^-21, that ``stability_interval`` bisects to
+    INTERVAL_WIDTH.  What is audited is the sign of lambda_min at the
+    couplings 1, -1, 0.5 and -0.5: strictly negative at each.  A zero V
+    gives the full line and no samples.
     """
     pot = as_potential(V, graph)
     balance = _balance(graph, pot)

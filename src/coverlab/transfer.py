@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
-from .errors import InequalityViolation, InputError, _check_int
+from .errors import InequalityViolation, InputError, _check_int, _check_real
 from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
 from .geometry import (
     CompactFunction,
@@ -148,7 +148,7 @@ def required_ratio(graph: WeightedGraph, f, alpha: int, V, a: float) -> float:
     meaningful only when Q_base < 0, and always <= 1 because the bracket
     dominates -Q_base term by term.
     """
-    alpha = _check_int(alpha, "alpha", 1, DEFAULT_POINT_BUDGET)
+    alpha, a = _check_int(alpha, "alpha", 1, DEFAULT_POINT_BUDGET), _check_real(a, "a")
     f = _per_vertex(f, graph, "f", "function")
     if not any(f):
         raise InputError("required ratio needs a nonzero base function")

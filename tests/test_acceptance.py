@@ -397,7 +397,7 @@ def test_criterion_8_invariants_and_determinism():
         finite_permutation_action(S3_GENS, 3),
     )
     for action in actions:
-        points = orbit_ball(action, action.origin, 2).points
+        points = orbit_ball(action, 2).points
         for g in action.generators():
             for x in points:
                 if action.apply_fn(-g, action.apply_fn(g, x)) != x:
@@ -408,7 +408,7 @@ def test_criterion_8_invariants_and_determinism():
     boundary_ok = True
     pool = [lattice_action(1), lattice_action(2), free_group_action(2)]
     # drawn from in sort order, so the seeded draws are fixed
-    pool_points = [sorted(orbit_ball(a, a.origin, 3).points, key=a.sort_key) for a in pool]
+    pool_points = [sorted(orbit_ball(a, 3).points, key=a.sort_key) for a in pool]
     for _ in range(200):
         pick = int(rng.integers(0, len(pool)))
         action, points = pool[pick], pool_points[pick]

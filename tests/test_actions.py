@@ -221,11 +221,11 @@ def test_free_and_permutation_word_actions_move_by_the_composed_word(key):
 
 
 def test_orbit_ball_sizes():
-    assert len(orbit_ball(lattice_action(1), (0,), 5).points) == 11
+    assert len(orbit_ball(lattice_action(1), 5).points) == 11
     # diamond in Z^2: 2r^2 + 2r + 1
-    assert len(orbit_ball(lattice_action(2), (0, 0), 3).points) == 25
+    assert len(orbit_ball(lattice_action(2), 3).points) == 25
     # 4-regular tree: 1 + 2 (3^r - 1)
-    assert len(orbit_ball(free_group_action(2), (), 3).points) == 53
+    assert len(orbit_ball(free_group_action(2), 3).points) == 53
 
 
 def test_lattice_dimension_limit():
@@ -269,9 +269,17 @@ def test_quotient_name_lists_its_vectors_only_while_short():
             == "free_quotient(1000 vectors of dimension 1000)")
 
 
+def ball_within(action, radius, points):
+    """orbit_ball under a point budget of points instead of the default."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "DEFAULT_POINT_BUDGET", points)
+        return orbit_ball(action, radius)
+
+
 def test_orbit_ball_budget():
     with pytest.raises(BudgetExceededError) as err:
-        orbit_ball(lattice_action(2), (0, 0), 50, max_points=30)
+        ball_within(lattice_action(2), 50, 30)
+    assert str(err.value) == "orbit ball around 0,0 exceeded 30 points at radius 4"
     assert err.value.partial_count > 30
 
 
@@ -312,10 +320,10 @@ def test_bfs_depths_counts_its_roots_against_the_budget():
 
 def test_orbit_ball_center_needs_one_point_of_budget():
     with pytest.raises(BudgetExceededError) as err:
-        orbit_ball(lattice_action(1), (0,), 0, max_points=0)
+        ball_within(lattice_action(1), 0, 0)
     assert str(err.value) == "orbit ball around 0 exceeded 0 points at radius 0"
     assert err.value.partial_count == 1
-    assert orbit_ball(lattice_action(1), (0,), 0, max_points=1).points == {(0,)}
+    assert ball_within(lattice_action(1), 0, 1).points == {(0,)}
 
 
 def test_boundary_of_interval():

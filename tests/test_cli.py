@@ -1054,7 +1054,7 @@ CERTIFICATE_FAMILIES = {
 def test_certificate_counts_match_boundary_bound(name):
     action = CERTIFICATE_FAMILIES[name]
     rng = random.Random(5)
-    sets = [orbit_ball(action, action.origin, r).points for r in range(4)]
+    sets = [orbit_ball(action, r).points for r in range(4)]
     # sampled in sort order, so the seeded draws are fixed
     pool = sorted(sets[-1], key=action.sort_key)
     for _ in range(10):
@@ -1091,7 +1091,7 @@ def test_the_report_writer_orders_the_points_it_lists():
 def test_permutation_family_moves_and_fixes_orbit_points():
     # generator 2 must both fix and move points the certificates reach
     action = CERTIFICATE_FAMILIES["permutation-fixed-points"]
-    orbit = orbit_ball(action, action.origin, 3).points
+    orbit = orbit_ball(action, 3).points
     images = [action.apply_fn(2, x) for x in orbit]
     assert any(y == x for x, y in zip(orbit, images))
     assert any(y != x for x, y in zip(orbit, images))
@@ -1135,8 +1135,8 @@ UNBOUNDED_INPUTS = {
         {"kind": "finite_permutation", "degree": 100_000,
          "generators": [[0] + list(range(1, 100_000))[:-1] + [0]]})),
     "seed-list": _z_folner_text(seed=json.dumps([0] * 10**6)),
-    "max-points-past-memory": _z_folner_text(params=(
-        '{"epsilon": "1e-4290", "budget": {"max_points": ' + "9" * 4299 + "}}")),
+    "max-subsets-past-memory": _z_folner_text(params=(
+        '{"epsilon": "1e-4290", "budget": {"max_subsets": ' + "9" * 4299 + "}}")),
 }
 
 

@@ -30,14 +30,17 @@ from coverlab import (
     free_quotient_lattice_action,
     generate_group,
     lattice_action,
+    min_eigenvalue,
     orbit_ball,
     regular_tree_dirichlet_value,
     required_ratio,
+    search_folner,
     stability_interval,
+    transfer_negativity,
     verify_certificate,
     word_action,
 )
-from coverlab import geometry, scenario
+from coverlab import geometry, scenario, spectrum
 from coverlab.errors import _check_int, _check_nonempty, _check_real, _echo
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
@@ -85,9 +88,7 @@ SITES = {
     "free_group_action": ("free group rank", lambda n: free_group_action(n).name),
     "finite_permutation_action": (
         "degree", lambda n: finite_permutation_action([(1, 0)], n).name),
-    "orbit_ball": ("radius", lambda n: orbit_ball(lattice_action(1), (0,), n).points),
-    "orbit_ball max_points": (
-        "max_points", lambda n: orbit_ball(lattice_action(1), (0,), 0, max_points=n).points),
+    "orbit_ball": ("radius", lambda n: orbit_ball(lattice_action(1), n).points),
     "VoltageCover.ball": ("radius", lambda n: _triangle_cover().ball(n)),
     "dirichlet_window": (
         "radius", lambda n: dirichlet_window(_triangle_cover(), n, FLAT_V3, 1.0).size),
@@ -100,6 +101,12 @@ SITES = {
         "radius", lambda n: regular_tree_dirichlet_value(3, n)),
     "translation_box": ("box side", lambda n: translation_box(lattice_action(2), n)),
     "SearchBudget": ("max_radius", lambda n: SearchBudget(max_radius=n)),
+    "min_eigenvalue seed": (
+        "seed", lambda n: min_eigenvalue(_triangle(), FLAT_V3, 1.0, n).lambda_min),
+    "dirichlet_window seed": (
+        "seed", lambda n: dirichlet_window(_triangle_cover(), 1, FLAT_V3, 1.0, n).value),
+    "stability_interval seed": (
+        "seed", lambda n: stability_interval(_triangle(), (1.0, -0.5, 0.5), n)),
 }
 
 
@@ -148,7 +155,7 @@ def test_fractional_radius_is_refused_before_any_search(monkeypatch):
         dirichlet_window(cover, 2.5, (-0.1,) * cover.base.vertex_count, 1.0)
     action, steps = _count_steps(cover.fiber_action)
     with pytest.raises(InputError, match=r"^radius: expected an integer, got 2\.5$"):
-        orbit_ball(action, action.origin, 2.5)
+        orbit_ball(action, 2.5)
     assert time.perf_counter() - start < 0.1
     assert steps == []
 
@@ -215,7 +222,15 @@ REAL_SITES = {
         "f[0]", lambda x: required_ratio(_triangle(), (x, 2.0, 2.0), 2, FLAT_V3, 1.0)),
     "CompactFunction": ("function value at 0", lambda x: CompactFunction({0: x}).values),
     "stability_interval": (
-        "tolerance", lambda x: stability_interval(_triangle(), (1.0, -1.0, 0.0), tol=x)),
+        "V[0]", lambda x: stability_interval(_triangle(), (x, -1.0, 0.0))),
+    "min_eigenvalue a": ("a", lambda x: min_eigenvalue(_triangle(), FLAT_V3, x).lambda_min),
+    "dirichlet_window a": (
+        "a", lambda x: dirichlet_window(_triangle_cover(), 1, FLAT_V3, x).value),
+    "required_ratio a": ("a", lambda x: required_ratio(_triangle(), (1.0,) * 3, 2, FLAT_V3, x)),
+    "cover_form_parts a": ("a", lambda x: geometry.cover_form_parts(
+        _triangle_cover(), FLAT_V3, x, CompactFunction({(0, (0,)): 1.0}))),
+    "transfer_negativity a": (
+        "a", lambda x: transfer_negativity(_triangle_cover(), FLAT_V3, x, 2).r_star),
 }
 
 
@@ -232,6 +247,53 @@ def test_site_refuses_a_value_that_is_not_a_real_number(site, value):
 def test_site_takes_a_numpy_float_as_the_float(site):
     _label, call = REAL_SITES[site]
     assert call(np.float64(2)) == call(2.0)
+
+
+# the coupling and the seed are checked once per call, before any solve
+# (the SITES and REAL_SITES rows of each take a bool, a string and a
+# float or numpy value); these used to end in a bare OverflowError, and
+# in numpy's ValueError or a TypeError from the sparse path's generator
+COUPLING_AND_SEED = {
+    "a-past-float-range": (lambda: min_eigenvalue(_triangle(), FLAT_V3, 10**400),
+                           f"a: must be finite, got 1{'0' * 199}..."),
+    "sparse-window-seed-negative": (
+        lambda: dirichlet_window(_triangle_cover(), 1100, FLAT_V3, 1.0, seed=-1),
+        "seed: must be at least 0, got -1"),
+    "sparse-window-seed-fractional": (
+        lambda: dirichlet_window(_triangle_cover(), 1100, FLAT_V3, 1.0, seed=2.5),
+        "seed: expected an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLING_AND_SEED))
+def test_coupling_and_seed_are_refused_before_any_solve(case, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an operator was solved")
+
+    monkeypatch.setattr(spectrum, "_smallest_pair", unreachable)
+    call, message = COUPLING_AND_SEED[case]
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
+# every library entry of the exact-ratio rule: its label, and a call that
+# takes the ratio.  A zero denominator used to escape as ZeroDivisionError
+RATIO_SITES = {
+    "search_folner": ("epsilon", lambda eps: search_folner(lattice_action(1), eps)),
+    "verify_certificate": (
+        "epsilon", lambda eps: verify_certificate(lattice_action(1), [(0,)], eps)),
+    "folner_sequence": ("epsilons[0]", lambda eps: folner_sequence(lattice_action(1), [eps])),
+}
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0"])
+@pytest.mark.parametrize("site", sorted(RATIO_SITES))
+def test_ratio_site_refuses_a_zero_denominator(site, value):
+    label, call = RATIO_SITES[site]
+    with pytest.raises(InputError) as err:
+        call(value)
+    assert str(err.value) == f"{label}: expected an exact ratio, got {value!r}"
 
 
 def test_edge_endpoints_follow_the_integer_rule():

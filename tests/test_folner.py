@@ -30,7 +30,7 @@ from coverlab import (
     verify_certificate,
     word_action,
 )
-from coverlab import folner
+from coverlab import actions, folner
 from coverlab.folner import _connected_subsets, translation_box
 from oracles import folner_boundary_bound, rank_by_full_elimination, set_ratios
 
@@ -40,6 +40,13 @@ def box_within(action, side, points):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(folner, "DEFAULT_POINT_BUDGET", points)
         return translation_box(action, side)
+
+
+def crossing_within(vectors, base, points):
+    """_crossing_rank against a point budget of points instead of the default."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folner, "DEFAULT_POINT_BUDGET", points)
+        return folner._crossing_rank(vectors, base)
 
 
 def test_exact_fraction_decimal_and_float():
@@ -185,7 +192,7 @@ def test_ball_scores_pinned_on_f2():
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 6
     assert rep.best_ratio == Fraction(162, 161)
-    assert rep.best_set == orbit_ball(act, act.origin, 4).points
+    assert rep.best_set == orbit_ball(act, 4).points
     assert rep.radius_reached == 4
 
 
@@ -194,8 +201,10 @@ def test_ball_scores_pinned_on_f2():
     (16, 1, 3, Fraction(6, 5)),  # the radius-2 ball is over budget
 ])
 def test_orbit_balls_stop_at_the_point_budget(monkeypatch, points, radius, examined, ratio):
-    # the balls stop below max_radius; the one subset left is the root
-    monkeypatch.setattr(folner, "DEFAULT_POINT_BUDGET", points)
+    # the balls stop below max_radius; the one subset left is the root.
+    # orbit_ball reads the budget in actions, the ball stop in folner
+    for module in (actions, folner):
+        monkeypatch.setattr(module, "DEFAULT_POINT_BUDGET", points)
     budget = SearchBudget(max_radius=12, subset_size_cap=3, max_subsets=1)
     rep = search_folner(free_group_action(2), "0.5", budget)
     assert rep.outcome == "exhausted"
@@ -445,7 +454,7 @@ def test_subset_search_pins_free3_enum_budget():
     assert rep.outcome == "exhausted"
     assert rep.sets_examined == 50_007
     assert rep.best_ratio == Fraction(31250, 23437)
-    assert rep.best_set == orbit_ball(action, action.origin, 6).points
+    assert rep.best_set == orbit_ball(action, 6).points
     assert rep.radius_reached == 6
 
 
@@ -654,7 +663,7 @@ def test_crossing_rank_matches_full_elimination(monkeypatch):
         rank = rank_by_full_elimination(vectors)
         for k in range(len(vectors) + 2):
             taken.clear()
-            crossing = folner._crossing_rank(vectors, 2, 2**k - 1)
+            crossing = crossing_within(vectors, 2, 2**k - 1)
             assert crossing == (k if k <= rank else None), (vectors, k)
             assert len(taken) == (min(k, rank) if k <= len(vectors) else 0), (vectors, k)
 
@@ -663,20 +672,20 @@ def test_crossing_rank_of_a_unit_basis_is_fast():
     # a row whose pivot-column entry is 0 is left as it is, not rebuilt
     basis = list(lattice_action(300).translation_vectors)
     start = time.perf_counter()
-    assert folner._crossing_rank(basis, 2, 2**300 - 1) == 300
-    assert folner._crossing_rank(basis, 2, 2**300) is None
+    assert crossing_within(basis, 2, 2**300 - 1) == 300
+    assert crossing_within(basis, 2, 2**300) is None
     assert time.perf_counter() - start < 10.0
 
 
 def test_crossing_rank_forms_no_power_past_the_crossing():
     # a base of 4001 digits crosses any budget at once, and one under 1 never
     vectors = list(lattice_action(1000).translation_vectors)
-    assert folner._crossing_rank(vectors, Fraction(2 * 10**4000), 10**6) == 1
-    assert folner._crossing_rank(vectors, Fraction(1, 2), 10**6) is None
-    assert folner._crossing_rank(vectors, 1, 10**6) is None
+    assert folner._crossing_rank(vectors, Fraction(2 * 10**4000)) == 1
+    assert folner._crossing_rank(vectors, Fraction(1, 2)) is None
+    assert folner._crossing_rank(vectors, 1) is None
     # one point is over a budget under 1, so the crossing is rank 0
-    assert folner._crossing_rank(vectors, 1, 0) == 0
-    assert folner._crossing_rank([(0, 0)], 5, 0) == 0
+    assert crossing_within(vectors, 1, 0) == 0
+    assert crossing_within([(0, 0)], 5, 0) == 0
 
 
 def test_floor_over_a_dense_family_stops_at_the_rank_where_it_crosses():
@@ -820,22 +829,22 @@ def verifier_sets():
     for dim in (1, 2, 3):
         act = lattice_action(dim)
         sets.append((act, translation_box(act, 4)))
-        sets.append((act, orbit_ball(act, act.origin, 3).points))
+        sets.append((act, orbit_ball(act, 3).points))
         for _ in range(6):
             sets.append((act, {tuple(rng.randrange(-3, 4) for _ in range(dim))
                                for _ in range(rng.randrange(1, 30))}))
     # the zero vector makes generator 2 fix every point
     quotient = free_quotient_lattice_action([(1, 0), (0, 0), (1, 1)])
     sets.append((quotient, translation_box(quotient, 5)))
-    sets.append((quotient, orbit_ball(quotient, quotient.origin, 2).points))
+    sets.append((quotient, orbit_ball(quotient, 2).points))
     sets.append((quotient, {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(20)}))
     # generator 2 fixes 0, 1 and 2; generator 3 is the identity
     perm = finite_permutation_action([(1, 2, 3, 4, 0), (0, 1, 2, 4, 3), (0, 1, 2, 3, 4)], 5)
     sets += [(perm, {0}), (perm, {0, 1, 3}), (perm, {3, 4}), (perm, set(range(5)))]
     f2 = free_group_action(2)
     # sampled in sort order, so the seeded draws are fixed
-    ball = sorted(orbit_ball(f2, f2.origin, 3).points, key=f2.sort_key)
-    sets += [(f2, orbit_ball(f2, f2.origin, r).points) for r in range(4)]
+    ball = sorted(orbit_ball(f2, 3).points, key=f2.sort_key)
+    sets += [(f2, orbit_ball(f2, r).points) for r in range(4)]
     sets += [(f2, set(rng.sample(ball, rng.randrange(1, 20)))) for _ in range(5)]
     return sets
 

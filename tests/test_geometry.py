@@ -168,7 +168,7 @@ def assert_reads_as_the_base(cover, generators, V):
     # radius-2 window is the base's own operator
     fiber = cover.fiber_action
     assert fiber.generator_count == generators
-    assert tuple(sorted(orbit_ball(fiber, fiber.origin, 1).points, key=fiber.sort_key)) == (
+    assert tuple(sorted(orbit_ball(fiber, 1).points, key=fiber.sort_key)) == (
         fiber.origin,)
     assert cover.ball(2) == cover.tile(fiber.origin)
     window = dirichlet_window(cover, 2, V, 1.0)
@@ -449,9 +449,9 @@ def cutoff_cases(triangle_cover, k4_z2_cover, tree_cover, fixed_tile_cover):
         fiber = cover.fiber_action
         cases.append((cover, [fiber.origin]))
         for radius in (1, 3):
-            cases.append((cover, orbit_ball(fiber, fiber.origin, radius).points))
+            cases.append((cover, orbit_ball(fiber, radius).points))
     tree_fiber = tree_cover.fiber_action
-    far = sorted(orbit_ball(tree_fiber, (), 3).points, key=tree_fiber.sort_key)[-1]
+    far = sorted(orbit_ball(tree_fiber, 3).points, key=tree_fiber.sort_key)[-1]
     cases.append((tree_cover, [(), (1,), far]))
     cases.append((k4_z2_cover, [(0, 0), (0, 1), (4, 4)]))
     return cases
@@ -472,7 +472,7 @@ def test_cutoff_matches_sorted_sweep_oracle(triangle_cover, k4_z2_cover, tree_co
 
 
 def test_collar_counts_move_each_member_tile_once_per_word(tree_cover, monkeypatch):
-    members = orbit_ball(tree_cover.fiber_action, (), 3).points
+    members = orbit_ball(tree_cover.fiber_action, 3).points
     fiber = tree_cover.fiber_action
     calls = []
 
@@ -499,7 +499,7 @@ def test_collar_counts_hold_no_outside_tile(tree_cover):
     # the radius-5 ball has 4,687 tiles and 18,750 outside tiles along its
     # rim; holding those as fiber-point tuples in a set peaks near 700
     # bytes per member tile, counting them through their owners near 300
-    members = orbit_ball(tree_cover.fiber_action, (), 5).points
+    members = orbit_ball(tree_cover.fiber_action, 5).points
     assert len(members) == 4687
     tracemalloc.start()
     try:

@@ -88,8 +88,8 @@ DUPLICATE_KEYS = [
     ('"task": "transfer"', '"task": "transfer", "task": "folner"',
      "scenario: duplicate field 'task'"),
     ('"a": "1"', '"a": "1", "a": "-1"', "scenario.params: duplicate field 'a'"),
-    ('"max_points": 10', '"max_points": 10, "max_points": 5',
-     "scenario.params.budget: duplicate field 'max_points'"),
+    ('"max_subsets": 10', '"max_subsets": 10, "max_subsets": 5',
+     "scenario.params.budget: duplicate field 'max_subsets'"),
     ('"dimension": 1', '"dimension": 1, "dimension": 2',
      "scenario.fiber: duplicate field 'dimension'"),
 ]
@@ -98,7 +98,7 @@ DUPLICATE_KEYS = [
 @pytest.mark.parametrize("once, twice, message", DUPLICATE_KEYS)
 def test_duplicate_key_rejected(tmp_path, once, twice, message):
     obj = minimal_transfer()
-    obj["params"]["budget"] = {"max_points": 10}
+    obj["params"]["budget"] = {"max_subsets": 10}
     text = json.dumps(obj)
     assert text.count(once) == 1
     path = tmp_path / "dup.json"

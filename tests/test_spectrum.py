@@ -42,6 +42,13 @@ def cycle_graph(n):
     return WeightedGraph([1.0] * n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
+def interval_within(graph, V, width):
+    """stability_interval bisected to width instead of INTERVAL_WIDTH."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum_module, "INTERVAL_WIDTH", width)
+        return stability_interval(graph, V)
+
+
 def grid_torus(rows, cols):
     """Doubly periodic unit grid; sides >= 3 keep it a simple graph."""
     def vid(r, c):
@@ -446,7 +453,7 @@ def test_stability_interval_zero_potential(triangle):
 def test_stability_interval_signed_potential():
     # P2 with V = (1, 0): lambda_min(a) = ((2+a) - sqrt(a^2+4))/2, zero at a = 0
     graph = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])
-    interval = stability_interval(graph, (1.0, 0.0), tol=1e-8)
+    interval = interval_within(graph, (1.0, 0.0), 1e-8)
     assert interval.upper == math.inf
     assert abs(interval.lower) <= 1e-8
     a = 0.37
@@ -456,19 +463,10 @@ def test_stability_interval_signed_potential():
 
 
 def test_stability_interval_balanced_potential(triangle):
-    interval = stability_interval(triangle, (1.0, -1.0, 0.0), tol=1e-7)
+    interval = interval_within(triangle, (1.0, -1.0, 0.0), 1e-7)
     assert abs(interval.lower) <= 1e-7
     assert abs(interval.upper) <= 1e-7
     assert interval.endpoint_tolerance <= 1e-7
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
-def test_stability_interval_rejects_tolerance(tol):
-    graph = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])
-    rule = "must be finite" if math.isnan(tol) else "must be positive"
-    with pytest.raises(InputError) as info:
-        stability_interval(graph, (1.0, -1.0), tol=tol)
-    assert str(info.value) == f"tolerance: {rule}, got {tol!r}"
 
 
 POTENTIALS = ("signed", "positive", "negative", "balanced")
@@ -525,7 +523,7 @@ def test_stability_interval_matches_eigenvalue_bisection():
     for kind, tol, graph, V in random_cases(seed=15, rounds=10):
         if kind == "balanced" and tol < 1e-6:
             continue
-        assert stability_interval(graph, V, tol=tol) == (
+        assert interval_within(graph, V, tol) == (
             eigenvalue_stability_interval(graph, V, tol))
         compared += 1
     assert compared == 100
@@ -542,7 +540,7 @@ def test_sign_rules_differ_only_at_rounding_level(recorded_probes):
             continue
         V = V[:-1] + (V[-1] + 2.0**-30,)
         recorded_probes.clear()
-        stability_interval(graph, V, tol=tol)
+        interval_within(graph, V, tol)
         for op, a, verdict in recorded_probes:
             lam = min_eigenvalue(graph, V, a).lambda_min
             if (lam >= 0.0) != verdict:
@@ -606,7 +604,7 @@ def test_balanced_interval_is_exact_without_a_factorization(tol, monkeypatch):
              if kind == "balanced" and any(V)]
     assert len(cases) >= 5
     for graph, V in cases:
-        assert stability_interval(graph, V, tol=tol) == exact
+        assert interval_within(graph, V, tol) == exact
 
 
 @pytest.mark.parametrize("tol, half", [
@@ -615,7 +613,7 @@ def test_balanced_interval_is_exact_without_a_factorization(tol, monkeypatch):
 def test_balanced_sides_read_the_halving_they_skip(tol, half, triangle):
     # halving from 1 with every probe negative stops at the first power of
     # two within tol, or at 1 itself, and reports its midpoint
-    interval = stability_interval(triangle, (1.0, -1.0, 0.0), tol=tol)
+    interval = interval_within(triangle, (1.0, -1.0, 0.0), tol)
     assert (interval.lower, interval.upper, interval.endpoint_tolerance) == (-half, half, half)
 
 
@@ -633,8 +631,8 @@ def test_bisection_stops_at_float_resolution(triangle, capped_probes):
     # near the upper endpoint 2.6 floats are 2^-51 apart, far wider than
     # tol: the bisection ends once its bracket holds two adjacent floats
     V = (1.0, -0.5, 0.5)
-    fine = stability_interval(triangle, V, tol=1e-20)
-    coarse = stability_interval(triangle, V, tol=1e-7)
+    fine = interval_within(triangle, V, 1e-20)
+    coarse = interval_within(triangle, V, 1e-7)
     assert fine.endpoint_tolerance == math.ulp(fine.upper) / 2
     assert abs(fine.upper - coarse.upper) <= coarse.endpoint_tolerance
     assert abs(fine.lower) <= 1e-20
@@ -702,7 +700,7 @@ def test_eigenvalue_oracle_stops_at_float_resolution(triangle, monkeypatch):
     monkeypatch.setattr(oracles, "min_eigenvalue", capped)
     V = (1.0, -0.5, 0.5)
     oracle = eigenvalue_stability_interval(triangle, V, 1e-20)
-    library = stability_interval(triangle, V, tol=1e-20)
+    library = interval_within(triangle, V, 1e-20)
     assert oracle.endpoint_tolerance == math.ulp(oracle.upper) / 2
     assert abs(oracle.lower - library.lower) <= library.endpoint_tolerance
     # Near a = 2.6 the eigensolve and the Cholesky sign can disagree by a few
@@ -741,7 +739,7 @@ def test_sparse_sign_gives_the_same_interval(monkeypatch):
     # above DENSE_LIMIT each sign comes from the shift-inverted eigensolve
     cases = [(graph, V, tol) for kind, tol, graph, V in random_cases(seed=17, rounds=1)
              if kind != "balanced" and graph.vertex_count >= 3]
-    dense = [stability_interval(graph, V, tol=tol) for graph, V, tol in cases]
+    dense = [interval_within(graph, V, tol) for graph, V, tol in cases]
     solved = []
     real = spectrum_module.eigsh
 
@@ -755,7 +753,7 @@ def test_sparse_sign_gives_the_same_interval(monkeypatch):
     monkeypatch.setattr(spectrum_module, "DENSE_LIMIT", 1)
     monkeypatch.setattr(spectrum_module, "eigsh", counting)
     monkeypatch.setattr(spectrum_module, "dpotrf", unreachable)
-    sparse = [stability_interval(graph, V, tol=tol) for graph, V, tol in cases]
+    sparse = [interval_within(graph, V, tol) for graph, V, tol in cases]
     assert len(cases) >= 5
     assert solved
     assert sparse == dense
@@ -796,8 +794,8 @@ def test_corollary_check_flags_violation(triangle, monkeypatch):
     monkeypatch.setattr(
         spectrum_module,
         "stability_interval",
-        lambda graph, V, tol=1e-6, seed=0: (
-            spectrum_module.StabilityInterval(0.0, 0.0, tol)
+        lambda graph, V, seed=0: (
+            spectrum_module.StabilityInterval(0.0, 0.0, spectrum_module.INTERVAL_WIDTH)
         ),
     )
     monkeypatch.setattr(spectrum_module, "min_eigenvalue", fake)
@@ -810,7 +808,7 @@ def test_solves_on_one_graph_share_one_trivial_cover():
     # kept while each graph cached one; solves build their own again
     graph = WeightedGraph([1, 2, 0.5, 1.5],
                           [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 0, 1.0)])
-    interval = stability_interval(graph, (0.5, -1.0, 0.0, 2.0), tol=1e-8)
+    interval = interval_within(graph, (0.5, -1.0, 0.0, 2.0), 1e-8)
     assert interval == spectrum_module.StabilityInterval(
         -3.725290298461914e-09, 0.22544461861252785, 3.725290298461914e-09)
 

@@ -176,7 +176,7 @@ def test_witness_with_more_collar_than_member_tiles_verifies(cover_name, radius,
                                                               request):
     # final_bound = c Q_base + b bracket holds for every b, so b > c is no breach
     cover = request.getfixturevalue(cover_name)
-    members = orbit_ball(cover.fiber_action, cover.carrier.origin, radius).points
+    members = orbit_ball(cover.fiber_action, radius).points
     cert = verify_certificate(cover.fiber_action, members, 2)
     witness, report = build_witness(cover, f, cert, 1, V, 1.0)
     assert (report.c, report.b) == (c, b)
