@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .errors import BudgetExceededError, InputError, _check_int, _check_nonempty, _echo
+from .errors import (BudgetExceededError, InputError, _check_collection, _check_int,
+                     _check_nonempty, _echo)
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -123,7 +124,7 @@ def orbit_ball(action: GroupAction, radius: int) -> OrbitGraph:
 
 def boundary(action: GroupAction, members: Iterable) -> frozenset:
     """Points of the set that some signed generator maps outside it."""
-    E = _check_nonempty(frozenset(members), "members")
+    E = _check_nonempty(_check_collection(members, "members", hashable=True), "members")
     gens = action.generators()
     return frozenset(
         x for x in E if any(action.apply_fn(g, x) not in E for g in gens)
@@ -303,7 +304,9 @@ def word_action(
     word once (a net displacement, a reduced word or a table), so every
     generator moves a point in one step.
     """
-    word_list = tuple(tuple(carrier.check_generator(letter) for letter in w) for w in words)
+    word_list = tuple(tuple(carrier.check_generator(letter)
+                            for letter in _check_collection(w, f"words[{k}]"))
+                      for k, w in enumerate(_check_collection(words, "words")))
     return carrier.of_words(name or f"words({len(word_list)} over {carrier.name})", word_list)
 
 

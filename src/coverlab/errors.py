@@ -1,5 +1,6 @@
 """Exception types shared across the package, how a message shows an input,
-and the one rule each for an integer, a real and a nonempty argument."""
+and the one rule each for an integer, a real, a collection and a nonempty
+argument."""
 
 import math
 import numbers
@@ -47,6 +48,22 @@ def _check_real(value, label: str, positive: bool = False) -> float:
     if positive and x <= 0:
         raise InputError(f"{label}: must be positive, got {_echo(value)}")
     return x
+
+
+def _check_collection(items, label: str, hashable: bool = False):
+    """tuple(items), or frozenset(items) when hashable (either comes back
+    uncopied when items already is one), refused as an InputError naming
+    label unless items is iterable and, when hashable, every item is."""
+    try:
+        iter(items)  # a one-shot iterator is not advanced
+    except TypeError:
+        raise InputError(f"{label}: expected a collection, got {_echo(items)}") from None
+    if not hashable:
+        return tuple(items)
+    try:
+        return frozenset(items)
+    except TypeError:
+        raise InputError(f"{label}: expected hashable items, got {_echo(items)}") from None
 
 
 def _check_nonempty(items, label: str):

@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, orbit_ball
-from .errors import (BudgetExceededError, FolnerVerificationError, InputError, _check_int,
-                     _check_nonempty, _echo)
+from .errors import (BudgetExceededError, FolnerVerificationError, InputError,
+                     _check_collection, _check_int, _check_nonempty, _echo)
 
 
 def exact_fraction(value, label: str = "epsilon") -> Fraction:
@@ -119,7 +119,7 @@ def verify_certificate(action: GroupAction, members: Iterable, epsilon) -> Folne
     over epsilon.
     """
     eps = exact_fraction(epsilon)
-    E = _check_nonempty(frozenset(members), "members")
+    E = _check_nonempty(_check_collection(members, "members", hashable=True), "members")
     apply_fn = action.apply_fn
     exits = {g: {x for x in E if apply_fn(g, x) not in E} for g in action.generators()}
     ratios = {g: Fraction(2 * len(exits[-g]), len(E)) for g in exits}

@@ -31,8 +31,8 @@ from .actions import (
     bfs_depths,
     word_action,
 )
-from .errors import (BudgetExceededError, InputError, NumericalError, _check_int,
-                     _check_nonempty, _check_real, _echo)
+from .errors import (BudgetExceededError, InputError, NumericalError, _check_collection,
+                     _check_int, _check_nonempty, _check_real, _echo)
 
 
 def checked_fsum(terms: Iterable[float], name: str) -> float:
@@ -45,6 +45,28 @@ def checked_fsum(terms: Iterable[float], name: str) -> float:
         raise NumericalError(f"{name} overflows float range") from None
 
 
+def _edge_rows(rows, noun: str, third: str, n: int):
+    """Read (u, v, x) rows over the vertices 0..n-1, the edges of a graph
+    and the voltages of a cover alike.  Each row must be a triple whose
+    endpoints are integers in range, not a loop, on an edge that no
+    earlier row names in either orientation; a refusal names the row as
+    '<noun> k'.  Yields ((min(u, v), max(u, v)), u > v, x) per row."""
+    seen = set()
+    for k, row in enumerate(_check_collection(rows, f"{noun}s")):
+        try:
+            u, v, x = row
+        except (TypeError, ValueError):
+            raise InputError(f"{noun} {k} is not a (u, v, {third}) triple: {_echo(row)}") from None
+        u, v = (_check_int(y, f"{noun} {k} endpoint", 0, n - 1) for y in (u, v))
+        if u == v:
+            raise InputError(f"{noun} {k} is a loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError(f"{noun} {k} repeats edge {key}")
+        seen.add(key)
+        yield key, u > v, x
+
+
 class WeightedGraph:
     """Finite connected simple graph with mu >= sys.float_info.min and conductances w > 0.
 
@@ -54,25 +76,14 @@ class WeightedGraph:
     """
 
     def __init__(self, mu: Sequence, edges: Iterable[tuple]):
-        self.mu = _check_nonempty(
-            tuple(_check_real(m, f"mu[{i}]", positive=True) for i, m in enumerate(mu)), "mu")
+        self.mu = _check_nonempty(tuple(_check_real(m, f"mu[{i}]", positive=True)
+                                        for i, m in enumerate(_check_collection(mu, "mu"))), "mu")
         for i, m in enumerate(self.mu):
             if m < sys.float_info.min:  # else an operator entry w / mu overflows at w of order 1
                 raise InputError(f"mu[{i}]: must be at least {sys.float_info.min}, got {_echo(m)}")
         n = len(self.mu)
-        canon = {}
-        for k, edge in enumerate(edges):
-            try:
-                u, v, w = edge
-            except (TypeError, ValueError):
-                raise InputError(f"edge {k} is not a (u, v, w) triple: {_echo(edge)}") from None
-            u, v = (_check_int(x, f"edge {k} endpoint", 0, n - 1) for x in (u, v))
-            if u == v:
-                raise InputError(f"edge {k} is a loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in canon:
-                raise InputError(f"duplicate edge between {key[0]} and {key[1]}")
-            canon[key] = _check_real(w, f"w[{k}]", positive=True)
+        canon = {key: _check_real(w, f"w[{k}]", positive=True)
+                 for k, (key, _flipped, w) in enumerate(_edge_rows(edges, "edge", "w", n))}
         self.edges = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for u, v, w in self.edges:
@@ -222,37 +233,30 @@ class VoltageCover:
 
 
 def build_cover(base: WeightedGraph, carrier: GroupAction,
-                voltages: Mapping[tuple[int, int], Iterable[int]]) -> VoltageCover:
+                voltages: Iterable[tuple]) -> VoltageCover:
     """Assemble a voltage cover in the gauge of a spanning tree T.
 
-    Voltages are given per base edge (either orientation; the reversed
-    orientation gets the inverted word) as words in the carrier's
-    generators, at most one per edge.  T comes from a 0/1 breadth-first
-    search from vertex 0 over the sorted adjacency, an edge without a
-    voltage weighing 0, so T keeps to such edges whenever they span the
-    base.  With p_v the word of the T-path from 0 to v, a non-tree edge
-    (u, v) with word s carries inverse(p_v) + s + p_u, a tree edge none.
+    Voltages are (u, v, word) rows, read like a graph's edge rows (see
+    _edge_rows): at most one per base edge, in either orientation (the
+    reversed one gets the inverted word), each word in the carrier's
+    generators.  T comes from a 0/1 breadth-first search from vertex 0
+    over the sorted adjacency, an edge without a voltage weighing 0, so
+    T keeps to such edges whenever they span the base.  With p_v the word
+    of the T-path from 0 to v, a non-tree edge (u, v) with word s carries
+    inverse(p_v) + s + p_u, a tree edge none.
     (v, x) -> (v, p_v^-1 x) maps the origin tile's component onto the
     cover, so it is connected: an input whose derived graph falls apart
     is read as that component (a voltage on a bridge gives the base).
     """
     canon: dict[tuple[int, int], tuple[int, ...]] = {}
     edge_set = {(u, v) for u, v, _w in base.edges}
-    for key, word in voltages.items():
-        try:
-            u, v = key
-        except (TypeError, ValueError):
-            raise InputError(f"voltage key {_echo(key)} is not a vertex pair") from None
-        word = tuple(carrier.check_generator(letter) for letter in word)
-        if (u, v) in edge_set:
-            cu, cv, cword = u, v, word
-        elif (v, u) in edge_set:
-            cu, cv, cword = v, u, _inverse(word)
-        else:
-            raise InputError(f"voltage on nonexistent edge {_echo(key)}")
-        if (cu, cv) in canon:
-            raise InputError(f"duplicate voltage for edge ({cu}, {cv})")
-        canon[(cu, cv)] = cword
+    rows = _edge_rows(voltages, "voltage", "word", base.vertex_count)
+    for k, (key, flipped, word) in enumerate(rows):
+        word = tuple(carrier.check_generator(letter)
+                     for letter in _check_collection(word, f"voltage {k} word"))
+        if key not in edge_set:
+            raise InputError(f"voltage on nonexistent edge {key}")
+        canon[key] = _inverse(word) if flipped else word
     paths, tree = {}, set()
     queue = deque([(0, (), None)])  # (vertex, path word, tree edge reaching it)
     while queue:
@@ -392,7 +396,8 @@ def cutoff(cover: VoltageCover, members: Iterable, alpha: int) -> CutoffFunction
     at most k - 1 inverse moves per outside pair, for k signed fiber
     generators.
     """
-    member_list = _check_nonempty(tuple(sorted(set(members), key=cover.carrier.sort_key)), "members")
+    members = _check_nonempty(_check_collection(members, "members", hashable=True), "members")
+    member_list = tuple(sorted(members, key=cover.carrier.sort_key))
     depth, reached, owned = _rim_sweep(cover, member_list, alpha)
     nv = cover.base.vertex_count
     move = cover.fiber_action.apply_fn
@@ -428,9 +433,9 @@ def collar_counts(cover: VoltageCover, members: Iterable, alpha: int) -> tuple[i
     that owns it (see _rim_sweep), for at most k - 1 inverse moves per
     outside pair, k the number of signed fiber generators.
     """
-    member_list = _check_nonempty(tuple(set(members)), "members")
-    _depth, reached, owned = _rim_sweep(cover, member_list, alpha)
-    return sum(map(len, owned.values())) + len(reached), len(member_list)
+    members = _check_nonempty(_check_collection(members, "members", hashable=True), "members")
+    _depth, reached, owned = _rim_sweep(cover, tuple(members), alpha)
+    return sum(map(len, owned.values())) + len(reached), len(members)
 
 
 def cover_form_parts(cover: VoltageCover, V, a: float, func: CompactFunction) -> tuple[float, float]:

@@ -185,15 +185,6 @@ def _parse_fiber(node: Any, path: str) -> GroupAction:
     )
 
 
-def _parse_voltages(node: Any, path: str) -> dict:
-    voltages = {}
-    for i, (u, v, word) in enumerate(_list_of(_edge_row("word", _int_list))(node, path)):
-        if (u, v) in voltages:
-            raise InputError(f"{path}[{i}]: duplicate voltage for edge {_echo((u, v))}")
-        voltages[(u, v)] = word
-    return voltages
-
-
 def _parse_budget(node: Any, path: str) -> SearchBudget:
     obj = _expect_dict(node, path)
     _check_keys(obj, path, (), tuple(f.name for f in fields(SearchBudget)))
@@ -225,7 +216,7 @@ _SECTION_PARSERS = {
     "base": _parse_base,
     "potential": _nonempty_list(_expect_real),
     "fiber": _parse_fiber,
-    "voltages": _parse_voltages,
+    "voltages": _list_of(_edge_row("word", _int_list)),
 }
 
 
@@ -235,8 +226,8 @@ _Task = namedtuple("_Task", "sections required optional")
 TASKS = {
     "folner": _Task(("fiber",), (), ("epsilon", "epsilons", "budget")),
     "spectrum": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radii"), ()),
-    "interval": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radius", "alpha"), ("budget",)),
-    "transfer": _Task(tuple(_SECTION_PARSERS), ("a", "alpha"), ("radius", "budget")),
+    "interval": _Task(tuple(_SECTION_PARSERS), ("a_samples", "radius", "alpha"), ()),
+    "transfer": _Task(tuple(_SECTION_PARSERS), ("a", "alpha"), ("radius",)),
     "counterexample": _Task(tuple(_SECTION_PARSERS), ("a", "alpha", "radii"), ("budget",)),
     "corollary": _Task(("base", "potential"), (), ()),
 }

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
-from .errors import InequalityViolation, InputError, _check_int, _check_real
+from .errors import InequalityViolation, InputError, _check_collection, _check_int, _check_real
 from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
 from .geometry import (
     CompactFunction,
@@ -350,6 +350,8 @@ def easy_direction_check(cover: VoltageCover, V, a_samples: Sequence[float],
     floor; a dip below it contradicts the covering inequality and is
     raised as a violation.
     """
+    a_samples = _check_collection(a_samples, "a_samples")
+    radii = _check_collection(radii, "radii")
     rows = []
     for a in a_samples:
         sr, windows = _sample(cover, V, a, radii, seed)
@@ -376,8 +378,7 @@ class IntervalComparisonReport:
 
 
 def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
-                        radius: int, alpha: int, budget: Optional[SearchBudget] = None,
-                        seed: int = 0) -> IntervalComparisonReport:
+                        radius: int, alpha: int, seed: int = 0) -> IntervalComparisonReport:
     """Compare the base stability interval against cover evidence.
 
     For every sampled coupling the base operator is classified by its
@@ -387,13 +388,14 @@ def interval_comparison(cover: VoltageCover, V, a_samples: Sequence[float],
     its failure leaves equality_evidence False rather than raising,
     because windows and budgets only ever half-decide it.
     """
+    a_samples = _check_collection(a_samples, "a_samples")
     interval = stability_interval(cover.base, V, seed=seed)
     rows = []
     for a in a_samples:
         sr, (window,) = _sample(cover, V, a, (radius,), seed)
         status = ratio = None
         if not sr.nonnegative:
-            outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
+            outcome = transfer_negativity(cover, V, a, alpha, seed=seed)
             status, ratio = outcome.status, outcome.best_collar_ratio
         rows.append(IntervalSampleRow(
             float(a), sr.lambda_min, sr.nonnegative, window,

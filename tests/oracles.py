@@ -88,7 +88,7 @@ def rank_by_full_elimination(vectors):
 
 def trivial_cover(graph):
     """The graph as its own cover: one tile, over the one-point fiber 0."""
-    return build_cover(graph, finite_permutation_action([], 1), {})
+    return build_cover(graph, finite_permutation_action([], 1), [])
 
 
 def lift_function(cover, f, tiles):

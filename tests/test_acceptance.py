@@ -54,7 +54,7 @@ def triangle_z_cover():
     triangle = WeightedGraph(
         [1.0, 1.0, 1.0], [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
     )
-    return build_cover(triangle, lattice_action(1), {(0, 1): (1,)})
+    return build_cover(triangle, lattice_action(1), [(0, 1, (1,))])
 
 
 def k4_tree_cover():
@@ -63,7 +63,7 @@ def k4_tree_cover():
         [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
     )
     return build_cover(
-        k4, free_group_action(3), {(1, 2): (1,), (1, 3): (2,), (2, 3): (3,)}
+        k4, free_group_action(3), [(1, 2, (1,)), (1, 3, (2,)), (2, 3, (3,))]
     )
 
 
@@ -85,11 +85,11 @@ def random_small_cover(rng):
 
     dim = 2 if (len(extras) >= 2 and rng.random() < 0.5) else 1
     if dim == 1:
-        voltages = {extras[0]: (1,)}
+        voltages = [(*extras[0], (1,))]
         if len(extras) > 1 and rng.random() < 0.5:
-            voltages[extras[1]] = (int(rng.choice([1, -1])),)
+            voltages.append((*extras[1], (int(rng.choice([1, -1])),)))
     else:
-        voltages = {extras[0]: (1,), extras[1]: (2,)}
+        voltages = [(*extras[0], (1,)), (*extras[1], (2,))]
     cover = build_cover(graph, lattice_action(dim), voltages)
 
     alpha = int(rng.choice([1, 2, 3]))

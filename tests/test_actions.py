@@ -369,6 +369,15 @@ def test_coset_duality_reads_iterator_generators_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_coset_duality_reports_a_wrong_inverse_as_not_equivariant(monkeypatch):
+    # (g x)^-1 = x^-1 g^-1 always holds, so only broken permutation
+    # arithmetic can fail the check: here p^-1 is read as p, wrong for the
+    # 3-cycle (1, 2, 0)
+    monkeypatch.setattr(actions, "permutation_inverse", lambda p: p)
+    report = coset_duality_check(S3_GENS, [(1, 0, 2)])
+    assert (report.bijective, report.equivariant, report.ok) == (False, False, False)
+
+
 def test_coset_duality_refuses_subgroup_generators_outside_the_group():
     with pytest.raises(InputError, match="^subgroup generators leave the ambient group$"):
         coset_duality_check([(1, 0, 2)], [(0, 2, 1)])

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -46,7 +47,7 @@ from coverlab.cli import (
     main,
 )
 from oracles import folner_boundary_bound
-from coverlab.scenario import _KEYWORDS, TASKS, load_scenario
+from coverlab.scenario import _KEYWORDS, TASKS, load_scenario, parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -142,11 +143,7 @@ def tree_transfer_scenario(tmp_path):
         "potential": ["-0.1", "-0.1", "-0.1", "-0.1"],
         "fiber": {"kind": "free_group", "rank": 3},
         "voltages": [[1, 2, [1]], [1, 3, [2]], [2, 3, [3]]],
-        "params": {
-            "a": "1",
-            "alpha": 4,
-            "budget": {"max_radius": 3, "subset_size_cap": 10, "max_subsets": 20000},
-        },
+        "params": {"a": "1", "alpha": 4},
     }
     return write_json(tmp_path / "tree_transfer.json", obj)
 
@@ -444,7 +441,20 @@ def test_batch_nonfinite_operator_is_violation(tmp_path, capsys):
     assert len((out / "summary.csv").read_text().splitlines()) == 3
 
 
-def test_run_inconclusive_exit_3(tmp_path, capsys):
+def test_exhausted_folner_headline_names_its_epsilon_and_best_ratio():
+    # F2 held to five subsets within radius 1: none reaches epsilon 1/10
+    scn = parse_scenario({
+        "name": "f2_exhausted", "task": "folner", "fiber": {"kind": "free_group", "rank": 2},
+        "params": {"epsilon": "0.1",
+                   "budget": {"max_radius": 1, "subset_size_cap": 2, "max_subsets": 5}},
+    })
+    report, _columns, rows, status, headline = execute_scenario(scn)
+    assert (status, report["outcome"]["exhausted"]) == ("inconclusive", True)
+    assert headline == "exhausted at epsilon=1/10 best_ratio=6/5"
+    assert rows[-1][4] == Fraction(6, 5)
+
+
+def test_run_inconclusive_exit_3(tmp_path, capsys, tree_search_budget):
     code = main(["run", str(tree_transfer_scenario(tmp_path))])
     out = capsys.readouterr().out
     assert code == 3
@@ -458,7 +468,7 @@ def test_run_inconclusive_exit_3(tmp_path, capsys):
 
 
 def test_run_bad_budget_field_exit_1(tmp_path, capsys):
-    obj = json.loads(tree_transfer_scenario(tmp_path).read_text())
+    obj = json.loads((SCENARIOS / "tree_counterexample.json").read_text())
     obj["params"]["budget"]["max_subsets"] = -5
     path = write_json(tmp_path / "negative_budget.json", obj)
     code = main(["run", str(path)])
@@ -649,12 +659,12 @@ def test_every_stored_param_is_a_keyword_of_its_library_call():
             stored.remove("radius")  # the handler's own Dirichlet window
         keywords = inspect.signature(LIBRARY_CALLS[task]).parameters
         assert stored <= keywords.keys(), (task, stored - keywords.keys())
-    # only the search tasks take a budget
+    # only the tasks whose bundled scenarios set a budget take one
     assert [task for task, spec in TASKS.items() if "budget" in spec.optional] == [
-        "folner", "interval", "transfer", "counterexample"]
+        "folner", "counterexample"]
 
 
-def test_batch_directory(tmp_path, capsys):
+def test_batch_directory(tmp_path, capsys, tree_search_budget):
     src = tmp_path / "jobs"
     src.mkdir()
     shutil.copy(SCENARIOS / "torus_corollary.json", src / "torus_corollary.json")

@@ -1,6 +1,7 @@
-"""One rule each for an integer, a real and a nonempty argument:
-errors._check_int, errors._check_real, errors._check_nonempty and every
-library site that uses them."""
+"""One rule each for an integer, a real, a collection and a nonempty
+argument (errors._check_int, _check_real, _check_collection and
+_check_nonempty), one for an edge-keyed row (geometry._edge_rows), and
+every library site that uses them."""
 
 import dataclasses
 import math
@@ -24,11 +25,13 @@ from coverlab import (
     build_cover,
     cutoff,
     dirichlet_window,
+    easy_direction_check,
     finite_permutation_action,
     folner_sequence,
     free_group_action,
     free_quotient_lattice_action,
     generate_group,
+    interval_comparison,
     lattice_action,
     min_eigenvalue,
     orbit_ball,
@@ -41,7 +44,7 @@ from coverlab import (
     word_action,
 )
 from coverlab import geometry, scenario, spectrum
-from coverlab.errors import _check_int, _check_nonempty, _check_real, _echo
+from coverlab.errors import _check_collection, _check_int, _check_nonempty, _check_real, _echo
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
 
@@ -78,7 +81,7 @@ def _triangle():
 
 
 def _triangle_cover():
-    return build_cover(_triangle(), lattice_action(1), {(0, 1): (1,)})
+    return build_cover(_triangle(), lattice_action(1), [(0, 1, (1,))])
 
 
 # every library site of the rule: its label, and a call that takes the
@@ -308,13 +311,54 @@ def test_edge_endpoints_follow_the_integer_rule():
 
 def test_generators_follow_the_integer_rule():
     for build in (lambda g: word_action(lattice_action(1), [(g,)]),
-                  lambda g: build_cover(_triangle(), lattice_action(1), {(0, 1): [g]})):
+                  lambda g: build_cover(_triangle(), lattice_action(1), [(0, 1, [g])])):
         with pytest.raises(InputError, match="^generator id: expected an integer, got True$"):
             build(True)
     words = word_action(lattice_action(2), [(np.int64(1), np.int64(-2))])
     assert words.translation_vectors == ((1, -1),)
-    cover = build_cover(_triangle(), lattice_action(1), {(0, 1): [np.int64(1)]})
+    cover = build_cover(_triangle(), lattice_action(1), [(0, 1, [np.int64(1)])])
     assert [type(g) for g in cover.voltages[(0, 1)]] == [int]
+
+
+def test_voltage_endpoints_follow_the_integer_rule():
+    # each used to be read as the edge (1, 2)
+    for row, shown in (((True, 2, (1,)), "True"), ((1.0, 2.0, (1,)), "1.0")):
+        with pytest.raises(InputError) as err:
+            build_cover(_triangle(), lattice_action(1), [row])
+        assert str(err.value) == f"voltage 0 endpoint: expected an integer, got {shown}"
+
+
+# each check of the one rule for edge-keyed rows, in its order: rows over
+# the triangle's vertices, with W standing for the third entry
+W = object()
+EDGE_ROW_FAULTS = {
+    "not-a-triple": ([(0, 1, 2, 0)], "{noun} 0 is not a (u, v, {third}) triple: (0, 1, 2, 0)"),
+    "endpoint-not-an-integer": ([(0, 1, W), (0, "2", W)],
+                                "{noun} 1 endpoint: expected an integer, got '2'"),
+    "endpoint-out-of-range": ([(3, 0, W)], "{noun} 0 endpoint: must be at most 2, got 3"),
+    "loop": ([(0, 1, W), (2, 2, W)], "{noun} 1 is a loop at vertex 2"),
+    "repeat": ([(0, 1, W), (0, 1, W)], "{noun} 1 repeats edge (0, 1)"),
+    "reversed-repeat": ([(1, 2, W), (0, 1, W), (2, 1, W)], "{noun} 2 repeats edge (1, 2)"),
+}
+# each reader of edge-keyed rows: its noun, its name for the third entry,
+# and a call on rows whose third entries are W
+EDGE_ROW_READERS = {
+    "WeightedGraph": ("edge", "w", lambda rows: WeightedGraph(
+        [1.0] * 3, [tuple(1.0 if x is W else x for x in row) for row in rows])),
+    "build_cover": ("voltage", "word", lambda rows: build_cover(
+        _triangle(), lattice_action(1), [tuple((1,) if x is W else x for x in row)
+                                         for row in rows])),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(EDGE_ROW_READERS))
+@pytest.mark.parametrize("fault", sorted(EDGE_ROW_FAULTS))
+def test_edge_rows_are_read_by_one_rule(fault, reader):
+    rows, message = EDGE_ROW_FAULTS[fault]
+    noun, third, read = EDGE_ROW_READERS[reader]
+    with pytest.raises(InputError) as err:
+        read(rows)
+    assert str(err.value) == message.format(noun=noun, third=third)
 
 
 @pytest.mark.parametrize("vectors, message", [
@@ -365,6 +409,79 @@ def test_site_refuses_an_empty_collection(site):
     assert call([(0,)])
     with pytest.raises(InputError, match=rf"^{re.escape(label)}: must be nonempty$"):
         call([])
+
+
+def test_check_collection_reads_any_iterable_or_names_the_label():
+    assert _check_collection(iter([2, 1, 2]), "xs") == (2, 1, 2)
+    assert _check_collection([(0,), (0,)], "xs", hashable=True) == frozenset({(0,)})
+    # a large certificate's member set is not copied on the way in
+    points, rows = frozenset({(0,), (1,)}), ((0, 1, 1.0),)
+    assert _check_collection(points, "xs", hashable=True) is points
+    assert _check_collection(rows, "xs") is rows
+    for value in (5, None, 2.5):
+        with pytest.raises(InputError) as err:
+            _check_collection(value, "xs")
+        assert str(err.value) == f"xs: expected a collection, got {value!r}"
+    with pytest.raises(InputError) as err:
+        _check_collection([(0,), [1]], "xs", hashable=True)
+    assert str(err.value) == "xs: expected hashable items, got [(0,), [1]]"
+
+
+# every site of the collection rule: its label, a call that takes the
+# collection, and a valid one; each used to end in a bare TypeError or
+# AttributeError on an int
+COLLECTION_SITES = {
+    "WeightedGraph mu": ("mu", lambda xs: WeightedGraph(xs, [(0, 1, 1.0)]).mu, [1.0, 2.0]),
+    "WeightedGraph edges": (
+        "edges", lambda xs: WeightedGraph([1.0, 1.0], xs).edges, [(0, 1, 1.0)]),
+    "build_cover voltages": (
+        "voltages", lambda xs: build_cover(_triangle(), lattice_action(1), xs).voltages,
+        [(0, 1, (1,))]),
+    "build_cover word": (
+        "voltage 0 word",
+        lambda xs: build_cover(_triangle(), lattice_action(1), [(0, 1, xs)]).voltages, [1]),
+    "word_action words": ("words", lambda xs: word_action(lattice_action(1), xs).name, [(1,)]),
+    "word_action word": (
+        "words[0]", lambda xs: word_action(lattice_action(1), [xs]).translation_vectors, [1]),
+    "boundary": ("members", lambda xs: boundary(lattice_action(1), xs), [(0,)]),
+    "verify_certificate": (
+        "members", lambda xs: verify_certificate(lattice_action(1), xs, 2).members, [(0,)]),
+    "cutoff": ("members", lambda xs: cutoff(_triangle_cover(), xs, 1).values, [(0,)]),
+    "collar_counts": (
+        "members", lambda xs: geometry.collar_counts(_triangle_cover(), xs, 1), [(0,)]),
+    "easy_direction_check a_samples": (
+        "a_samples", lambda xs: easy_direction_check(_triangle_cover(), FLAT_V3, xs, [1]),
+        [1.0, -1.0]),
+    "easy_direction_check radii": (
+        "radii", lambda xs: easy_direction_check(_triangle_cover(), FLAT_V3, [1.0, -1.0], xs),
+        [0, 1]),
+    "interval_comparison a_samples": (
+        "a_samples", lambda xs: interval_comparison(_triangle_cover(), FLAT_V3, xs, 1, 2).rows,
+        [0.5]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COLLECTION_SITES))
+def test_site_refuses_what_is_not_a_collection(site):
+    label, call, _valid = COLLECTION_SITES[site]
+    with pytest.raises(InputError) as err:
+        call(5)
+    assert str(err.value) == f"{label}: expected a collection, got 5"
+
+
+@pytest.mark.parametrize("site", sorted(COLLECTION_SITES))
+def test_site_reads_a_one_shot_iterator_as_its_list(site):
+    _label, call, valid = COLLECTION_SITES[site]
+    assert call(iter(valid)) == call(valid)
+
+
+@pytest.mark.parametrize("site", ["boundary", "verify_certificate", "cutoff", "collar_counts"])
+def test_member_site_refuses_an_unhashable_point(site):
+    # cutoff used to end in "unhashable type: 'list'"
+    _label, call, _valid = COLLECTION_SITES[site]
+    with pytest.raises(InputError) as err:
+        call([[0]])
+    assert str(err.value) == "members: expected hashable items, got [[0]]"
 
 
 def test_mu_below_the_smallest_normal_float_is_refused():

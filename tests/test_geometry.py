@@ -133,33 +133,34 @@ def test_support_and_omega_are_views_of_the_values(triangle_cover):
 
 
 def test_voltage_reversed_orientation_is_inverted(triangle):
-    cover = build_cover(triangle, lattice_action(1), {(1, 0): (1,)})
+    cover = build_cover(triangle, lattice_action(1), [(1, 0, (1,))])
     assert cover.voltages == {(0, 1): (-1,)}
 
 
 def test_identity_voltage_dropped(triangle):
-    cover = build_cover(triangle, lattice_action(1), {(0, 1): ()})
+    cover = build_cover(triangle, lattice_action(1), [(0, 1, ())])
     assert cover.voltages == {}
 
 
 def test_voltage_rejections(triangle):
     with pytest.raises(InputError):
-        build_cover(triangle, lattice_action(1), {(0, 3): (1,)})
+        build_cover(triangle, lattice_action(1), [(0, 3, (1,))])
     with pytest.raises(InputError):
-        build_cover(triangle, lattice_action(1), {(0, 1): (1,), (1, 0): (1,)})
+        build_cover(triangle, lattice_action(1), [(0, 1, (1,)), (1, 0, (1,))])
     with pytest.raises(InputError):
-        build_cover(triangle, lattice_action(1), {(0, 1): (5,)})
+        build_cover(triangle, lattice_action(1), [(0, 1, (5,))])
 
 
-def test_voltage_key_that_is_not_a_vertex_pair_is_refused(triangle):
-    with pytest.raises(InputError, match="^voltage key 0 is not a vertex pair$"):
-        build_cover(triangle, lattice_action(1), {0: (1,)})
+def test_voltage_row_that_is_not_a_triple_is_refused(triangle):
+    # a mapping, as build_cover once took, is read as its keys: rows of two
+    with pytest.raises(InputError, match=r"^voltage 0 is not a \(u, v, word\) triple: \(0, 1\)$"):
+        build_cover(triangle, lattice_action(1), {(0, 1): (1,)})
 
 
-@pytest.mark.parametrize("voltages", [{(0, 1): (), (1, 0): (1,)}, {(1, 0): (1,), (0, 1): ()},
-                                      {(1, 0): (), (0, 1): ()}])
+@pytest.mark.parametrize("voltages", [[(0, 1, ()), (1, 0, (1,))], [(1, 0, (1,)), (0, 1, ())],
+                                      [(1, 0, ()), (0, 1, ())]])
 def test_second_voltage_for_an_edge_is_refused_even_when_a_word_is_empty(triangle, voltages):
-    with pytest.raises(InputError, match=r"^duplicate voltage for edge \(0, 1\)$"):
+    with pytest.raises(InputError, match=r"^voltage 1 repeats edge \(0, 1\)$"):
         build_cover(triangle, lattice_action(1), voltages)
 
 
@@ -179,7 +180,7 @@ def test_bridge_voltage_disconnects():
     # a voltage on the only edge tears the derived graph into a perfect
     # matching; the cover is its origin tile's component, the base itself
     edge = WeightedGraph((1.0, 1.0), [(0, 1, 1.0)])
-    cover = build_cover(edge, lattice_action(1), {(0, 1): (1,)})
+    cover = build_cover(edge, lattice_action(1), [(0, 1, (1,))])
     assert cover.voltages == {}
     assert_reads_as_the_base(cover, 0, (-1.0, 0.5))
 
@@ -190,7 +191,7 @@ def test_zero_cycle_voltage_disconnects(triangle):
     cover = build_cover(
         triangle,
         lattice_action(1),
-        {(0, 1): (1,), (1, 2): (1,), (0, 2): (1, 1)},
+        [(0, 1, (1,)), (1, 2, (1,)), (0, 2, (1, 1))],
     )
     assert cover.voltages == {(1, 2): (-1, -1, 1, 1)}
     assert_reads_as_the_base(cover, 1, (-1.0, 0.5, 0.25))
@@ -257,7 +258,7 @@ def test_fiber_action_dedupes_words(k4):
     cover = build_cover(
         k4,
         lattice_action(1),
-        {(1, 2): (1,), (1, 3): (1,), (2, 3): (-1,)},
+        [(1, 2, (1,)), (1, 3, (1,)), (2, 3, (-1,))],
     )
     # equal net vectors and inverse pairs collapse to one generator
     assert cover.fiber_action.generator_count == 1
@@ -283,11 +284,11 @@ def test_neighbors_apply_each_edge_word_through_the_carrier(k4):
               if "voltages" in json.loads(path.read_text())]
     covers += [
         # equal displacement (1, 1): one generator
-        build_cover(k4, lattice_action(2), {(1, 2): (1, 2), (1, 3): (2, 1)}),
+        build_cover(k4, lattice_action(2), [(1, 2, (1, 2)), (1, 3, (2, 1))]),
         # the second word is the first one's inverse: a negative generator
-        build_cover(k4, free_group_action(2), {(0, 1): (1, 2), (1, 2): (-2, -1)}),
+        build_cover(k4, free_group_action(2), [(0, 1, (1, 2)), (1, 2, (-2, -1))]),
         # zero displacement: the generator fixes every fiber point
-        build_cover(k4, lattice_action(2), {(0, 1): (1, -1)}),
+        build_cover(k4, lattice_action(2), [(0, 1, (1, -1))]),
     ]
     assert [c.fiber_action.generator_count for c in covers] == [3, 3, 1, 1, 1, 1, 1]
     for cover in covers:
@@ -422,13 +423,13 @@ def sorted_sweep_cutoff(cover, members, alpha):
 
 @pytest.fixture
 def k4_z2_cover(k4):
-    return build_cover(k4, lattice_action(2), {(1, 2): (1,), (1, 3): (2,), (2, 3): (1, 2)})
+    return build_cover(k4, lattice_action(2), [(1, 2, (1,)), (1, 3, (2,)), (2, 3, (1, 2))])
 
 
 @pytest.fixture
 def fixed_tile_cover(triangle):
     """Voltage (0 1) on three tiles: tile 2 is joined to itself across it."""
-    return build_cover(triangle, finite_permutation_action([(1, 0, 2)], 3), {(0, 1): (1,)})
+    return build_cover(triangle, finite_permutation_action([(1, 0, 2)], 3), [(0, 1, (1,))])
 
 
 def cutoff_cases(triangle_cover, k4_z2_cover, tree_cover, fixed_tile_cover):

@@ -337,12 +337,17 @@ RULE_PHRASES = {
     "exact_fraction": ("expected an exact ratio", "as an exact ratio", "is not an exact decimal"),
     "_expect_real": ("expected a decimal string", "must be decimal strings"),
     "_check_nonempty": ("must be nonempty", "at least one", "needs a nonempty", "empty set"),
+    "_check_collection": ("expected a collection", "expected hashable items", "is not iterable",
+                          "unhashable"),
+    "_edge_rows": ("triple", "is a loop", "repeats edge", "duplicate edge", "duplicate voltage",
+                   "is not a vertex pair"),
 }
 
 # the module that holds each rule
 RULE_MODULES = {"_check_int": "errors.py", "_check_real": "errors.py",
                 "exact_fraction": "folner.py", "_expect_real": "scenario.py",
-                "_check_nonempty": "errors.py"}
+                "_check_nonempty": "errors.py", "_check_collection": "errors.py",
+                "_edge_rows": "geometry.py"}
 
 
 def rule_copies(source: str, rule: str, rule_allowed: bool = False) -> list[str]:
@@ -470,6 +475,44 @@ def test_nonempty_rule_checker_flags_a_second_copy():
 def test_emptiness_is_refused_by_one_rule(path):
     assert rule_copies(path.read_text(encoding="utf-8"), "_check_nonempty",
                        rule_allowed=path.name == RULE_MODULES["_check_nonempty"]) == []
+
+
+@pytest.mark.parametrize("rule, source, copies", [
+    ("_edge_rows", """\
+        def _edge_rows(rows, noun, third, n):
+            raise InputError(f"{noun} {k} is a loop at vertex {u}")
+        class WeightedGraph:
+            def __init__(self, mu, edges):
+                raise InputError(f"duplicate edge between {key[0]} and {key[1]}")
+        def build_cover(base, carrier, voltages):
+            raise InputError(f"voltage key {key!r} is not a vertex pair")
+        def _parse_voltages(node, path):
+            raise InputError(f"{path}[{i}]: duplicate voltage for edge {(u, v)!r}")
+        """, ["duplicate edge (line 5)", "is not a vertex pair (line 7)",
+              "duplicate voltage (line 9)"]),
+    ("_check_collection", """\
+        def _check_collection(items, label):
+            raise InputError(f"{label}: expected a collection, got {items!r}")
+        def word_action(carrier, words):
+            raise InputError(f"words: {words!r} is not iterable")
+        def cutoff(cover, members, alpha):
+            raise InputError("members: unhashable point")
+        """, ["is not iterable (line 4)", "unhashable (line 6)"]),
+], ids=["_edge_rows", "_check_collection"])
+def test_edge_row_and_collection_rule_checkers_flag_a_second_copy(rule, source, copies):
+    source = textwrap.dedent(source)
+    assert rule_copies(source, rule, rule_allowed=True) == copies
+    assert rule_copies(source, rule)[0].endswith("(line 2)")
+
+
+# geometry._edge_rows is the one reader of an edge-keyed row, for a graph's
+# edges and a cover's voltages, and errors._check_collection the one rule
+# for a collection argument
+@pytest.mark.parametrize("rule", ["_edge_rows", "_check_collection"])
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_edge_rows_and_collections_are_read_by_one_rule(path, rule):
+    assert rule_copies(path.read_text(encoding="utf-8"), rule,
+                       rule_allowed=path.name == RULE_MODULES[rule]) == []
 
 
 # the orders that feed arithmetic, by module: a cover ball's order is every
@@ -711,7 +754,7 @@ def test_every_public_name_resolves_to_its_definition():
 TRIANGLE = """
 import coverlab
 triangle = coverlab.WeightedGraph([1.0] * 3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-cover = coverlab.build_cover(triangle, coverlab.lattice_action(1), {(0, 1): (1,)})
+cover = coverlab.build_cover(triangle, coverlab.lattice_action(1), [(0, 1, (1,))])
 """
 
 FIRST_CALLS = {

@@ -30,6 +30,14 @@ def minimal_transfer():
     }
 
 
+def budgeted(budget):
+    """minimal_transfer() as the counterexample task, which takes a search budget."""
+    obj = minimal_transfer()
+    obj["task"] = "counterexample"
+    obj["params"].update(radii=[1], budget=budget)
+    return obj
+
+
 def test_parse_minimal_transfer():
     scn = parse_scenario(minimal_transfer())
     assert scn.name == "t"
@@ -97,8 +105,8 @@ DUPLICATE_KEYS = [
 
 @pytest.mark.parametrize("once, twice, message", DUPLICATE_KEYS)
 def test_duplicate_key_rejected(tmp_path, once, twice, message):
-    obj = minimal_transfer()
-    obj["params"]["budget"] = {"max_subsets": 10}
+    # the transfer task takes no budget, so the budget's row is a counterexample
+    obj = budgeted({"max_subsets": 10}) if "max_subsets" in once else minimal_transfer()
     text = json.dumps(obj)
     assert text.count(once) == 1
     path = tmp_path / "dup.json"
@@ -176,14 +184,16 @@ def test_duplicate_voltage():
     obj["voltages"] = [[0, 1, [1]], [1, 0, [1]]]
     with pytest.raises(InputError) as info:
         parse_scenario(obj)
-    assert "voltages" in str(info.value)
+    assert str(info.value) == "scenario.voltages: voltage 1 repeats edge (0, 1)"
 
 
 def test_voltage_on_missing_edge():
     obj = minimal_transfer()
-    obj["voltages"] = [[0, 5, [1]]]
-    with pytest.raises(InputError):
+    obj["base"]["edges"] = [[0, 1, "1"], [1, 2, "1"]]
+    obj["voltages"] = [[2, 0, [1]]]
+    with pytest.raises(InputError) as info:
         parse_scenario(obj)
+    assert str(info.value) == "scenario.voltages: voltage on nonexistent edge (0, 2)"
 
 
 def test_potential_length_mismatch():
@@ -303,8 +313,7 @@ def test_missing_file(tmp_path):
 
 
 def test_budget_parsing():
-    obj = minimal_transfer()
-    obj["params"]["budget"] = {"max_radius": 4, "subset_size_cap": 9}
+    obj = budgeted({"max_radius": 4, "subset_size_cap": 9})
     scn = parse_scenario(obj)
     budget = scn.params["budget"]
     assert budget.max_radius == 4
@@ -318,8 +327,7 @@ def test_budget_parsing():
     ("max_radius", -1, False),
 ])
 def test_budget_limits(key, value, ok):
-    obj = minimal_transfer()
-    obj["params"]["budget"] = {key: value}
+    obj = budgeted({key: value})
     if ok:
         assert getattr(parse_scenario(obj).params["budget"], key) == value
     else:
@@ -342,8 +350,8 @@ TRIANGLE = minimal_transfer()["base"]
 DEFAULT_PARAMS = {
     "folner": {"epsilon": "0.1", "budget": {"max_subsets": 10}},
     "spectrum": {"a_samples": ["1"], "radii": [1]},
-    "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2, "budget": {"max_subsets": 10}},
-    "transfer": {"a": "1", "alpha": 2, "radius": 1, "budget": {"max_subsets": 10}},
+    "interval": {"a_samples": ["1"], "radius": 1, "alpha": 2},
+    "transfer": {"a": "1", "alpha": 2, "radius": 1},
     "counterexample": {"a": "1", "alpha": 2, "radii": [1], "budget": {"max_subsets": 10}},
     "corollary": {},
 }
@@ -384,14 +392,14 @@ PARAM_FAULTS = [
     ("interval", "radius", "1", "scenario.params.radius: expected an integer, got '1'"),
     ("interval", "alpha", True, "scenario.params.alpha: expected an integer, got True"),
     ("interval", "tolerance", "1e-6", "scenario.params: unknown field 'tolerance'"),
-    ("interval", "budget", [], "scenario.params.budget: expected an object, got list"),
+    ("counterexample", "budget", [], "scenario.params.budget: expected an object, got list"),
     ("transfer", "a", 1, "scenario.params.a: expected a decimal string, got 1"),
     ("transfer", "a", DROP, "scenario.params: missing required field 'a'"),
     ("transfer", "alpha", "2", "scenario.params.alpha: expected an integer, got '2'"),
     ("transfer", "radius", 1.5, "scenario.params.radius: expected an integer, got 1.5"),
     # the halving budget is a module constant, so a scenario cannot name it
     ("transfer", "max_halvings", 1, "scenario.params: unknown field 'max_halvings'"),
-    ("transfer", "budget", {"max_subsets": "3"},
+    ("counterexample", "budget", {"max_subsets": "3"},
      "scenario.params.budget.max_subsets: expected an integer, got '3'"),
     ("counterexample", "a", "one", "scenario.params.a: expected a decimal string, got 'one'"),
     ("counterexample", "alpha", None, "scenario.params.alpha: expected an integer, got None"),
@@ -409,13 +417,15 @@ PARAM_FAULTS = [
     ("interval", "a_samples", ["1", "inf"],
      "scenario.params.a_samples[1]: expected a decimal string, got 'inf'"),
     ("interval", "alpha", DROP, "scenario.params: missing required field 'alpha'"),
-    ("interval", "budget", {"max_points": 10}, "scenario.params.budget: unknown field 'max_points'"),
+    # only the tasks whose bundled scenarios set a budget take one
+    ("interval", "budget", {"max_subsets": 10}, "scenario.params: unknown field 'budget'"),
     ("folner", "epsilon", "inf", "scenario.params.epsilon: expected a decimal string, got 'inf'"),
     ("transfer", "alpha", 0, "scenario.params.alpha: must be at least 1, got 0"),
     ("interval", "alpha", -2, "scenario.params.alpha: must be at least 1, got -2"),
     ("transfer", "radius", -1, "scenario.params.radius: must be at least 0, got -1"),
     ("spectrum", "radii", [2, -1], "scenario.params.radii[1]: must be at least 0, got -1"),
     ("folner", "epsilon", "-0.5", "scenario.params.epsilon: must be at least 0, got '-0.5'"),
+    ("transfer", "budget", {"max_subsets": 10}, "scenario.params: unknown field 'budget'"),
 ]
 
 # the folner epsilon list, given on its own
@@ -477,7 +487,7 @@ SECTION_FAULTS = [
     ("spectrum", "voltages", [[0, 1, ["1"]]],
      "scenario.voltages[0][2][0]: expected an integer, got '1'"),
     ("spectrum", "voltages", [[0, 1, [1]], [0, 1, [1]]],
-     "scenario.voltages[1]: duplicate voltage for edge (0, 1)"),
+     "scenario.voltages: voltage 1 repeats edge (0, 1)"),
     # every row is read before duplicates are looked for
     ("spectrum", "voltages", [[0, 1, [1]], [0, 1, [1]], [0]],
      "scenario.voltages[2]: expected [u, v, word]"),
@@ -491,7 +501,7 @@ SECTION_FAULTS = [
     ("folner", "fiber", {"kind": "finite_permutation", "degree": 2, "generators": [[0, 0]]},
      "scenario.fiber: generator 1 is not a permutation of 0..1: (0, 0)"),
     ("spectrum", "voltages", [[0, 5, [1]]],
-     "scenario.voltages: voltage on nonexistent edge (0, 5)"),
+     "scenario.voltages: voltage 0 endpoint: must be at most 2, got 5"),
     # refused by its length, before a range of the degree is built
     ("folner", "fiber", {"kind": "finite_permutation", "degree": 10**9, "generators": [[1, 0]]},
      "scenario.fiber: generator 1 is not a permutation of 0..999999999: (1, 0)"),
@@ -502,9 +512,9 @@ SECTION_FAULTS = [
      "scenario.fiber.rank: expected an integer, got 1.0"),
     # an edge takes one voltage in either orientation, even an empty word
     ("spectrum", "voltages", [[0, 1, []], [1, 0, [1]]],
-     "scenario.voltages: duplicate voltage for edge (0, 1)"),
+     "scenario.voltages: voltage 1 repeats edge (0, 1)"),
     ("spectrum", "voltages", [[1, 0, [1]], [0, 1, []]],
-     "scenario.voltages: duplicate voltage for edge (0, 1)"),
+     "scenario.voltages: voltage 1 repeats edge (0, 1)"),
     # an empty collection, refused by the library under the section's path
     ("spectrum", "base", {"mu": [], "edges": []}, "scenario.base: mu: must be nonempty"),
     ("folner", "fiber", {"kind": "quotient", "vectors": []},

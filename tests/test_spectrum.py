@@ -279,8 +279,8 @@ def test_window_matches_per_point_assembly():
     )
     V = (0.3, -0.7, 0.1, 0.45)
     for carrier, voltages in (
-        (lattice_action(1), {(0, 1): (1,), (2, 3): (1,)}),
-        (free_group_action(3), {(1, 2): (1,), (1, 3): (2,), (2, 3): (3,)}),
+        (lattice_action(1), [(0, 1, (1,)), (2, 3, (1,))]),
+        (free_group_action(3), [(1, 2, (1,)), (1, 3, (2,)), (2, 3, (3,))]),
     ):
         cover = build_cover(graph, carrier, voltages)
         for radius in (0, 2, 5):
@@ -319,7 +319,7 @@ def abelian_cases(k4):
     """(cover, V, couplings) for the bundled abelian scenarios and one Z^2 cover."""
     scenarios = [load_scenario(SCENARIOS / f"{name}.json") for name in ABELIAN_SCENARIOS]
     k4_over_z2 = build_cover(k4, lattice_action(2),
-                             {(1, 2): (1,), (1, 3): (2,), (2, 3): (1, -2)})
+                             [(1, 2, (1,)), (1, 3, (2,)), (2, 3, (1, -2))])
     return ([(scn.cover, scn.potential, couplings(scn)) for scn in scenarios]
             + [(k4_over_z2, (0.3, -0.4, 0.2, -0.1), (-1.0, 0.5, 2.0))])
 
@@ -344,7 +344,7 @@ def test_bundled_abelian_windows_lie_above_the_bloch_bottom(k4):
         cases.append((scn.cover, scn.potential, couplings(scn), scn.params["radius"], scn.seed))
     # the benchmark's generated K4-over-Z^2 windows at seed 0: radius 40
     # holds 2,283 vertices, so the window takes the shift-invert branch
-    k4_over_z2 = build_cover(k4, lattice_action(2), {(1, 2): (1,), (1, 3): (2,)})
+    k4_over_z2 = build_cover(k4, lattice_action(2), [(1, 2, (1,)), (1, 3, (2,))])
     cases.append((k4_over_z2, (0.1, 0.3, -0.2, -0.1), (-0.5, 2.0), 40, 97))
     for cover, V, samples, radius, seed in cases:
         d = len(cover.carrier.origin)

@@ -361,9 +361,6 @@ def test_interval_comparison_balanced(triangle_cover):
     assert by_a[-1.0].transfer_status == "transferred"
 
 
-TREE_BUDGET = SearchBudget(max_radius=3, subset_size_cap=10, max_subsets=20000)
-
-
 def test_the_smallest_budget_still_leaves_a_best_collar_ratio(tree_cover):
     budget = SearchBudget(max_radius=0, subset_size_cap=1, max_subsets=1)
     outcome = transfer_negativity(tree_cover, FLAT_V4, 1.0, alpha=4, budget=budget)
@@ -372,10 +369,10 @@ def test_the_smallest_budget_still_leaves_a_best_collar_ratio(tree_cover):
     assert outcome.message.endswith(f"; best ratio seen {outcome.best_collar_ratio}")
 
 
-def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover):
-    # at a = 1 the base is negative, the radius-2 window is positive and the search exhausts
-    report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2,
-                                 alpha=4, budget=TREE_BUDGET)
+def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover, tree_search_budget):
+    # at a = 1 the base is negative, the radius-2 window is positive and the
+    # search, held to a small budget, exhausts
+    report = interval_comparison(tree_cover, FLAT_V4, a_samples=(1.0, 0.0), radius=2, alpha=4)
     assert not report.equality_evidence
     negative, zero = report.rows
     assert (negative.base_nonnegative, negative.cover_refuted) == (False, False)
@@ -386,7 +383,7 @@ def test_interval_evidence_fails_on_an_inconclusive_transfer(tree_cover):
 def test_transfer_halves_epsilon_until_the_collar_ratio_beats_r_star():
     # C4 unrolled along Z: f = 1 gives Q_base = -4 and bracket 8, so r* = 1/2 exactly
     square = WeightedGraph([1.0] * 4, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    cover = build_cover(square, lattice_action(1), {(1, 2): (1,)})
+    cover = build_cover(square, lattice_action(1), [(1, 2, (1,))])
     outcome = transfer_negativity(cover, (-1.0,) * 4, 1.0, alpha=1)
     assert outcome.r_star == 0.5
     assert [(w.epsilon_used, w.b, w.c) for w in outcome.attempts] == [
@@ -399,7 +396,7 @@ def test_transfer_gives_up_after_max_halvings(monkeypatch):
     # the C4-over-Z case above, allowed no halving after its first attempt
     monkeypatch.setattr(transfer, "MAX_HALVINGS", 0)
     square = WeightedGraph([1.0] * 4, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    cover = build_cover(square, lattice_action(1), {(1, 2): (1,)})
+    cover = build_cover(square, lattice_action(1), [(1, 2, (1,))])
     outcome = transfer_negativity(cover, (-1.0,) * 4, 1.0, alpha=1)
     assert outcome.status == "inconclusive"
     assert outcome.attempts == (outcome.report,)
