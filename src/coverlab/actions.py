@@ -73,19 +73,20 @@ class OrbitGraph:
 
 
 def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | None = None,
-               max_points: int | None = None, overflow: Callable[[int], str] | None = None) -> dict:
+               max_points: int | None = None, what: str = "breadth-first ball") -> dict:
     """Hop depth of each point within radius of the roots (radius None: the
     closure; else an integer of at least 0, checked before any step).
 
     step(x) lists the neighbors of x; points are keyed in the order reached.
     Past max_points points, roots included, it raises BudgetExceededError
-    (overflow(d)), d the overflowing point's hop, with the count so far.
+    for what, followed by 'at hop d', d the overflowing point's hop, with
+    the count so far.
     """
     if radius is not None:
         radius = _check_int(radius, "radius", 0)
     seen = dict.fromkeys(roots, 0)
     if max_points is not None and len(seen) > max_points:
-        raise BudgetExceededError(overflow(0), partial_count=len(seen))
+        raise BudgetExceededError(f"{what} at hop 0", len(seen), max_points)
     queue = deque(seen)
     while queue:
         x = queue.popleft()
@@ -96,7 +97,7 @@ def bfs_depths(roots: Iterable, step: Callable[[Any], Iterable], radius: int | N
             if y not in seen:
                 seen[y] = d + 1
                 if max_points is not None and len(seen) > max_points:
-                    raise BudgetExceededError(overflow(d + 1), partial_count=len(seen))
+                    raise BudgetExceededError(f"{what} at hop {d + 1}", len(seen), max_points)
                 queue.append(y)
     return seen
 
@@ -114,11 +115,8 @@ def orbit_ball(action: GroupAction, radius: int) -> OrbitGraph:
     Raises BudgetExceededError (with the partial count) if the ball
     grows past DEFAULT_POINT_BUDGET points before the radius is exhausted.
     """
-    seen = bfs_depths(
-        [action.origin], _action_step(action), radius, DEFAULT_POINT_BUDGET,
-        lambda d: f"orbit ball around {action.encode_fn(action.origin)} exceeded "
-                  f"{DEFAULT_POINT_BUDGET} points at radius {d}",
-    )
+    seen = bfs_depths([action.origin], _action_step(action), radius, DEFAULT_POINT_BUDGET,
+                      f"orbit ball around {action.encode_fn(action.origin)}")
     return OrbitGraph(points=frozenset(seen))
 
 
@@ -332,11 +330,8 @@ def generate_group(generators: Iterable[tuple]) -> frozenset:
     degree = len(gens[0])
     for k, p in enumerate(gens):
         _check_permutation(p, degree, f"generator {k + 1}")
-    seen = bfs_depths(
-        [tuple(range(degree))], lambda x: [permutation_compose(p, x) for p in gens],
-        max_points=MAX_GROUP_ORDER,
-        overflow=lambda _d: f"group order exceeds {MAX_GROUP_ORDER}",
-    )
+    seen = bfs_depths([tuple(range(degree))], lambda x: [permutation_compose(p, x) for p in gens],
+                      None, MAX_GROUP_ORDER, "group closure")
     return frozenset(seen)
 
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, how a message shows an input,
-and the one rule each for an integer, a real, a collection and a nonempty
-argument."""
+the one rule each for an integer, a real, a collection and a nonempty
+argument, and the one wording of a budget refusal."""
 
 import math
 import numbers
@@ -82,11 +82,16 @@ class InputError(CoverlabError, ValueError):
 
 
 class BudgetExceededError(CoverlabError, RuntimeError):
-    """An enumeration or solver exceeded its configured budget."""
+    """'<what> holds <count> <unit>, above the budget <limit>': count is
+    the exact count that passed limit (partial_count), or a str naming a
+    size floor, read 'at least <count>' (partial_count 0)."""
 
-    def __init__(self, message: str, partial_count: int | None = None):
-        super().__init__(message)
-        self.partial_count = partial_count
+    def __init__(self, what: str, count: int | str, limit: int, unit: str = "points"):
+        floor = isinstance(count, str)
+        super().__init__(f"{what} holds {'at least ' if floor else ''}{count} {unit}, "
+                         f"above the budget {limit}")
+        self.partial_count = 0 if floor else count
+        self.limit = limit
 
 
 class FolnerVerificationError(CoverlabError, ValueError):

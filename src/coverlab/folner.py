@@ -85,6 +85,13 @@ class SearchBudget:
                 getattr(self, f.name), f.name, 0 if f.name == "max_radius" else 1, f.default))
 
 
+def _search_budget(budget) -> SearchBudget:
+    """budget, or the default SearchBudget for None; anything else is an InputError."""
+    if budget is not None and not isinstance(budget, SearchBudget):
+        raise InputError(f"budget: expected a SearchBudget, got {_echo(budget)}")
+    return budget or SearchBudget()
+
+
 @dataclass
 class FolnerCertificate:
     """A verified finite set of points with its exact almost-invariance ratios."""
@@ -199,19 +206,21 @@ def translation_box(action: GroupAction, side: int) -> frozenset:
     A layer whose merged runs exceed DEFAULT_POINT_BUDGET is refused with
     BudgetExceededError before it is built; partial_count is its size.
     Any r independent vectors already put side**r distinct points in the
-    image, so a box is refused before any point is built, partial_count
-    0, once side**r exceeds the budget for some r up to the rank.
+    image, so a box is refused before any point is built, as holding at
+    least side^r points, once side**r exceeds the budget for some r up to
+    the rank.  The side is shown by _echo, so it may be too long to print.
     """
     if action.translation_vectors is None:
         raise InputError(f"{action.name} is not a translation action")
     side = _check_int(side, "box side", 1)
     moving = [v for v in action.translation_vectors if any(v)]
-    # formatted only when raised: a side too long to print still builds one point
-    refusal = "translation box of side {} exceeds {} points".format
-    if _crossing_rank(moving, side) is not None:
-        raise BudgetExceededError(refusal(side, DEFAULT_POINT_BUDGET), partial_count=0)
+    r = _crossing_rank(moving, side)
+    if r is not None:
+        shown = _echo(side, str)
+        raise BudgetExceededError(f"translation box of side {shown}", f"{shown}^{r}",
+                                  DEFAULT_POINT_BUDGET)
     points = [action.origin]
-    for vector in moving:
+    for layer, vector in enumerate(moving, 1):
         i = next(j for j, c in enumerate(vector) if c)
         lines: dict = {}
         for x in points:
@@ -229,7 +238,8 @@ def translation_box(action: GroupAction, side: int) -> frozenset:
             runs.append((anchor, lo, hi))
         size = sum(hi - lo for _anchor, lo, hi in runs)
         if size > DEFAULT_POINT_BUDGET:
-            raise BudgetExceededError(refusal(side, DEFAULT_POINT_BUDGET), partial_count=size)
+            raise BudgetExceededError(f"layer {layer} of the translation box of side "
+                                      f"{_echo(side, str)}", size, DEFAULT_POINT_BUDGET)
         points = [_translate(anchor, vector, t) for anchor, lo, hi in runs for t in range(lo, hi)]
     return frozenset(points)
 
@@ -248,8 +258,9 @@ def _search_box(action: GroupAction, eps: Fraction) -> SearchReport | None:
     cosets, and t^((r-1)/r) is subadditive, so summed over c this reads
     |E|^((r-1)/r) <= eps |E| / 2, that is |E| >= (2/eps)^r.  A floor
     over DEFAULT_POINT_BUDGET raises BudgetExceededError before any point
-    is built, naming the first rank the elimination reaches with
-    (2/eps)^rank over it: a lower bound on r, so the floor it names holds.
+    is built: every set holds at least (2/epsilon)^rank points, for the
+    first rank the elimination reaches with (2/eps)^rank over the budget,
+    a lower bound on r, so the floor holds; partial_count is 0.
 
     Else the box of side ceil(2n / eps) is A + [0, side) v_i for each
     generator i: every coset line of Z v_i meets it in runs of at least
@@ -264,11 +275,8 @@ def _search_box(action: GroupAction, eps: Fraction) -> SearchReport | None:
     r = _crossing_rank(moving, base)
     if r is not None:
         shown = str(base) if base.denominator == 1 else f"({base})"
-        raise BudgetExceededError(
-            f"every {eps}-Folner set of {action.name} has at least (2/epsilon)^{r} = "
-            f"{shown}^{r} points, above the point budget {DEFAULT_POINT_BUDGET}",
-            partial_count=0,
-        )
+        raise BudgetExceededError(f"every {eps}-Folner set of {action.name}",
+                                  f"(2/epsilon)^{r} = {shown}^{r}", DEFAULT_POINT_BUDGET)
     side = max(1, math.ceil(2 * action.generator_count / eps))
     try:
         box = translation_box(action, side)
@@ -397,7 +405,7 @@ def search_folner(
     BudgetExceededError when its size floor exceeds DEFAULT_POINT_BUDGET.
     """
     eps = exact_fraction(epsilon)
-    budget = budget or SearchBudget()
+    budget = _search_budget(budget)
 
     if action.translation_vectors is not None:
         boxed = _search_box(action, eps)

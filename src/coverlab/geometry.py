@@ -222,11 +222,9 @@ class VoltageCover:
         hit = self._ball_cache.get(radius)
         if hit is not None:
             return hit
-        seen = bfs_depths(
-            self.tile(self.carrier.origin), lambda p: [q for q, _w in self.neighbors(p)],
-            radius, DEFAULT_POINT_BUDGET,
-            lambda d: f"cover window exceeded {DEFAULT_POINT_BUDGET} vertices at hop {d}",
-        )
+        seen = bfs_depths(self.tile(self.carrier.origin),
+                          lambda p: [q for q, _w in self.neighbors(p)],
+                          radius, DEFAULT_POINT_BUDGET, "cover window")
         result = tuple(sorted(seen, key=self.sort_key))
         self._ball_cache[radius] = result
         return result
@@ -323,11 +321,8 @@ def _rim_sweep(cover: VoltageCover, member_list: tuple, alpha: int):
     nv = cover.base.vertex_count
     size = len(member_list) * nv
     if size > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"cutoff over {len(member_list)} tiles of {nv} vertices holds {size} "
-            f"vertices, above the point budget {DEFAULT_POINT_BUDGET}",
-            partial_count=size,
-        )
+        raise BudgetExceededError(f"cutoff over {len(member_list)} tiles of {nv} vertices",
+                                  size, DEFAULT_POINT_BUDGET, "vertices")
     index = {x: i for i, x in enumerate(member_list)}
     move = cover.fiber_action.apply_fn
     users: dict[int, list[int]] = {}  # signed generator -> base vertices it leaves from

@@ -178,10 +178,7 @@ def _base_operator(graph: WeightedGraph, V) -> _Operator:
     within the size budget DEFAULT_SIZE_LIMIT."""
     n = graph.vertex_count
     if n > DEFAULT_SIZE_LIMIT:
-        raise BudgetExceededError(
-            f"graph has {n} vertices, above the eigensolve budget {DEFAULT_SIZE_LIMIT}",
-            partial_count=n,
-        )
+        raise BudgetExceededError("graph", n, DEFAULT_SIZE_LIMIT, "vertices")
     trivial = VoltageCover(graph, finite_permutation_action((), 1), {})
     return _Operator(trivial, trivial.tile(0), V)
 

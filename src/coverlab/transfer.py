@@ -17,8 +17,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import DEFAULT_POINT_BUDGET, GroupAction, _action_step, bfs_depths, boundary
-from .errors import InequalityViolation, InputError, _check_collection, _check_int, _check_real
-from .folner import FolnerCertificate, SearchBudget, SearchReport, search_folner
+from .errors import (BudgetExceededError, InequalityViolation, InputError, _check_collection,
+                     _check_int, _check_real)
+from .folner import (FolnerCertificate, SearchBudget, SearchReport, _search_budget,
+                     search_folner)
 from .geometry import (
     CompactFunction,
     VoltageCover,
@@ -50,11 +52,8 @@ def _leq(x: float, y: float) -> bool:
 
 def _boundary_ball(action: GroupAction, members: Sequence, alpha: int) -> int:
     """Size of the radius-alpha ball around the members' boundary, within the point budget."""
-    return len(bfs_depths(
-        boundary(action, members), _action_step(action), alpha, DEFAULT_POINT_BUDGET,
-        lambda d: f"collar ball of radius {alpha} exceeded {DEFAULT_POINT_BUDGET} "
-                  f"points at radius {d}",
-    ))
+    return len(bfs_depths(boundary(action, members), _action_step(action), alpha,
+                          DEFAULT_POINT_BUDGET, f"collar ball of radius {alpha}"))
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ class TransferOutcome:
     witness: Optional[CompactFunction]
     report: Optional[WitnessReport]
     attempts: tuple
-    best_collar_ratio: Fraction
+    best_collar_ratio: Optional[Fraction]
     message: str
 
 
@@ -247,9 +246,12 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     Witnesses are built only over certificates.  When the search
     exhausts before any certificate, the best set's collar ratio b/c is
-    counted by the collar sweep alone and report is None.  A base that is
-    nonnegative up to its rounding has nothing to transfer: an input error.
+    counted by the collar sweep alone and report is None; a best set over
+    the sweep's point budget leaves the ratio None, and the message says
+    why.  A base that is nonnegative up to its rounding has nothing to
+    transfer: an input error.
     """
+    budget = _search_budget(budget)
     base = cover.base
     sr = min_eigenvalue(base, V, a, seed=seed)
     if sr.nonnegative:
@@ -284,9 +286,16 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
 
     # every attempt before a winner scored at least r*, so the minimum is the
     # winner's; with no certificate to build a witness over, the search
-    # exhausted, and b/c of its best set is counted by the collar sweep
-    best = (min(w.collar_ratio for w in attempts) if attempts
-            else Fraction(*collar_counts(cover, exhausted.best_set, alpha)))
+    # exhausted, and b/c of its best set is counted by the collar sweep,
+    # unless that set is over the sweep's point budget
+    best = refused = None
+    if attempts:
+        best = min(w.collar_ratio for w in attempts)
+    else:
+        try:
+            best = Fraction(*collar_counts(cover, exhausted.best_set, alpha))
+        except BudgetExceededError as exc:
+            refused = exc
     report = attempts[-1] if attempts else None
     if witness is not None:
         message = (f"collar ratio {report.collar_ratio} < r* = {r_star:.6g}; "
@@ -294,8 +303,8 @@ def transfer_negativity(cover: VoltageCover, V, a: float, alpha: int,
     else:
         detail = ("the Folner search exhausted its budget" if exhausted is not None
                   else f"{MAX_HALVINGS} epsilon halvings after the first search never beat r*")
-        message = (f"no witness with collar ratio below r* = {r_star:.6g}: {detail}; "
-                   f"best ratio seen {best}")
+        seen = f"best ratio not counted: {refused}" if refused else f"best ratio seen {best}"
+        message = f"no witness with collar ratio below r* = {r_star:.6g}: {detail}; {seen}"
     return TransferOutcome(
         status="transferred" if witness is not None else "inconclusive",
         lambda_min_base=sr.lambda_min,
@@ -424,6 +433,7 @@ def counterexample_check(cover: VoltageCover, V, a: float, alpha: int,
     transfer or a negative window means the scenario is not the strict
     inclusion it claims to be, which is raised as a violation.
     """
+    radii = _check_collection(radii, "radii")
     outcome = transfer_negativity(cover, V, a, alpha, budget, seed=seed)
     if outcome.status == "transferred":
         raise InequalityViolation(

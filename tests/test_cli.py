@@ -467,6 +467,32 @@ def test_run_inconclusive_exit_3(tmp_path, capsys, tree_search_budget):
     assert (ratio["numerator"], ratio["denominator"]) == (937, 187)
 
 
+def test_free_fiber_sweep_over_the_point_budget_leaves_the_ratio_uncounted(
+        tmp_path, capsys, monkeypatch, tree_search_budget):
+    # the held search's best set has 187 tiles of 4 vertices, 748 > 700, so
+    # its collar sweep is refused: the transfer stays inconclusive with no
+    # ratio, and the interval keeps its report (both used to end budget-exceeded)
+    monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 700)
+    path = tree_transfer_scenario(tmp_path)
+    code = main(["run", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"], report["outcome"]["status"]) == (
+        3, "inconclusive", "inconclusive")
+    assert report["outcome"]["best_collar_ratio"] is None
+    assert report["outcome"]["message"].endswith(
+        "the Folner search exhausted its budget; best ratio not counted: cutoff over 187 "
+        "tiles of 4 vertices holds 748 vertices, above the budget 700")
+    obj = json.loads(path.read_text())
+    obj.update(name="tree_interval", task="interval", potential=["-0.1", "0.1", "-0.1", "0.1"],
+               params={"a_samples": ["1"], "radius": 2, "alpha": 4})
+    code = main(["run", str(write_json(tmp_path / "tree_interval.json", obj))])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"]) == (0, "ok")
+    (row,) = report["outcome"]["rows"]
+    assert (row["transfer_status"], row["collar_ratio"]) == ("inconclusive", None)
+    assert report["outcome"]["equality_evidence"] is False
+
+
 def test_run_bad_budget_field_exit_1(tmp_path, capsys):
     obj = json.loads((SCENARIOS / "tree_counterexample.json").read_text())
     obj["params"]["budget"]["max_subsets"] = -5
@@ -615,8 +641,8 @@ def test_budget_flag_forces_exhaustion(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "budget-exceeded"
     assert report["outcome"]["error"] == (
-        "every 1/1000-Folner set of lattice(2) has at least (2/epsilon)^2 = 2000^2 "
-        "points, above the point budget 1000000")
+        "every 1/1000-Folner set of lattice(2) holds at least (2/epsilon)^2 = 2000^2 "
+        "points, above the budget 1000000")
 
 
 def test_cutoff_over_the_point_budget_exits_3(capsys, monkeypatch):
@@ -627,7 +653,7 @@ def test_cutoff_over_the_point_budget_exits_3(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "budget-exceeded"
     assert report["outcome"]["error"] == ("cutoff over 37 tiles of 3 vertices holds 111 "
-                                          "vertices, above the point budget 100")
+                                          "vertices, above the budget 100")
 
 
 def test_budget_environment_variable_is_ignored(capsys, monkeypatch):
@@ -878,7 +904,7 @@ def test_longest_printable_epsilon_runs(tmp_path, capsys):
     obj["params"] = {"epsilon": "1e-4299"}
     assert main(["run", str(write_json(tmp_path / "z_folner.json", obj))]) == 3
     error = json.loads(capsys.readouterr().out)["outcome"]["error"]
-    assert error.endswith(f"= {2 * 10**4299}^1 points, above the point budget 1000000")
+    assert error.endswith(f"= {2 * 10**4299}^1 points, above the budget 1000000")
 
 
 def test_dense_quotient_refusal_is_short(tmp_path, capsys):
@@ -890,8 +916,8 @@ def test_dense_quotient_refusal_is_short(tmp_path, capsys):
     out = tmp_path / "dense_report.json"
     assert main(["run", str(write_json(tmp_path / "dense.json", obj)), "--out", str(out)]) == 3
     error = json.loads(out.read_text())["outcome"]["error"]
-    assert error == ("every 1/2-Folner set of free_quotient(300 vectors of dimension 300) has "
-                     "at least (2/epsilon)^10 = 4^10 points, above the point budget 1000000")
+    assert error == ("every 1/2-Folner set of free_quotient(300 vectors of dimension 300) "
+                     "holds at least (2/epsilon)^10 = 4^10 points, above the budget 1000000")
     assert len(out.read_text()) < 1000
 
 

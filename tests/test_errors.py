@@ -23,6 +23,7 @@ from coverlab import (
     as_potential,
     boundary,
     build_cover,
+    counterexample_check,
     cutoff,
     dirichlet_window,
     easy_direction_check,
@@ -43,13 +44,14 @@ from coverlab import (
     verify_certificate,
     word_action,
 )
-from coverlab import geometry, scenario, spectrum
+from coverlab import folner, geometry, scenario, spectrum, transfer
 from coverlab.errors import _check_collection, _check_int, _check_nonempty, _check_real, _echo
 from coverlab.folner import translation_box
 from coverlab.scenario import load_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 FLAT_V3 = (-0.05, -0.05, -0.05)
+FLAT_V4 = (-0.1,) * 4
 
 
 def test_check_int_accepts_an_integer_in_range():
@@ -82,6 +84,10 @@ def _triangle():
 
 def _triangle_cover():
     return build_cover(_triangle(), lattice_action(1), [(0, 1, (1,))])
+
+
+def _tree_cover():
+    return load_scenario(SCENARIOS / "tree_counterexample.json").cover
 
 
 # every library site of the rule: its label, and a call that takes the
@@ -458,6 +464,9 @@ COLLECTION_SITES = {
     "interval_comparison a_samples": (
         "a_samples", lambda xs: interval_comparison(_triangle_cover(), FLAT_V3, xs, 1, 2).rows,
         [0.5]),
+    "counterexample_check radii": (
+        "radii", lambda xs: counterexample_check(
+            _tree_cover(), FLAT_V4, 1.0, 4, xs, SearchBudget(0, 1, 1)).windows, [0, 1]),
 }
 
 
@@ -482,6 +491,47 @@ def test_member_site_refuses_an_unhashable_point(site):
     with pytest.raises(InputError) as err:
         call([[0]])
     assert str(err.value) == "members: expected hashable items, got [[0]]"
+
+
+# every library site that takes a search budget: None is the default, and
+# anything else that is not a SearchBudget used to end in a bare
+# AttributeError (0 and False were read as the default, and a translation
+# fiber's box search ignored the budget)
+BUDGET_SITES = {
+    "search_folner": lambda b: search_folner(free_group_action(2), Fraction(1, 2), b),
+    "search_folner on a translation fiber": (
+        lambda b: search_folner(lattice_action(1), Fraction(1, 2), b)),
+    "folner_sequence": lambda b: folner_sequence(free_group_action(2), ["1/2"], b),
+    "transfer_negativity": lambda b: transfer_negativity(_tree_cover(), FLAT_V4, 1.0, 4, b),
+    "counterexample_check": lambda b: counterexample_check(
+        _tree_cover(), FLAT_V4, 1.0, 4, [0], budget=b),
+}
+
+
+def _no_search_or_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a search or solve ran")
+
+    for module, name in ((folner, "_search_box"), (folner, "orbit_ball"),
+                         (transfer, "min_eigenvalue")):
+        monkeypatch.setattr(module, name, unreachable)
+
+
+@pytest.mark.parametrize("value", [5, {"max_radius": 2}, "x", 0, False])
+@pytest.mark.parametrize("site", sorted(BUDGET_SITES))
+def test_site_refuses_a_budget_that_is_not_a_search_budget(site, value, monkeypatch):
+    _no_search_or_solve(monkeypatch)
+    with pytest.raises(InputError) as err:
+        BUDGET_SITES[site](value)
+    assert str(err.value) == f"budget: expected a SearchBudget, got {value!r}"
+
+
+def test_counterexample_radii_are_refused_before_the_transfer(monkeypatch):
+    # radii=5 used to end in a bare TypeError, after the whole transfer attempt
+    _no_search_or_solve(monkeypatch)
+    with pytest.raises(InputError) as err:
+        counterexample_check(_tree_cover(), FLAT_V4, 1.0, 4, 5)
+    assert str(err.value) == "radii: expected a collection, got 5"
 
 
 def test_mu_below_the_smallest_normal_float_is_refused():

@@ -31,6 +31,7 @@ from coverlab import (
     word_action,
 )
 from coverlab import actions, folner
+from coverlab.errors import _echo
 from coverlab.folner import _connected_subsets, translation_box
 from oracles import folner_boundary_bound, rank_by_full_elimination, set_ratios
 
@@ -503,7 +504,9 @@ def test_independent_box_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr(folner, "_translate", no_points)
     with pytest.raises(BudgetExceededError) as info:
         translation_box(lattice_action(3), 120)
-    assert str(info.value) == "translation box of side 120 exceeds 1000000 points"
+    assert str(info.value) == ("translation box of side 120 holds at least 120^3 points, "
+                              "above the budget 1000000")
+    assert (info.value.partial_count, info.value.limit) == (0, 1000000)
     monkeypatch.undo()
     # side**3 == the point budget is within it and still built
     assert len(box_within(lattice_action(3), 10, 1000)) == 1000
@@ -526,17 +529,18 @@ def test_size_floor_refuses_before_any_set_is_built(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         search_folner(lattice_action(20), Fraction(1, 2))
     assert time.perf_counter() - started < 1.0
-    assert str(info.value) == ("every 1/2-Folner set of lattice(20) has at least "
-                               "(2/epsilon)^10 = 4^10 points, above the point budget 1000000")
+    assert str(info.value) == ("every 1/2-Folner set of lattice(20) holds at least "
+                               "(2/epsilon)^10 = 4^10 points, above the budget 1000000")
+    assert (info.value.partial_count, info.value.limit) == (0, 1000000)
     # (20/3)^2 is just over 44
     with pytest.MonkeyPatch.context() as patch, pytest.raises(
-            BudgetExceededError, match=r"= \(20/3\)\^2 points, above the point budget 44$"):
+            BudgetExceededError, match=r"= \(20/3\)\^2 points, above the budget 44$"):
         patch.setattr(folner, "DEFAULT_POINT_BUDGET", 44)
         search_folner(lattice_action(2), Fraction(3, 10))
     # a dependent family is refused by its rank: three vectors of rank 2
     started = time.perf_counter()
     with pytest.raises(BudgetExceededError,
-                       match=r"\(2/epsilon\)\^2 = 2000\^2 points, above the point budget 1000000$"):
+                       match=r"\(2/epsilon\)\^2 = 2000\^2 points, above the budget 1000000$"):
         search_folner(free_quotient_lattice_action([(1, 0), (0, 1), (1, 1)]), Fraction(1, 1000))
     assert time.perf_counter() - started < 1.0
 
@@ -588,8 +592,11 @@ def test_degenerate_box_keeps_its_true_image():
     }
     assert len(image) < side**3
     assert box_within(action, side, len(image)) == image
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         box_within(action, side, len(image) - 1)
+    # 10^2 points are within the budget, so the box is refused at its last layer
+    assert str(info.value) == (f"layer 3 of the translation box of side 10 holds {len(image)} "
+                               f"points, above the budget {len(image) - 1}")
 
 
 def layered_box(action, side, max_points):
@@ -597,7 +604,7 @@ def layered_box(action, side, max_points):
     # translating the whole partial image per step
     moving = [v for v in action.translation_vectors if any(v)]
     if side ** len(moving) > max_points and rank_by_full_elimination(moving) == len(moving):
-        raise BudgetExceededError("refused before it is built", partial_count=0)
+        raise BudgetExceededError("layered box", f"{side}^{len(moving)}", max_points)
     points = {action.origin}
     for vector in moving:
         layer = set(points)
@@ -606,7 +613,7 @@ def layered_box(action, side, max_points):
             layer = {tuple(c + d for c, d in zip(x, vector)) for x in layer}
             acc |= layer
             if len(acc) > max_points:
-                raise BudgetExceededError("over budget", partial_count=len(acc))
+                raise BudgetExceededError("layered box", len(acc), max_points)
         points = acc
     return frozenset(points)
 
@@ -696,7 +703,7 @@ def test_floor_over_a_dense_family_stops_at_the_rank_where_it_crosses():
     action = free_quotient_lattice_action(vectors)
     started = time.perf_counter()
     with pytest.raises(BudgetExceededError,
-                       match=r"\(2/epsilon\)\^10 = 4\^10 points, above the point budget 1000000$"):
+                       match=r"\(2/epsilon\)\^10 = 4\^10 points, above the budget 1000000$"):
         search_folner(action, Fraction(1, 2))
     assert time.perf_counter() - started < 1.0
 
@@ -800,7 +807,8 @@ def test_dependent_box_is_refused_unbuilt(monkeypatch):
     monkeypatch.setattr(folner, "DEFAULT_POINT_BUDGET", 99)
     with pytest.raises(BudgetExceededError) as info:
         translation_box(action, 10)
-    assert str(info.value) == "translation box of side 10 exceeds 99 points"
+    assert str(info.value) == ("translation box of side 10 holds at least 10^2 points, "
+                              "above the budget 99")
     assert info.value.partial_count == 0
 
 
@@ -811,16 +819,25 @@ def test_tiny_epsilon_floor_names_rank_1_at_once():
         search_folner(lattice_action(1000), Fraction(1, 10**4000))
     assert time.perf_counter() - started < 0.5
     assert str(info.value).endswith(
-        f"has at least (2/epsilon)^1 = {2 * 10**4000}^1 points, above the point budget 1000000")
+        f"holds at least (2/epsilon)^1 = {2 * 10**4000}^1 points, above the budget 1000000")
 
 
 def test_zero_vectors_box_with_a_long_side_is_found():
-    # side ceil(10 / epsilon) has 4301 digits; the box is the origin, and the
-    # refusal message that cannot print it is never worded
+    # side ceil(10 / epsilon) has 4301 digits; the box is the origin
     action = free_quotient_lattice_action([(0,)] * 5)
     rep = search_folner(action, Fraction(1, 10**4299))
     assert rep.outcome == "found"
     assert tuple(sorted(rep.certificate.members, key=action.sort_key)) == ((0,),)
+
+
+def test_box_side_too_long_to_print_is_refused_by_its_echo():
+    # under the int-to-str digit limit, str() of a 5001-digit side raises
+    # ValueError, which the refusal used to end in
+    with pytest.raises(BudgetExceededError) as info:
+        translation_box(lattice_action(1), 10**5000)
+    shown = _echo(10**5000, str)
+    assert str(info.value) == (f"translation box of side {shown} holds at least {shown}^1 "
+                               "points, above the budget 1000000")
 
 
 def verifier_sets():

@@ -240,7 +240,8 @@ def test_ball_budget(tree_cover, monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         tree_cover.ball(5)
     assert info.value.partial_count == 41
-    assert str(info.value) == "cover window exceeded 40 vertices at hop 3"
+    assert str(info.value) == "cover window at hop 3 holds 41 points, above the budget 40"
+    assert info.value.limit == 40
 
 
 def test_ball_over_budget_is_not_memoized(tree_cover, monkeypatch):
@@ -351,7 +352,8 @@ def test_cutoff_refuses_sets_over_the_point_budget(triangle_cover, monkeypatch):
             count(triangle_cover, members, 2)
         assert info.value.partial_count == 111
         assert str(info.value) == ("cutoff over 37 tiles of 3 vertices holds 111 "
-                                   "vertices, above the point budget 110")
+                                   "vertices, above the budget 110")
+        assert info.value.limit == 110
     monkeypatch.setattr(geometry, "DEFAULT_POINT_BUDGET", 111)
     assert len(cutoff(triangle_cover, members, 2).omega) == 111
     assert collar_counts(triangle_cover, members, 2) == (4, 37)

@@ -341,22 +341,24 @@ RULE_PHRASES = {
                           "unhashable"),
     "_edge_rows": ("triple", "is a loop", "repeats edge", "duplicate edge", "duplicate voltage",
                    "is not a vertex pair"),
+    "BudgetExceededError": ("above the budget", "above the point budget", "eigensolve budget",
+                            "group order exceeds", " exceeded", "exceeds {} points"),
 }
 
 # the module that holds each rule
 RULE_MODULES = {"_check_int": "errors.py", "_check_real": "errors.py",
                 "exact_fraction": "folner.py", "_expect_real": "scenario.py",
                 "_check_nonempty": "errors.py", "_check_collection": "errors.py",
-                "_edge_rows": "geometry.py"}
+                "_edge_rows": "geometry.py", "BudgetExceededError": "errors.py"}
 
 
 def rule_copies(source: str, rule: str, rule_allowed: bool = False) -> list[str]:
     """Every string holding one of RULE_PHRASES[rule], the wordings of that
-    rule's checks, except inside the top-level function `rule` when
-    ``rule_allowed``."""
+    rule's checks, except inside the top-level function or class `rule`
+    when ``rule_allowed``."""
     found = []
     for top in ast.parse(source).body:
-        if rule_allowed and isinstance(top, ast.FunctionDef) and top.name == rule:
+        if rule_allowed and isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == rule:
             continue
         found += [f"{phrase} (line {node.lineno})" for node in ast.walk(top)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -498,7 +500,21 @@ def test_emptiness_is_refused_by_one_rule(path):
         def cutoff(cover, members, alpha):
             raise InputError("members: unhashable point")
         """, ["is not iterable (line 4)", "unhashable (line 6)"]),
-], ids=["_edge_rows", "_check_collection"])
+    ("BudgetExceededError", """\
+        class BudgetExceededError(CoverlabError):
+            shape = "{what} holds {count}, above the budget {limit}"
+        def generate_group(generators):
+            return bfs_depths(roots, step, None, MAX_GROUP_ORDER,
+                              lambda _d: f"group order exceeds {MAX_GROUP_ORDER}")
+        def _base_operator(graph, V):
+            raise BudgetExceededError(f"graph has {n} vertices, above the eigensolve budget")
+        def translation_box(action, side):
+            refusal = "translation box of side {} exceeds {} points".format
+        def orbit_ball(action, radius):
+            return f"orbit ball exceeded {DEFAULT_POINT_BUDGET} points at radius {d}"
+        """, ["group order exceeds (line 5)", "eigensolve budget (line 7)",
+              "exceeds {} points (line 9)", " exceeded (line 11)"]),
+], ids=["_edge_rows", "_check_collection", "BudgetExceededError"])
 def test_edge_row_and_collection_rule_checkers_flag_a_second_copy(rule, source, copies):
     source = textwrap.dedent(source)
     assert rule_copies(source, rule, rule_allowed=True) == copies
@@ -506,9 +522,10 @@ def test_edge_row_and_collection_rule_checkers_flag_a_second_copy(rule, source, 
 
 
 # geometry._edge_rows is the one reader of an edge-keyed row, for a graph's
-# edges and a cover's voltages, and errors._check_collection the one rule
-# for a collection argument
-@pytest.mark.parametrize("rule", ["_edge_rows", "_check_collection"])
+# edges and a cover's voltages, errors._check_collection the one rule for a
+# collection argument, and errors.BudgetExceededError the one wording of a
+# budget refusal
+@pytest.mark.parametrize("rule", ["_edge_rows", "_check_collection", "BudgetExceededError"])
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_edge_rows_and_collections_are_read_by_one_rule(path, rule):
     assert rule_copies(path.read_text(encoding="utf-8"), rule,

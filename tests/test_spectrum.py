@@ -221,7 +221,7 @@ def test_nonfinite_operator_rejected_before_either_solver(dense_limit, monkeypat
 
 def test_size_limit_budget(triangle, monkeypatch):
     monkeypatch.setattr(spectrum_module, "DEFAULT_SIZE_LIMIT", 2)
-    message = "^graph has 3 vertices, above the eigensolve budget 2$"
+    message = "^graph holds 3 vertices, above the budget 2$"
     with pytest.raises(BudgetExceededError, match=message):
         min_eigenvalue(triangle, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(BudgetExceededError, match=message):

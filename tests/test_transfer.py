@@ -244,7 +244,7 @@ def test_collar_ball_honours_the_point_budget(triangle_cover, monkeypatch):
     search = search_folner(triangle_cover.fiber_action, Fraction(1, 5))
     monkeypatch.setattr(transfer, "DEFAULT_POINT_BUDGET", 3)
     with pytest.raises(BudgetExceededError,
-                       match="collar ball of radius 2 exceeded 3 points at radius 1") as err:
+                       match="^collar ball of radius 2 at hop 1 holds 4 points, above the budget 3$") as err:
         build_witness(
             triangle_cover, (1.0, 1.0, 1.0), search.certificate, 2, FLAT_V3, 1.0
         )
